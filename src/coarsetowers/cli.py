@@ -10,15 +10,12 @@ exhaustion.  Identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .limits import CapExceeded, Caps
 from .rationals import as_rational, canon, rat_json
@@ -59,6 +56,7 @@ from .serialization import (
     pipeline_report,
     space_from_csv,
     space_from_json,
+    _tower_fields,
     tower_from_json,
     tower_to_json,
 )
@@ -70,7 +68,7 @@ EXIT_EXHAUSTED = 3
 
 # every knob a certificate depends on, embedded in reports verbatim
 DECISIONS = {
-    "net_convention": "closed unless --net strict",
+    "net_convention": CLOSED,
     "rounding": "integer windows need ceil(a_i) <= floor(b_i); degree room "
                 "checks a_i + 1 <= deg alongside the ceiling reading",
     "a1_policy": "a_1 = 1",
@@ -216,15 +214,7 @@ def cmd_validate(config: RunConfig) -> int:
     path = config.inputs[0]
     kind, payload = _load_document(path)
     if kind == "tower":
-        ids, level, parent = [], {}, {}
-        for entry in payload.get("nodes", []):
-            if not isinstance(entry, dict) or "id" not in entry or "level" not in entry:
-                raise ValueError("each tower node needs 'id' and 'level'")
-            i = entry["id"]
-            ids.append(i)
-            level[i] = int(entry["level"])
-            parent[i] = entry.get("parent")
-        report = validate_tower(ids, level, parent)
+        report = validate_tower(*_tower_fields(payload))
     else:
         space = (space_from_csv(payload, config.caps) if kind == "space-csv"
                  else space_from_json(payload, config.caps))
@@ -282,19 +272,20 @@ def cmd_embed(config: RunConfig) -> int:
 
 
 def cmd_equiv(config: RunConfig) -> int:
+    if config.net != CLOSED:
+        raise ValueError("equiv runs the closed-net pipeline only; "
+                         "--net strict is not supported")
     caps = config.caps
     base = _target_base(config.params.get("to", "binary"))
     tower, label = _tower_from_spec(
         config.params["from"], caps, config.params.get("height"), base)
     result = equivalence_pipeline(tower, target_base=base, caps=caps)
-    decisions = dict(DECISIONS)
-    decisions["net_convention"] = config.net
     report = pipeline_report(
         result,
         source_label=label,
         source_hash=content_hash(tower_to_json(tower)),
         target_label=f"words:{base}:{result.synthesis.m[-1]}",
-        decisions=decisions,
+        decisions=DECISIONS,
         config={
             "cap": config.cap,
             "net": config.net,
@@ -330,26 +321,6 @@ def cmd_classify(config: RunConfig) -> int:
 # -- experiments ---------------------------------------------------------------
 
 
-def _sparse_position_space(
-    length: int, positions: Sequence[int], caps: Caps
-) -> Space:
-    """Binary words whose letters sit at the given sparse positions:
-    d(x,y) = max{2^s : letters at position s differ}."""
-    positions = sorted(int(s) for s in positions)
-    count = 2 ** length
-    caps.check_points(count, "sparse-position space")
-    words = np.asarray(
-        list(itertools.product(range(2), repeat=length)), dtype=np.int16)
-    n = words.shape[0]
-    codes = np.zeros((n, n), dtype=np.int16)
-    for k in range(length):  # ascending positions: last write wins = max
-        col = words[:, k]
-        codes[col[:, None] != col[None, :]] = k + 1
-    values = (0,) + tuple(2 ** s for s in positions)
-    points = ["".join(str(d) for d in w) for w in words.tolist()]
-    return Space(points, codes, values, ultrametric=True, caps=caps)
-
-
 def _entropy_csv(space: Space, config: RunConfig) -> str:
     profile = entropy_profile(
         space, space.values, space.values, config.net, config.caps)
@@ -371,7 +342,12 @@ def _experiment_sparse_product(config: RunConfig) -> str:
     terms = int(config.params.get("terms", 4))
     positions = [k * k for k in range(1, terms + 1)]
     left = word_space(2, length, caps=config.caps)
-    right = _sparse_position_space(terms, positions, config.caps)
+    # binary words whose letter n sits at position positions[n]: the word
+    # space's codes with the value of code n + 1 moved from 2^n to 2^positions[n]
+    words = word_space(2, terms, caps=config.caps)
+    right = Space(words.points, words.codes,
+                  (0,) + tuple(2 ** s for s in positions),
+                  ultrametric=True, caps=config.caps)
     return _entropy_csv(product(left, right, caps=config.caps), config)
 
 

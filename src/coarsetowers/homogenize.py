@@ -186,21 +186,14 @@ def asymptotic_homogeneity(profile: DegreeProfile) -> tuple[Fraction, Fraction]:
 
     Returns (value, bound): value is the max over windows [i, j) of
     prod_k Deg_k/deg_k, bound the full-range product.  Every factor is
-    >= 1, so the two coincide; both are returned so callers can assert
-    that identity on their own data.  Homogeneous profiles give (1, 1).
+    >= 1, so the largest window is the full range and the two coincide;
+    both are returned so callers can assert that identity on their own
+    data.  Homogeneous profiles give (1, 1).
     """
-    ratios = profile.ratios()
-    best = Fraction(1)
-    for i in range(len(ratios)):
-        prod = Fraction(1)
-        for j in range(i, len(ratios)):
-            prod *= ratios[j]
-            if prod > best:
-                best = prod
     full = Fraction(1)
-    for r in ratios:
+    for r in profile.ratios():
         full *= r
-    return canon(best), canon(full)
+    return canon(full), canon(full)
 
 
 # -- sequence synthesis ------------------------------------------------------

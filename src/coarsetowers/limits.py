@@ -32,12 +32,5 @@ class Caps:
                 f"cap is {self.max_pair_evals}"
             )
 
-    def with_points(self, max_points: int) -> "Caps":
-        return Caps(
-            max_points=max_points,
-            max_pair_evals=max(self.max_pair_evals, max_points * max_points),
-            max_exact_net_points=self.max_exact_net_points,
-        )
-
 
 DEFAULT_CAPS = Caps()

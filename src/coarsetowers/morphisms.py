@@ -12,6 +12,7 @@ within prescribed fiber-size windows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -181,6 +182,22 @@ class DistortionModulus:
         }
 
 
+def _pair_code_blocks(phi: MultiMap):
+    """Yield (row offset, source-code block, target-code block) over every
+    ordered pair of graph points, in blocks of whole rows of about four
+    million cells each.  Cell (i, j) of a block is the pair of graph
+    points lo + i and j in phi.pairs order, so the first hit found block
+    by block is the row-major first over the whole scan."""
+    src, tgt = phi.source, phi.target
+    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
+    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
+    n = len(phi.pairs)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for lo in range(0, n, chunk):
+        yield (lo, src.codes[np.ix_(ia[lo:lo + chunk], ia)],
+               tgt.codes[np.ix_(ib[lo:lo + chunk], ib)])
+
+
 def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionModulus:
     """Exhaustive modulus over all pairs of graph points.
 
@@ -196,15 +213,10 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
             f"modulus scan needs {n * n} pair evaluations, cap is "
             f"{caps.max_pair_evals}")
     src, tgt = phi.source, phi.target
-    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
-    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
     nv = len(src.values)
     best = [-1] * nv
     bestpos: list[Optional[tuple[int, int]]] = [None] * nv
-    chunk = max(1, 4_000_000 // n)
-    for lo in range(0, n, chunk):
-        sc = src.codes[np.ix_(ia[lo:lo + chunk], ia)]
-        tc = tgt.codes[np.ix_(ib[lo:lo + chunk], ib)]
+    for lo, sc, tc in _pair_code_blocks(phi):
         for c in np.unique(sc):
             masked = np.where(sc == c, tc, -1)
             j = int(masked.argmax())
@@ -312,17 +324,11 @@ def _isometric_witness(
     n = len(phi.pairs)
     if n * n > caps.max_pair_evals:
         raise CapExceeded("isometry scan exceeds the pair-evaluation cap")
-    src, tgt = phi.source, phi.target
-    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
-    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
     # source code -> target code of the equal value, -1 when absent
-    tcode_of = {v: i for i, v in enumerate(tgt.values)}
+    tcode_of = {v: i for i, v in enumerate(phi.target.values)}
     tmap = np.asarray(
-        [tcode_of.get(v, -1) for v in src.values], dtype=np.int64)
-    chunk = max(1, 4_000_000 // n)
-    for lo in range(0, n, chunk):
-        sc = src.codes[np.ix_(ia[lo:lo + chunk], ia)]
-        tc = tgt.codes[np.ix_(ib[lo:lo + chunk], ib)]
+        [tcode_of.get(v, -1) for v in phi.source.values], dtype=np.int64)
+    for lo, sc, tc in _pair_code_blocks(phi):
         bad = tmap[sc] != tc
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -990,52 +996,42 @@ def build_admissible_morphism(
     return phi, cert
 
 
+_BASE_BOUND_MESSAGES = {
+    "base-contraction": "images of {x!r}, {y!r} are {dt} apart, sources only {ds}",
+    "base-expansion-plus-2": "sources {x!r}, {y!r} are {ds} apart, images {dt}",
+}
+
+
 def check_base_distortion(phi: MultiMap) -> ValidationReport:
     """Two-sided exact bounds for a base-level map: image pairs never move
     farther apart than their sources, and source pairs stay within image
-    distance + 2.  Checked over every pair."""
+    distance + 2.  Checked over every pair; each broken bound is reported
+    once, at its row-major first pair."""
     checked = ("base-contraction", "base-expansion-plus-2")
     if not phi.is_function or not phi.is_total:
         return ValidationReport(
             "base distortion bounds", checked,
             (Violation("base-contraction", (),
                        "bounds apply to total single-valued maps only"),))
-    src, tgt = phi.source, phi.target
-    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
-    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
-    sv = src.value_array()
-    tv = tgt.value_array()
-    violations: list[Violation] = []
-    if sv is not None and tv is not None:
-        ds = sv[src.codes[np.ix_(ia, ia)]]
-        dt = tv[tgt.codes[np.ix_(ib, ib)]]
-        bad = np.argwhere(dt > ds)
-        if bad.size:
-            i, j = map(int, bad[0])
-            violations.append(Violation(
-                "base-contraction", (phi.pairs[i][0], phi.pairs[j][0]),
-                f"images of {phi.pairs[i][0]!r}, {phi.pairs[j][0]!r} are "
-                f"{dt[i, j]} apart, sources only {ds[i, j]}"))
-        bad = np.argwhere(ds > dt + 2)
-        if bad.size:
-            i, j = map(int, bad[0])
-            violations.append(Violation(
-                "base-expansion-plus-2", (phi.pairs[i][0], phi.pairs[j][0]),
-                f"sources {phi.pairs[i][0]!r}, {phi.pairs[j][0]!r} are "
-                f"{ds[i, j]} apart, images {dt[i, j]}"))
-    else:
-        # rational-valued fallback, same bounds pair by pair
-        for i, (x, fx) in enumerate(phi.pairs):
-            for y, fy in phi.pairs[:i + 1]:
-                dsv = src.dist(x, y)
-                dtv = tgt.dist(fx, fy)
-                if dtv > dsv:
-                    violations.append(Violation(
-                        "base-contraction", (x, y), "image pair moved apart"))
-                if dsv > dtv + 2:
-                    violations.append(Violation(
-                        "base-expansion-plus-2", (x, y),
-                        "source pair beyond image distance + 2"))
+    sv, tv = phi.source.values, phi.target.values
+    # both bounds as code tables, exact for any rational values: the
+    # largest target code <= each source value, and the largest source
+    # code <= each target value + 2
+    t_within = np.asarray([bisect_right(tv, v) - 1 for v in sv], dtype=np.int64)
+    s_within = np.asarray([bisect_right(sv, v + 2) - 1 for v in tv], dtype=np.int64)
+    first: dict[str, Violation] = {}
+    for lo, sc, tc in _pair_code_blocks(phi):
+        for rule, bad in ((checked[0], tc > t_within[sc]),
+                          (checked[1], sc > s_within[tc])):
+            if rule in first or not bad.any():
+                continue
+            i, j = map(int, np.argwhere(bad)[0])
+            x, y = phi.pairs[lo + i][0], phi.pairs[j][0]
+            first[rule] = Violation(rule, (x, y), _BASE_BOUND_MESSAGES[rule].format(
+                x=x, y=y, ds=rat_str(sv[sc[i, j]]), dt=rat_str(tv[tc[i, j]])))
+        if len(first) == len(checked):
+            break
+    violations = [first[rule] for rule in checked if rule in first]
     return ValidationReport("base distortion bounds", checked, tuple(violations))
 
 

@@ -44,6 +44,8 @@ def rat_parse(text: str) -> Rational:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return canon(Fraction(int(num), int(den)))
     return int(text)
 

@@ -13,10 +13,8 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .limits import Caps, DEFAULT_CAPS
-from .rationals import Rational, as_rational, canon, rat_from_json, rat_json, rat_str
+from .rationals import Rational, as_rational, rat_from_json, rat_json, rat_str
 from .spaces import PointId, Space
 from .towers import NodeId, Tower
 
@@ -33,18 +31,6 @@ __all__ = [
     "dump_csv",
     "pipeline_report",
 ]
-
-
-def _codes_from_values(rows: Sequence[Sequence[Rational]]):
-    values = sorted({v for row in rows for v in row})
-    index = {v: k for k, v in enumerate(values)}
-    n = len(rows)
-    dtype = np.int8 if len(values) < 128 else np.int32
-    codes = np.zeros((n, n), dtype=dtype)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            codes[i, j] = index[v]
-    return codes, tuple(values)
 
 
 def space_to_json(space: Space) -> dict:
@@ -66,9 +52,8 @@ def space_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Space:
     if not isinstance(dist, list) or len(dist) != n or any(
             not isinstance(row, list) or len(row) != n for row in dist):
         raise ValueError(f"'dist' must be a {n}x{n} matrix")
-    rows = [[canon(rat_from_json(v)) for v in row] for row in dist]
-    codes, values = _codes_from_values(rows)
-    return Space(tuple(points), codes, values, ultrametric=None, caps=caps)
+    rows = [[rat_from_json(v) for v in row] for row in dist]
+    return Space.from_matrix(points, rows, caps=caps)
 
 
 def space_to_csv(space: Space) -> str:
@@ -94,6 +79,8 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     n = len(points)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
+    # a distance matrix repeats few distinct cell texts: parse each once
+    parsed: dict[str, Rational] = {}
     rows = []
     for k, ln in enumerate(lines[1:]):
         cells = [c.strip() for c in ln.split(",")]
@@ -105,9 +92,11 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
             cells = cells[1:]
         if len(cells) != n:
             raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
-        rows.append([canon(as_rational(c)) for c in cells])
-    codes, values = _codes_from_values(rows)
-    return Space(tuple(points), codes, values, ultrametric=None, caps=caps)
+        for c in cells:
+            if c not in parsed:
+                parsed[c] = as_rational(c)
+        rows.append(list(map(parsed.__getitem__, cells)))
+    return Space.from_matrix(points, rows, caps=caps)
 
 
 def tower_to_json(tower: Tower) -> dict:
@@ -120,7 +109,9 @@ def tower_to_json(tower: Tower) -> dict:
     }
 
 
-def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
+def _tower_fields(data: dict) -> tuple[list, dict, dict]:
+    """The raw (ids, level, parent) of a tower JSON document, levels as
+    written, so validate_tower judges them rather than a coercion."""
     if not isinstance(data, dict) or "nodes" not in data:
         raise ValueError("tower JSON needs 'nodes'")
     nodes = data["nodes"]
@@ -134,9 +125,13 @@ def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
         if not isinstance(i, str):
             raise ValueError("node ids must be strings")
         ids.append(i)
-        level[i] = int(entry["level"])
+        level[i] = entry["level"]
         parent[i] = entry.get("parent")
-    tower = Tower(ids, level, parent, caps=caps)
+    return ids, level, parent
+
+
+def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
+    tower = Tower(*_tower_fields(data), caps=caps)
     declared = data.get("height")
     if declared is not None and int(declared) != tower.height:
         raise ValueError(

@@ -32,6 +32,19 @@ def _pick_dtype(nvalues: int):
     return np.int16 if nvalues < 32_000 else np.int32
 
 
+def _compact(
+    codes: np.ndarray, values: Sequence[Rational]
+) -> tuple[np.ndarray, tuple]:
+    """Drop the values no cell realizes: returns the codes renumbered onto
+    the realized values, in the code dtype for that many values, and those
+    values.  Renumbering keeps the order, so the code map stays
+    order-preserving."""
+    used = np.unique(codes)
+    remap = np.zeros(len(values), dtype=_pick_dtype(used.size))
+    remap[used] = np.arange(used.size)
+    return remap[codes], tuple(values[int(c)] for c in used)
+
+
 class Space:
     """Finite metric space over opaque string point ids.
 
@@ -77,18 +90,24 @@ class Space:
         caps: Caps = DEFAULT_CAPS,
     ) -> "Space":
         """Build from an explicit rational distance matrix (kept verbatim;
-        bad inputs are representable so validators can report on them)."""
+        bad inputs are representable so validators can report on them).
+
+        This is the package's one rational-to-code encoder: each distinct
+        entry is canonicalized once, and equal rationals share a code
+        whatever their type (Fraction(4, 2) and 2 hash and compare equal).
+        """
         points = tuple(points)
         n = len(points)
         caps.check_points(n, "space")
-        vals = sorted({canon(v) for row in matrix for v in row})
+        rows = list(matrix)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError("matrix is not square")
+        cells = list(itertools.chain.from_iterable(rows))
+        vals = sorted({canon(v) for v in set(cells)})
         code_of = {v: i for i, v in enumerate(vals)}
-        codes = np.zeros((n, n), dtype=_pick_dtype(len(vals)))
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            for j, v in enumerate(row):
-                codes[i, j] = code_of[canon(v)]
+        codes = np.fromiter(
+            map(code_of.__getitem__, cells), dtype=_pick_dtype(len(vals)),
+            count=n * n).reshape(n, n)
         return cls(points, codes, vals, ultrametric=ultrametric, caps=caps)
 
     @classmethod
@@ -250,12 +269,13 @@ def validate_metric_axioms(
                 f"d(x,y) = {rat_str(space.values[C[i, j]])} but "
                 f"d(y,x) = {rat_str(space.values[C[j, i]])}"))
 
-    offdiag_zero = np.argwhere(C == 0)
-    for i, j in offdiag_zero:
+    # codes below this one carry values <= 0
+    positive = bisect_right(space.values, 0)
+    for i, j in np.argwhere(C < positive):
         if i < j:
             violations.append(Violation(
                 "positivity", (space.points[int(i)], space.points[int(j)]),
-                "distinct points at distance 0"))
+                f"distinct points at distance {rat_str(space.values[C[i, j]])}"))
 
     if strong:
         pre_ok = not violations
@@ -373,14 +393,11 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
     """Induced space on a subset: points in id order, value table compacted
     to the realized distances."""
     sub = space.subindices(subset)
-    codes = space.codes[np.ix_(sub, sub)]
-    used, inv = np.unique(codes, return_inverse=True)
-    values = tuple(space.values[int(u)] for u in used)
+    codes, values = _compact(space.codes[np.ix_(sub, sub)], space.values)
     points = tuple(space.points[int(i)] for i in sub)
     # strong triangle survives restriction; a failed one may not
     ultra = True if space._ultra is True else None
-    new_codes = inv.reshape(codes.shape).astype(codes.dtype)
-    return Space(points, new_codes, values, ultrametric=ultra, caps=caps)
+    return Space(points, codes, values, ultrametric=ultra, caps=caps)
 
 
 def _class_labels(space: Space, sub: np.ndarray, tcode: int) -> np.ndarray:
@@ -714,15 +731,6 @@ def ultrametrize(
     if not assigned.all():
         raise ValueError(
             "top scale does not chain the space into a single component")
-    values = tuple(2 * k for k in range(len(scales) + 1))
     # some scale indices may be unrealized; compact the value table
-    used = sorted(set(np.unique(out).tolist()))
-    remap = {c: i for i, c in enumerate(used)}
-    compact = np.vectorize(remap.get, otypes=[out.dtype])(out)
-    return Space(
-        space.points,
-        compact,
-        tuple(values[c] for c in used),
-        ultrametric=True,
-        caps=caps,
-    )
+    codes, values = _compact(out, tuple(2 * k for k in range(len(scales) + 1)))
+    return Space(space.points, codes, values, ultrametric=True, caps=caps)

@@ -21,7 +21,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import Space, _class_labels, _pick_dtype
+from .spaces import Space, _class_labels, _compact
 
 NodeId = str
 
@@ -51,12 +51,13 @@ def validate_tower(
         if i in seen:
             violations.append(Violation("unique-ids", (i,), "duplicate node id"))
         seen.add(i)
+    # levels are compared by type, not isinstance: bool is an int subclass
     for i in ids:
         lv = level.get(i)
-        if not isinstance(lv, int) or lv < 1:
+        if type(lv) is not int or lv < 1:
             violations.append(Violation(
                 "levels-total", (i,), f"level must be an integer >= 1, got {lv!r}"))
-    levels_ok = [i for i in ids if isinstance(level.get(i), int) and level[i] >= 1]
+    levels_ok = [i for i in ids if type(level.get(i)) is int and level[i] >= 1]
     if not levels_ok:
         violations.append(Violation("levels-total", (), "no validly leveled nodes"))
         return ValidationReport("tower axioms", checked, tuple(violations))
@@ -86,7 +87,7 @@ def validate_tower(
                 "parent-structure", (i, p), "parent id not among the nodes"))
             continue
         has_child.add(p)
-        if isinstance(level.get(p), int) and level[p] != level[i] + 1:
+        if type(level.get(p)) is int and level[p] != level[i] + 1:
             violations.append(Violation(
                 "level-condition", (i, p),
                 f"parent at level {level.get(p)} is not one above {level[i]}"))
@@ -104,7 +105,7 @@ def validate_tower(
             steps += 1
             if cur not in seen:
                 break
-        if cur in seen and isinstance(level.get(cur), int) and level[cur] != height:
+        if cur in seen and type(level.get(cur)) is int and level[cur] != height:
             if parent.get(cur) is None and level[cur] != height:
                 violations.append(Violation(
                     "chains-reach-top", (i, cur),
@@ -232,26 +233,17 @@ def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
         starts[node] = cursor
         stack.append((node, True))
         stack.extend((c, False) for c in reversed(tower.children[node]))
-    codes = np.zeros((n, n), dtype=_pick_dtype(tower.height + 1))
+    # raw codes are sup levels - 1 < height; _compact recodes them below
+    codes = np.zeros((n, n), dtype=np.min_scalar_type(tower.height))
     for node in reversed(tower.nodes):  # descending level: parents fill first,
         lv = tower.level[node]  # children overwrite with the smaller sup code
         if lv > 1:
             lo, hi = span[node]
             codes[lo:hi, lo:hi] = lv - 1
     np.fill_diagonal(codes, 0)
-    codes = codes[np.ix_(slot_of, slot_of)]
-    values = tuple(2 * k for k in range(tower.height))
-    used = np.unique(codes)
-    remap = np.zeros(len(values), dtype=codes.dtype)
-    for new, old in enumerate(used.tolist()):
-        remap[old] = new
-    return Space(
-        base,
-        remap[codes],
-        tuple(values[int(c)] for c in used),
-        ultrametric=True,
-        caps=caps,
-    )
+    codes, values = _compact(codes[np.ix_(slot_of, slot_of)],
+                             tuple(2 * k for k in range(tower.height)))
+    return Space(base, codes, values, ultrametric=True, caps=caps)
 
 
 # -- builders ----------------------------------------------------------------
@@ -538,16 +530,13 @@ def ball_tower(
 
 def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:
     """Canonical map from points to base balls of a ball tower: each point
-    goes to the level-1 ball containing it (a bijection when radii[0] = 0)."""
-    members: dict[str, NodeId] = {}
-    rep_of = {b: b.split(":", 1)[1] for b in tower.base}
-    t_by_rep = {rep: b for b, rep in rep_of.items()}
-    # reconstruct membership from the metric: the ball of the rep at the
-    # base radius; base radius = the largest distance within some base ball
-    # is not recorded on the tower, so recover membership by nearest rep.
-    reps = sorted(t_by_rep)
-    out: dict[str, NodeId] = {}
-    for p in space.points:
-        best = min(reps, key=lambda r: (space.dist(p, r), r))
-        out[p] = t_by_rep[best]
-    return out
+    goes to the level-1 ball containing it (a bijection when radii[0] = 0).
+
+    The base radius is not recorded on the tower, so membership is read
+    off the metric: a point's ball is the one whose representative is
+    nearest, the least representative id among equally near ones."""
+    reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
+    cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
+    # argmin keeps the first minimum, i.e. the least rep id among the nearest
+    nearest = space.codes[:, cols].argmin(axis=1)
+    return {p: reps[int(k)][1] for p, k in zip(space.points, nearest)}

@@ -95,6 +95,34 @@ def test_validate_tower_negative(capsys, tmp_path):
     assert any(v["rule"] == "level-condition" for v in report["violations"])
 
 
+@pytest.mark.parametrize("level", [2.7, True])
+def test_validate_tower_rejects_non_integer_level(capsys, tmp_path, level):
+    doc = {"nodes": [{"id": "t", "level": 2, "parent": None},
+                     {"id": "x", "level": level, "parent": "t"},
+                     {"id": "y", "level": 1, "parent": "t"}]}
+    path = write(tmp_path, "levels.json", json.dumps(doc))
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 1
+    report = json.loads(out)
+    assert [v["witness"] for v in report["violations"]
+            if v["rule"] == "levels-total"] == [["x"]]
+
+
+def test_validate_zero_denominator_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "zero.csv", "id,a,b\na,0,1/0\nb,1,0\n")
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_validate_reports_negative_distance_by_value(capsys, tmp_path):
+    path = write(tmp_path, "neg.csv", "id,a,b\na,0,-1\nb,-1,0\n")
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 1
+    assert [v["message"] for v in json.loads(out)["violations"]
+            if v["rule"] == "positivity"] == ["distinct points at distance -1"]
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run_cli(capsys, ["validate", "/nonexistent/nope.csv"])
     assert code == 2
@@ -358,6 +386,16 @@ def test_experiment_seed_changes_output(capsys):
 
 
 # -- global flags -----------------------------------------------------------------
+
+
+def test_equiv_rejects_strict_nets(capsys):
+    # the pipeline is closed-only; a strict run would be a report whose
+    # decisions contradict its own meta
+    code, out, err = run_cli(
+        capsys, ["equiv", "--from", "regular:2", "--net", "strict"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_global_flags_before_and_after_subcommand(capsys, w22_csv):

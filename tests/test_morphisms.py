@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,3 +468,72 @@ def test_built_morphism_base_checks():
     mm = MultiMap(base_space(t1), base_space(t2), base_pairs)
     assert check_base_distortion(mm).ok
     assert check_entropy_transport(mm, cert).ok
+
+
+# -- base distortion against brute force ------------------------------------------
+
+
+def brute_base_distortion(phi):
+    """Reference: the value loop over every ordered pair, keeping the
+    row-major first witness of each broken bound."""
+    first = {}
+    for x, fx in phi.pairs:
+        for y, fy in phi.pairs:
+            ds, dt = phi.source.dist(x, y), phi.target.dist(fx, fy)
+            if dt > ds:
+                first.setdefault("base-contraction", (x, y))
+            if ds > dt + 2:
+                first.setdefault("base-expansion-plus-2", (x, y))
+    return first
+
+
+def _random_base_space(rng, rational):
+    if rational:
+        return random_ultrametric(rng, n_min=2, n_max=12)
+    return base_space(regular_tower(
+        [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]))
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.booleans(),
+       st.sampled_from(["random", "identity", "collapse"]))
+@settings(max_examples=120, deadline=None)
+def test_check_base_distortion_matches_value_loop(seed, src_rational,
+                                                  tgt_rational, kind):
+    rng = random.Random(seed)
+    src = _random_base_space(rng, src_rational)
+    if kind == "identity":
+        tgt = src
+        fmap = {p: p for p in src.points}
+    else:
+        tgt = _random_base_space(rng, tgt_rational)
+        if kind == "collapse":
+            fmap = {p: tgt.points[0] for p in src.points}
+        else:
+            fmap = {p: rng.choice(tgt.points) for p in src.points}
+    phi = MultiMap.from_function(src, tgt, fmap)
+    report = check_base_distortion(phi)
+    assert {v.rule: v.witness for v in report.violations} == \
+        brute_base_distortion(phi)
+
+
+def test_check_base_distortion_witness_spans_row_blocks():
+    # 2048 points scan in two row blocks; the map breaks both bounds only
+    # inside the last 8-leaf ball, which lies in the second block, so the
+    # witnesses must still be the row-major first pairs of the dense scan
+    base = base_space(regular_tower((2,) * 11))
+    ids = base.points
+    fmap = {p: p for p in ids}
+    fmap[ids[2047]] = ids[2040]
+    phi = MultiMap.from_function(base, base, fmap)
+    idx = np.asarray([base.index(fmap[p]) for p in ids])
+    values = np.asarray(base.values, dtype=np.int64)
+    ds = values[base.codes]
+    dt = values[base.codes[np.ix_(idx, idx)]]
+    expected = {}
+    for rule, bad in (("base-contraction", dt > ds),
+                      ("base-expansion-plus-2", ds > dt + 2)):
+        i, j = np.argwhere(bad)[0]
+        expected[rule] = (ids[i], ids[j])
+    assert min(ids.index(x) for x, _ in expected.values()) >= 2040
+    report = check_base_distortion(phi)
+    assert {v.rule: v.witness for v in report.violations} == expected

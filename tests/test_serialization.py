@@ -3,12 +3,13 @@ certified pipeline report format."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsetowers import MultiMap, Tower, regular_tower, word_space
-from coarsetowers.rationals import canon
+from coarsetowers import MultiMap, Space, Tower, regular_tower, word_space
+from coarsetowers.rationals import canon, rat_parse
 from coarsetowers.serialization import (
     content_hash,
     dump_csv,
@@ -87,6 +88,62 @@ def test_tower_from_json_validates():
                      {"id": "leaf", "level": 1, "parent": "top"}]}
     with pytest.raises(ValueError):
         tower_from_json(bad)
+
+
+@pytest.mark.parametrize("level", [2.7, True, "2"])
+def test_tower_from_json_rejects_non_integer_levels(level):
+    # int() would read 2.7 and "2" as 2 and True as 1: levels are taken as
+    # written and judged by the validator
+    data = {"nodes": [{"id": "top", "level": level, "parent": None},
+                      {"id": "leaf", "level": 1, "parent": "top"}]}
+    with pytest.raises(ValueError, match="levels-total"):
+        tower_from_json(data)
+
+
+# -- one encoder ----------------------------------------------------------------
+
+
+CELLS = st.one_of(st.integers(-1000, 1000),
+                  st.fractions(-50, 50, max_denominator=9))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_and_json_loaders_encode_like_from_matrix(data):
+    n = data.draw(st.integers(1, 13))
+    matrix = data.draw(st.lists(st.lists(CELLS, min_size=n, max_size=n),
+                                min_size=n, max_size=n))
+    points = [f"p{i}" for i in range(n)]
+    direct = Space.from_matrix(points, matrix)
+    via_json = space_from_json(
+        {"points": points, "dist": [[rat_json(v) for v in row] for row in matrix]})
+    via_csv = space_from_csv("".join(
+        [",".join(["id"] + points) + "\n"]
+        + [",".join([p] + [rat_str(v) for v in row]) + "\n"
+           for p, row in zip(points, matrix)]))
+    assert direct.values == tuple(sorted({canon(v) for row in matrix for v in row}))
+    assert all(direct.values[direct.codes[i, j]] == matrix[i][j]
+               for i in range(n) for j in range(n))
+    for sp in (via_json, via_csv):
+        assert sp.points == direct.points
+        assert sp.values == direct.values
+        assert sp.codes.dtype == direct.codes.dtype
+        assert np.array_equal(sp.codes, direct.codes)
+
+
+def test_equal_rationals_share_one_code():
+    sp = space_from_csv("id,a,b\na,0,4/2\nb,2,0/5\n")
+    assert sp.values == (0, 2)
+    assert sp.codes.tolist() == [[0, 1], [1, 0]]
+
+
+def test_zero_denominator_is_an_input_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat_parse("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        space_from_csv("id,a,b\na,0,1/0\nb,1,0\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat_from_json("3/0")
 
 
 # -- multimaps -------------------------------------------------------------------

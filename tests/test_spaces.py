@@ -4,6 +4,7 @@ products, hyperspaces, and the chain-component ultrametrization."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from coarsetowers import (
     Caps,
     Space,
     ball,
+    base_space,
     chain_components,
     entropy_profile,
     hyperspace,
@@ -32,8 +34,10 @@ from coarsetowers.spaces import _strong_triangle_by_threshold
 from conftest import (
     brute_entropy,
     brute_min_net_size,
+    oracle_path_metric,
     random_plain_metric,
     random_radii,
+    random_tower,
     random_ultrametric,
     triple_violations,
 )
@@ -120,6 +124,17 @@ def test_validator_flags_asymmetry_and_diagonal():
     flat = Space.from_matrix(["a", "b"], [[0, 0], [0, 0]])
     rep3 = validate_metric_axioms(flat)
     assert any(v.rule == "positivity" for v in rep3.violations)
+
+
+def test_positivity_is_judged_by_value():
+    # the smallest value is -1, so code 0 is not distance 0: the negative
+    # pair and the genuine zero pair must both be reported, by value
+    sp = Space.from_matrix(
+        ["a", "b", "c"], [[0, -1, 3], [-1, 0, 0], [3, 0, 0]])
+    found = {v.witness: v.message for v in validate_metric_axioms(sp).violations
+             if v.rule == "positivity"}
+    assert found == {("a", "b"): "distinct points at distance -1",
+                     ("b", "c"): "distinct points at distance 0"}
 
 
 def test_validator_matches_pure_python_triple_scan():
@@ -391,6 +406,42 @@ def test_subspace_restricts_and_recodes():
 def test_subspace_unknown_point():
     with pytest.raises(KeyError):
         subspace(word_space(2, 2), ["00", "zz"])
+
+
+def unique_inverse_subspace(space, subset):
+    """Reference restriction: np.unique(return_inverse) over the block."""
+    sub = space.subindices(subset)
+    block = space.codes[np.ix_(sub, sub)]
+    used, inv = np.unique(block, return_inverse=True)
+    return (tuple(space.points[int(i)] for i in sub),
+            inv.reshape(block.shape),
+            tuple(space.values[int(u)] for u in used))
+
+
+@given(st.integers(0, 2 ** 32), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subspace_matches_unique_inverse_oracle(seed, ultra, data):
+    rng = random.Random(seed)
+    sp = random_ultrametric(rng) if ultra else random_plain_metric(rng)
+    subset = data.draw(st.lists(st.sampled_from(sp.points), max_size=len(sp)))
+    sub = subspace(sp, subset)
+    points, codes, values = unique_inverse_subspace(sp, subset)
+    assert sub.points == points
+    assert sub.values == values
+    assert np.array_equal(sub.codes, codes)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_base_space_matches_unique_inverse_oracle(seed):
+    tower = random_tower(random.Random(seed))
+    base = base_space(tower)
+    raw = np.asarray([[oracle_path_metric(tower, x, y) // 2
+                       for y in tower.base] for x in tower.base])
+    used, inv = np.unique(raw, return_inverse=True)
+    assert base.points == tower.base
+    assert base.values == tuple(2 * int(u) for u in used)
+    assert np.array_equal(base.codes, inv.reshape(raw.shape))
 
 
 # -- rationals ----------------------------------------------------------------------

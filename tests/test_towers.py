@@ -4,6 +4,8 @@ level subtowers, degree profiles, and ball towers."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsetowers import (
     DegreeProfile,
@@ -353,6 +355,22 @@ def test_ball_tower_radii_preconditions():
     # a positive first radius groups points from the bottom level on
     bt = ball_tower(w, (1, 2))
     assert bt.nodes == ("b1:00", "b1:01", "b2:00")
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ball_tower_base_map_matches_nearest_rep_scan(seed, zero_radius):
+    # reference: the pure-Python scan, nearest representative by distance,
+    # least representative id among ties
+    rng = random.Random(seed)
+    sp = random_ultrametric(rng, n_min=2, n_max=14)
+    radii = random_radii(rng, sp)
+    bt = ball_tower(sp, radii if zero_radius else radii[1:])
+    rep_ball = {b.split(":", 1)[1]: b for b in bt.base}
+    reps = sorted(rep_ball)
+    expected = {p: rep_ball[min(reps, key=lambda r: (sp.dist(p, r), r))]
+                for p in sp.points}
+    assert ball_tower_base_map(sp, bt) == expected
 
 
 def test_ball_tower_round_trip_preserves_ball_structure():
