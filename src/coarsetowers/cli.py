@@ -272,9 +272,6 @@ def cmd_embed(config: RunConfig) -> int:
 
 
 def cmd_equiv(config: RunConfig) -> int:
-    if config.net != CLOSED:
-        raise ValueError("equiv runs the closed-net pipeline only; "
-                         "--net strict is not supported")
     caps = config.caps
     base = _target_base(config.params.get("to", "binary"))
     tower, label = _tower_from_spec(
@@ -390,6 +387,11 @@ EXPERIMENTS = {
     "ratio-bounded-synthesis": _experiment_ratio_bounded,
     "product-with-sparse-sequence": _experiment_sparse_product,
 }
+
+
+# the commands and experiments whose output is an entropy table, the only
+# output the net convention changes
+_NET_READERS = ("entropy", "hyperspace-entropy", "product-with-sparse-sequence")
 
 
 def cmd_experiment(config: RunConfig) -> int:
@@ -524,11 +526,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             n=args.n, length=args.length, alphabet=args.alphabet,
             terms=args.terms, trials=args.trials, height=args.height,
             ratio_bound=args.ratio_bound)
+    net = getattr(args, "net", CLOSED)
+    reader = args.name if cmd == "experiment" else cmd
+    if net != CLOSED and reader not in _NET_READERS:
+        raise ValueError(
+            f"{reader} does not read --net; only entropy tables do "
+            f"({', '.join(_NET_READERS)})")
     return RunConfig(
         command=cmd,
         inputs=inputs,
         cap=getattr(args, "cap", 20000),
-        net=getattr(args, "net", CLOSED),
+        net=net,
         out=getattr(args, "out", None),
         seed=getattr(args, "seed", 0),
         params=params,

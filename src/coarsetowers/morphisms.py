@@ -24,7 +24,8 @@ from .limits import DEFAULT_CAPS, CapExceeded, Caps
 from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
 from .spaces import CLOSED, PointId, Space, min_net, subspace
-from .towers import DegreeProfile, NodeId, Tower, base_space, degree_profile
+from .towers import (
+    DegreeProfile, NodeId, Tower, _cone_profile, base_space, degree_profile)
 
 
 # -- multi-maps ---------------------------------------------------------------
@@ -863,18 +864,11 @@ def balanced_partition(
 
 
 def _merged_cone_profile(t1: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
-    """Degree profile over the union of the lower cones of the roots:
-    entrywise min of smalls and max of larges of the individual germs."""
-    profiles = [degree_profile(t1.germ(r)) for r in roots]
-    height = profiles[0].height
-    small: dict[tuple[int, int], int] = {}
-    large: dict[tuple[int, int], int] = {}
-    for p in profiles:
-        for key, v in p.small.items():
-            small[key] = min(small.get(key, v), v)
-        for key, v in p.large.items():
-            large[key] = max(large.get(key, v), v)
-    return DegreeProfile(height=height, small=small, large=large)
+    """Degree profile over the union of the lower cones of the roots, the
+    entrywise min of smalls and max of larges of the individual cones."""
+    nodes = sorted({x for r in roots for x in t1.cone(r)},
+                   key=lambda i: (t1.level[i], i))
+    return _cone_profile(t1, nodes, t1.level[roots[0]])
 
 
 def build_admissible_morphism(
@@ -927,7 +921,7 @@ def build_admissible_morphism(
             f"[{rat_str(a_top)}, {rat_str(b_top)}]")
     if lvl > 1:
         p1 = _merged_cone_profile(t1, roots)
-        p2 = degree_profile(t2.germ(w))
+        p2 = _merged_cone_profile(t2, (w,))
         check_l2_preconditions(p1, p2, seqs).require()
 
     phi: dict[NodeId, NodeId] = {}

@@ -133,9 +133,11 @@ def _tower_fields(data: dict) -> tuple[list, dict, dict]:
 def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
     tower = Tower(*_tower_fields(data), caps=caps)
     declared = data.get("height")
-    if declared is not None and int(declared) != tower.height:
+    # compared by type, as validate_tower compares levels: bool is an int
+    if declared is not None and (type(declared) is not int
+                                 or declared != tower.height):
         raise ValueError(
-            f"declared height {declared} != computed height {tower.height}")
+            f"declared height {declared!r} != computed height {tower.height}")
     return tower
 
 

@@ -188,53 +188,52 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     transitivity at v.  Checking each threshold is a single matrix pass, so
     the whole scan costs O(values * n^2) instead of the all-triples O(n^3)
     while still deciding exactly the same property.  Every failure is
-    reported as an explicit triple, re-derived from the values so each
-    witness is independently checkable.  Requires the diagonal-zero and
-    symmetry checks to have passed (the reduction uses both).
+    reported as explicit triples, each checked to violate the inequality;
+    a triple met again at a later threshold is reported once.
+    Requires the diagonal-zero, positivity and symmetry checks to have
+    passed (the reduction uses them).
     """
     C = space.codes
     n = int(C.shape[0])
     vals = space.values
     pts = space.points
     out: list[Violation] = []
-    seen: set[tuple[int, int, int]] = set()
-    chunk = max(1, (1 << 24) // max(n, 1))
+    # reported triples as sorted keys (x*n + y)*n + z behind a -1 sentinel
+    seen = np.full(1, -1, dtype=np.int64)
+    chunk = max(1, 4_000_000 // max(n, 1))
     # violations at the top value are impossible: nothing exceeds it
     for t in range(len(vals) - 1):
-        labels = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, chunk):
-            labels[lo:lo + chunk] = (C[lo:lo + chunk] <= t).argmax(axis=1)
+        labels = _class_labels(C, t)
         for lo in range(0, n, chunk):
             mask = C[lo:lo + chunk] <= t
-            eq = labels[lo:lo + chunk, None] == labels[None, :]
-            for bi, j in np.argwhere(mask != eq):
-                i, j = lo + int(bi), int(j)
-                if i == j:
-                    continue
-                zi, zj = int(labels[i]), int(labels[j])
-                if mask[int(bi), j]:
-                    # related pair in distinct classes: the smaller class
-                    # representative is far from the other endpoint
-                    x, y, z = (zi, j, i) if zi < zj else (zj, i, j)
-                else:
-                    x, y, z = i, j, zi
-                dxy = vals[C[x, y]]
-                if dxy <= max(vals[C[x, z]], vals[C[z, y]]):
-                    continue
-                key = (min(x, y), max(x, y), z)
-                if key in seen:
-                    continue
-                seen.add(key)
+            diff = mask != (labels[lo:lo + chunk, None] == labels[None, :])
+            if not diff.any():  # far cheaper than nonzero on valid blocks
+                continue
+            bi, j = np.nonzero(diff)
+            i = bi + lo
+            li, lj = labels[i], labels[j]
+            # a related pair in distinct classes: the smaller class label is
+            # far from the other endpoint; an unrelated pair in one class:
+            # its label is near both
+            rel, low = mask[bi, j], li < lj
+            x = np.where(rel, np.where(low, li, lj), i)
+            y = np.where(rel, np.where(low, j, i), j)
+            z = np.where(rel, np.where(low, i, j), li)
+            # codes are order-isomorphic to values, so comparing codes is exact
+            bad = np.nonzero(C[x, y] > np.maximum(C[x, z], C[z, y]))[0]
+            # each unordered {x, y} with its z once, where the scan first meets it
+            key = ((np.minimum(x, y) * n + np.maximum(x, y)) * n + z)[bad]
+            key, first = np.unique(key, return_index=True)
+            pos = np.searchsorted(seen, key, side="right")
+            fresh = seen[pos - 1] != key
+            seen = np.insert(seen, pos[fresh], key[fresh])
+            for k in bad[np.sort(first[fresh])].tolist():
+                xk, yk, zk = int(x[k]), int(y[k]), int(z[k])
                 out.append(Violation(
-                    "strong-triangle", (pts[x], pts[y], pts[z]),
-                    f"d(x,y) = {rat_str(dxy)} > max("
-                    f"{rat_str(vals[C[x, z]])}, {rat_str(vals[C[z, y]])})"))
+                    "strong-triangle", (pts[xk], pts[yk], pts[zk]),
+                    f"d(x,y) = {rat_str(vals[C[xk, yk]])} > max("
+                    f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
     return out
-
-
-# all-triples loops stay exact at this size; above it the scan switches to
-# the per-threshold pass, which decides the same property in O(values * n^2)
-_TRIPLE_LOOP_MAX_POINTS = 800
 
 
 def validate_metric_axioms(
@@ -243,17 +242,18 @@ def validate_metric_axioms(
     """Exhaustive metric-axiom check.
 
     strong=True checks the strong triangle inequality
-    d(x,y) <= max(d(x,z), d(z,y)) over all triples; strong=False checks
+    d(x,y) <= max(d(x,z), d(z,y)) over all triples with the equivalent
+    per-threshold scan, which reports at least one explicit triple per
+    failure pattern.  The scan needs a zero diagonal, positivity and
+    symmetry, so when one of those fails the strong triangle is not judged
+    and is left out of the report's checked rules.  strong=False checks
     the plain d(x,y) <= d(x,z) + d(z,y) (exact rational sums, so it runs
-    a pure-Python triple loop and is capped).  Small spaces enumerate every
-    violating triple; large ones use the equivalent per-threshold scan,
-    which reports at least one explicit triple per failure pattern.
+    a pure-Python triple loop and is capped).
     """
     C = space.codes
     n = len(space.points)
     violations: list[Violation] = []
-    checked = ("diagonal-zero", "positivity", "symmetry",
-               "strong-triangle" if strong else "triangle")
+    checked = ("diagonal-zero", "positivity", "symmetry")
 
     diag = np.diagonal(C)
     for i in np.nonzero(np.asarray([space.values[c] != 0 for c in diag]))[0]:
@@ -278,24 +278,11 @@ def validate_metric_axioms(
                 f"distinct points at distance {rat_str(space.values[C[i, j]])}"))
 
     if strong:
-        pre_ok = not violations
-        if pre_ok and n > _TRIPLE_LOOP_MAX_POINTS:
+        if not violations:
+            checked += ("strong-triangle",)
             violations.extend(_strong_triangle_by_threshold(space))
-        else:
-            # codes are order-isomorphic to values, so comparing codes is exact
-            for z in range(n):
-                bound = np.maximum(C[:, z][:, None], C[z, :][None, :])
-                bad = np.argwhere(C > bound)
-                for x, y in bad:
-                    if x < y:
-                        violations.append(Violation(
-                            "strong-triangle",
-                            (space.points[int(x)], space.points[int(y)],
-                             space.points[z]),
-                            f"d(x,y) = {rat_str(space.values[C[x, y]])} > max("
-                            f"{rat_str(space.values[C[x, z]])}, "
-                            f"{rat_str(space.values[C[z, y]])})"))
     else:
+        checked += ("triangle",)
         if n ** 3 > 8_000_000:
             raise CapExceeded(
                 f"plain-metric triangle check needs {n ** 3} exact sums; "
@@ -315,7 +302,8 @@ def validate_metric_axioms(
 
 
 def validate_ultrametric(space: Space, caps: Caps = DEFAULT_CAPS) -> ValidationReport:
-    """Strong-triangle validation, exhaustive over all triples."""
+    """Metric axioms with the strong triangle inequality, decided exactly
+    for all triples."""
     return validate_metric_axioms(space, strong=True, caps=caps)
 
 
@@ -400,12 +388,18 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
     return Space(points, codes, values, ultrametric=ultra, caps=caps)
 
 
-def _class_labels(space: Space, sub: np.ndarray, tcode: int) -> np.ndarray:
-    """First-member class labels for the equivalence (code <= tcode) on the
-    id-sorted index array sub.  Only valid when the relation is transitive,
-    i.e. on ultrametric spaces."""
-    mask = space.codes[np.ix_(sub, sub)] <= tcode
-    return mask.argmax(axis=1)  # first True per row = least-id class member
+def _class_labels(codes: np.ndarray, tcode: int) -> np.ndarray:
+    """First-member labels of the relation {codes <= tcode}: entry i is the
+    least column j with codes[i, j] <= tcode.  On an ultrametric code matrix
+    the relation is an equivalence whose classes are the closed balls at
+    that threshold, so each ball is labelled by its first member.  Rows go
+    in blocks of about four million cells, so no n x n boolean is built."""
+    n = codes.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for lo in range(0, n, chunk):
+        labels[lo:lo + chunk] = (codes[lo:lo + chunk] <= tcode).argmax(axis=1)
+    return labels
 
 
 def min_net(
@@ -433,9 +427,9 @@ def min_net(
             f"no admissible net: no distance satisfies the {convention} "
             f"bound at radius {rat_str(radius)}")
     if space.is_ultrametric:
-        labels = _class_labels(space, sub, t)
-        reps = sorted(set(labels.tolist()))
-        return tuple(space.points[int(sub[r])] for r in reps)
+        # labels on the id-ordered block are least-id class members
+        labels = _class_labels(space.codes[np.ix_(sub, sub)], t)
+        return tuple(space.points[int(sub[r])] for r in np.unique(labels))
     if sub.size > caps.max_exact_net_points:
         raise CapExceeded(
             f"exact net search on a plain metric is capped at "
@@ -561,37 +555,31 @@ def entropy_profile(
 ) -> EntropyProfile:
     """Entropy over a grid: for each (eps, delta), the max and min over all
     centers of the minimum eps-net size of the closed delta-ball."""
-    sub = space.subindices(None)
-    n = sub.size
+    n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
     entries: dict = {}
     if space.is_ultrametric:
-        C = space.codes[np.ix_(sub, sub)]
-        label_cache: dict[int, np.ndarray] = {}
-
-        def labels_at(t: int) -> np.ndarray:
-            # first-member class labels of the equivalence {code <= t}
-            if t not in label_cache:
-                label_cache[t] = (C <= t).argmax(axis=1)
-            return label_cache[t]
-
-        for eps in eps_list:
-            te = space.threshold_code(eps, convention)
+        tes = [space.threshold_code(eps, convention) for eps in eps_list]
+        for eps, te in zip(eps_list, tes):
             if te < 0:
                 raise ValueError(
                     f"no net exists at eps={rat_str(eps)} under the "
                     f"{convention} convention")
-            le = labels_at(te)
-            for delta in delta_list:
-                if delta < 0:
-                    raise ValueError("delta must be >= 0")
-                td = space.threshold_code(delta, CLOSED)
+        if any(delta < 0 for delta in delta_list):
+            raise ValueError("delta must be >= 0")
+        tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
+        # net counts do not depend on which member labels a class, so the
+        # codes are read in point order
+        labels = {t: _class_labels(space.codes, t) for t in {*tes, *tds}}
+        for eps, te in zip(eps_list, tes):
+            le = labels[te]
+            for delta, td in zip(delta_list, tds):
                 # closed delta-balls are the classes of {code <= td}, so the
                 # net size of a center's ball is the number of distinct
                 # eps-labels inside its delta-class
-                ld = labels_at(td)
-                combo = ld.astype(np.int64) * n + le
+                ld = labels[td]
+                combo = ld * n + le
                 cls, cnt = np.unique(np.unique(combo) // n, return_counts=True)
                 counts = cnt[np.searchsorted(cls, ld)]
                 entries[(canon(eps), canon(delta))] = (
@@ -599,10 +587,9 @@ def entropy_profile(
     else:
         for eps in eps_list:
             for delta in delta_list:
-                counts = []
-                for i in range(n):
-                    members = ball(space, space.points[int(sub[i])], delta)
-                    counts.append(len(min_net(space, members, eps, convention, caps)))
+                counts = [
+                    len(min_net(space, ball(space, p, delta), eps, convention, caps))
+                    for p in space.points]
                 entries[(canon(eps), canon(delta))] = (max(counts), min(counts))
     return EntropyProfile(entries, convention)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import Space, _class_labels, _compact
+from .spaces import CLOSED, Space, _class_labels, _compact
 
 NodeId = str
 
@@ -186,18 +186,6 @@ class Tower:
         even-valued ultrametric the base space carries."""
         s = self.sup(x, y)
         return 2 * self.level[s] - self.level[x] - self.level[y]
-
-    def germ(self, node: NodeId, caps: Caps = DEFAULT_CAPS) -> "Tower":
-        """The lower cone of a node as a tower in its own right (levels keep
-        their values relative to the cone: the node's level becomes the
-        height)."""
-        ids = self.cone(node)
-        level = {i: self.level[i] for i in ids}
-        parent = {i: (self.parent[i] if i != node else None) for i in ids}
-        if min(level.values()) != 1:
-            # a cone of a node whose descendants stop above level 1
-            raise ValueError("cone does not reach level 1")
-        return Tower(ids, level, parent, caps=caps)
 
 
 # -- base space --------------------------------------------------------------
@@ -436,11 +424,22 @@ def degree_profile(tower: Tower) -> DegreeProfile:
     cached = _PROFILE_CACHE.get(tower)
     if cached is not None:
         return cached
-    H = tower.height
+    prof = _cone_profile(tower, tower.nodes, tower.height)
+    _PROFILE_CACHE[tower] = prof
+    return prof
+
+
+def _cone_profile(
+    tower: Tower, nodes: Sequence[NodeId], height: int
+) -> DegreeProfile:
+    """Degree profile over a downward-closed node set listed in (level, id)
+    order, such as the union of the lower cones of nodes at level height:
+    each entry is the min/max of the nodes' descendant counts.  The cones
+    are closed downward, so those counts are the tower's own."""
     counts: dict[NodeId, list[int]] = {}
     small: dict = {}
     large: dict = {}
-    for node in tower.nodes:  # children precede parents
+    for node in nodes:  # children precede parents
         lv = tower.level[node]
         vec = [0] * lv  # vec[i] = descendants at level i, indices 1..lv-1
         for c in tower.children[node]:
@@ -456,9 +455,7 @@ def degree_profile(tower: Tower) -> DegreeProfile:
                 small[key] = v
             if key not in large or v > large[key]:
                 large[key] = v
-    prof = DegreeProfile(H, small, large)
-    _PROFILE_CACHE[tower] = prof
-    return prof
+    return DegreeProfile(height, small, large)
 
 
 def entropy_from_degrees(tower: Tower, i: int, j: int) -> tuple[int, int]:
@@ -499,32 +496,21 @@ def ball_tower(
             "have multiple balls")
     sub = space.subindices(None)
     ids_sorted = [space.points[int(i)] for i in sub]
+    # labels on the id-ordered block: each ball is labelled by its least id
+    codes = space.codes[np.ix_(sub, sub)]
+    labels = [_class_labels(codes, space.threshold_code(r, CLOSED))
+              for r in radii]
     node_ids: list[NodeId] = []
     level: dict[NodeId, int] = {}
     parent: dict[NodeId, Optional[NodeId]] = {}
-    prev_nodes: list[tuple[NodeId, np.ndarray]] = []
-    for n, r in enumerate(radii, start=1):
-        t = space.threshold_code(r, "closed")
-        labels = _class_labels(space, sub, t) if t >= 0 else np.arange(sub.size)
-        groups: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels.tolist()):
-            groups.setdefault(lab, []).append(pos)
-        here: list[tuple[NodeId, np.ndarray]] = []
-        pos_to_node: dict[int, NodeId] = {}
-        for lab in sorted(groups):
-            members = groups[lab]
-            rep = ids_sorted[members[0]]
-            nid = f"b{n}:{rep}"
+    for n, here in enumerate(labels, start=1):
+        up = labels[n] if n < len(labels) else None
+        for rep in np.unique(here).tolist():
+            nid = f"b{n}:{ids_sorted[rep]}"
             node_ids.append(nid)
             level[nid] = n
-            parent[nid] = None
-            arr = np.asarray(members, dtype=np.int64)
-            here.append((nid, arr))
-            for pos in members:
-                pos_to_node[pos] = nid
-        for nid, members in prev_nodes:
-            parent[nid] = pos_to_node[int(members[0])]
-        prev_nodes = here
+            # the containing ball one radius up is the one holding the rep
+            parent[nid] = None if up is None else f"b{n + 1}:{ids_sorted[up[rep]]}"
     return Tower(node_ids, level, parent, caps=caps)
 
 

@@ -398,6 +398,26 @@ def test_equiv_rejects_strict_nets(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{space}"],
+    ["towerize", "{space}", "--radii", "0,1,2"],
+    ["subtower", "{tower}", "--levels", "1,3,4"],
+    ["embed", "{tower}", "{tower}"],
+    ["classify", "regular:2,2", "regular:3,3"],
+    ["experiment", "ratio-bounded-synthesis", "--trials", "2"],
+])
+def test_commands_that_ignore_nets_reject_strict(capsys, w22_csv, binary4_json, argv):
+    # only entropy tables read the net convention; elsewhere a strict run
+    # would produce exactly the closed output under a different flag
+    argv = [a.format(space=w22_csv, tower=binary4_json) for a in argv]
+    assert run_cli(capsys, argv)[0] in (0, 1)
+    code, out, err = run_cli(capsys, argv + ["--net", "strict"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert run_cli(capsys, argv + ["--net", "closed"])[0] in (0, 1)
+
+
 def test_global_flags_before_and_after_subcommand(capsys, w22_csv):
     _, out_pre, _ = run_cli(capsys, ["--net", "strict", "entropy", w22_csv])
     _, out_post, _ = run_cli(capsys, ["entropy", w22_csv, "--net", "strict"])

@@ -15,6 +15,7 @@ from coarsetowers import (
     DegreeProfile,
     MultiMap,
     Space,
+    Tower,
     balanced_partition,
     base_space,
     build_admissible_morphism,
@@ -37,7 +38,9 @@ from coarsetowers import (
     word_space,
 )
 
-from conftest import random_ultrametric
+from coarsetowers.morphisms import _merged_cone_profile
+
+from conftest import random_tower, random_ultrametric
 
 
 TWO_POINTS = Space.from_matrix(["x0", "x1"], [[0, 4], [4, 0]])
@@ -415,6 +418,39 @@ def test_check_l2_preconditions_window_spacing_failure():
     assert ("window-spacing",
             "level 2: need 1 <= a <= a+2 <= b, got a = 7, b = 8") in \
         [(v.rule, v.message) for v in rep.violations]
+
+
+def _germ_merged_profile(tower, roots):
+    """Reference: each root's lower cone built as a validated tower of its
+    own, degree-profiled, and the profiles merged entrywise (min of smalls,
+    max of larges)."""
+    small: dict = {}
+    large: dict = {}
+    for r in roots:
+        ids = tower.cone(r)
+        germ = Tower(ids, {i: tower.level[i] for i in ids},
+                     {i: tower.parent[i] if i != r else None for i in ids})
+        prof = degree_profile(germ)
+        for key, v in prof.small.items():
+            small[key] = min(small.get(key, v), v)
+        for key, v in prof.large.items():
+            large[key] = max(large.get(key, v), v)
+    return DegreeProfile(tower.level[roots[0]], small, large)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_cone_profile_matches_germ_towers(seed):
+    rng = random.Random(seed)
+    tower = random_tower(rng, height_min=2, height_max=5, deg_max=4)
+    lvl = rng.randint(2, tower.height)
+    if lvl == tower.height:
+        roots = [tower.top]
+    else:
+        parent = rng.choice([n for n in tower.nodes if tower.level[n] == lvl + 1])
+        kids = tower.children[parent]
+        roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
+    assert _merged_cone_profile(tower, roots) == _germ_merged_profile(tower, roots)
 
 
 def test_build_admissible_morphism_height_one():

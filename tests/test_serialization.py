@@ -90,6 +90,18 @@ def test_tower_from_json_validates():
         tower_from_json(bad)
 
 
+@pytest.mark.parametrize("declared, height", [(2.7, 2), (True, 1), ("2", 2)])
+def test_tower_from_json_rejects_non_integer_declared_height(declared, height):
+    # int() reads each declared value as the chain's real height; the
+    # declared height is judged by type, like the levels
+    nodes = [{"id": f"n{lv}", "level": lv,
+              "parent": f"n{lv + 1}" if lv < height else None}
+             for lv in range(height, 0, -1)]
+    with pytest.raises(ValueError, match="declared height"):
+        tower_from_json({"height": declared, "nodes": nodes})
+    assert tower_from_json({"height": height, "nodes": nodes}).height == height
+
+
 @pytest.mark.parametrize("level", [2.7, True, "2"])
 def test_tower_from_json_rejects_non_integer_levels(level):
     # int() would read 2.7 and "2" as 2 and True as 1: levels are taken as

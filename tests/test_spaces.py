@@ -166,6 +166,50 @@ def test_threshold_scan_agrees_with_triple_loop():
             assert sp.dist(x, y) > max(sp.dist(x, z), sp.dist(z, y))
 
 
+@given(st.integers(0, 2 ** 32), st.sampled_from(["plain", "ultra", "perturbed"]))
+@settings(max_examples=80, deadline=None)
+def test_validator_differential_against_triple_oracle(seed, kind):
+    # one strong-triangle path for every size: the verdict is the oracle's,
+    # and every reported triple is a genuine violation
+    rng = random.Random(seed)
+    if kind == "plain":
+        sp = random_plain_metric(rng, n_min=2, n_max=24)
+    else:
+        sp = random_ultrametric(rng, n_min=2, n_max=24)
+        if kind == "perturbed":
+            n = len(sp.points)
+            mat = [[sp.dist(x, y) for y in sp.points] for x in sp.points]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                mat[i][j] = mat[j][i] = rng.choice(
+                    [v for v in sp.values if v > 0] + [max(sp.values) * 2])
+            sp = Space.from_matrix(sp.points, mat)
+    rep = validate_metric_axioms(sp, strong=True)
+    assert "strong-triangle" in rep.checked
+    assert rep.ok == (not triple_violations(sp))
+    for v in rep.violations:
+        assert v.rule == "strong-triangle"
+        x, y, z = v.witness
+        assert sp.dist(x, y) > max(sp.dist(x, z), sp.dist(z, y))
+
+
+@pytest.mark.parametrize("matrix, rule", [
+    ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], "symmetry"),
+    ([[1, 1, 2], [1, 0, 1], [2, 1, 0]], "diagonal-zero"),
+    ([[0, 0, 2], [0, 0, 1], [2, 1, 0]], "positivity"),
+    ([[0, -1, 2], [-1, 0, 1], [2, 1, 0]], "positivity"),
+])
+def test_malformed_input_leaves_strong_triangle_unjudged(matrix, rule):
+    # each matrix also breaks the strong triangle (d(a,c) = 2 > max(1, 1)),
+    # but the per-threshold reduction is unsound without the pre-checks
+    sp = Space.from_matrix(["a", "b", "c"], matrix)
+    rep = validate_metric_axioms(sp, strong=True)
+    assert "strong-triangle" not in rep.checked
+    assert {v.rule for v in rep.violations} == {rule}
+    assert not validate_ultrametric(sp).ok
+    assert "triangle" in validate_metric_axioms(sp, strong=False).checked
+
+
 # -- balls, nets, largeness ------------------------------------------------------
 
 

@@ -373,6 +373,28 @@ def test_ball_tower_base_map_matches_nearest_rep_scan(seed, zero_radius):
     assert ball_tower_base_map(sp, bt) == expected
 
 
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ball_tower_nodes_are_closed_balls_about_their_reps(seed, zero_radius):
+    # node b{n}:{rep} stands for the closed ball of radius radii[n-1] about
+    # rep, and rep is that ball's least id
+    rng = random.Random(seed)
+    sp = random_ultrametric(rng, n_min=2, n_max=14)
+    radii = random_radii(rng, sp)
+    if not zero_radius:
+        radii = radii[1:]
+    bt = ball_tower(sp, radii)
+    members: dict = {}
+    for p, b in ball_tower_base_map(sp, bt).items():
+        members.setdefault(b, set()).add(p)
+    for node in bt.nodes:
+        rep = node.split(":", 1)[1]
+        below = set().union(*(members[b] for b in bt.base_below(node)))
+        expected = set(ball(sp, rep, radii[bt.level[node] - 1]))
+        assert below == expected
+        assert rep == min(expected)
+
+
 def test_ball_tower_round_trip_preserves_ball_structure():
     # path-metric balls of radius 2n in the tower base match the original
     # balls of radius r_{n+1} through the canonical point-to-ball bijection
