@@ -127,7 +127,10 @@ def _load_document(path: str):
     text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
         if isinstance(data, dict) and "nodes" in data:
             return "tower", data
         return "space", data
@@ -172,6 +175,14 @@ def _auto_height(degree: int, target_base: int, caps: Caps) -> int:
         f"{degree}-tower a full germ fit with base >= {MIN_AUTO_BASE}")
 
 
+def _regular_degrees(spec: str) -> list[int]:
+    """The degrees of a regular:<d>[,<d>...] spec, each at least 1."""
+    degrees = [int(t) for t in spec.split(":", 1)[1].split(",")]
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"bad degree in {spec!r}")
+    return degrees
+
+
 def _tower_from_spec(
     spec: str, caps: Caps, height: Optional[int], target_base: int
 ) -> tuple[Tower, str]:
@@ -179,9 +190,7 @@ def _tower_from_spec(
     pick their height automatically when none is given); anything else is
     read as a tower file."""
     if spec.startswith("regular:"):
-        degrees = [int(t) for t in spec.split(":", 1)[1].split(",")]
-        if any(d < 1 for d in degrees):
-            raise ValueError(f"bad degree in {spec!r}")
+        degrees = _regular_degrees(spec)
         if len(degrees) == 1:
             d = degrees[0]
             if d < 2:
@@ -243,7 +252,9 @@ def cmd_towerize(config: RunConfig) -> int:
 
 def cmd_subtower(config: RunConfig) -> int:
     tower = _load_tower(config.inputs[0], config.caps)
-    levels = [int(v) for v in config.params["levels"]]
+    levels = config.params["levels"]
+    if any(not isinstance(v, int) for v in levels):
+        raise ValueError("--levels must be whole numbers")
     sub, next_map = level_subtower(tower, levels, caps=config.caps)
     out = {
         "tower": tower_to_json(sub),
@@ -301,8 +312,7 @@ def cmd_classify(config: RunConfig) -> int:
 
     def profile_of(spec: str) -> DegreeProfile:
         if spec.startswith("regular:"):
-            degrees = [int(t) for t in spec.split(":", 1)[1].split(",")]
-            return DegreeProfile.regular(degrees)
+            return DegreeProfile.regular(_regular_degrees(spec))
         return degree_profile(_load_tower(spec, caps))
 
     verdict = classify(

@@ -751,11 +751,9 @@ def _pipeline_stage_specs(
     tower_base_full = base_space(tower, caps=caps)
     s0_points = sorted(
         x for x in tower_base_full.points if next1[x] in dom_set)
-    s0_src = (
-        tower_base_full if len(s0_points) == len(tower_base_full.points)
-        else subspace(tower_base_full, s0_points, caps=caps))
     s0 = MultiMap(
-        s0_src, sub1_base, tuple((x, next1[x]) for x in s0_points))
+        subspace(tower_base_full, s0_points, caps=caps), sub1_base,
+        tuple((x, next1[x]) for x in s0_points))
 
     s1 = MultiMap(
         sub1_base, base_space(sub2, caps=caps),
@@ -849,9 +847,8 @@ def space_equivalence(
     first_tgt = specs[0][1].source
     kept = sorted(
         p for p in space.points if to_balls[p] in set(first_tgt.points))
-    src = (space if len(kept) == len(space.points)
-           else subspace(space, kept, caps=caps))
-    pre = MultiMap(src, first_tgt, tuple((p, to_balls[p]) for p in kept))
+    pre = MultiMap(subspace(space, kept, caps=caps), first_tgt,
+                   tuple((p, to_balls[p]) for p in kept))
     meta = dict(meta)
     meta["entropy_ratio_product"] = rat_json(canon(ratio))
     meta["homogeneity_value"] = rat_json(value)

@@ -183,6 +183,15 @@ class DistortionModulus:
         }
 
 
+def _graph_indices(phi: MultiMap) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target point indices of the graph points, in phi.pairs
+    order."""
+    src, tgt = phi.source, phi.target
+    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
+    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
+    return ia, ib
+
+
 def _pair_code_blocks(phi: MultiMap):
     """Yield (row offset, source-code block, target-code block) over every
     ordered pair of graph points, in blocks of whole rows of about four
@@ -190,8 +199,7 @@ def _pair_code_blocks(phi: MultiMap):
     points lo + i and j in phi.pairs order, so the first hit found block
     by block is the row-major first over the whole scan."""
     src, tgt = phi.source, phi.target
-    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
-    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
+    ia, ib = _graph_indices(phi)
     n = len(phi.pairs)
     chunk = max(1, 4_000_000 // max(n, 1))
     for lo in range(0, n, chunk):
@@ -199,12 +207,22 @@ def _pair_code_blocks(phi: MultiMap):
                tgt.codes[np.ix_(ib[lo:lo + chunk], ib)])
 
 
+def _on_labels(phi: MultiMap) -> bool:
+    """Both spaces already known to be ultrametric (never validated here)."""
+    return phi.source._ultra is True and phi.target._ultra is True
+
+
 def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionModulus:
-    """Exhaustive modulus over all pairs of graph points.
+    """Exact modulus over all pairs of graph points.
 
     Pairwise diameters suffice: a set has diameter <= d exactly when every
     two of its points are within d, so scanning (a,b),(a',b') pairs covers
-    every image of every bounded set.
+    every image of every bounded set.  When both spaces are known to be
+    ultrametric the rows and witnesses are read from ball labels instead
+    (_label_modulus).  That is exact because in an ultrametric two points
+    are within code c exactly when they share a ball label at c, so the
+    labels decide every pair without visiting it.  Any other space gets
+    the exhaustive block scan.
     """
     if not phi.pairs:
         raise ValueError("modulus of an empty relation")
@@ -213,6 +231,8 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
         raise CapExceeded(
             f"modulus scan needs {n * n} pair evaluations, cap is "
             f"{caps.max_pair_evals}")
+    if _on_labels(phi):
+        return _label_modulus(phi)
     src, tgt = phi.source, phi.target
     nv = len(src.values)
     best = [-1] * nv
@@ -238,6 +258,85 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
         wits.append((phi.pairs[i][0], phi.pairs[j][0],
                      phi.pairs[i][1], phi.pairs[j][1]))
     return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+
+
+def _label_modulus(phi: MultiMap) -> DistortionModulus:
+    """The block scan's modulus, rows and witnesses, on two ultrametric
+    spaces, read from their ball-label tables.
+
+    In an ultrametric, points are within code c exactly when they share a
+    ball label at c.  So a source code c is realized between graph points
+    exactly when the graph's source-ball count drops at c (the diagonal
+    code always is), and the row's running max M(c) is the least target
+    code at which every graph source ball at c lies inside one target
+    ball.  M only grows with c, so one pointer walks the target codes.
+    The witness of a row is the scan's: the row-major first pair at the
+    least source code c* with the same M, at target code exactly M.
+    A pair within c* at target code M is at source code exactly c*, since
+    every pair within c* - 1 stays within M(c* - 1) < M.
+    """
+    src, tgt = phi.source, phi.target
+    ia, ib = _graph_indices(phi)
+
+    def src_labels(c: int) -> np.ndarray:
+        return src.ball_labels(c)[ia]
+
+    def tgt_labels(t: int) -> np.ndarray:
+        return tgt.ball_labels(t)[ib]
+
+    c0 = int(src.codes[ia[0], ia[0]])
+    t0 = t = int(tgt.codes[ib[0], ib[0]])
+    T = tgt_labels(t)
+    rep = np.empty(len(src.points), dtype=np.int64)
+    rows: list[tuple[Rational, Rational]] = []
+    wits: list[tuple[PointId, PointId, PointId, PointId]] = []
+    balls, run = 0, -1
+    for c in range(c0, len(src.values)):
+        S = src_labels(c)
+        count = int(np.count_nonzero(np.bincount(S)))
+        if count == balls:
+            continue  # source distance not realized between mapped points
+        balls = count
+        rep[S] = T  # one target label per source ball, if the ball fits
+        while not (rep[S] == T).all():
+            t += 1
+            T = tgt_labels(t)
+            rep[S] = T
+        if t > run:
+            # pairs within a smaller source code stay below target code t,
+            # so the pairs at target code t found here sit at source code c
+            run = t
+            i, j = _first_pair_at(S, T, tgt_labels(t - 1) if t > t0 else None)
+            wit = (phi.pairs[i][0], phi.pairs[j][0],
+                   phi.pairs[i][1], phi.pairs[j][1])
+        rows.append((src.values[c], tgt.values[t]))
+        wits.append(wit)
+        if balls == 1:
+            break  # one ball holds every graph point: no larger code is realized
+    return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+
+
+def _first_pair_at(
+    S: np.ndarray, T: np.ndarray, T_below: Optional[np.ndarray]
+) -> tuple[int, int]:
+    """Row-major first pair (k, l) of graph points sharing a label in S and
+    in T but not in T_below (None excludes nothing).  T_below refines T,
+    so per row the count is the size of the group agreeing on S and T
+    minus that of the group agreeing on S and T_below."""
+
+    def agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        key = a * (int(b.max()) + 1) + b
+        _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
+        return cnt[inv]
+
+    count = agree(S, T)
+    if T_below is not None:
+        count -= agree(S, T_below)
+    k = int(np.argmax(count > 0))
+    row = (S == S[k]) & (T == T[k])
+    if T_below is not None:
+        row &= T_below != T_below[k]
+    return k, int(np.argmax(row))
 
 
 def check_modulus_composition(
@@ -967,13 +1066,13 @@ def build_admissible_morphism(
     tgt_space = subspace(base_space(t2, caps), t2.base_below(w), caps=caps)
     phi_base = MultiMap(
         src_space, tgt_space, tuple((x, phi[x]) for x in dom_base))
-    bounds = check_base_distortion(phi_base)
+    fwd = distortion_modulus(phi_base, caps)
+    bwd = distortion_modulus(phi_base.inverse(), caps)
+    bounds = _base_distortion_report(phi_base, fwd, bwd)
     if not bounds.ok:
         raise RuntimeError(
             f"built base map violates its distortion bounds: "
             f"{bounds.violations[0].message}")
-    fwd = distortion_modulus(phi_base, caps)
-    bwd = distortion_modulus(phi_base.inverse(), caps)
     checks = tuple(
         [CertCheck(v, True) for v in admissibility.checked]
         + [CertCheck("base-contraction", True),
@@ -999,14 +1098,37 @@ _BASE_BOUND_MESSAGES = {
 def check_base_distortion(phi: MultiMap) -> ValidationReport:
     """Two-sided exact bounds for a base-level map: image pairs never move
     farther apart than their sources, and source pairs stay within image
-    distance + 2.  Checked over every pair; each broken bound is reported
-    once, at its row-major first pair."""
+    distance + 2.  Each broken bound is reported once, at its row-major
+    first pair.
+
+    Every forward modulus row is a running max of target distances over
+    source pairs within its eps, so contraction holds on every pair exactly
+    when each forward row has delta <= eps; likewise expansion-plus-2 holds
+    exactly when each backward row has delta <= eps + 2.  On two spaces
+    known to be ultrametric the label-read moduli decide a passing map
+    with no pair scan; a failing bound, or any other space, runs the scan
+    over every pair, which names the witness."""
+    return _base_distortion_report(phi, None, None)
+
+
+def _base_distortion_report(
+    phi: MultiMap,
+    fwd: Optional[DistortionModulus],
+    bwd: Optional[DistortionModulus],
+) -> ValidationReport:
+    """check_base_distortion, reusing the moduli a caller already has."""
     checked = ("base-contraction", "base-expansion-plus-2")
     if not phi.is_function or not phi.is_total:
         return ValidationReport(
             "base distortion bounds", checked,
             (Violation("base-contraction", (),
                        "bounds apply to total single-valued maps only"),))
+    if _on_labels(phi):
+        fwd = fwd if fwd is not None else _label_modulus(phi)
+        bwd = bwd if bwd is not None else _label_modulus(phi.inverse())
+        if (all(d <= e for e, d in fwd.table)
+                and all(d <= e + 2 for e, d in bwd.table)):
+            return ValidationReport("base distortion bounds", checked, ())
     sv, tv = phi.source.values, phi.target.values
     # both bounds as code tables, exact for any rational values: the
     # largest target code <= each source value, and the largest source

@@ -38,9 +38,19 @@ def _compact(
     """Drop the values no cell realizes: returns the codes renumbered onto
     the realized values, in the code dtype for that many values, and those
     values.  Renumbering keeps the order, so the code map stays
-    order-preserving."""
-    used = np.unique(codes)
-    remap = np.zeros(len(values), dtype=_pick_dtype(used.size))
+    order-preserving.  Realized codes are marked in a table of len(values)
+    flags, rows of about four million cells at a time, so nothing is
+    sorted; when every value is realized the codes come back unrenumbered."""
+    present = np.zeros(len(values), dtype=bool)
+    n = codes.shape[0]
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for lo in range(0, n, chunk):
+        present[codes[lo:lo + chunk]] = True
+    used = np.flatnonzero(present)
+    dtype = _pick_dtype(used.size)
+    if used.size == len(values):
+        return codes.astype(dtype, copy=False), tuple(values)
+    remap = np.zeros(len(values), dtype=dtype)
     remap[used] = np.arange(used.size)
     return remap[codes], tuple(values[int(c)] for c in used)
 
@@ -53,7 +63,7 @@ class Space:
     and builders emit points so that id order and tuple order agree.
     """
 
-    __slots__ = ("points", "values", "codes", "_index", "_ultra")
+    __slots__ = ("points", "values", "codes", "_index", "_ultra", "_labels")
 
     def __init__(
         self,
@@ -78,6 +88,7 @@ class Space:
         self.codes = codes
         self._index = {p: i for i, p in enumerate(points)}
         self._ultra = ultrametric
+        self._labels: Optional[list] = None
 
     # -- construction ------------------------------------------------------
 
@@ -166,6 +177,19 @@ class Space:
         if self._ultra is None:
             self._ultra = validate_ultrametric(self).ok
         return self._ultra
+
+    def ball_labels(self, tcode: int) -> np.ndarray:
+        """Row tcode of the space's ball-label table: _class_labels of the
+        codes at that threshold, in point order.  Rows are filled on first
+        use and kept with the space, which is the table's only owner."""
+        if not 0 <= tcode < len(self.values):
+            raise ValueError(f"no ball-label row for code {tcode}")
+        if self._labels is None:
+            self._labels = [None] * len(self.values)
+        row = self._labels[tcode]
+        if row is None:
+            row = self._labels[tcode] = _class_labels(self.codes, tcode)
+        return row
 
     def subindices(self, subset: Optional[Iterable[PointId]]) -> np.ndarray:
         """Indices for a subset, sorted by id string (deterministic)."""
@@ -379,10 +403,15 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
     """Induced space on a subset: points in id order, value table compacted
-    to the realized distances."""
+    to the realized distances.  The whole of a space already in id order
+    is not gathered again, so it keeps the same codes array."""
     sub = space.subindices(subset)
-    codes, values = _compact(space.codes[np.ix_(sub, sub)], space.values)
-    points = tuple(space.points[int(i)] for i in sub)
+    if sub.size == len(space.points) and bool((np.diff(sub) > 0).all()):
+        codes, values = _compact(space.codes, space.values)
+        points = space.points
+    else:
+        codes, values = _compact(space.codes[np.ix_(sub, sub)], space.values)
+        points = tuple(space.points[int(i)] for i in sub)
     # strong triangle survives restriction; a failed one may not
     ultra = True if space._ultra is True else None
     return Space(points, codes, values, ultrametric=ultra, caps=caps)
@@ -570,15 +599,14 @@ def entropy_profile(
             raise ValueError("delta must be >= 0")
         tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
         # net counts do not depend on which member labels a class, so the
-        # codes are read in point order
-        labels = {t: _class_labels(space.codes, t) for t in {*tes, *tds}}
+        # space's own ball-label rows serve, in point order
         for eps, te in zip(eps_list, tes):
-            le = labels[te]
+            le = space.ball_labels(te)
             for delta, td in zip(delta_list, tds):
                 # closed delta-balls are the classes of {code <= td}, so the
                 # net size of a center's ball is the number of distinct
                 # eps-labels inside its delta-class
-                ld = labels[td]
+                ld = space.ball_labels(td)
                 combo = ld * n + le
                 cls, cnt = np.unique(np.unique(combo) // n, return_counts=True)
                 counts = cnt[np.searchsorted(cls, ld)]

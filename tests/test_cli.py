@@ -1,9 +1,13 @@
 """Command line surface: exit codes, output formats, flag handling, and
 byte determinism of emitted reports."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coarsetowers import (
     base_space,
@@ -129,6 +133,14 @@ def test_validate_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    # the JSON decoder's recursion limit once surfaced as an invariant breach
+    path = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 2
+    assert err.startswith("error:") and err.endswith("JSON nests too deeply\n")
+
+
 def test_validate_garbage_file(capsys, tmp_path):
     path = write(tmp_path, "junk.csv", "!!!\nnot,a,matrix\n")
     code, out, err = run_cli(capsys, ["validate", path])
@@ -208,6 +220,17 @@ def test_subtower_levels(capsys, binary4_json):
 
 def test_subtower_bad_levels(capsys, binary4_json):
     code, out, err = run_cli(capsys, ["subtower", binary4_json, "--levels", "3,1"])
+    assert code == 2
+
+
+def test_subtower_rejects_fractional_levels(capsys, binary4_json):
+    # 5/2 once truncated to level 2 and 3/2 to level 1
+    code, out, err = run_cli(
+        capsys, ["subtower", binary4_json, "--levels", "5/2,4"])
+    assert code == 2
+    assert err == "error: --levels must be whole numbers\n"
+    code, out, err = run_cli(
+        capsys, ["subtower", binary4_json, "--levels", "3/2,2,3,4"])
     assert code == 2
 
 
@@ -338,6 +361,13 @@ def test_classify_bad_spec(capsys):
     assert code == 2
 
 
+def test_classify_rejects_degree_zero(capsys):
+    # a zero degree once reached the homogeneity ratio as 0/0
+    code, out, err = run_cli(capsys, ["classify", "regular:0", "regular:2"])
+    assert code == 2
+    assert err == "error: bad degree in 'regular:0'\n"
+
+
 # -- experiments ------------------------------------------------------------------
 
 
@@ -447,3 +477,95 @@ def test_bad_usage_exits_2(capsys):
     assert main(["entropy"]) == 2
     assert main(["towerize", "somefile"]) == 2
     capsys.readouterr()
+
+
+# -- loader fuzzing -----------------------------------------------------------------
+
+_CELLS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["1/2", "2/4", "3/0", "-1/2", "1.5", "x", "", " 2 ", "1e3",
+                     "nan", "+3", "1_0", "9" * 5000, "1/" + "9" * 5000]),
+    st.text(max_size=4))
+
+
+@st.composite
+def _csv_text(draw):
+    n = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.text(alphabet="ab1,\n \"", max_size=3),
+                        min_size=n, max_size=n))
+    head = draw(st.sampled_from(["id", "", None, "p"]))
+    lines = [",".join(([head] if head is not None else []) + ids)]
+    for k in range(draw(st.integers(0, n + 1))):
+        row = draw(st.lists(_CELLS, max_size=n + 1))
+        label = (ids[k] if k < n and draw(st.booleans())
+                 else draw(st.text(max_size=2)))
+        lines.append(",".join(([label] if head is not None else []) + row))
+    return "\n".join(lines)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10 ** 20)
+    | st.floats(allow_nan=True) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["points", "dist", "nodes", "height", "id", "level",
+                         "parent"]), inner, max_size=4),
+    max_leaves=20)
+
+
+@st.composite
+def _tower_json(draw):
+    nodes = []
+    for _ in range(draw(st.integers(0, 6))):
+        entry = {
+            "id": draw(st.sampled_from(["r", "a", "b", "c", 1, None])),
+            "level": draw(st.one_of(st.integers(-1, 4), st.sampled_from(
+                [True, 1.0, "1", None, [1], 10 ** 30]))),
+            "parent": draw(st.sampled_from(["r", "a", "b", None, "zz", 1, [1]])),
+        }
+        if draw(st.integers(0, 9)) == 0:
+            del entry[draw(st.sampled_from(["id", "level", "parent"]))]
+        nodes.append(entry)
+    doc = {"nodes": nodes}
+    if draw(st.booleans()):
+        doc["height"] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _space_json(draw):
+    n = draw(st.integers(0, 4))
+    points = draw(st.lists(st.sampled_from(["a", "b", "c", "d", 1, None]),
+                           min_size=n, max_size=n))
+    cell = st.one_of(st.integers(0, 9), st.sampled_from(
+        ["1/2", "x", 1.5, None, True, [1], "1/0", 10 ** 40]))
+    dist = draw(st.lists(st.lists(cell, max_size=n + 1), max_size=n + 1))
+    return json.dumps({"points": points, "dist": dist})
+
+
+_COMMANDS = [
+    ["validate", "@"], ["entropy", "@"], ["entropy", "@", "--eps", "1",
+                                          "--delta", "2"],
+    ["towerize", "@", "--radii", "0,1,2,4"], ["subtower", "@", "--levels", "1,2"],
+    ["embed", "@", "@"], ["equiv", "--from", "@"], ["classify", "@", "regular:2"]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "input")
+
+
+@given(st.one_of(_csv_text(), _tower_json(), _space_json(),
+                 _JSON.map(json.dumps), st.text(max_size=40),
+                 st.integers(1, 3000).map(lambda d: "[" * d + "]" * d)),
+       st.sampled_from(_COMMANDS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_files_exit_by_contract(fuzz_path, text, argv):
+    with open(fuzz_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([fuzz_path if a == "@" else a for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
