@@ -402,6 +402,8 @@ EXPERIMENTS = {
 # the commands and experiments whose output is an entropy table, the only
 # output the net convention changes
 _NET_READERS = ("entropy", "hyperspace-entropy", "product-with-sparse-sequence")
+# the one experiment whose output the seed changes
+_SEED_READER = "ratio-bounded-synthesis"
 
 
 def cmd_experiment(config: RunConfig) -> int:
@@ -434,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output here instead of stdout")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized experiment generation "
-                             "(default 0)")
+                        help="seed for the ratio-bounded-synthesis "
+                             "experiment (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="coarsetowers",
@@ -542,6 +544,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(
             f"{reader} does not read --net; only entropy tables do "
             f"({', '.join(_NET_READERS)})")
+    if hasattr(args, "seed") and reader != _SEED_READER:
+        raise ValueError(
+            f"{reader} does not read --seed; only {_SEED_READER} does")
     return RunConfig(
         command=cmd,
         inputs=inputs,

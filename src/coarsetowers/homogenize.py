@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .limits import Caps, DEFAULT_CAPS
@@ -120,16 +119,6 @@ class HomogeneityWitness:
     def _check(self, i: int, j: int) -> None:
         if not (1 <= i <= j <= self.height):
             raise ValueError(f"tail range ({i},{j}) outside 1..{self.height}")
-
-    @cached_property
-    def tail_products(self) -> dict:
-        """All tail products keyed ("c"|"delta", i, j), exact."""
-        out = {}
-        for i in range(1, self.height + 1):
-            for j in range(i, self.height + 1):
-                out[("c", i, j)] = self.tail_c(i, j)
-                out[("delta", i, j)] = self.tail_delta(i, j)
-        return out
 
     @classmethod
     def default_for(cls, profile: DegreeProfile) -> "HomogeneityWitness":
@@ -702,19 +691,18 @@ def _assemble(
 
 
 def _word_stage(
-    binary: Tower, target_base: int, caps: Caps = DEFAULT_CAPS
+    binary_base: Space, length: int, target_base: int,
+    caps: Caps = DEFAULT_CAPS,
 ) -> MultiMap:
     """Digit-reversal bijection from a regular tower's base to the word
     space of the same size: the depth-k digit becomes the letter at
-    position height-1-k, so deeper splits land on cheaper positions."""
-    length = binary.height - 1
-    src = base_space(binary, caps=caps)
+    position length-k, so deeper splits land on cheaper positions."""
     tgt = word_space(target_base, length, caps=caps)
     pairs = []
-    for leaf in src.points:
+    for leaf in binary_base.points:
         digits = [int(t) for t in leaf.split(".")[1:]]
         pairs.append((leaf, word_id(list(reversed(digits)), target_base)))
-    return MultiMap(src, tgt, tuple(pairs))
+    return MultiMap(binary_base, tgt, tuple(pairs))
 
 
 def _pipeline_stage_specs(
@@ -739,32 +727,25 @@ def _pipeline_stage_specs(
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
                            caps=caps)
     sub2, _ = level_subtower(binary, tuple(mi + 1 for mi in synth.m))
-    w = sub2.top
 
-    germ_map, germ_cert = build_admissible_morphism(
-        sub1, roots, sub2, w, synth.sequences, caps=caps)
+    # the builder's certified base map is the germ-map stage itself
+    _, s1, germ_cert = build_admissible_morphism(
+        sub1, roots, sub2, sub2.top, synth.sequences, caps=caps)
 
-    dom_leaves = sorted(
-        x for x in germ_map if sub1.level[x] == 1)
-    dom_set = set(dom_leaves)
-    sub1_base = subspace(base_space(sub1, caps=caps), dom_leaves, caps=caps)
-    tower_base_full = base_space(tower, caps=caps)
+    dom_set = set(s1.source.points)
+    tower_base = base_space(tower, caps=caps)
     s0_points = sorted(
-        x for x in tower_base_full.points if next1[x] in dom_set)
+        x for x in tower_base.points if next1[x] in dom_set)
     s0 = MultiMap(
-        subspace(tower_base_full, s0_points, caps=caps), sub1_base,
+        subspace(tower_base, s0_points, caps=caps), s1.source,
         tuple((x, next1[x]) for x in s0_points))
-
-    s1 = MultiMap(
-        sub1_base, base_space(sub2, caps=caps),
-        tuple((x, germ_map[x]) for x in dom_leaves))
 
     binary_base = base_space(binary, caps=caps)
     s2 = MultiMap(
         s1.target, binary_base,
         tuple((x, x) for x in binary_base.points))
 
-    s3 = _word_stage(binary, target_base, caps=caps)
+    s3 = _word_stage(binary_base, synth.m[-1], target_base, caps=caps)
 
     specs = [
         ("level-grouping", s0, None),
@@ -845,8 +826,8 @@ def space_equivalence(
         bt, witness, target_base, caps)
     to_balls = ball_tower_base_map(space, bt)
     first_tgt = specs[0][1].source
-    kept = sorted(
-        p for p in space.points if to_balls[p] in set(first_tgt.points))
+    balls = set(first_tgt.points)
+    kept = sorted(p for p in space.points if to_balls[p] in balls)
     pre = MultiMap(subspace(space, kept, caps=caps), first_tgt,
                    tuple((p, to_balls[p]) for p in kept))
     meta = dict(meta)

@@ -977,7 +977,7 @@ def build_admissible_morphism(
     w: NodeId,
     seqs: AdmissibleSequences,
     caps: Caps = DEFAULT_CAPS,
-) -> tuple[dict[NodeId, NodeId], MorphismCertificate]:
+) -> tuple[dict[NodeId, NodeId], MultiMap, MorphismCertificate]:
     """Map the cones below a sibling set of t1 onto the cone below w in t2.
 
     Deterministic descent: the roots all map to w; at each mapped node the
@@ -988,6 +988,11 @@ def build_admissible_morphism(
     its base restriction satisfies the two-sided distance bounds (images
     never move apart, sources stay within image distance + 2); all of this
     is re-checked after construction and certified.
+
+    Returns (phi, phi_base, cert): the node map, its restriction to base
+    points as a map between the induced base spaces (source: the mapped
+    base points of t1, target: the base below w), and the certificate,
+    whose moduli are those of phi_base.
 
     Any infeasibility aborts with the failing inequality; nothing partial
     is returned.
@@ -1086,7 +1091,7 @@ def build_admissible_morphism(
         forward_surjective=True,
         backward_surjective=True,
     )
-    return phi, cert
+    return phi, phi_base, cert
 
 
 _BASE_BOUND_MESSAGES = {

@@ -11,6 +11,7 @@ metric predicate.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -334,24 +335,6 @@ def validate_ultrametric(space: Space, caps: Caps = DEFAULT_CAPS) -> ValidationR
 # -- word spaces -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WordSpaceSpec:
-    """Finite truncation of the words over a finite alphabet: all words of
-    exactly `length` letters from an alphabet of `alphabet_size` digits."""
-
-    alphabet_size: int
-    length: int
-
-    def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-
-    def point_count(self) -> int:
-        return self.alphabet_size ** self.length
-
-
 def word_id(digits: Sequence[int], alphabet_size: int) -> PointId:
     if alphabet_size <= 10:
         return "".join(str(d) for d in digits)
@@ -367,7 +350,10 @@ def word_space(
     alphabet size; position n contributes 2^n when the letters disagree.
     Distinct distance values are exactly 0 and 2^n for n < length.
     """
-    spec = WordSpaceSpec(alphabet_size, length)
+    if alphabet_size < 2:
+        raise ValueError("alphabet_size must be >= 2")
+    if length < 1:
+        raise ValueError("length must be >= 1")
     count = 1
     for _ in range(length):
         count *= alphabet_size
@@ -655,7 +641,7 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
         raise ValueError("max_size must be >= 1")
     n = len(space.points)
     count = sum(
-        _comb(n, k) for k in range(1, min(max_size, n) + 1)
+        math.comb(n, k) for k in range(1, min(max_size, n) + 1)
     )
     caps.check_points(count, "hyperspace")
     subsets = []
@@ -675,12 +661,6 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
     points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
     ultra = True if space._ultra is True else None
     return Space(points, codes, space.values, ultrametric=ultra, caps=caps)
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 # -- chain components and ultrametrization -----------------------------------

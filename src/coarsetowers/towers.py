@@ -21,7 +21,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, _class_labels, _compact
+from .spaces import CLOSED, Space, _class_labels, _pick_dtype
 
 NodeId = str
 
@@ -194,11 +194,17 @@ class Tower:
 def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
     """The base under the path metric, points in id order.
 
-    Distances fill in bottom-up: at each internal node, base points under
-    distinct children sit at exactly 2*(level-1).
+    Base points under distinct children of a node sit at exactly
+    2*(level-1), so a level's distance is realized exactly when some node
+    on it has two or more children.  The value table is read off those
+    split levels, 0 first, and each split level is coded by its rank.
     """
     base = tower.base
     caps.check_points(len(base), "tower base")
+    split = sorted({tower.level[v] for v in tower.nodes
+                    if len(tower.children[v]) > 1})
+    code_of = {lv: k for k, lv in enumerate(split, start=1)}
+    values = (0,) + tuple(2 * (lv - 1) for lv in split)
     idx = {p: i for i, p in enumerate(base)}
     n = len(base)
     # depth-first leaf order makes every node's base cone a contiguous slot
@@ -221,16 +227,16 @@ def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
         starts[node] = cursor
         stack.append((node, True))
         stack.extend((c, False) for c in reversed(tower.children[node]))
-    # raw codes are sup levels - 1 < height; _compact recodes them below
-    codes = np.zeros((n, n), dtype=np.min_scalar_type(tower.height))
+    codes = np.zeros((n, n), dtype=_pick_dtype(len(values)))
     for node in reversed(tower.nodes):  # descending level: parents fill first,
-        lv = tower.level[node]  # children overwrite with the smaller sup code
-        if lv > 1:
+        if len(tower.children[node]) > 1:  # splits below overwrite them
             lo, hi = span[node]
-            codes[lo:hi, lo:hi] = lv - 1
+            codes[lo:hi, lo:hi] = code_of[tower.level[node]]
     np.fill_diagonal(codes, 0)
-    codes, values = _compact(codes[np.ix_(slot_of, slot_of)],
-                             tuple(2 * k for k in range(tower.height)))
+    # dotted-path ids (regular towers) list the base in depth-first order
+    # already; any other order is gathered into id order
+    if (slot_of != np.arange(n)).any():
+        codes = codes[np.ix_(slot_of, slot_of)]
     return Space(base, codes, values, ultrametric=True, caps=caps)
 
 

@@ -244,7 +244,7 @@ def test_criterion_3_admissible_morphisms(pipeline_r3, pipeline_r2):
         t1 = regular_tower((d1, r))
         t2 = regular_tower((D,))
         roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
-        phi, cert = build_admissible_morphism(
+        phi, _, cert = build_admissible_morphism(
             t1, roots, t2, t2.top, AdmissibleSequences((1, r), (b1, b2)))
         assert cert.kind == "admissible"
         assert all(c.passed for c in cert.checks)

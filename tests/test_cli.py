@@ -448,6 +448,27 @@ def test_commands_that_ignore_nets_reject_strict(capsys, w22_csv, binary4_json, 
     assert run_cli(capsys, argv + ["--net", "closed"])[0] in (0, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{space}"],
+    ["entropy", "{space}"],
+    ["towerize", "{space}", "--radii", "0,1,2"],
+    ["subtower", "{tower}", "--levels", "1,3,4"],
+    ["embed", "{tower}", "{tower}"],
+    ["equiv", "--from", "regular:2"],
+    ["classify", "regular:2,2", "regular:3,3"],
+    ["experiment", "hyperspace-entropy", "--n", "2", "--length", "3"],
+    ["experiment", "product-with-sparse-sequence", "--length", "3"],
+])
+def test_commands_that_ignore_seeds_reject_them(capsys, w22_csv, binary4_json, argv):
+    # only ratio-bounded-synthesis draws random numbers
+    argv = [a.format(space=w22_csv, tower=binary4_json) for a in argv]
+    code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--seed" in err
+
+
 def test_global_flags_before_and_after_subcommand(capsys, w22_csv):
     _, out_pre, _ = run_cli(capsys, ["--net", "strict", "entropy", w22_csv])
     _, out_post, _ = run_cli(capsys, ["entropy", w22_csv, "--net", "strict"])

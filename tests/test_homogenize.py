@@ -26,6 +26,7 @@ from coarsetowers import (
     verify_synthesis,
     word_space,
 )
+from coarsetowers import homogenize, morphisms
 
 MIXED_PROFILE = DegreeProfile(
     3, {(1, 2): 2, (1, 3): 5, (2, 3): 2}, {(1, 2): 3, (1, 3): 5, (2, 3): 2})
@@ -271,6 +272,29 @@ def test_pipeline_binary_source(pipeline_r2):
     assert res.synthesis.a == (1, Fraction(17408, 463))
     assert res.synthesis.b == (Fraction(81, 17), Fraction(82944, 689))
     assert res.forward_soundness.ok and res.backward_soundness.ok
+
+
+def test_pipeline_builds_each_base_space_once(monkeypatch):
+    built = []
+    returned = []
+
+    def counted_base_space(tower, *args, **kwargs):
+        built.append(tower)
+        return base_space(tower, *args, **kwargs)
+
+    def recorded_builder(*args, **kwargs):
+        returned.append(morphisms.build_admissible_morphism(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(homogenize, "base_space", counted_base_space)
+    monkeypatch.setattr(morphisms, "base_space", counted_base_space)
+    monkeypatch.setattr(
+        homogenize, "build_admissible_morphism", recorded_builder)
+    res = equivalence_pipeline(regular_tower((3,) * 6))
+    assert len(built) == len({id(t) for t in built}) == 4
+    assert len(returned) == 1
+    germ = next(s for s in res.stages if s.name == "germ-map")
+    assert germ.map is returned[0][1]
 
 
 def test_pipeline_propagates_exhaustion():

@@ -456,7 +456,7 @@ def test_cone_profile_matches_germ_towers(seed):
 def test_build_admissible_morphism_height_one():
     t1 = regular_tower(())
     t2 = regular_tower(())
-    phi, cert = build_admissible_morphism(
+    phi, _, cert = build_admissible_morphism(
         t1, (t1.top,), t2, t2.top, AdmissibleSequences((1,), (3,)))
     assert phi == {t1.top: t2.top}
     assert cert.kind == "admissible"
@@ -466,7 +466,7 @@ def test_build_admissible_morphism_27_into_64():
     t1 = regular_tower((27, 4))
     t2 = regular_tower((64,))
     roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
-    phi, cert = build_admissible_morphism(
+    phi, _, cert = build_admissible_morphism(
         t1, roots, t2, t2.top, AdmissibleSequences((1, 4), (8, 8)))
     assert cert.kind == "admissible"
     assert all(c.passed for c in cert.checks)
@@ -497,7 +497,7 @@ def test_built_morphism_base_checks():
     t1 = regular_tower((27, 4))
     t2 = regular_tower((64,))
     roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
-    phi, cert = build_admissible_morphism(
+    phi, _, cert = build_admissible_morphism(
         t1, roots, t2, t2.top, AdmissibleSequences((1, 4), (8, 8)))
     base_pairs = tuple(
         (s, t) for s, t in phi.items() if t1.level[s] == 1)

@@ -14,6 +14,7 @@ from coarsetowers import (
     Caps,
     Space,
     ball,
+    ball_tower,
     base_space,
     chain_components,
     entropy_profile,
@@ -21,6 +22,7 @@ from coarsetowers import (
     is_large,
     min_net,
     product,
+    regular_tower,
     subspace,
     ultrametrize,
     validate_metric_axioms,
@@ -478,14 +480,24 @@ def test_subspace_matches_unique_inverse_oracle(seed, ultra, data):
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
 def test_base_space_matches_unique_inverse_oracle(seed):
-    tower = random_tower(random.Random(seed))
-    base = base_space(tower)
-    raw = np.asarray([[oracle_path_metric(tower, x, y) // 2
-                       for y in tower.base] for x in tower.base])
-    used, inv = np.unique(raw, return_inverse=True)
-    assert base.points == tower.base
-    assert base.values == tuple(2 * int(u) for u in used)
-    assert np.array_equal(base.codes, inv.reshape(raw.shape))
+    # random towers list their base depth-first in id order; ball towers
+    # of random ultrametrics do not, so their codes are gathered into id
+    # order; degree-1 levels leave sup levels unrealized
+    rng = random.Random(seed)
+    towers = [random_tower(rng)]
+    space = random_ultrametric(rng)
+    towers.append(ball_tower(space, random_radii(rng, space)))
+    towers.append(regular_tower(
+        [rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 5))]))
+    towers.append(regular_tower(()))
+    for tower in towers:
+        base = base_space(tower)
+        raw = np.asarray([[oracle_path_metric(tower, x, y) // 2
+                           for y in tower.base] for x in tower.base])
+        used, inv = np.unique(raw, return_inverse=True)
+        assert base.points == tower.base
+        assert base.values == tuple(2 * int(u) for u in used)
+        assert np.array_equal(base.codes, inv.reshape(raw.shape))
 
 
 # -- rationals ----------------------------------------------------------------------
