@@ -719,14 +719,15 @@ def _pipeline_stage_specs(
     synth, full, top_size = _fit_germ(profile, witness, target_base)
     P = len(synth)
 
-    sub1, next1 = level_subtower(tower, synth.n + (H,))
+    sub1, next1 = level_subtower(tower, synth.n + (H,), caps=caps)
     top_level_nodes = sorted(
         x for x in tower.nodes if tower.level[x] == synth.n[-1])
     roots = tuple(top_level_nodes[:top_size])
 
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
                            caps=caps)
-    sub2, _ = level_subtower(binary, tuple(mi + 1 for mi in synth.m))
+    sub2, _ = level_subtower(binary, tuple(mi + 1 for mi in synth.m),
+                             caps=caps)
 
     # the builder's certified base map is the germ-map stage itself
     _, s1, germ_cert = build_admissible_morphism(

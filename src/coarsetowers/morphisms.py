@@ -965,9 +965,7 @@ def balanced_partition(
 def _merged_cone_profile(t1: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
     """Degree profile over the union of the lower cones of the roots, the
     entrywise min of smalls and max of larges of the individual cones."""
-    nodes = sorted({x for r in roots for x in t1.cone(r)},
-                   key=lambda i: (t1.level[i], i))
-    return _cone_profile(t1, nodes, t1.level[roots[0]])
+    return _cone_profile(t1, roots)
 
 
 def build_admissible_morphism(

@@ -201,6 +201,14 @@ class Space:
         return np.asarray([self.index(p) for p in ids], dtype=np.int64)
 
 
+def _with_label_table(space: Space, rows: Sequence[np.ndarray]) -> Space:
+    """Hand a freshly built space its complete ball-label table, one row per
+    code in point order, from a builder that knows its balls (tower bases),
+    so ball_labels never scans the codes for it."""
+    space._labels = list(rows)
+    return space
+
+
 # -- validation ------------------------------------------------------------
 
 
@@ -569,7 +577,15 @@ def entropy_profile(
     caps: Caps = DEFAULT_CAPS,
 ) -> EntropyProfile:
     """Entropy over a grid: for each (eps, delta), the max and min over all
-    centers of the minimum eps-net size of the closed delta-ball."""
+    centers of the minimum eps-net size of the closed delta-ball.
+
+    On an ultrametric the minimum net of a delta-ball is one point per
+    eps-ball inside it, and the balls nest: when eps-balls are finer each
+    lies in one delta-ball, else a delta-ball lies in one eps-ball and its
+    net is a single point.  The label rows are first-member labels, so the
+    finer balls are named by their least members, which are exactly the
+    points labelled by themselves, and counting those per coarse label
+    counts the balls inside each delta-ball exactly."""
     n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
@@ -584,18 +600,17 @@ def entropy_profile(
         if any(delta < 0 for delta in delta_list):
             raise ValueError("delta must be >= 0")
         tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
-        # net counts do not depend on which member labels a class, so the
-        # space's own ball-label rows serve, in point order
+        points = np.arange(n)
         for eps, te in zip(eps_list, tes):
             le = space.ball_labels(te)
             for delta, td in zip(delta_list, tds):
                 # closed delta-balls are the classes of {code <= td}, so the
-                # net size of a center's ball is the number of distinct
-                # eps-labels inside its delta-class
+                # net size of a center's ball is the number of eps-balls
+                # inside its delta-ball (1 when te >= td)
                 ld = space.ball_labels(td)
-                combo = ld * n + le
-                cls, cnt = np.unique(np.unique(combo) // n, return_counts=True)
-                counts = cnt[np.searchsorted(cls, ld)]
+                fine = le if te < td else ld
+                reps = np.flatnonzero(fine == points)
+                counts = np.bincount(ld[reps], minlength=n)[ld]
                 entries[(canon(eps), canon(delta))] = (
                     int(counts.max()), int(counts.min()))
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, _class_labels, _pick_dtype
+from .spaces import CLOSED, Space, _class_labels, _pick_dtype, _with_label_table
 
 NodeId = str
 
@@ -97,10 +98,18 @@ def validate_tower(
                 "level-condition", (i,),
                 f"node at level {level[i]} has no child, so its cone "
                 f"cannot realize the level count"))
-    # every parent chain must reach the top within height steps
-    for i in levels_ok:
+    # every parent chain must reach the top within height steps.  When no
+    # rule above failed, ids are unique, every node has an integer level
+    # >= 1, the top is the only node on the top level and the only one
+    # without a parent, and every other node's parent is a node exactly one
+    # level up: each step of a chain climbs one level, so every chain ends
+    # at the top and the walk below cannot report anything.  A chain that
+    # has not ended after as many steps as there are ids runs round a cycle
+    # and ends nowhere, so the walk also stops there (levels can be huge).
+    limit = min(height, len(seen)) + 1
+    for i in levels_ok if violations else ():
         cur, steps = i, 0
-        while parent.get(cur) is not None and steps <= height + 1:
+        while parent.get(cur) is not None and steps <= limit:
             cur = parent[cur]
             steps += 1
             if cur not in seen:
@@ -113,10 +122,27 @@ def validate_tower(
     return ValidationReport("tower axioms", checked, tuple(violations))
 
 
-class Tower:
-    """Validated tower; construction rejects structurally invalid data."""
+def _check_node_count(count: int, caps: Caps) -> None:
+    if count > caps.max_points:
+        raise CapExceeded(f"tower has {count} nodes, cap is {caps.max_points}")
 
-    __slots__ = ("height", "nodes", "level", "parent", "children", "base", "__weakref__")
+
+def _require_tower(report: ValidationReport) -> None:
+    ValidationReport("tower", report.checked, report.violations).require()
+
+
+class Tower:
+    """Validated tower; construction rejects structurally invalid data.
+
+    Besides the navigation fields (level, parent, children, nodes, base) a
+    tower keeps one array form that the kernels count over: for each level
+    l = 1..height, _ids[l - 1] lists the level's node ids in id order and,
+    below the top, _par[l - 1][k] is the index in _ids[l] of the parent of
+    _ids[l - 1][k].
+    """
+
+    __slots__ = ("height", "nodes", "level", "parent", "children", "base",
+                 "_ids", "_par", "__weakref__")
 
     def __init__(
         self,
@@ -125,23 +151,38 @@ class Tower:
         parent: Mapping[NodeId, Optional[NodeId]],
         caps: Caps = DEFAULT_CAPS,
     ):
-        if len(node_ids) > caps.max_points:
-            raise CapExceeded(
-                f"tower has {len(node_ids)} nodes, cap is {caps.max_points}")
-        report = validate_tower(node_ids, level, parent)
-        report_with_subject = ValidationReport("tower", report.checked, report.violations)
-        report_with_subject.require()
-        self.level = {i: level[i] for i in node_ids}
-        self.parent = {i: parent.get(i) for i in node_ids}
-        self.nodes = tuple(sorted(node_ids, key=lambda i: (self.level[i], i)))
-        self.height = max(self.level.values())
-        children: dict[NodeId, list[NodeId]] = {i: [] for i in node_ids}
-        for i in self.nodes:
-            p = self.parent[i]
-            if p is not None:
-                children[p].append(i)
-        self.children = {i: tuple(sorted(c)) for i, c in children.items()}
-        self.base = tuple(sorted(i for i in node_ids if self.level[i] == 1))
+        _check_node_count(len(node_ids), caps)
+        _require_tower(validate_tower(node_ids, level, parent))
+        ids: list[list[NodeId]] = [[] for _ in range(max(level[i] for i in node_ids))]
+        for i in sorted(node_ids):
+            ids[level[i] - 1].append(i)
+        pos = {i: k for row in ids for k, i in enumerate(row)}
+        par = [np.fromiter((pos[parent[i]] for i in row), np.int64, len(row))
+               for row in ids[:-1]]
+        self._fill(ids, par)
+
+    def _fill(self, ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray]) -> None:
+        """Set every field from the array form; the one path all
+        constructors take."""
+        self._ids = tuple(tuple(row) for row in ids)
+        self._par = tuple(par)
+        self.height = len(ids)
+        self.nodes = tuple(itertools.chain.from_iterable(self._ids))
+        self.base = self._ids[0]
+        self.level = {}
+        self.parent = {}
+        self.children = dict.fromkeys(self.base, ())
+        for lv, (row, up) in enumerate(zip(self._ids, self._ids[1:]), start=1):
+            p = self._par[lv - 1]
+            self.level.update(dict.fromkeys(row, lv))
+            self.parent.update(zip(row, map(up.__getitem__, p.tolist())))
+            # a stable sort keeps each node's children in id order
+            kids = tuple([row[k] for k in np.argsort(p, kind="stable").tolist()])
+            ends = np.cumsum(np.bincount(p, minlength=len(up))).tolist()
+            self.children.update(
+                (node, kids[lo:hi]) for node, lo, hi in zip(up, [0] + ends, ends))
+        self.level.update(dict.fromkeys(self._ids[-1], self.height))
+        self.parent.update(dict.fromkeys(self._ids[-1]))
 
     # -- navigation --------------------------------------------------------
 
@@ -188,56 +229,69 @@ class Tower:
         return 2 * self.level[s] - self.level[x] - self.level[y]
 
 
+def _built(
+    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
+) -> Tower:
+    """A tower the library built in array form, validated like any other."""
+    _check_node_count(sum(map(len, ids)), caps)
+    tower = Tower.__new__(Tower)
+    tower._fill(ids, par)
+    _require_tower(validate_tower(tower.nodes, tower.level, tower.parent))
+    return tower
+
+
 # -- base space --------------------------------------------------------------
 
 
 def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
-    """The base under the path metric, points in id order.
+    """The base under the path metric, points in id order, born with its
+    complete ball-label table.
 
     Base points under distinct children of a node sit at exactly
     2*(level-1), so a level's distance is realized exactly when some node
-    on it has two or more children.  The value table is read off those
-    split levels, 0 first, and each split level is coded by its rank.
+    on it has two or more children, i.e. when the level below holds more
+    nodes.  The value table is read off those split levels, 0 first, and
+    each split level is coded by its rank.  Composing the parent arrays
+    gives every point's ancestor on each level; sorting points by their
+    ancestor rows, top level first, is the depth-first leaf order (id-sorted
+    levels list siblings in id order), in which each node's base cone is
+    one contiguous run, so each split level fills one square block per
+    run, higher levels first and lower ones overwriting.  The closed ball
+    at the k-th split level is a node's base cone, so label row k names
+    each point's ancestor there by its least member: the table equals
+    _class_labels of the codes, row by row, without scanning them.
     """
-    base = tower.base
-    caps.check_points(len(base), "tower base")
-    split = sorted({tower.level[v] for v in tower.nodes
-                    if len(tower.children[v]) > 1})
-    code_of = {lv: k for k, lv in enumerate(split, start=1)}
+    n = len(tower.base)
+    caps.check_points(n, "tower base")
+    sizes = [len(row) for row in tower._ids]
+    split = [lv for lv in range(2, tower.height + 1) if sizes[lv - 2] > sizes[lv - 1]]
     values = (0,) + tuple(2 * (lv - 1) for lv in split)
-    idx = {p: i for i, p in enumerate(base)}
-    n = len(base)
-    # depth-first leaf order makes every node's base cone a contiguous slot
-    # range, so each sup level fills one square block
-    slot_of = np.empty(n, dtype=np.int64)  # base index -> dfs slot
-    span: dict[NodeId, tuple[int, int]] = {}
-    cursor = 0
-    stack: list[tuple[NodeId, bool]] = [(tower.top, False)]
-    starts: dict[NodeId, int] = {}
-    while stack:
-        node, done = stack.pop()
-        if done:
-            span[node] = (starts[node], cursor)
-            continue
-        if tower.level[node] == 1:
-            span[node] = (cursor, cursor + 1)
-            slot_of[idx[node]] = cursor
-            cursor += 1
-            continue
-        starts[node] = cursor
-        stack.append((node, True))
-        stack.extend((c, False) for c in reversed(tower.children[node]))
+    anc = [np.arange(n)]  # anc[l - 1][i]: index of point i's level-l ancestor
+    for par in tower._par:
+        anc.append(par[anc[-1]])
+    order = np.lexsort(anc)  # depth-first slot -> point; last row sorts first
     codes = np.zeros((n, n), dtype=_pick_dtype(len(values)))
-    for node in reversed(tower.nodes):  # descending level: parents fill first,
-        if len(tower.children[node]) > 1:  # splits below overwrite them
-            lo, hi = span[node]
-            codes[lo:hi, lo:hi] = code_of[tower.level[node]]
+    rows = [anc[0]] + [None] * len(split)
+    for k in range(len(split), 0, -1):
+        here = anc[split[k - 1] - 1]
+        run = here[order]
+        starts = np.flatnonzero(np.diff(run, prepend=-1))
+        bounds = starts.tolist() + [n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:
+                codes[lo:hi, lo:hi] = k
+        least = np.empty(sizes[split[k - 1] - 1], dtype=np.int64)
+        least[run[starts]] = np.minimum.reduceat(order, starts)
+        rows[k] = least[here]
     np.fill_diagonal(codes, 0)
     # dotted-path ids (regular towers) list the base in depth-first order
     # already; any other order is gathered into id order
-    if (slot_of != np.arange(n)).any():
+    if (order != anc[0]).any():
+        slot_of = np.empty(n, dtype=np.int64)
+        slot_of[order] = anc[0]
         codes = codes[np.ix_(slot_of, slot_of)]
-    return Space(base, codes, values, ultrametric=True, caps=caps)
+    space = Space(tower.base, codes, values, ultrametric=True, caps=caps)
+    return _with_label_table(space, rows)
 
 
 # -- builders ----------------------------------------------------------------
@@ -268,22 +322,17 @@ def regular_tower(
         if total > caps.max_points:
             raise CapExceeded(
                 f"regular tower would have more than {caps.max_points} nodes")
-    ids = ["t"]
-    level = {"t": height}
-    parent: dict[NodeId, Optional[NodeId]] = {"t": None}
-    frontier = ["t"]
-    for lv in range(height - 1, 0, -1):
-        deg = degrees[lv - 1]
-        nxt = []
-        for p in frontier:
-            for c in range(deg):
-                cid = f"{p}.{c}"
-                ids.append(cid)
-                level[cid] = lv
-                parent[cid] = p
-                nxt.append(cid)
-        frontier = nxt
-    return Tower(ids, level, parent, caps=caps)
+    # ids top-down, each level in id order: '.' sorts before every digit,
+    # so a level lists its parents' children runs in the parents' order,
+    # each run in string order of the child digit ("10" < "2")
+    ids: list[list[NodeId]] = [["t"]]
+    par: list[np.ndarray] = []
+    for deg in reversed(degrees):
+        digits = sorted(map(str, range(deg)))
+        above = ids[-1]
+        ids.append([f"{p}.{c}" for p in above for c in digits])
+        par.append(np.repeat(np.arange(len(above)), deg))
+    return _built(ids[::-1], par[::-1], caps)
 
 
 def level_subtower(
@@ -303,21 +352,19 @@ def level_subtower(
     if levels[-1] != tower.height:
         # keep a single top: the top level must be selected
         raise ValueError("the top level must be among the chosen levels")
-    rank = {lv: k + 1 for k, lv in enumerate(levels)}
-    chosen = [i for i in tower.nodes if tower.level[i] in rank]
-    new_level = {i: rank[tower.level[i]] for i in chosen}
-    new_parent: dict[NodeId, Optional[NodeId]] = {}
-    level_set = set(levels)
-    for i in chosen:
-        if tower.level[i] == levels[-1]:
-            new_parent[i] = None
-            continue
-        cur = tower.parent[i]
-        while tower.level[cur] not in level_set:
-            cur = tower.parent[cur]
-        new_parent[i] = cur
-    sub = Tower(chosen, new_level, new_parent, caps=caps)
-    next_map = {b: tower.ancestor(b, levels[0]) for b in tower.base}
+    # a chosen level's parent is its ancestor on the next chosen level
+    par = []
+    for lo, hi in zip(levels, levels[1:]):
+        up = tower._par[lo - 1]
+        for lv in range(lo + 1, hi):
+            up = tower._par[lv - 1][up]
+        par.append(up)
+    sub = _built([tower._ids[lv - 1] for lv in levels], par, caps)
+    anc = np.arange(len(tower.base))
+    for lv in range(1, levels[0]):
+        anc = tower._par[lv - 1][anc]
+    low = tower._ids[levels[0] - 1]
+    next_map = dict(zip(tower.base, map(low.__getitem__, anc.tolist())))
     return sub, next_map
 
 
@@ -426,42 +473,47 @@ _PROFILE_CACHE: "weakref.WeakKeyDictionary[Tower, DegreeProfile]" = weakref.Weak
 
 
 def degree_profile(tower: Tower) -> DegreeProfile:
-    """Exhaustive degree profile of a materialized tower."""
+    """Exhaustive degree profile of a materialized tower: the cone profile
+    of its top, whose cone is the whole tower."""
     cached = _PROFILE_CACHE.get(tower)
     if cached is not None:
         return cached
-    prof = _cone_profile(tower, tower.nodes, tower.height)
+    prof = _cone_profile(tower, (tower.top,))
     _PROFILE_CACHE[tower] = prof
     return prof
 
 
-def _cone_profile(
-    tower: Tower, nodes: Sequence[NodeId], height: int
-) -> DegreeProfile:
-    """Degree profile over a downward-closed node set listed in (level, id)
-    order, such as the union of the lower cones of nodes at level height:
-    each entry is the min/max of the nodes' descendant counts.  The cones
-    are closed downward, so those counts are the tower's own."""
-    counts: dict[NodeId, list[int]] = {}
+def _cone_profile(tower: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
+    """Degree profile over the union of the lower cones of roots that share
+    one level L: entry (i, j) is the min/max, over the level-j nodes under
+    the roots, of their level-i descendant counts.
+
+    A node's level-i descendants are those of its children summed, so one
+    bincount over the parent array, weighted by the children's counts,
+    lifts every count one level up; the weights are integers far below
+    2**53, so the float sums are exact.  Cones are closed downward, so each
+    count is the tower's own and only the min/max runs over the cones.
+    """
+    top = tower.level[roots[0]]
+    row = tower._ids[top - 1]
+    under = np.zeros(len(row), dtype=bool)
+    under[[bisect_left(row, r) for r in roots]] = True
+    masks = [under]  # masks[k]: the nodes under the roots at level top - k
+    for lv in range(top - 1, 0, -1):
+        masks.append(masks[-1][tower._par[lv - 1]])
     small: dict = {}
     large: dict = {}
-    for node in nodes:  # children precede parents
-        lv = tower.level[node]
-        vec = [0] * lv  # vec[i] = descendants at level i, indices 1..lv-1
-        for c in tower.children[node]:
-            cv = counts[c]
-            for i in range(1, len(cv)):
-                vec[i] += cv[i]
-            vec[tower.level[c]] += 1
-        counts[node] = vec
-        for i in range(1, lv):
-            key = (i, lv)
-            v = vec[i]
-            if key not in small or v < small[key]:
-                small[key] = v
-            if key not in large or v > large[key]:
-                large[key] = v
-    return DegreeProfile(height, small, large)
+    counts: list[np.ndarray] = []  # counts[i - 1]: level-i descendants
+    for j in range(2, top + 1):
+        par, size = tower._par[j - 2], len(tower._ids[j - 1])
+        counts = [np.bincount(par, weights=c, minlength=size) for c in counts]
+        counts.append(np.bincount(par, minlength=size))
+        mask = masks[top - j]
+        for i, c in enumerate(counts, start=1):
+            c = c[mask]
+            small[(i, j)] = int(c.min())
+            large[(i, j)] = int(c.max())
+    return DegreeProfile(top, small, large)
 
 
 def entropy_from_degrees(tower: Tower, i: int, j: int) -> tuple[int, int]:
@@ -506,18 +558,14 @@ def ball_tower(
     codes = space.codes[np.ix_(sub, sub)]
     labels = [_class_labels(codes, space.threshold_code(r, CLOSED))
               for r in radii]
-    node_ids: list[NodeId] = []
-    level: dict[NodeId, int] = {}
-    parent: dict[NodeId, Optional[NodeId]] = {}
-    for n, here in enumerate(labels, start=1):
-        up = labels[n] if n < len(labels) else None
-        for rep in np.unique(here).tolist():
-            nid = f"b{n}:{ids_sorted[rep]}"
-            node_ids.append(nid)
-            level[nid] = n
-            # the containing ball one radius up is the one holding the rep
-            parent[nid] = None if up is None else f"b{n + 1}:{ids_sorted[up[rep]]}"
-    return Tower(node_ids, level, parent, caps=caps)
+    # each ball is named by its least member; the containing ball one
+    # radius up is the one holding that member
+    reps = [np.unique(here) for here in labels]
+    ids = [[f"b{n}:{ids_sorted[r]}" for r in rep.tolist()]
+           for n, rep in enumerate(reps, start=1)]
+    par = [np.searchsorted(up_reps, up[rep])
+           for rep, up, up_reps in zip(reps, labels[1:], reps[1:])]
+    return _built(ids, par, caps)
 
 
 def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:

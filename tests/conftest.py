@@ -2,8 +2,8 @@
 acceptance-line reporter.
 
 Oracles here recompute results straight from definitions (subset search,
-pure-python triple loops, ancestor walks) so the fast paths in the package
-are checked against something that cannot share their bugs.
+pure-python triple loops, ancestor and dict walks) so the fast paths in the
+package are checked against something that cannot share their bugs.
 """
 
 import itertools
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from coarsetowers import (
+    DegreeProfile,
     Space,
     Tower,
     ball,
@@ -99,6 +100,33 @@ def oracle_path_metric(tower, x, y) -> int:
     while cur not in seen:
         cur = tower.parent[cur]
     return 2 * tower.level[cur] - tower.level[x] - tower.level[y]
+
+
+def oracle_cone_profile(tower, nodes, height) -> DegreeProfile:
+    """Degree profile by a dict walk over a downward-closed node set listed
+    in (level, id) order, such as the union of the lower cones of nodes at
+    level height: each node's descendant counts per level are summed from
+    its children's, and each entry is the min/max over the set."""
+    counts: dict = {}
+    small: dict = {}
+    large: dict = {}
+    for node in nodes:  # children precede parents
+        lv = tower.level[node]
+        vec = [0] * lv  # vec[i] = descendants at level i, indices 1..lv-1
+        for c in tower.children[node]:
+            cv = counts[c]
+            for i in range(1, len(cv)):
+                vec[i] += cv[i]
+            vec[tower.level[c]] += 1
+        counts[node] = vec
+        for i in range(1, lv):
+            key = (i, lv)
+            v = vec[i]
+            if key not in small or v < small[key]:
+                small[key] = v
+            if key not in large or v > large[key]:
+                large[key] = v
+    return DegreeProfile(height, small, large)
 
 
 # -- seeded generators ---------------------------------------------------------

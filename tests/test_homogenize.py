@@ -1,6 +1,7 @@
 """Homogenization layer: homogeneity measures, sequence synthesis, the
 staged equivalence pipeline, and the classification verdicts."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -295,6 +296,33 @@ def test_pipeline_builds_each_base_space_once(monkeypatch):
     assert len(returned) == 1
     germ = next(s for s in res.stages if s.name == "germ-map")
     assert germ.map is returned[0][1]
+
+
+def test_cap_reaches_every_pipeline_construction(monkeypatch, tmp_path):
+    from coarsetowers.cli import main
+    from coarsetowers.limits import DEFAULT_CAPS
+
+    seen: dict = {}
+
+    def spy(name, fn):
+        sig = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            caps = sig.bind(*args, **kwargs).arguments.get("caps", DEFAULT_CAPS)
+            seen.setdefault(name, []).append(caps.max_points)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    names = ("regular_tower", "level_subtower", "base_space", "subspace",
+             "word_space", "build_admissible_morphism")
+    for name in names:
+        monkeypatch.setattr(homogenize, name, spy(name, getattr(homogenize, name)))
+    out = tmp_path / "equiv.json"
+    # height 7 is the least at which the 3-regular germ fits
+    assert main(["equiv", "--from", "regular:3", "--height", "7",
+                 "--cap", "12345", "--out", str(out)]) == 0
+    assert set(seen) == set(names)
+    assert all(cap == 12345 for calls in seen.values() for cap in calls), seen
 
 
 def test_pipeline_propagates_exhaustion():

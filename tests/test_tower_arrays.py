@@ -1,0 +1,321 @@
+"""Array kernels of towers against the dict walks and formulas they
+replaced: degree profiles, base spaces and their ball-label tables,
+nested-ball entropy counts, the builders and the validator."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsetowers import (
+    Tower,
+    ball_tower,
+    base_space,
+    degree_profile,
+    entropy_profile,
+    level_subtower,
+    regular_tower,
+    subspace,
+    validate_tower,
+    word_space,
+)
+from coarsetowers import spaces
+from coarsetowers.morphisms import _merged_cone_profile
+from coarsetowers.report import ValidationReport, Violation
+from coarsetowers.spaces import CLOSED, STRICT, _class_labels
+
+from conftest import (
+    brute_entropy,
+    oracle_cone_profile,
+    random_radii,
+    random_tower,
+    random_ultrametric,
+)
+
+
+def _sample_towers(rng):
+    """A random tower, a regular tower with degree-1 levels and a ball
+    tower of a random ultrametric, whose ids are not depth-first."""
+    space = random_ultrametric(rng)
+    return [
+        random_tower(rng),
+        regular_tower([rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 5))]),
+        ball_tower(space, random_radii(rng, space)),
+    ]
+
+
+# -- degree profiles ------------------------------------------------------------
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_degree_kernels_match_dict_walk(seed):
+    rng = random.Random(seed)
+    for tower in _sample_towers(rng):
+        prof = degree_profile(tower)
+        ref = oracle_cone_profile(tower, tower.nodes, tower.height)
+        assert prof == ref
+        assert list(prof.small) == list(ref.small)  # same entry order
+        lvl = rng.randint(1, tower.height)
+        if lvl == tower.height:
+            roots = [tower.top]
+        else:
+            parent = rng.choice(
+                [x for x in tower.nodes if tower.level[x] == lvl + 1])
+            kids = tower.children[parent]
+            roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
+        nodes = sorted({x for r in roots for x in tower.cone(r)},
+                       key=lambda i: (tower.level[i], i))
+        assert _merged_cone_profile(tower, roots) == \
+            oracle_cone_profile(tower, nodes, lvl)
+
+
+# -- base spaces and their label tables -------------------------------------------
+
+
+def _assert_label_table(base):
+    for k in range(len(base.values)):
+        assert np.array_equal(base.ball_labels(k), _class_labels(base.codes, k))
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_base_label_table_matches_class_labels(seed):
+    for tower in _sample_towers(random.Random(seed)):
+        _assert_label_table(base_space(tower))
+
+
+@pytest.mark.parametrize("degrees", [(), (12, 2, 11), (1, 3, 1), (11,)])
+def test_base_label_table_is_born_complete(degrees, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a tower base scanned its codes for labels")
+
+    base = base_space(regular_tower(degrees))
+    monkeypatch.setattr(spaces, "_class_labels", no_scan)
+    rows = [base.ball_labels(k) for k in range(len(base.values))]
+    monkeypatch.undo()
+    assert np.array_equal(rows[0], np.arange(len(base)))
+    _assert_label_table(base)
+
+
+# -- nested-ball entropy ------------------------------------------------------------
+
+
+def _unique_formula(space, te, td):
+    """The sort-based count the nested-ball count replaced: distinct
+    (delta-label, eps-label) pairs per delta-label."""
+    n = len(space.points)
+    le, ld = space.ball_labels(te), space.ball_labels(td)
+    cls, cnt = np.unique(np.unique(ld * n + le) // n, return_counts=True)
+    counts = cnt[np.searchsorted(cls, ld)]
+    return int(counts.max()), int(counts.min())
+
+
+def _check_entropy(space):
+    diam = space.diameter()
+    deltas = list(space.values) + [diam + 1]
+    for convention in (CLOSED, STRICT):
+        # strict nets need a radius above 0; radii between and above the
+        # values put te below, at and above td
+        eps_list = [v for v in space.values if v > 0 or convention == CLOSED]
+        eps_list += [diam + 1] + [Fraction(a + b) / 2 for a, b in
+                                  zip(space.values, space.values[1:])]
+        prof = entropy_profile(space, eps_list, deltas, convention)
+        seen = set()
+        for eps in eps_list:
+            te = space.threshold_code(eps, convention)
+            for delta in deltas:
+                td = space.threshold_code(delta, CLOSED)
+                seen.add((te > td) - (te < td))
+                got = prof.entries[(eps, delta)]
+                assert got == _unique_formula(space, te, td)
+                assert got == brute_entropy(space, eps, delta, convention)
+        assert seen == {-1, 0, 1}
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=20, deadline=None)
+def test_entropy_matches_unique_formula_and_brute_force(seed):
+    rng = random.Random(seed)
+    space = random_ultrametric(rng, n_min=4, n_max=9)
+    _check_entropy(space)
+    # dropping points can leave some distance values unrealized
+    _check_entropy(subspace(
+        space, rng.sample(space.points, rng.randint(2, len(space.points)))))
+
+
+@pytest.mark.parametrize("alphabet, length", [(2, 3), (3, 2)])
+def test_word_space_entropy_matches_unique_formula_and_brute_force(alphabet, length):
+    _check_entropy(word_space(alphabet, length))
+
+
+# -- builders and the validator -------------------------------------------------------
+
+
+def _regular_dicts(degrees):
+    """The raw (ids, level, parent) of a regular tower, breadth first."""
+    height = len(degrees) + 1
+    ids, level, parent = ["t"], {"t": height}, {"t": None}
+    frontier = ["t"]
+    for lv in range(height - 1, 0, -1):
+        nxt = []
+        for p in frontier:
+            for c in range(degrees[lv - 1]):
+                cid = f"{p}.{c}"
+                ids.append(cid)
+                level[cid] = lv
+                parent[cid] = p
+                nxt.append(cid)
+        frontier = nxt
+    return ids, level, parent
+
+
+def _fields(tower):
+    return (tower.height, tower.nodes, tower.level, tower.parent,
+            tower.children, tower.base)
+
+
+@pytest.mark.parametrize("degrees", [
+    (), (1,), (2, 3), (1, 12, 1), (12, 2, 11), (11, 11), (3, 1, 2, 1)])
+def test_regular_tower_matches_validated_constructor(degrees):
+    built = regular_tower(degrees)
+    assert _fields(built) == _fields(Tower(*_regular_dicts(degrees)))
+    # the children of a degree-12 node come in id order: "t.10" < "t.2"
+    assert all(list(c) == sorted(c) for c in built.children.values())
+    for levels in ([built.height], [1, built.height], range(min(2, built.height), built.height + 1)):
+        sub, next_map = level_subtower(built, levels)
+        chosen = sorted(set(levels))
+        rank = {lv: k for k, lv in enumerate(chosen, start=1)}
+        ids = [x for x in built.nodes if built.level[x] in rank]
+
+        def up(x):
+            x = built.parent[x]
+            while x is not None and built.level[x] not in rank:
+                x = built.parent[x]
+            return x
+        ref = Tower(ids, {x: rank[built.level[x]] for x in ids},
+                    {x: up(x) for x in ids})
+        assert _fields(sub) == _fields(ref)
+        assert next_map == {b: built.ancestor(b, chosen[0]) for b in built.base}
+
+
+def _reference_validate_tower(node_ids, level, parent):
+    """The validator before its chains-reach-top walk was skipped on towers
+    that break no other rule, kept verbatim as the oracle."""
+    violations = []
+    checked = (
+        "unique-ids", "levels-total", "single-top", "parent-structure",
+        "level-condition", "chains-reach-top",
+    )
+    ids = list(node_ids)
+    seen = set()
+    for i in ids:
+        if i in seen:
+            violations.append(Violation("unique-ids", (i,), "duplicate node id"))
+        seen.add(i)
+    for i in ids:
+        lv = level.get(i)
+        if type(lv) is not int or lv < 1:
+            violations.append(Violation(
+                "levels-total", (i,), f"level must be an integer >= 1, got {lv!r}"))
+    levels_ok = [i for i in ids if type(level.get(i)) is int and level[i] >= 1]
+    if not levels_ok:
+        violations.append(Violation("levels-total", (), "no validly leveled nodes"))
+        return ValidationReport("tower axioms", checked, tuple(violations))
+    height = max(level[i] for i in levels_ok)
+    if min(level[i] for i in levels_ok) != 1:
+        violations.append(Violation(
+            "levels-total", (), "lowest level must be 1"))
+    tops = [i for i in levels_ok if level[i] == height]
+    if len(tops) != 1:
+        violations.append(Violation(
+            "single-top", tuple(sorted(tops)),
+            f"expected exactly one node at top level {height}, got {len(tops)}"))
+    has_child = set()
+    for i in levels_ok:
+        p = parent.get(i)
+        if level[i] == height:
+            if p is not None:
+                violations.append(Violation(
+                    "parent-structure", (i,), "top node must have no parent"))
+            continue
+        if p is None:
+            violations.append(Violation(
+                "parent-structure", (i,), "non-top node lacks a parent"))
+            continue
+        if p not in seen:
+            violations.append(Violation(
+                "parent-structure", (i, p), "parent id not among the nodes"))
+            continue
+        has_child.add(p)
+        if type(level.get(p)) is int and level[p] != level[i] + 1:
+            violations.append(Violation(
+                "level-condition", (i, p),
+                f"parent at level {level.get(p)} is not one above {level[i]}"))
+    for i in levels_ok:
+        if level[i] > 1 and i not in has_child:
+            violations.append(Violation(
+                "level-condition", (i,),
+                f"node at level {level[i]} has no child, so its cone "
+                f"cannot realize the level count"))
+    for i in levels_ok:
+        cur, steps = i, 0
+        while parent.get(cur) is not None and steps <= height + 1:
+            cur = parent[cur]
+            steps += 1
+            if cur not in seen:
+                break
+        if cur in seen and type(level.get(cur)) is int and level[cur] != height:
+            if parent.get(cur) is None and level[cur] != height:
+                violations.append(Violation(
+                    "chains-reach-top", (i, cur),
+                    "parent chain ends below the top"))
+    return ValidationReport("tower axioms", checked, tuple(violations))
+
+
+def _mutate(rng, tower, kind):
+    ids = list(tower.nodes)
+    rng.shuffle(ids)
+    level, parent = dict(tower.level), dict(tower.parent)
+    below = [x for x in ids if x != tower.top]
+    x = rng.choice(below) if below else tower.top
+    if kind == "dropped-parent" and below:
+        del parent[x]
+    elif kind == "two-level-hop":
+        low = [y for y in below if tower.level[y] <= tower.height - 2]
+        if low:
+            y = rng.choice(low)
+            parent[y] = parent[parent[y]]
+    elif kind == "cycle" and below:
+        parent[parent[x]] = x
+    elif kind == "duplicate-id":
+        ids.append(rng.choice(ids))
+    elif kind == "second-top":
+        ids.append("extra")
+        level["extra"] = tower.height
+        parent["extra"] = None
+    elif kind == "bad-level":
+        level[x] = rng.choice((True, 2.5))
+    return ids, level, parent
+
+
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["none", "dropped-parent", "two-level-hop", "cycle",
+                        "duplicate-id", "second-top", "bad-level"]))
+@settings(max_examples=150, deadline=None)
+def test_validate_tower_matches_reference(seed, kind):
+    rng = random.Random(seed)
+    tower = random_tower(rng, height_min=1, height_max=5)
+    ids, level, parent = _mutate(rng, tower, kind)
+    assert validate_tower(ids, level, parent) == \
+        _reference_validate_tower(ids, level, parent)
+
+
+def test_validate_tower_stops_walking_a_cycle_at_a_huge_level():
+    # the walk used to take up to height steps round the cycle
+    rep = validate_tower(["r", "a"], {"r": 10 ** 30, "a": 1}, {"r": "r", "a": "r"})
+    assert [(v.rule, v.witness) for v in rep.violations] == [
+        ("parent-structure", ("r",)), ("level-condition", ("a", "r"))]
