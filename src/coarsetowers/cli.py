@@ -513,8 +513,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         inputs = (args.input,)
     elif cmd == "entropy":
         inputs = (args.input,)
-        params["eps"] = _parse_rationals(args.eps) if args.eps else None
-        params["delta"] = _parse_rationals(args.delta) if args.delta else None
+        for flag in ("eps", "delta"):
+            text = getattr(args, flag)
+            params[flag] = None if text is None else _parse_rationals(text)
+            if params[flag] == ():
+                raise ValueError(f"--{flag} needs at least one radius")
     elif cmd == "towerize":
         inputs = (args.input,)
         params["radii"] = _parse_rationals(args.radii)

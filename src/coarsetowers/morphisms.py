@@ -962,12 +962,6 @@ def balanced_partition(
     return out
 
 
-def _merged_cone_profile(t1: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
-    """Degree profile over the union of the lower cones of the roots, the
-    entrywise min of smalls and max of larges of the individual cones."""
-    return _cone_profile(t1, roots)
-
-
 def build_admissible_morphism(
     t1: Tower,
     roots: Sequence[NodeId],
@@ -1022,8 +1016,8 @@ def build_admissible_morphism(
             f"root count {len(roots)} outside the level-{lvl} window "
             f"[{rat_str(a_top)}, {rat_str(b_top)}]")
     if lvl > 1:
-        p1 = _merged_cone_profile(t1, roots)
-        p2 = _merged_cone_profile(t2, (w,))
+        p1 = _cone_profile(t1, roots)
+        p2 = _cone_profile(t2, (w,))
         check_l2_preconditions(p1, p2, seqs).require()
 
     phi: dict[NodeId, NodeId] = {}

@@ -122,18 +122,6 @@ class Space:
             count=n * n).reshape(n, n)
         return cls(points, codes, vals, ultrametric=ultrametric, caps=caps)
 
-    @classmethod
-    def from_function(
-        cls,
-        points: Sequence[PointId],
-        dist_fn,
-        ultrametric: Optional[bool] = None,
-        caps: Caps = DEFAULT_CAPS,
-    ) -> "Space":
-        points = tuple(points)
-        matrix = [[dist_fn(p, q) for q in points] for p in points]
-        return cls.from_matrix(points, matrix, ultrametric=ultrametric, caps=caps)
-
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -181,8 +169,9 @@ class Space:
 
     def ball_labels(self, tcode: int) -> np.ndarray:
         """Row tcode of the space's ball-label table: _class_labels of the
-        codes at that threshold, in point order.  Rows are filled on first
-        use and kept with the space, which is the table's only owner."""
+        codes at that threshold, in point order.  Spaces built from their
+        balls are born with the whole table; any other space fills a row on
+        first use and keeps it, as the table's only owner."""
         if not 0 <= tcode < len(self.values):
             raise ValueError(f"no ball-label row for code {tcode}")
         if self._labels is None:
@@ -201,11 +190,48 @@ class Space:
         return np.asarray([self.index(p) for p in ids], dtype=np.int64)
 
 
-def _with_label_table(space: Space, rows: Sequence[np.ndarray]) -> Space:
-    """Hand a freshly built space its complete ball-label table, one row per
-    code in point order, from a builder that knows its balls (tower bases),
-    so ball_labels never scans the codes for it."""
-    space._labels = list(rows)
+def _ball_space(
+    points: Sequence[PointId],
+    parts: Sequence[np.ndarray],
+    values: Sequence[Rational],
+    caps: Caps = DEFAULT_CAPS,
+) -> Space:
+    """The one encoder of nested balls into codes.  parts lists partitions
+    of the points as integer class names, finest first: parts[0] names
+    every point apart, the last holds one class, and points are within
+    values[k] exactly when they share a class of parts[k].  A partition
+    that merges nothing leaves its value unrealized and is dropped.  One
+    lexsort, coarsest partition first, gives the depth-first order, in
+    which every class is one run; each class's code is written over its
+    block, coarser first, as a slice when that order is point order and as
+    an index block otherwise.  The space is born with its ball-label table:
+    each run's least member labels its class."""
+    n = len(points)
+    order = np.lexsort(parts)
+    kept, runs, labels = [], [], []
+    for value, part in zip(values, parts):
+        run = part[order]
+        new = np.concatenate(([True], run[1:] != run[:-1]))
+        starts = np.flatnonzero(new)
+        if n and (not runs or starts.size < runs[-1].size):
+            kept.append(value)
+            runs.append(starts)
+            labels.append(np.empty(n, dtype=np.int64))
+            labels[-1][order] = np.minimum.reduceat(order, starts)[np.cumsum(new) - 1]
+    # the coarsest kept partition is one class: its code fills the matrix
+    codes = np.full((n, n), max(len(kept) - 1, 0), dtype=_pick_dtype(len(kept)))
+    in_order = bool((order == np.arange(n)).all())
+    for code in range(len(kept) - 2, 0, -1):
+        bounds = runs[code].tolist() + [n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1 and in_order:
+                codes[lo:hi, lo:hi] = code
+            elif hi - lo > 1:
+                block = order[lo:hi]
+                codes[block[:, None], block] = code
+    np.fill_diagonal(codes, 0)
+    space = Space(points, codes, kept, ultrametric=True, caps=caps)
+    space._labels = labels
     return space
 
 
@@ -370,18 +396,15 @@ def word_space(
                 f"word space would have {alphabet_size}^{length} points, "
                 f"cap is {caps.max_points}")
     caps.check_points(count, "word space")
-    words = np.asarray(
-        list(itertools.product(range(alphabet_size), repeat=length)),
-        dtype=np.int16,
-    )
-    n = words.shape[0]
-    codes = np.zeros((n, n), dtype=_pick_dtype(length + 1))
-    for pos in range(length):  # ascending, so the last write wins = max position
-        col = words[:, pos]
-        codes[col[:, None] != col[None, :]] = pos + 1
+    # letters agree from position k on exactly when the index residues mod
+    # alphabet_size**(length - k) agree: the first letter is the most
+    # significant index digit
+    idx = np.arange(count)
+    parts = [idx % alphabet_size ** (length - k) for k in range(length + 1)]
     values = (0,) + tuple(2 ** p for p in range(length))
-    points = [word_id(w, alphabet_size) for w in words.tolist()]
-    return Space(points, codes, values, ultrametric=True, caps=caps)
+    points = [word_id(w, alphabet_size)
+              for w in itertools.product(range(alphabet_size), repeat=length)]
+    return _ball_space(points, parts, values, caps)
 
 
 # -- balls, nets, entropy ----------------------------------------------------
@@ -397,15 +420,30 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
     """Induced space on a subset: points in id order, value table compacted
-    to the realized distances.  The whole of a space already in id order
-    is not gathered again, so it keeps the same codes array."""
+    to the realized distances.  An ultrametric with a complete ball-label
+    table passes the table's columns on the subset to _ball_space, so the
+    subspace is born with its own; its whole, when in id order and with
+    every value realized, shares the codes and the table.  Any other space
+    compacts the codes of the subset."""
     sub = space.subindices(subset)
-    if sub.size == len(space.points) and bool((np.diff(sub) > 0).all()):
-        codes, values = _compact(space.codes, space.values)
-        points = space.points
-    else:
-        codes, values = _compact(space.codes[np.ix_(sub, sub)], space.values)
-        points = tuple(space.points[int(i)] for i in sub)
+    whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
+    points = space.points if whole else tuple(space.points[int(i)] for i in sub)
+    table = space._labels
+    if space._ultra is True and table and all(row is not None for row in table):
+        # codes below the diagonal's carry no ball
+        c0 = int(space.codes[sub[0], sub[0]]) if sub.size else 0
+        parts = [row[sub] for row in table[c0:]]
+        if whole and c0 == 0:
+            own = np.arange(sub.size)  # each ball's least member labels itself
+            balls = [np.count_nonzero(row == own) for row in parts]
+            if all(a > b for a, b in zip(balls, balls[1:])):
+                codes = space.codes.astype(_pick_dtype(len(table)), copy=False)
+                shared = Space(points, codes, space.values, ultrametric=True, caps=caps)
+                shared._labels = list(table)
+                return shared
+        return _ball_space(points, parts, space.values[c0:], caps)
+    codes, values = _compact(
+        space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
     # strong triangle survives restriction; a failed one may not
     ultra = True if space._ultra is True else None
     return Space(points, codes, values, ultrametric=ultra, caps=caps)
@@ -450,9 +488,9 @@ def min_net(
             f"no admissible net: no distance satisfies the {convention} "
             f"bound at radius {rat_str(radius)}")
     if space.is_ultrametric:
-        # labels on the id-ordered block are least-id class members
-        labels = _class_labels(space.codes[np.ix_(sub, sub)], t)
-        return tuple(space.points[int(sub[r])] for r in np.unique(labels))
+        # each ball's first hit in id order is its least id
+        _, first = np.unique(space.ball_labels(t)[sub], return_index=True)
+        return tuple(space.points[int(sub[r])] for r in np.sort(first))
     if sub.size > caps.max_exact_net_points:
         raise CapExceeded(
             f"exact net search on a plain metric is capped at "
@@ -681,11 +719,8 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
 # -- chain components and ultrametrization -----------------------------------
 
 
-def chain_components(
-    space: Space, radius: Rational
-) -> tuple[tuple[PointId, ...], ...]:
-    """Partition into chain components: x ~ y when a chain of steps of
-    length <= radius joins them.  Components come back sorted by first
+def _chain_labels(space: Space, radius: Rational) -> np.ndarray:
+    """Each point's chain component at the radius, numbered by first
     member in point order."""
     n = len(space.points)
     t = space.threshold_code(radius, CLOSED)
@@ -704,9 +739,19 @@ def chain_components(
             frontier = reach & ~seen
         label[seen] = comp
         comp += 1
-    groups: list[list[PointId]] = [[] for _ in range(comp)]
-    for i in range(n):
-        groups[label[i]].append(space.points[i])
+    return label
+
+
+def chain_components(
+    space: Space, radius: Rational
+) -> tuple[tuple[PointId, ...], ...]:
+    """Partition into chain components: x ~ y when a chain of steps of
+    length <= radius joins them.  Components come back sorted by first
+    member in point order."""
+    label = _chain_labels(space, radius)
+    groups: list[list[PointId]] = [[] for _ in range(int(label.max(initial=-1)) + 1)]
+    for p, c in zip(space.points, label.tolist()):
+        groups[c].append(p)
     return tuple(tuple(g) for g in groups)
 
 
@@ -725,22 +770,10 @@ def ultrametrize(
         raise ValueError("need at least one scale")
     if any(s2 <= s1 for s1, s2 in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    n = len(space.points)
-    out = np.zeros((n, n), dtype=_pick_dtype(len(scales) + 1))
-    assigned = np.eye(n, dtype=bool)
-    for k, r in enumerate(scales, start=1):
-        parts = chain_components(space, r)
-        lab = np.empty(n, dtype=np.int64)
-        for ci, part in enumerate(parts):
-            for p in part:
-                lab[space.index(p)] = ci
-        same = lab[:, None] == lab[None, :]
-        newly = same & ~assigned
-        out[newly] = k
-        assigned |= newly
-    if not assigned.all():
+    parts = [np.arange(len(space.points))]
+    parts += [_chain_labels(space, r) for r in scales]
+    if parts[-1].any():  # a second component is numbered 1
         raise ValueError(
             "top scale does not chain the space into a single component")
-    # some scale indices may be unrealized; compact the value table
-    codes, values = _compact(out, tuple(2 * k for k in range(len(scales) + 1)))
-    return Space(space.points, codes, values, ultrametric=True, caps=caps)
+    values = tuple(2 * k for k in range(len(scales) + 1))
+    return _ball_space(space.points, parts, values, caps)

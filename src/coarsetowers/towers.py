@@ -22,7 +22,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, _class_labels, _pick_dtype, _with_label_table
+from .spaces import CLOSED, Space, _ball_space
 
 NodeId = str
 
@@ -245,53 +245,16 @@ def _built(
 
 def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
     """The base under the path metric, points in id order, born with its
-    complete ball-label table.
-
-    Base points under distinct children of a node sit at exactly
-    2*(level-1), so a level's distance is realized exactly when some node
-    on it has two or more children, i.e. when the level below holds more
-    nodes.  The value table is read off those split levels, 0 first, and
-    each split level is coded by its rank.  Composing the parent arrays
-    gives every point's ancestor on each level; sorting points by their
-    ancestor rows, top level first, is the depth-first leaf order (id-sorted
-    levels list siblings in id order), in which each node's base cone is
-    one contiguous run, so each split level fills one square block per
-    run, higher levels first and lower ones overwriting.  The closed ball
-    at the k-th split level is a node's base cone, so label row k names
-    each point's ancestor there by its least member: the table equals
-    _class_labels of the codes, row by row, without scanning them.
-    """
+    ball-label table.  Base points are within 2*(l-1) exactly when they
+    share their level-l ancestor, so composing the parent arrays into
+    ancestor rows lists the nested balls for _ball_space; dotted-path ids
+    (regular towers) list the base in depth-first order already."""
     n = len(tower.base)
     caps.check_points(n, "tower base")
-    sizes = [len(row) for row in tower._ids]
-    split = [lv for lv in range(2, tower.height + 1) if sizes[lv - 2] > sizes[lv - 1]]
-    values = (0,) + tuple(2 * (lv - 1) for lv in split)
     anc = [np.arange(n)]  # anc[l - 1][i]: index of point i's level-l ancestor
     for par in tower._par:
         anc.append(par[anc[-1]])
-    order = np.lexsort(anc)  # depth-first slot -> point; last row sorts first
-    codes = np.zeros((n, n), dtype=_pick_dtype(len(values)))
-    rows = [anc[0]] + [None] * len(split)
-    for k in range(len(split), 0, -1):
-        here = anc[split[k - 1] - 1]
-        run = here[order]
-        starts = np.flatnonzero(np.diff(run, prepend=-1))
-        bounds = starts.tolist() + [n]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi - lo > 1:
-                codes[lo:hi, lo:hi] = k
-        least = np.empty(sizes[split[k - 1] - 1], dtype=np.int64)
-        least[run[starts]] = np.minimum.reduceat(order, starts)
-        rows[k] = least[here]
-    np.fill_diagonal(codes, 0)
-    # dotted-path ids (regular towers) list the base in depth-first order
-    # already; any other order is gathered into id order
-    if (order != anc[0]).any():
-        slot_of = np.empty(n, dtype=np.int64)
-        slot_of[order] = anc[0]
-        codes = codes[np.ix_(slot_of, slot_of)]
-    space = Space(tower.base, codes, values, ultrametric=True, caps=caps)
-    return _with_label_table(space, rows)
+    return _ball_space(tower.base, anc, [2 * lv for lv in range(tower.height)], caps)
 
 
 # -- builders ----------------------------------------------------------------
@@ -546,6 +509,8 @@ def ball_tower(
         raise ValueError("radii must be strictly increasing")
     if radii[0] < 0:
         raise ValueError("radii must be >= 0")
+    if not space.points:
+        raise ValueError("ball towers need a nonempty space")
     if not space.is_ultrametric:
         raise ValueError("ball towers need an ultrametric space")
     if radii[-1] < space.diameter():
@@ -554,13 +519,15 @@ def ball_tower(
             "have multiple balls")
     sub = space.subindices(None)
     ids_sorted = [space.points[int(i)] for i in sub]
-    # labels on the id-ordered block: each ball is labelled by its least id
-    codes = space.codes[np.ix_(sub, sub)]
-    labels = [_class_labels(codes, space.threshold_code(r, CLOSED))
-              for r in radii]
-    # each ball is named by its least member; the containing ball one
-    # radius up is the one holding that member
-    reps = [np.unique(here) for here in labels]
+    # each ball is labelled by its first hit in id order, which is its
+    # least id; the containing ball one radius up is the one holding it
+    labels, reps = [], []
+    for r in radii:
+        _, first, inv = np.unique(
+            space.ball_labels(space.threshold_code(r, CLOSED))[sub],
+            return_index=True, return_inverse=True)
+        labels.append(first[inv])
+        reps.append(np.sort(first))
     ids = [[f"b{n}:{ids_sorted[r]}" for r in rep.tolist()]
            for n, rep in enumerate(reps, start=1)]
     par = [np.searchsorted(up_reps, up[rep])

@@ -196,6 +196,16 @@ def random_tower(rng: random.Random, height_min=2, height_max=5, deg_max=4) -> T
     return Tower(node_ids, level, parent)
 
 
+def shuffled_tower(rng: random.Random, tower: Tower) -> Tower:
+    """The same tower under randomly drawn node ids, so that id order is
+    not depth-first order."""
+    names = [f"n{k:04d}" for k in range(len(tower.nodes))]
+    rng.shuffle(names)
+    new = dict(zip(tower.nodes, names))
+    return Tower(names, {new[x]: lv for x, lv in tower.level.items()},
+                 {new[x]: p and new[p] for x, p in tower.parent.items()})
+
+
 def random_radii(rng: random.Random, space: Space) -> list:
     """Strictly increasing radii ending at or above the diameter."""
     diam = space.diameter()

@@ -168,6 +168,16 @@ def test_entropy_explicit_radii(capsys, w22_csv):
     assert out.splitlines() == ["eps,delta,large,small", "2,0,1,1"]
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--delta"])
+@pytest.mark.parametrize("text", [",", ""])
+def test_entropy_rejects_an_empty_radius_list(capsys, w22_csv, flag, text):
+    # an explicit empty list once fell back to every realized value
+    code, out, err = run_cli(capsys, ["entropy", w22_csv, flag, text])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} needs at least one radius\n"
+
+
 def test_entropy_tower_base_matches_degree_formula(capsys, tmp_path):
     tower = regular_tower((2, 2, 2))
     path = write(tmp_path, "base.csv", space_to_csv(base_space(tower)))
@@ -206,6 +216,13 @@ def test_towerize_bad_radii(capsys, w22_csv):
     code, out, err = run_cli(capsys, ["towerize", w22_csv, "--radii", "2,1"])
     assert code == 2
     assert "strictly increasing" in err
+
+
+def test_towerize_rejects_an_empty_space(capsys, tmp_path):
+    path = write(tmp_path, "empty.json", json.dumps({"points": [], "dist": []}))
+    code, out, err = run_cli(capsys, ["towerize", path, "--radii", "0"])
+    assert code == 2
+    assert err == "error: ball towers need a nonempty space\n"
 
 
 def test_subtower_levels(capsys, binary4_json):

@@ -1,0 +1,77 @@
+"""Pinned report bytes: the sha256 of the equiv reports of the
+acceptance-9 configurations, and of the towerize and entropy output on an
+ultrametrized distance CSV drawn from a fixed seed.
+
+Refactors of the encoders and kernels must leave every emitted byte as
+it was; a change that means to alter a report updates these digests and
+says why.
+"""
+
+import hashlib
+import io
+import random
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from coarsetowers import Space, ultrametrize
+from coarsetowers.cli import main
+from coarsetowers.rationals import rat_str
+from coarsetowers.serialization import space_to_csv
+
+EQUIV_DIGESTS = {
+    ("equiv", "--from", "regular:3"):
+        "be3546bd3330ac023eb9b6a52d8caf76e2747668a9d104db06bf625e2580767a",
+    ("equiv", "--from", "regular:3", "--height", "7"):
+        "97448e00b7622051ff786a53260f2b4c341b1d52be633cc7935b7fdaa02e9ced",
+    ("equiv", "--from", "regular:2"):
+        "2d9689a56e85ae0ac9db1037e4eb59ff3b133473d8e4370bd75f521c4d98bd38",
+}
+
+CSV_DIGEST = "a97ebaf39f900086832034aa53a4e2d5d47d2b702fd66714e750bdb9bf96432b"
+TOWERIZE_DIGEST = "555dfc756efd14f40667b8dac97ed4a98ec7a0ff2bee3e552928d273e4e482e0"
+ENTROPY_DIGEST = "ba8c7cd2dadf620af66af1bbe28992e6c3e36b1473de8f7f4c30aee74756ba08"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0
+    return buf.getvalue()
+
+
+def ultrametrized_csv(seed: int = 2024, n: int = 80) -> tuple[str, Space]:
+    """L1 distances of n distinct points clustered at scales 8, 64 and
+    512, ultrametrized over the ladder diameter / 2^k, k = 7 .. 0."""
+    rng = random.Random(seed)
+    points: set = set()
+    while len(points) < n:
+        points.add(tuple(sum(rng.randrange(3) * 8 ** j for j in (1, 2, 3))
+                         + rng.randrange(8) for _ in range(2)))
+    coords = sorted(points)
+    matrix = [[abs(a - c) + abs(b - d) for c, d in coords] for a, b in coords]
+    plain = Space.from_matrix([f"p{i:03d}" for i in range(n)], matrix)
+    top = plain.diameter()
+    ultra = ultrametrize(plain, [Fraction(top, 2 ** k) for k in range(7, -1, -1)])
+    return space_to_csv(ultra), ultra
+
+
+@pytest.mark.parametrize("argv", sorted(EQUIV_DIGESTS))
+def test_equiv_report_bytes_are_pinned(argv):
+    assert _sha(_run(argv)) == EQUIV_DIGESTS[argv]
+
+
+def test_towerize_and_entropy_bytes_are_pinned(tmp_path):
+    text, ultra = ultrametrized_csv()
+    assert _sha(text) == CSV_DIGEST
+    path = tmp_path / "ultra.csv"
+    path.write_text(text, encoding="utf-8")
+    radii = ",".join(rat_str(v) for v in ultra.values)
+    assert _sha(_run(["towerize", str(path), "--radii", radii])) == TOWERIZE_DIGEST
+    assert _sha(_run(["entropy", str(path)])) == ENTROPY_DIGEST

@@ -38,7 +38,7 @@ from coarsetowers import (
     word_space,
 )
 
-from coarsetowers.morphisms import _merged_cone_profile
+from coarsetowers.towers import _cone_profile
 
 from conftest import random_tower, random_ultrametric
 
@@ -450,7 +450,7 @@ def test_cone_profile_matches_germ_towers(seed):
         parent = rng.choice([n for n in tower.nodes if tower.level[n] == lvl + 1])
         kids = tower.children[parent]
         roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
-    assert _merged_cone_profile(tower, roots) == _germ_merged_profile(tower, roots)
+    assert _cone_profile(tower, roots) == _germ_merged_profile(tower, roots)
 
 
 def test_build_admissible_morphism_height_one():

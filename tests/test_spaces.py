@@ -41,6 +41,7 @@ from conftest import (
     random_radii,
     random_tower,
     random_ultrametric,
+    shuffled_tower,
     triple_violations,
 )
 
@@ -481,8 +482,8 @@ def test_subspace_matches_unique_inverse_oracle(seed, ultra, data):
 @settings(max_examples=40, deadline=None)
 def test_base_space_matches_unique_inverse_oracle(seed):
     # random towers list their base depth-first in id order; ball towers
-    # of random ultrametrics do not, so their codes are gathered into id
-    # order; degree-1 levels leave sup levels unrealized
+    # of random ultrametrics and towers under shuffled ids do not, so their
+    # balls are index blocks; degree-1 levels leave sup levels unrealized
     rng = random.Random(seed)
     towers = [random_tower(rng)]
     space = random_ultrametric(rng)
@@ -490,6 +491,8 @@ def test_base_space_matches_unique_inverse_oracle(seed):
     towers.append(regular_tower(
         [rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 5))]))
     towers.append(regular_tower(()))
+    towers.append(shuffled_tower(rng, random_tower(rng)))
+    towers.append(shuffled_tower(rng, towers[2]))
     for tower in towers:
         base = base_space(tower)
         raw = np.asarray([[oracle_path_metric(tower, x, y) // 2

@@ -23,9 +23,9 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import spaces
-from coarsetowers.morphisms import _merged_cone_profile
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.spaces import CLOSED, STRICT, _class_labels
+from coarsetowers.towers import _cone_profile
 
 from conftest import (
     brute_entropy,
@@ -69,7 +69,7 @@ def test_degree_kernels_match_dict_walk(seed):
             roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
         nodes = sorted({x for r in roots for x in tower.cone(r)},
                        key=lambda i: (tower.level[i], i))
-        assert _merged_cone_profile(tower, roots) == \
+        assert _cone_profile(tower, roots) == \
             oracle_cone_profile(tower, nodes, lvl)
 
 
