@@ -98,10 +98,7 @@ class RunConfig:
 
     @property
     def caps(self) -> Caps:
-        return Caps(
-            max_points=self.cap,
-            max_pair_evals=max(200_000_000, 8 * self.cap * self.cap),
-        )
+        return Caps(max_points=self.cap)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -427,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     # would clobber values parsed before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="max points per constructed space "
-                             "(default 20000)")
+                        help="max points of every space, relation graph "
+                             "and tower node set (default 20000)")
     common.add_argument("--net", choices=[STRICT, CLOSED],
                         default=argparse.SUPPRESS,
                         help="net convention for entropy computations "

@@ -13,24 +13,18 @@ class CapExceeded(RuntimeError):
 class Caps:
     """Size limits.
 
-    max_points bounds any materialized point or node set, max_pair_evals
-    bounds dense pairwise work (a full distance matrix costs n*n), and
-    max_exact_net_points bounds the branch-and-bound minimum-net search
-    used for plain (non-ultra) metrics, whose worst case is exponential.
+    max_points bounds the points of every space, relation graph and tower
+    node set, and max_exact_net_points bounds the branch-and-bound
+    minimum-net search used for plain (non-ultra) metrics, whose worst
+    case is exponential.
     """
 
     max_points: int = 20_000
-    max_pair_evals: int = 200_000_000
     max_exact_net_points: int = 64
 
     def check_points(self, count: int, what: str = "point set") -> None:
         if count > self.max_points:
             raise CapExceeded(f"{what} has {count} points, cap is {self.max_points}")
-        if count * count > self.max_pair_evals:
-            raise CapExceeded(
-                f"{what} needs {count * count} pair evaluations, "
-                f"cap is {self.max_pair_evals}"
-            )
 
 
 DEFAULT_CAPS = Caps()

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .limits import DEFAULT_CAPS, CapExceeded, Caps
+from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
 from .spaces import CLOSED, PointId, Space, min_net, subspace
@@ -226,11 +226,7 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
     """
     if not phi.pairs:
         raise ValueError("modulus of an empty relation")
-    n = len(phi.pairs)
-    if n * n > caps.max_pair_evals:
-        raise CapExceeded(
-            f"modulus scan needs {n * n} pair evaluations, cap is "
-            f"{caps.max_pair_evals}")
+    caps.check_points(len(phi.pairs), "relation graph")
     if _on_labels(phi):
         return _label_modulus(phi)
     src, tgt = phi.source, phi.target
@@ -284,8 +280,8 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     def tgt_labels(t: int) -> np.ndarray:
         return tgt.ball_labels(t)[ib]
 
-    c0 = int(src.codes[ia[0], ia[0]])
-    t0 = t = int(tgt.codes[ib[0], ib[0]])
+    c0 = src._code(ia[0], ia[0])
+    t0 = t = tgt._code(ib[0], ib[0])
     T = tgt_labels(t)
     rep = np.empty(len(src.points), dtype=np.int64)
     rows: list[tuple[Rational, Rational]] = []
@@ -421,9 +417,7 @@ def _isometric_witness(
 ) -> Optional[tuple[PointId, PointId, PointId, PointId]]:
     """First graph-point pair whose source and target distances differ, or
     None when the relation preserves every distance exactly."""
-    n = len(phi.pairs)
-    if n * n > caps.max_pair_evals:
-        raise CapExceeded("isometry scan exceeds the pair-evaluation cap")
+    caps.check_points(len(phi.pairs), "relation graph")
     # source code -> target code of the equal value, -1 when absent
     tcode_of = {v: i for i, v in enumerate(phi.target.values)}
     tmap = np.asarray(
@@ -528,16 +522,23 @@ class SelectionPair:
 
 def _max_roundtrip_fiber_diameter(phi: MultiMap) -> Rational:
     """Max diameter of a fiber of the inverse-then-forward round trip,
-    i.e. of preimage(image({x})) over all source points x."""
+    i.e. of preimage(image({x})) over all source points x.  On a label
+    table, rows go finest first, so that diameter's code is the number of
+    rows on which some fiber's members carry different labels."""
     src = phi.source
-    out_code = 0
+    fibers = []
     for x in phi.fibers:
         members = set()
         for y in phi.fibers[x]:
             members.update(phi.cofibers[y])
-        idx = np.asarray([src.index(m) for m in members], dtype=np.int64)
-        out_code = max(out_code, int(src.codes[np.ix_(idx, idx)].max()))
-    return src.values[out_code]
+        fibers.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
+    if src._codes is not None:
+        return src.values[max(int(src._codes[np.ix_(f, f)].max()) for f in fibers)]
+    idx = np.concatenate(fibers)
+    starts = np.cumsum([0] + [f.size for f in fibers[:-1]])
+    return src.values[sum(
+        int((np.minimum.reduceat(lab, starts) != np.maximum.reduceat(lab, starts)).any())
+        for lab in (row[idx] for row in src._labels))]
 
 
 def selection_pair(

@@ -1,11 +1,11 @@
 """Finite (ultra-)metric spaces: word spaces, balls, minimum nets, entropy
 profiles, products, hyperspaces, chain components, and chain ultrametrization.
 
-Distances are exact rationals.  Internally a space stores an n x n matrix of
-small integer codes into a sorted tuple of distinct distance values; the code
-map is an order isomorphism, so every vectorized min/max/compare on codes is
-an exact statement about the underlying rationals.  Floats never appear in a
-metric predicate.
+Distances are exact rationals, coded as small integers into a sorted tuple
+of distinct distance values; the code map is an order isomorphism, so every
+vectorized min/max/compare on codes is an exact statement about the
+underlying rationals.  Floats never appear in a metric predicate.  Built
+ultrametrics store only their ball-label table (see Space.codes).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Space:
     and builders emit points so that id order and tuple order agree.
     """
 
-    __slots__ = ("points", "values", "codes", "_index", "_ultra", "_labels")
+    __slots__ = ("points", "values", "_codes", "_index", "_ultra", "_labels")
 
     def __init__(
         self,
@@ -86,7 +86,7 @@ class Space:
             raise ValueError("codes shape does not match point count")
         self.points = points
         self.values = values
-        self.codes = codes
+        self._codes = codes
         self._index = {p: i for i, p in enumerate(points)}
         self._ultra = ultrametric
         self._labels: Optional[list] = None
@@ -136,13 +136,45 @@ class Space:
         except KeyError:
             raise KeyError(f"unknown point id: {point!r}") from None
 
+    @property
+    def codes(self) -> np.ndarray:
+        """The n x n code matrix.  A space built from its balls holds only
+        its ball-label table and writes the matrix on first read: one
+        lexsort of the table gives the depth-first order, in which every
+        ball is one run, and each ball's code is written over its block,
+        coarser first."""
+        if self._codes is None:
+            n, rows = len(self.points), self._labels
+            # the coarsest row is one ball: its code fills the matrix
+            codes = np.full((n, n), len(rows) - 1, dtype=_pick_dtype(len(rows)))
+            order = np.lexsort(rows or [np.arange(n)])
+            for code in range(len(rows) - 2, 0, -1):
+                run = rows[code][order]
+                bounds = np.flatnonzero(run[1:] != run[:-1]) + 1
+                for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [n]):
+                    if hi - lo > 1:
+                        block = order[lo:hi]
+                        codes[block[:, None], block] = code
+            np.fill_diagonal(codes, 0)
+            self._codes = codes
+        return self._codes
+
+    def _code(self, i: int, j: int) -> int:
+        """Code of the pair at indices i, j: off the matrix when the space
+        holds one, else the number of (nested) label rows that separate it."""
+        if self._codes is not None:
+            return int(self._codes[i, j])
+        return sum(int(row[i] != row[j]) for row in self._labels)
+
     def dist(self, x: PointId, y: PointId) -> Rational:
-        return self.values[self.codes[self.index(x), self.index(y)]]
+        return self.values[self._code(self.index(x), self.index(y))]
 
     def diameter(self) -> Rational:
         if len(self.points) == 0:
             return 0
-        return self.values[int(self.codes.max())]
+        if self._codes is None:
+            return self.values[-1]  # a table realizes every value it lists
+        return self.values[int(self._codes.max())]
 
     def value_array(self) -> Optional[np.ndarray]:
         """Values as an int64 array when all are integers, else None."""
@@ -196,42 +228,31 @@ def _ball_space(
     values: Sequence[Rational],
     caps: Caps = DEFAULT_CAPS,
 ) -> Space:
-    """The one encoder of nested balls into codes.  parts lists partitions
-    of the points as integer class names, finest first: parts[0] names
-    every point apart, the last holds one class, and points are within
-    values[k] exactly when they share a class of parts[k].  A partition
-    that merges nothing leaves its value unrealized and is dropped.  One
-    lexsort, coarsest partition first, gives the depth-first order, in
-    which every class is one run; each class's code is written over its
-    block, coarser first, as a slice when that order is point order and as
-    an index block otherwise.  The space is born with its ball-label table:
-    each run's least member labels its class."""
+    """The one encoder of nested balls.  parts lists partitions of the
+    points as integer class names, finest first: parts[0] names every
+    point apart, the last holds one class, and points are within values[k]
+    exactly when they share a class of parts[k].  A partition that merges
+    nothing leaves its value unrealized and is dropped.  One lexsort,
+    coarsest partition first, gives the depth-first order, in which every
+    class is one run, and each run's least member labels its class.  The
+    space holds that ball-label table and no matrix (see Space.codes)."""
     n = len(points)
+    caps.check_points(n, "space")
     order = np.lexsort(parts)
-    kept, runs, labels = [], [], []
+    kept, labels, balls = [], [], n + 1
     for value, part in zip(values, parts):
         run = part[order]
         new = np.concatenate(([True], run[1:] != run[:-1]))
         starts = np.flatnonzero(new)
-        if n and (not runs or starts.size < runs[-1].size):
+        if n and starts.size < balls:
+            balls = starts.size
             kept.append(value)
-            runs.append(starts)
             labels.append(np.empty(n, dtype=np.int64))
             labels[-1][order] = np.minimum.reduceat(order, starts)[np.cumsum(new) - 1]
-    # the coarsest kept partition is one class: its code fills the matrix
-    codes = np.full((n, n), max(len(kept) - 1, 0), dtype=_pick_dtype(len(kept)))
-    in_order = bool((order == np.arange(n)).all())
-    for code in range(len(kept) - 2, 0, -1):
-        bounds = runs[code].tolist() + [n]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi - lo > 1 and in_order:
-                codes[lo:hi, lo:hi] = code
-            elif hi - lo > 1:
-                block = order[lo:hi]
-                codes[block[:, None], block] = code
-    np.fill_diagonal(codes, 0)
-    space = Space(points, codes, kept, ultrametric=True, caps=caps)
-    space._labels = labels
+    space = Space.__new__(Space)
+    space.points, space.values, space._codes = points, tuple(kept), None
+    space._index = {p: i for i, p in enumerate(points)}
+    space._ultra, space._labels = True, labels
     return space
 
 
@@ -320,17 +341,21 @@ def validate_metric_axioms(
             "diagonal-zero", (space.points[int(i)],),
             f"d(x,x) = {rat_str(space.values[C[i, i]])}"))
 
-    asym = np.argwhere(C != C.T)
-    for i, j in asym:
+    def off_diagonal(mask: np.ndarray):
+        # argwhere only on a set mask (on valid spaces it is the dearest
+        # step); the mask is freed on return, so only one is ever held
+        np.fill_diagonal(mask, False)
+        return np.argwhere(mask) if mask.any() else ()
+
+    for i, j in off_diagonal(C != C.T):
         if i < j:
             violations.append(Violation(
                 "symmetry", (space.points[int(i)], space.points[int(j)]),
                 f"d(x,y) = {rat_str(space.values[C[i, j]])} but "
                 f"d(y,x) = {rat_str(space.values[C[j, i]])}"))
 
-    # codes below this one carry values <= 0
-    positive = bisect_right(space.values, 0)
-    for i, j in np.argwhere(C < positive):
+    # codes below this one carry values <= 0, as on a zero diagonal
+    for i, j in off_diagonal(C < bisect_right(space.values, 0)):
         if i < j:
             violations.append(Violation(
                 "positivity", (space.points[int(i)], space.points[int(j)]),
@@ -395,15 +420,14 @@ def word_space(
             raise CapExceeded(
                 f"word space would have {alphabet_size}^{length} points, "
                 f"cap is {caps.max_points}")
-    caps.check_points(count, "word space")
     # letters agree from position k on exactly when the index residues mod
     # alphabet_size**(length - k) agree: the first letter is the most
     # significant index digit
     idx = np.arange(count)
     parts = [idx % alphabet_size ** (length - k) for k in range(length + 1)]
     values = (0,) + tuple(2 ** p for p in range(length))
-    points = [word_id(w, alphabet_size)
-              for w in itertools.product(range(alphabet_size), repeat=length)]
+    points = tuple(word_id(w, alphabet_size)
+                   for w in itertools.product(range(alphabet_size), repeat=length))
     return _ball_space(points, parts, values, caps)
 
 
@@ -422,8 +446,8 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
     """Induced space on a subset: points in id order, value table compacted
     to the realized distances.  An ultrametric with a complete ball-label
     table passes the table's columns on the subset to _ball_space, so the
-    subspace is born with its own; its whole, when in id order and with
-    every value realized, shares the codes and the table.  Any other space
+    subspace holds only its own table; its whole, when in id order and
+    with every value realized, is the space itself.  Any other space
     compacts the codes of the subset."""
     sub = space.subindices(subset)
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
@@ -431,16 +455,13 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
     table = space._labels
     if space._ultra is True and table and all(row is not None for row in table):
         # codes below the diagonal's carry no ball
-        c0 = int(space.codes[sub[0], sub[0]]) if sub.size else 0
+        c0 = space._code(sub[0], sub[0]) if sub.size else 0
         parts = [row[sub] for row in table[c0:]]
         if whole and c0 == 0:
             own = np.arange(sub.size)  # each ball's least member labels itself
             balls = [np.count_nonzero(row == own) for row in parts]
             if all(a > b for a, b in zip(balls, balls[1:])):
-                codes = space.codes.astype(_pick_dtype(len(table)), copy=False)
-                shared = Space(points, codes, space.values, ultrametric=True, caps=caps)
-                shared._labels = list(table)
-                return shared
+                return space
         return _ball_space(points, parts, space.values[c0:], caps)
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)

@@ -11,7 +11,6 @@ ultrametric taking even values.
 from __future__ import annotations
 
 import itertools
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,11 +121,6 @@ def validate_tower(
     return ValidationReport("tower axioms", checked, tuple(violations))
 
 
-def _check_node_count(count: int, caps: Caps) -> None:
-    if count > caps.max_points:
-        raise CapExceeded(f"tower has {count} nodes, cap is {caps.max_points}")
-
-
 def _require_tower(report: ValidationReport) -> None:
     ValidationReport("tower", report.checked, report.violations).require()
 
@@ -138,11 +132,11 @@ class Tower:
     tower keeps one array form that the kernels count over: for each level
     l = 1..height, _ids[l - 1] lists the level's node ids in id order and,
     below the top, _par[l - 1][k] is the index in _ids[l] of the parent of
-    _ids[l - 1][k].
+    _ids[l - 1][k].  _profile keeps the degree profile once counted.
     """
 
     __slots__ = ("height", "nodes", "level", "parent", "children", "base",
-                 "_ids", "_par", "__weakref__")
+                 "_ids", "_par", "_profile")
 
     def __init__(
         self,
@@ -151,7 +145,7 @@ class Tower:
         parent: Mapping[NodeId, Optional[NodeId]],
         caps: Caps = DEFAULT_CAPS,
     ):
-        _check_node_count(len(node_ids), caps)
+        caps.check_points(len(node_ids), "tower node set")
         _require_tower(validate_tower(node_ids, level, parent))
         ids: list[list[NodeId]] = [[] for _ in range(max(level[i] for i in node_ids))]
         for i in sorted(node_ids):
@@ -166,6 +160,7 @@ class Tower:
         constructors take."""
         self._ids = tuple(tuple(row) for row in ids)
         self._par = tuple(par)
+        self._profile: Optional[DegreeProfile] = None
         self.height = len(ids)
         self.nodes = tuple(itertools.chain.from_iterable(self._ids))
         self.base = self._ids[0]
@@ -233,7 +228,7 @@ def _built(
     ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
 ) -> Tower:
     """A tower the library built in array form, validated like any other."""
-    _check_node_count(sum(map(len, ids)), caps)
+    caps.check_points(sum(map(len, ids)), "tower node set")
     tower = Tower.__new__(Tower)
     tower._fill(ids, par)
     _require_tower(validate_tower(tower.nodes, tower.level, tower.parent))
@@ -244,13 +239,11 @@ def _built(
 
 
 def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
-    """The base under the path metric, points in id order, born with its
-    ball-label table.  Base points are within 2*(l-1) exactly when they
+    """The base under the path metric, points in id order, holding only
+    its ball-label table.  Base points are within 2*(l-1) exactly when they
     share their level-l ancestor, so composing the parent arrays into
-    ancestor rows lists the nested balls for _ball_space; dotted-path ids
-    (regular towers) list the base in depth-first order already."""
+    ancestor rows lists the nested balls for _ball_space."""
     n = len(tower.base)
-    caps.check_points(n, "tower base")
     anc = [np.arange(n)]  # anc[l - 1][i]: index of point i's level-l ancestor
     for par in tower._par:
         anc.append(par[anc[-1]])
@@ -432,18 +425,12 @@ class DegreeProfile:
         return DegreeProfile(len(levels), small, large)
 
 
-_PROFILE_CACHE: "weakref.WeakKeyDictionary[Tower, DegreeProfile]" = weakref.WeakKeyDictionary()
-
-
 def degree_profile(tower: Tower) -> DegreeProfile:
     """Exhaustive degree profile of a materialized tower: the cone profile
-    of its top, whose cone is the whole tower."""
-    cached = _PROFILE_CACHE.get(tower)
-    if cached is not None:
-        return cached
-    prof = _cone_profile(tower, (tower.top,))
-    _PROFILE_CACHE[tower] = prof
-    return prof
+    of its top, whose cone is the whole tower, kept on the tower."""
+    if tower._profile is None:
+        tower._profile = _cone_profile(tower, (tower.top,))
+    return tower._profile
 
 
 def _cone_profile(tower: Tower, roots: Sequence[NodeId]) -> DegreeProfile:

@@ -62,7 +62,7 @@ from conftest import (
 
 
 def test_criterion_1_validator_families():
-    caps = Caps(max_points=20000, max_pair_evals=500_000_000)
+    caps = Caps(max_points=20000)
     t0 = time.perf_counter()
     failures = []
     counts = {"word": 0, "product": 0, "hyperspace": 0, "ultrametrized": 0}

@@ -177,7 +177,7 @@ def test_empty_relation_and_cap_checks_come_first():
     with pytest.raises(ValueError, match="empty relation"):
         distortion_modulus(MultiMap(base, base, ()))
     with pytest.raises(CapExceeded):
-        distortion_modulus(MultiMap.identity(base), Caps(max_pair_evals=15))
+        distortion_modulus(MultiMap.identity(base), Caps(max_points=3))
 
 
 # -- the label table -----------------------------------------------------------

@@ -1,0 +1,201 @@
+"""Spaces that hold only their ball-label table.
+
+Every ultrametric the library builds (word spaces, chain
+ultrametrizations, tower bases, subspaces of labelled spaces) stores its
+label table and no code matrix.  Its codes are written on first read; the
+block fill that wrote them at construction before is kept here verbatim
+as the oracle, fed each builder's own nested partitions.  Distances,
+diameters and selection fiber bounds read off the table must equal those
+of the same space rebuilt dense.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsetowers import (
+    CapExceeded,
+    Caps,
+    DEFAULT_CAPS,
+    MultiMap,
+    Space,
+    ball_tower,
+    base_space,
+    chain_components,
+    distortion_modulus,
+    selection_pair,
+    subspace,
+    ultrametrize,
+    word_space,
+)
+from coarsetowers import morphisms
+from coarsetowers.cli import RunConfig
+from coarsetowers.spaces import _pick_dtype
+
+from conftest import (
+    random_plain_metric,
+    random_radii,
+    random_tower,
+    random_ultrametric,
+    shuffled_tower,
+)
+
+
+def _block_fill(parts, values):
+    """Codes and realized values of nested partitions, finest first, as
+    the encoder wrote them at construction: one lexsort gives the
+    depth-first order, and each class's code is written over its block,
+    coarser first."""
+    n = parts[0].size
+    order = np.lexsort(parts)
+    kept, runs = [], []
+    for value, part in zip(values, parts):
+        run = part[order]
+        new = np.concatenate(([True], run[1:] != run[:-1]))
+        starts = np.flatnonzero(new)
+        if n and (not runs or starts.size < runs[-1].size):
+            kept.append(value)
+            runs.append(starts)
+    codes = np.full((n, n), max(len(kept) - 1, 0), dtype=_pick_dtype(len(kept)))
+    in_order = bool((order == np.arange(n)).all())
+    for code in range(len(kept) - 2, 0, -1):
+        bounds = runs[code].tolist() + [n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1 and in_order:
+                codes[lo:hi, lo:hi] = code
+            elif hi - lo > 1:
+                block = order[lo:hi]
+                codes[block[:, None], block] = code
+    np.fill_diagonal(codes, 0)
+    return codes, tuple(kept)
+
+
+def _word_parts(alphabet_size, length):
+    idx = np.arange(alphabet_size ** length)
+    parts = [idx % alphabet_size ** (length - k) for k in range(length + 1)]
+    return parts, (0,) + tuple(2 ** p for p in range(length))
+
+
+def _chain_parts(plain, scales):
+    parts = [np.arange(len(plain))]
+    for r in scales:
+        lab = np.empty(len(plain), dtype=np.int64)
+        for c, comp in enumerate(chain_components(plain, r)):
+            lab[[plain.index(p) for p in comp]] = c
+        parts.append(lab)
+    return parts, tuple(2 * k for k in range(len(scales) + 1))
+
+
+def _tower_parts(tower):
+    """Each base point's ancestor at every level, by a walk up the parent
+    dicts, named by its position in the tower's node tuple."""
+    pos = {x: k for k, x in enumerate(tower.nodes)}
+    parts = [np.asarray([pos[tower.ancestor(p, lv)] for p in tower.base])
+             for lv in range(1, tower.height + 1)]
+    return parts, tuple(2 * lv for lv in range(tower.height))
+
+
+def _table_spaces(rng):
+    """(space, parts, values): table-only spaces with the partitions and
+    values their builder encoded."""
+    a, length = rng.randint(2, 3), rng.randint(1, 3)
+    plain = random_plain_metric(rng, 2, 10)
+    positive = sorted(v for v in plain.values if v > 0)
+    scales = sorted(set(rng.sample(positive, rng.randint(1, len(positive)))))
+    scales = [s for s in scales if s < plain.diameter()] + [plain.diameter()]
+    tower = random_tower(rng)
+    shuffled = shuffled_tower(rng, tower)
+    ultra = random_ultrametric(rng)
+    balls = ball_tower(ultra, random_radii(rng, ultra))
+    out = [
+        (word_space(a, length), *_word_parts(a, length)),
+        (ultrametrize(plain, scales), *_chain_parts(plain, scales)),
+        (base_space(tower), *_tower_parts(tower)),
+        (base_space(shuffled), *_tower_parts(shuffled)),
+        (base_space(balls), *_tower_parts(balls)),
+    ]
+    for space, _, _ in list(out):
+        if len(space) < 2:
+            continue  # a whole subspace is the space itself
+        subset = rng.sample(space.points, rng.randint(1, len(space) - 1))
+        sub = space.subindices(subset)
+        out.append((subspace(space, subset),
+                    [row[sub] for row in space._labels], space.values))
+    return out
+
+
+def _relation(rng, space):
+    """A total, surjective relation on the space: the identity plus a few
+    random pairs, so that fibers can hold several points."""
+    extra = [(rng.choice(space.points), rng.choice(space.points))
+             for _ in range(rng.randint(0, len(space)))]
+    return tuple((p, p) for p in space.points) + tuple(extra)
+
+
+def _reads(space, pairs, some):
+    """What is read off the space without a matrix: distances among some
+    points, the diameter, and the selection pair of a relation on it."""
+    dists = [[space.dist(p, q) for q in some] for p in some]
+    sel = selection_pair(MultiMap(space, space, pairs))
+    return dists, space.diameter(), sel
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_table_spaces_match_the_block_fill_and_their_dense_copy(seed):
+    rng = random.Random(seed)
+    for space, parts, values in _table_spaces(rng):
+        assert space._codes is None and space._ultra is True
+        pairs = _relation(rng, space)
+        some = rng.sample(space.points, min(len(space), 12))
+        got = _reads(space, pairs, some)
+        assert space._codes is None  # nothing above wrote a matrix
+        codes, kept = _block_fill(parts, values)
+        assert space.values == kept
+        assert space.codes.dtype == codes.dtype
+        assert np.array_equal(space.codes, codes)
+        dense = Space(space.points, codes, kept, ultrametric=True)
+        assert got == _reads(dense, pairs, some)
+
+
+def test_a_whole_subspace_in_id_order_is_the_space_itself():
+    space = base_space(random_tower(random.Random(3)))
+    assert subspace(space, reversed(space.points)) is space
+    assert space._codes is None
+
+
+def test_word_space_of_15625_points_builds_at_the_default_cap():
+    words = word_space(5, 6)
+    assert len(words) == 15625 and words._codes is None
+    assert words.diameter() == 32
+    assert words.dist("000000", "000001") == 32
+    assert words.dist("000000", "400000") == 1
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_a_relation_graph_over_the_cap_is_refused(dense):
+    space = word_space(3, 2)
+    if dense:
+        space = Space(space.points, space.codes, space.values, ultrametric=True)
+    phi = MultiMap.identity(space)
+    at_cap, below = Caps(max_points=len(space)), Caps(max_points=len(space) - 1)
+    distortion_modulus(phi, at_cap)
+    assert morphisms._isometric_witness(phi, at_cap) is None
+    with pytest.raises(CapExceeded, match="relation graph has 9 points"):
+        distortion_modulus(phi, below)
+    with pytest.raises(CapExceeded, match="relation graph has 9 points"):
+        morphisms._isometric_witness(phi, below)
+
+
+def test_caps_bound_points_only():
+    assert not hasattr(DEFAULT_CAPS, "max_pair_evals")
+    config = RunConfig("equiv", (), 40000, "closed", None, 0, {})
+    assert config.caps == Caps(max_points=40000)
+
+
+def test_user_spaces_still_need_a_code_matrix():
+    with pytest.raises(ValueError, match="codes shape"):
+        Space(("a", "b"), None, (0, 1))
