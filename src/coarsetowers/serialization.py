@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .limits import Caps, DEFAULT_CAPS
-from .rationals import Rational, as_rational, rat_from_json, rat_json, rat_str
-from .spaces import PointId, Space
+from .rationals import rat_from_json, rat_json, rat_parse, rat_str
+from .spaces import Space, _encode_cells
 from .towers import NodeId, Tower
 
 __all__ = [
@@ -66,6 +66,11 @@ def space_to_csv(space: Space) -> str:
 
 
 def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
+    """Space from a distance-matrix CSV, optionally labeled (header "id" or
+    empty first cell, then each row's first cell names its point).  Cells
+    go to the shared encoder as raw text, so each distinct text is parsed
+    once by rat_parse, which strips it; a mislabeled or short row, or a
+    bad cell, raises at its row, the first defect in row order first."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty distance matrix")
@@ -79,24 +84,22 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     n = len(points)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
-    # a distance matrix repeats few distinct cell texts: parse each once
-    parsed: dict[str, Rational] = {}
-    rows = []
-    for k, ln in enumerate(lines[1:]):
-        cells = [c.strip() for c in ln.split(",")]
-        if labeled:
-            if not cells or cells[0] != points[k]:
-                raise ValueError(
-                    f"row {k + 1} label {cells[0]!r} does not match header "
-                    f"order ({points[k]!r})")
-            cells = cells[1:]
-        if len(cells) != n:
-            raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
-        for c in cells:
-            if c not in parsed:
-                parsed[c] = as_rational(c)
-        rows.append(list(map(parsed.__getitem__, cells)))
-    return Space.from_matrix(points, rows, caps=caps)
+
+    def rows():
+        for k, ln in enumerate(lines[1:]):
+            cells = ln.split(",")
+            if labeled:
+                label = cells[0].strip()
+                if label != points[k]:
+                    raise ValueError(
+                        f"row {k + 1} label {label!r} does not match header "
+                        f"order ({points[k]!r})")
+                cells = cells[1:]
+            if len(cells) != n:
+                raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
+            yield cells
+
+    return _encode_cells(points, rows(), rat_parse, caps=caps)
 
 
 def tower_to_json(tower: Tower) -> dict:

@@ -104,23 +104,12 @@ class Space:
         """Build from an explicit rational distance matrix (kept verbatim;
         bad inputs are representable so validators can report on them).
 
-        This is the package's one rational-to-code encoder: each distinct
+        The entries go through _encode_cells, the package's one
+        rational-to-code encoder, with canon as the parse: each distinct
         entry is canonicalized once, and equal rationals share a code
         whatever their type (Fraction(4, 2) and 2 hash and compare equal).
         """
-        points = tuple(points)
-        n = len(points)
-        caps.check_points(n, "space")
-        rows = list(matrix)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-        cells = list(itertools.chain.from_iterable(rows))
-        vals = sorted({canon(v) for v in set(cells)})
-        code_of = {v: i for i, v in enumerate(vals)}
-        codes = np.fromiter(
-            map(code_of.__getitem__, cells), dtype=_pick_dtype(len(vals)),
-            count=n * n).reshape(n, n)
-        return cls(points, codes, vals, ultrametric=ultrametric, caps=caps)
+        return _encode_cells(points, matrix, canon, ultrametric, caps)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -222,6 +211,61 @@ class Space:
         return np.asarray([self.index(p) for p in ids], dtype=np.int64)
 
 
+class _CellIds(dict):
+    """Provisional ids of distinct cell keys, numbered in order of first
+    appearance; a key is parsed on its first lookup, and its value kept
+    at its id."""
+
+    __slots__ = ("parse", "values")
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+        self.values: list = []
+
+    def __missing__(self, key) -> int:
+        self.values.append(self.parse(key))
+        cid = self[key] = len(self.values) - 1
+        return cid
+
+
+def _encode_cells(
+    points: Sequence[PointId],
+    rows: Iterable[Sequence],
+    parse,
+    ultrametric: Optional[bool] = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> Space:
+    """The one rational-to-code encoder of distance matrices: rows yields n
+    rows of n cell keys, and parse maps a key to its canonical rational.
+
+    Each distinct key gets a provisional int32 id from one dict, and the
+    n x n id array is filled one row at a time.  A key is parsed where it
+    first appears, so the first bad cell in row order is the first error,
+    and a generator of rows may check each row before it is read.  The
+    distinct values are sorted once and one gather through a remap table
+    writes the codes in the _pick_dtype of their count; keys that parse to
+    equal rationals (" 2 " and "4/2" beside "2") share one code."""
+    points = tuple(points)
+    n = len(points)
+    caps.check_points(n, "space")
+    table = _CellIds(parse)
+    ids = np.empty((n, n), dtype=np.int32)
+    count = 0
+    for row in rows:
+        if count == n or len(row) != n:
+            raise ValueError("matrix is not square")
+        ids[count] = np.fromiter(map(table.__getitem__, row), dtype=np.int32, count=n)
+        count += 1
+    if count != n:
+        raise ValueError("matrix is not square")
+    vals = sorted(set(table.values))
+    code_of = {v: c for c, v in enumerate(vals)}
+    remap = np.fromiter(map(code_of.__getitem__, table.values),
+                        dtype=_pick_dtype(len(vals)), count=len(table.values))
+    return Space(points, remap[ids], vals, ultrametric=ultrametric, caps=caps)
+
+
 def _ball_space(
     points: Sequence[PointId],
     parts: Sequence[np.ndarray],
@@ -281,12 +325,18 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     # reported triples as sorted keys (x*n + y)*n + z behind a -1 sentinel
     seen = np.full(1, -1, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(n, 1))
+    # one pair of row-block buffers serves every block of every threshold
+    mask_buf = np.empty((min(chunk, n), n), dtype=bool)
+    diff_buf = np.empty_like(mask_buf)
     # violations at the top value are impossible: nothing exceeds it
     for t in range(len(vals) - 1):
         labels = _class_labels(C, t)
+        narrow = labels.astype(_pick_dtype(n))  # point indices, compared faster
         for lo in range(0, n, chunk):
-            mask = C[lo:lo + chunk] <= t
-            diff = mask != (labels[lo:lo + chunk, None] == labels[None, :])
+            mask = np.less_equal(C[lo:lo + chunk], t, out=mask_buf[:n - lo])
+            diff = np.equal(narrow[lo:lo + chunk, None], narrow[None, :],
+                            out=diff_buf[:n - lo])
+            np.not_equal(mask, diff, out=diff)
             if not diff.any():  # far cheaper than nonzero on valid blocks
                 continue
             bi, j = np.nonzero(diff)
@@ -316,11 +366,45 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     return out
 
 
+# side of the square tiles the pair checks read: a tile and its mirror fit
+# in cache together, and no check holds an n x n mask
+_TILE = 512
+
+
+def _upper_pair_defects(C: np.ndarray, positive: int) -> tuple[list, list]:
+    """The pairs i < j, in row-major order, where C[i, j] != C[j, i] and
+    where C[i, j] < positive.  Each tile of the upper triangle is compared
+    with its mirror tile below the diagonal."""
+    n = C.shape[0]
+    found: tuple[list, list] = ([], [])
+    for lo in range(0, n, _TILE):
+        for co in range(lo, n, _TILE):
+            tile = C[lo:lo + _TILE, co:co + _TILE]
+            masks = (tile != C[co:co + _TILE, lo:lo + _TILE].T, tile < positive)
+            for keys, mask in zip(found, masks):
+                if co == lo:
+                    mask = np.triu(mask, 1)
+                if mask.any():
+                    i, j = np.nonzero(mask)
+                    keys.append((i + lo) * n + (j + co))
+
+    def row_major(keys: list) -> list:
+        if not keys:
+            return []
+        i, j = np.divmod(np.sort(np.concatenate(keys)), n)
+        return list(zip(i.tolist(), j.tolist()))
+
+    return row_major(found[0]), row_major(found[1])
+
+
 def validate_metric_axioms(
     space: Space, strong: bool = True, caps: Caps = DEFAULT_CAPS
 ) -> ValidationReport:
     """Exhaustive metric-axiom check.
 
+    Symmetry and positivity are read over fixed-size tiles of the upper
+    triangle, each compared with its mirror tile, so no n x n mask is
+    built; their witnesses are the pairs i < j in row-major order.
     strong=True checks the strong triangle inequality
     d(x,y) <= max(d(x,z), d(z,y)) over all triples with the equivalent
     per-threshold scan, which reports at least one explicit triple per
@@ -341,25 +425,17 @@ def validate_metric_axioms(
             "diagonal-zero", (space.points[int(i)],),
             f"d(x,x) = {rat_str(space.values[C[i, i]])}"))
 
-    def off_diagonal(mask: np.ndarray):
-        # argwhere only on a set mask (on valid spaces it is the dearest
-        # step); the mask is freed on return, so only one is ever held
-        np.fill_diagonal(mask, False)
-        return np.argwhere(mask) if mask.any() else ()
-
-    for i, j in off_diagonal(C != C.T):
-        if i < j:
-            violations.append(Violation(
-                "symmetry", (space.points[int(i)], space.points[int(j)]),
-                f"d(x,y) = {rat_str(space.values[C[i, j]])} but "
-                f"d(y,x) = {rat_str(space.values[C[j, i]])}"))
-
     # codes below this one carry values <= 0, as on a zero diagonal
-    for i, j in off_diagonal(C < bisect_right(space.values, 0)):
-        if i < j:
-            violations.append(Violation(
-                "positivity", (space.points[int(i)], space.points[int(j)]),
-                f"distinct points at distance {rat_str(space.values[C[i, j]])}"))
+    asym, nonpos = _upper_pair_defects(C, bisect_right(space.values, 0))
+    for i, j in asym:
+        violations.append(Violation(
+            "symmetry", (space.points[i], space.points[j]),
+            f"d(x,y) = {rat_str(space.values[C[i, j]])} but "
+            f"d(y,x) = {rat_str(space.values[C[j, i]])}"))
+    for i, j in nonpos:
+        violations.append(Violation(
+            "positivity", (space.points[i], space.points[j]),
+            f"distinct points at distance {rat_str(space.values[C[i, j]])}"))
 
     if strong:
         if not violations:

@@ -19,6 +19,8 @@ from coarsetowers import (
 from coarsetowers.cli import main
 from coarsetowers.serialization import (
     dump_csv,
+    space_from_csv,
+    space_from_json,
     space_to_csv,
     space_to_json,
     dump_json,
@@ -117,6 +119,55 @@ def test_validate_zero_denominator_is_an_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["validate", path])
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# the loader reports the first defect in row order: a row's label and
+# length are checked before its cells, and a cell when it is first read
+LOADER_DEFECTS = {
+    "bad cell before a short row": (
+        "space.csv",
+        "id,a,b,c,d,e\n"
+        "a,0,1,1,1,1\n"
+        "b,1,0,x,1,1\n"
+        "c,1,1,0,1,1\n"
+        "d,1,1,1,0,1\n"
+        "e,1,1,1\n",
+        "invalid literal for int() with base 10: 'x'"),
+    "mislabeled row before a bad cell": (
+        "space.csv",
+        "id,a,b,c\n"
+        "a,0,1,1\n"
+        "z,1,0,1\n"
+        "c,1,1/0,0\n",
+        "row 2 label 'z' does not match header order ('b')"),
+    "mislabeled row holding a bad cell": (
+        "space.csv",
+        "id,a,b\n"
+        "a,0,1\n"
+        " z ,x,0\n",
+        "row 2 label 'z' does not match header order ('b')"),
+    "json true after an equal int": (
+        "space.json",
+        '{"points": ["a", "b"], "dist": [[0, 1], [true, 0]]}',
+        "bool is not a rational value"),
+    "json float after an equal int": (
+        "space.json",
+        '{"points": ["a", "b"], "dist": [[0, 1], [1.0, 0]]}',
+        "refusing inexact float distance: 1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_DEFECTS))
+def test_loaders_report_the_first_defect(capsys, tmp_path, name):
+    filename, text, message = LOADER_DEFECTS[name]
+    loader = space_from_csv if filename.endswith(".csv") else (
+        lambda payload: space_from_json(json.loads(payload)))
+    with pytest.raises((ValueError, TypeError)) as err:
+        loader(text)
+    assert str(err.value) == message
+    code, out, err = run_cli(capsys, ["validate", write(tmp_path, filename, text)])
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_validate_reports_negative_distance_by_value(capsys, tmp_path):

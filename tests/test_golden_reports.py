@@ -1,7 +1,8 @@
 """Pinned report bytes: the sha256 of the equiv reports of the
-acceptance-9 configurations and of the height-9 ternary-to-binary run, and
-of the towerize and entropy output on an ultrametrized distance CSV drawn
-from a fixed seed.
+acceptance-9 configurations and of the height-9 ternary-to-binary run, of
+the towerize and entropy output on an ultrametrized distance CSV drawn
+from a fixed seed, and of the validate output on 600-point CSVs with
+planted defects.
 
 Refactors of the encoders and kernels must leave every emitted byte as
 it was; a change that means to alter a report updates these digests and
@@ -42,11 +43,11 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _run(argv) -> str:
+def _run(argv, expect: int = 0) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
-    assert code == 0
+    assert code == expect
     return buf.getvalue()
 
 
@@ -79,3 +80,43 @@ def test_towerize_and_entropy_bytes_are_pinned(tmp_path):
     radii = ",".join(rat_str(v) for v in ultra.values)
     assert _sha(_run(["towerize", str(path), "--radii", radii])) == TOWERIZE_DIGEST
     assert _sha(_run(["entropy", str(path)])) == ENTROPY_DIGEST
+
+
+# validate on a 600-point ultrametrized CSV with defects planted on both
+# sides of the validator's 512-cell tile edges; each cell is (row, column)
+PLANTED = {
+    "asymmetric": {(7, 5): "3/2", (512, 511): "1", (3, 599): "26",
+                   (0, 511): "1", (513, 512): "5/3", (520, 100): "1"},
+    "nonpositive": {(5, 7): "0", (7, 5): "0/3", (511, 512): "-2",
+                    (512, 511): "-2", (599, 0): "-1/2", (0, 599): "-1/2"},
+    "non-ultrametric": {(10, 590): "2", (590, 10): " 2 ",
+                        (511, 513): "4/2", (513, 511): "2"},
+}
+
+VALIDATE_DIGESTS = {
+    "asymmetric":
+        "75a69b97641cfa15c79bbacc3ac397639e02dfe1c471acb9643d19b00671a299",
+    "nonpositive":
+        "06a2bd7d87df5b751884e0c197316e3ffb24ddec954211964568e740a655e4bf",
+    "non-ultrametric":
+        "3abd38f26cf3e60fdba759124fe961ee3437aafbfec9e2f43e91b5c70847d308",
+}
+
+
+def planted_csv(text: str, cells: dict) -> str:
+    lines = [line.split(",") for line in text.splitlines()]
+    for (i, j), cell in cells.items():
+        lines[i + 1][j + 1] = cell
+    return "\n".join(",".join(line) for line in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def ultra_600() -> str:
+    return ultrametrized_csv(n=600)[0]
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED))
+def test_validate_bytes_on_planted_defects_are_pinned(defect, ultra_600, tmp_path):
+    path = tmp_path / f"{defect}.csv"
+    path.write_text(planted_csv(ultra_600, PLANTED[defect]), encoding="utf-8")
+    assert _sha(_run(["validate", str(path)], expect=1)) == VALIDATE_DIGESTS[defect]

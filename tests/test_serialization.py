@@ -1,6 +1,8 @@
 """Serialization: JSON and CSV round trips, content hashing, and the
 certified pipeline report format."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,7 @@ from coarsetowers.serialization import (
     tower_from_json,
     tower_to_json,
 )
+from coarsetowers.spaces import _encode_cells, _pick_dtype
 
 from conftest import random_ultrametric
 
@@ -141,6 +144,85 @@ def test_csv_and_json_loaders_encode_like_from_matrix(data):
         assert sp.values == direct.values
         assert sp.codes.dtype == direct.codes.dtype
         assert np.array_equal(sp.codes, direct.codes)
+
+
+def _reference_encode(matrix):
+    """The encoder as it was before the cells went through one id table:
+    the n^2 list of rationals, one set of canonical values, one sort, and
+    one fromiter pass over a value-to-code dict."""
+    n = len(matrix)
+    cells = list(itertools.chain.from_iterable(matrix))
+    vals = sorted({canon(v) for v in set(cells)})
+    code_of = {v: i for i, v in enumerate(vals)}
+    codes = np.fromiter(map(code_of.__getitem__, cells),
+                        dtype=_pick_dtype(len(vals)), count=n * n).reshape(n, n)
+    return tuple(vals), codes
+
+
+def _cell_text(value, form: str, scale: int) -> str:
+    """A CSV rendering of the value: bare, space-padded, or as p/q with
+    numerator and denominator both scaled (so 2 may read 4/2, 0 read 0/5)."""
+    if form == "padded":
+        return f" {rat_str(value)} "
+    if form == "scaled":
+        value = Fraction(value)
+        return f"{value.numerator * scale}/{value.denominator * scale}"
+    return rat_str(value)
+
+
+def _assert_encodes_like_reference(space, points, matrix):
+    vals, codes = _reference_encode(matrix)
+    assert space.points == tuple(points)
+    assert space.values == vals
+    assert space.codes.dtype == codes.dtype
+    assert np.array_equal(space.codes, codes)
+
+
+TEXT_CELLS = st.tuples(CELLS, st.sampled_from(["bare", "padded", "scaled"]),
+                       st.integers(1, 5))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cell_encoder_matches_the_reference_encoder(data):
+    n = data.draw(st.integers(0, 12))
+    texts = data.draw(st.lists(st.lists(TEXT_CELLS, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    matrix = [[v for v, _, _ in row] for row in texts]
+    points = [f"p{i}" for i in range(n)]
+    # as from_matrix passes them: ints, Fractions, Fractions equal to ints
+    as_given = [[Fraction(v) if form == "scaled" else v for v, form, _ in row]
+                for row in texts]
+    _assert_encodes_like_reference(
+        _encode_cells(points, as_given, canon), points, matrix)
+    _assert_encodes_like_reference(
+        Space.from_matrix(points, as_given), points, matrix)
+    text_rows = [[_cell_text(*cell) for cell in row] for row in texts]
+    _assert_encodes_like_reference(
+        _encode_cells(points, text_rows, rat_parse), points, matrix)
+    if n:
+        csv = "".join([",".join(["id"] + points) + "\n"] + [
+            ",".join([p] + row) + "\n" for p, row in zip(points, text_rows)])
+        _assert_encodes_like_reference(space_from_csv(csv), points, matrix)
+
+
+@given(st.integers(31_995, 32_005), st.integers(0, 2 ** 32))
+@settings(max_examples=8, deadline=None)
+def test_cell_encoder_switches_dtype_where_the_reference_does(distinct, seed):
+    # 179^2 = 32041 cells hold every count of values around 32000; a few
+    # of the values are fractions
+    rng = random.Random(seed)
+    n = 179
+    flat = [k % distinct - 16_000 for k in range(n * n)]
+    flat = [Fraction(2 * v + 1, 2) if v % 1000 == 0 else v for v in flat]
+    rng.shuffle(flat)
+    matrix = [flat[i * n:(i + 1) * n] for i in range(n)]
+    points = [f"q{i:03d}" for i in range(n)]
+    text_rows = [[_cell_text(v, rng.choice(["bare", "padded", "scaled"]), 2)
+                  for v in row] for row in matrix]
+    space = _encode_cells(points, text_rows, rat_parse)
+    _assert_encodes_like_reference(space, points, matrix)
+    assert space.codes.dtype == (np.int16 if distinct < 32_000 else np.int32)
 
 
 def test_equal_rationals_share_one_code():

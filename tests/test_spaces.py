@@ -2,6 +2,7 @@
 products, hyperspaces, and the chain-component ultrametrization."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,11 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers.rationals import as_rational, canon, rat_parse, rat_str
-from coarsetowers.spaces import _strong_triangle_by_threshold
+from coarsetowers.spaces import (
+    _TILE,
+    _strong_triangle_by_threshold,
+    _upper_pair_defects,
+)
 
 from conftest import (
     brute_entropy,
@@ -211,6 +216,59 @@ def test_malformed_input_leaves_strong_triangle_unjudged(matrix, rule):
     assert {v.rule for v in rep.violations} == {rule}
     assert not validate_ultrametric(sp).ok
     assert "triangle" in validate_metric_axioms(sp, strong=False).checked
+
+
+def _full_mask_pairs(C, positive):
+    """Symmetry and positivity witnesses as whole-matrix masks find them:
+    argwhere over C != C.T and over C < positive, off the diagonal, i < j,
+    in row-major order."""
+    def upper(mask):
+        np.fill_diagonal(mask, False)
+        return [(int(i), int(j)) for i, j in np.argwhere(mask) if i < j]
+    return upper(C != C.T), upper(C < positive)
+
+
+@given(st.one_of(st.integers(1, 40), st.integers(500, 1200)),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_tiled_pair_checks_report_like_the_full_masks(n, seed):
+    # a symmetric positive matrix with cells planted at random and where
+    # the tile edges cross, on both sides of the diagonal; codes 0 and 1
+    # carry nonpositive values
+    rng = random.Random(seed)
+    values = (-1, 0, 1, 2, 3)
+    C = np.full((n, n), 4, dtype=np.int16)
+    np.fill_diagonal(C, 1)
+    edges = [k + d for k in range(_TILE, n, _TILE) for d in (-1, 0)]
+    cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 60))]
+    cells += [(i, j) for i in edges for j in edges + [rng.randrange(n)]]
+    cells += [(rng.randrange(n), j) for j in edges]
+    for i, j in cells:
+        if i != j:
+            C[i, j] = rng.randrange(len(values))
+            if rng.random() < 0.5:
+                C[j, i] = C[i, j]
+    assert _upper_pair_defects(C, 2) == _full_mask_pairs(C, 2)
+    points = [f"x{i:04d}" for i in range(n)]
+    report = validate_metric_axioms(Space(points, C, values))
+    asym, nonpos = _full_mask_pairs(C, 2)
+    for rule, pairs in (("symmetry", asym), ("positivity", nonpos)):
+        assert [v.witness for v in report.violations if v.rule == rule] == [
+            (points[i], points[j]) for i, j in pairs]
+
+
+def test_validating_a_word_space_builds_no_square_mask():
+    # the codes are written during the call; an n x n boolean on top of
+    # them (43 MB on these 6561 points) would break the bound
+    words = word_space(3, 8)
+    tracemalloc.start()
+    try:
+        report = validate_ultrametric(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < words.codes.nbytes + 16_000_000
 
 
 # -- balls, nets, largeness ------------------------------------------------------

@@ -23,6 +23,7 @@ from coarsetowers import (
     MultiMap,
     Space,
     ball_tower,
+    ball_tower_base_map,
     base_space,
     chain_components,
     distortion_modulus,
@@ -159,6 +160,30 @@ def test_table_spaces_match_the_block_fill_and_their_dense_copy(seed):
         assert np.array_equal(space.codes, codes)
         dense = Space(space.points, codes, kept, ultrametric=True)
         assert got == _reads(dense, pairs, some)
+
+
+def _argmin_base_map(space, tower):
+    """The point-to-base-ball map as read off a code matrix: the nearest
+    representative, the least id among equally near ones."""
+    reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
+    cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
+    nearest = space.codes[:, cols].argmin(axis=1)
+    return {p: reps[int(k)][1] for p, k in zip(space.points, nearest)}
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_ball_tower_base_map_of_a_table_space_reads_labels(seed, zero_radius):
+    rng = random.Random(seed)
+    for space, parts, values in _table_spaces(rng):
+        if len(space) < 2:
+            continue
+        radii = random_radii(rng, space)
+        bt = ball_tower(space, radii if zero_radius else radii[1:])
+        got = ball_tower_base_map(space, bt)
+        assert space._codes is None
+        dense = Space(space.points, *_block_fill(parts, values), ultrametric=True)
+        assert got == _argmin_base_map(dense, bt)
 
 
 def test_a_whole_subspace_in_id_order_is_the_space_itself():
