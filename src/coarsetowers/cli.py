@@ -350,8 +350,7 @@ def _experiment_sparse_product(config: RunConfig) -> str:
     # space's codes with the value of code n + 1 moved from 2^n to 2^positions[n]
     words = word_space(2, terms, caps=config.caps)
     right = Space(words.points, words.codes,
-                  (0,) + tuple(2 ** s for s in positions),
-                  ultrametric=True, caps=config.caps)
+                  (0,) + tuple(2 ** s for s in positions), caps=config.caps)
     return _entropy_csv(product(left, right, caps=config.caps), config)
 
 
@@ -401,6 +400,13 @@ EXPERIMENTS = {
 _NET_READERS = ("entropy", "hyperspace-entropy", "product-with-sparse-sequence")
 # the one experiment whose output the seed changes
 _SEED_READER = "ratio-bounded-synthesis"
+# the flags each experiment reads; each runner holds their defaults, and
+# any other experiment flag is refused
+_EXPERIMENT_FLAGS = {
+    "hyperspace-entropy": ("n", "length", "alphabet"),
+    "ratio-bounded-synthesis": ("trials", "height", "ratio_bound"),
+    "product-with-sparse-sequence": ("length", "terms"),
+}
 
 
 def cmd_experiment(config: RunConfig) -> int:
@@ -492,13 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[common],
                        help="measurement harnesses")
     p.add_argument("name", help=", ".join(sorted(EXPERIMENTS)))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--length", type=int, default=4)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--terms", type=int, default=4)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument("--ratio-bound", default="2")
+    for flag in ("n", "length", "alphabet", "terms", "trials", "height"):
+        p.add_argument(f"--{flag}", type=int)
+    p.add_argument("--ratio-bound")
     return parser
 
 
@@ -534,10 +536,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         params["infinite_to"] = args.to_infinite
     elif cmd == "experiment":
         inputs = (args.name,)
-        params.update(
-            n=args.n, length=args.length, alphabet=args.alphabet,
-            terms=args.terms, trials=args.trials, height=args.height,
-            ratio_bound=args.ratio_bound)
+        params = {k: getattr(args, k)
+                  for k in ("n", "length", "alphabet", "terms", "trials",
+                            "height", "ratio_bound")
+                  if getattr(args, k) is not None}
+        reads = _EXPERIMENT_FLAGS.get(args.name)
+        foreign = [k for k in params if reads is not None and k not in reads]
+        if foreign:
+            flags = ", ".join("--" + k.replace("_", "-") for k in reads)
+            raise ValueError(
+                f"{args.name} does not read --{foreign[0].replace('_', '-')}; "
+                f"it reads {flags}")
     net = getattr(args, "net", CLOSED)
     reader = args.name if cmd == "experiment" else cmd
     if net != CLOSED and reader not in _NET_READERS:

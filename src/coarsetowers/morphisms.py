@@ -207,58 +207,57 @@ def _pair_code_blocks(phi: MultiMap):
                tgt.codes[np.ix_(ib[lo:lo + chunk], ib)])
 
 
-def _on_labels(phi: MultiMap) -> bool:
-    """Both spaces already known to be ultrametric (never validated here)."""
-    return phi.source._ultra is True and phi.target._ultra is True
+def _first_failing_pairs(phi: MultiMap, tests: dict) -> dict:
+    """For each named test, a predicate on a source-code block and its
+    target-code block, the row-major first pair (i, j) of graph points
+    that fails it; tests no pair fails are left out.  This scan writes
+    both spaces' code matrices, so it runs only to name the witness of a
+    bound the moduli have already shown broken."""
+    first: dict = {}
+    for lo, sc, tc in _pair_code_blocks(phi):
+        for name in tests.keys() - first.keys():
+            bad = tests[name](sc, tc)
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                first[name] = (lo + i, j)
+        if len(first) == len(tests):
+            break
+    return first
+
+
+def _witness(phi: MultiMap, i: int, j: int) -> tuple[PointId, PointId, PointId, PointId]:
+    """Graph points i and j as (source i, source j, target i, target j)."""
+    return (phi.pairs[i][0], phi.pairs[j][0], phi.pairs[i][1], phi.pairs[j][1])
+
+
+def _require_ultrametric(phi: MultiMap) -> None:
+    """The certificate kernels read ball labels: both spaces must be
+    ultrametric (a space not yet known to be is validated once here)."""
+    if not (phi.source.is_ultrametric and phi.target.is_ultrametric):
+        raise ValueError("certificate kernels need ultrametric spaces")
 
 
 def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionModulus:
-    """Exact modulus over all pairs of graph points.
+    """Exact modulus over all pairs of graph points of a relation between
+    two ultrametric spaces, read from their ball-label tables
+    (_label_modulus).
 
     Pairwise diameters suffice: a set has diameter <= d exactly when every
-    two of its points are within d, so scanning (a,b),(a',b') pairs covers
-    every image of every bounded set.  When both spaces are known to be
-    ultrametric the rows and witnesses are read from ball labels instead
-    (_label_modulus).  That is exact because in an ultrametric two points
-    are within code c exactly when they share a ball label at c, so the
-    labels decide every pair without visiting it.  Any other space gets
-    the exhaustive block scan.
+    two of its points are within d.  In an ultrametric two points are
+    within code c exactly when they share a ball label at c, so the labels
+    decide every pair without visiting it.  ValueError on an empty
+    relation or when a space is not ultrametric.
     """
     if not phi.pairs:
         raise ValueError("modulus of an empty relation")
     caps.check_points(len(phi.pairs), "relation graph")
-    if _on_labels(phi):
-        return _label_modulus(phi)
-    src, tgt = phi.source, phi.target
-    nv = len(src.values)
-    best = [-1] * nv
-    bestpos: list[Optional[tuple[int, int]]] = [None] * nv
-    for lo, sc, tc in _pair_code_blocks(phi):
-        for c in np.unique(sc):
-            masked = np.where(sc == c, tc, -1)
-            j = int(masked.argmax())
-            v = int(masked.flat[j])
-            if v > best[int(c)]:
-                best[int(c)] = v
-                bestpos[int(c)] = (lo + j // tc.shape[1], j % tc.shape[1])
-    rows: list[tuple[Rational, Rational]] = []
-    wits: list[tuple[PointId, PointId, PointId, PointId]] = []
-    run, runpos = -1, (0, 0)
-    for c in range(nv):
-        if best[c] < 0:
-            continue  # source distance not realized between mapped points
-        if best[c] > run:
-            run, runpos = best[c], bestpos[c]  # type: ignore[assignment]
-        i, j = runpos
-        rows.append((src.values[c], tgt.values[run]))
-        wits.append((phi.pairs[i][0], phi.pairs[j][0],
-                     phi.pairs[i][1], phi.pairs[j][1]))
-    return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+    _require_ultrametric(phi)
+    return _label_modulus(phi)
 
 
 def _label_modulus(phi: MultiMap) -> DistortionModulus:
-    """The block scan's modulus, rows and witnesses, on two ultrametric
-    spaces, read from their ball-label tables.
+    """The modulus, rows and witnesses, of a relation between two
+    ultrametric spaces, read from their ball-label tables.
 
     In an ultrametric, points are within code c exactly when they share a
     ball label at c.  So a source code c is realized between graph points
@@ -266,7 +265,8 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     code always is), and the row's running max M(c) is the least target
     code at which every graph source ball at c lies inside one target
     ball.  M only grows with c, so one pointer walks the target codes.
-    The witness of a row is the scan's: the row-major first pair at the
+    The witness of a row is the one a scan of every pair names: the
+    row-major first pair at the
     least source code c* with the same M, at target code exactly M.
     A pair within c* at target code M is at source code exactly c*, since
     every pair within c* - 1 stays within M(c* - 1) < M.
@@ -302,9 +302,8 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
             # pairs within a smaller source code stay below target code t,
             # so the pairs at target code t found here sit at source code c
             run = t
-            i, j = _first_pair_at(S, T, tgt_labels(t - 1) if t > t0 else None)
-            wit = (phi.pairs[i][0], phi.pairs[j][0],
-                   phi.pairs[i][1], phi.pairs[j][1])
+            wit = _witness(phi, *_first_pair_at(
+                S, T, tgt_labels(t - 1) if t > t0 else None))
         rows.append((src.values[c], tgt.values[t]))
         wits.append(wit)
         if balls == 1:
@@ -412,27 +411,6 @@ class MorphismCertificate:
         }
 
 
-def _isometric_witness(
-    phi: MultiMap, caps: Caps
-) -> Optional[tuple[PointId, PointId, PointId, PointId]]:
-    """First graph-point pair whose source and target distances differ, or
-    None when the relation preserves every distance exactly."""
-    caps.check_points(len(phi.pairs), "relation graph")
-    # source code -> target code of the equal value, -1 when absent
-    tcode_of = {v: i for i, v in enumerate(phi.target.values)}
-    tmap = np.asarray(
-        [tcode_of.get(v, -1) for v in phi.source.values], dtype=np.int64)
-    for lo, sc, tc in _pair_code_blocks(phi):
-        bad = tmap[sc] != tc
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            i = int(i) + lo
-            j = int(j)
-            return (phi.pairs[i][0], phi.pairs[j][0],
-                    phi.pairs[i][1], phi.pairs[j][1])
-    return None
-
-
 def verify_asymorphism(
     phi: MultiMap,
     expect_isometry: bool = False,
@@ -442,9 +420,12 @@ def verify_asymorphism(
 
     Both directions surjective gives an asymorphism; only the inverse
     surjective (a total, non-onto map) gives an embedding; anything weaker
-    is reported as a plain relation.  With expect_isometry the scan also
-    compares every source distance against its image distance, and an exact,
-    bijective match upgrades the kind to isometry.
+    is reported as a plain relation.  Both spaces must be ultrametric.
+    With expect_isometry the moduli also decide whether every source
+    distance equals its image distance: exactly when every forward and
+    every backward row has delta <= eps.  An exact, bijective match
+    upgrades the kind to isometry; otherwise the check's witness is the
+    row-major first pair of graph points whose distances differ.
     """
     if not phi.pairs:
         raise ValueError("cannot certify an empty relation")
@@ -467,10 +448,17 @@ def verify_asymorphism(
     kind = "asymorphism" if (onto and total) else (
         "embedding" if total else "relation")
     if expect_isometry:
-        wit = _isometric_witness(phi, caps)
-        checks.append(CertCheck(
-            "distance-preserving", wit is None, wit if wit else ()))
-        if wit is None and phi.is_bijection:
+        preserved = all(d <= e for m in (fwd, bwd) for e, d in m.table)
+        wit: tuple = ()
+        if not preserved:
+            # source code -> target code of the equal value, -1 when absent
+            tcode_of = {v: i for i, v in enumerate(phi.target.values)}
+            tmap = np.asarray(
+                [tcode_of.get(v, -1) for v in phi.source.values], dtype=np.int64)
+            wit = _witness(phi, *_first_failing_pairs(
+                phi, {"unequal": lambda sc, tc: tmap[sc] != tc})["unequal"])
+        checks.append(CertCheck("distance-preserving", preserved, wit))
+        if preserved and phi.is_bijection:
             kind = "isometry"
     return MorphismCertificate(
         kind=kind,
@@ -522,9 +510,9 @@ class SelectionPair:
 
 def _max_roundtrip_fiber_diameter(phi: MultiMap) -> Rational:
     """Max diameter of a fiber of the inverse-then-forward round trip,
-    i.e. of preimage(image({x})) over all source points x.  On a label
-    table, rows go finest first, so that diameter's code is the number of
-    rows on which some fiber's members carry different labels."""
+    i.e. of preimage(image({x})) over all source points x, on an
+    ultrametric source: the least code, from the diagonal's code up, at
+    which every fiber lies in one ball of the label table."""
     src = phi.source
     fibers = []
     for x in phi.fibers:
@@ -532,13 +520,13 @@ def _max_roundtrip_fiber_diameter(phi: MultiMap) -> Rational:
         for y in phi.fibers[x]:
             members.update(phi.cofibers[y])
         fibers.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
-    if src._codes is not None:
-        return src.values[max(int(src._codes[np.ix_(f, f)].max()) for f in fibers)]
     idx = np.concatenate(fibers)
     starts = np.cumsum([0] + [f.size for f in fibers[:-1]])
-    return src.values[sum(
-        int((np.minimum.reduceat(lab, starts) != np.maximum.reduceat(lab, starts)).any())
-        for lab in (row[idx] for row in src._labels))]
+    for code in range(src._code(idx[0], idx[0]), len(src.values)):
+        lab = src.ball_labels(code)[idx]
+        if (np.minimum.reduceat(lab, starts) == np.maximum.reduceat(lab, starts)).all():
+            break
+    return src.values[code]
 
 
 def selection_pair(
@@ -546,6 +534,10 @@ def selection_pair(
     certificate: Optional[MorphismCertificate] = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> SelectionPair:
+    """The selections of a verified asymorphism between two ultrametric
+    spaces; ValueError when a space is not ultrametric or the certificate
+    grades the relation lower."""
+    _require_ultrametric(phi)
     cert = certificate if certificate is not None else verify_asymorphism(phi, caps=caps)
     if not cert.is_asymorphism:
         raise ValueError(
@@ -1094,18 +1086,18 @@ _BASE_BOUND_MESSAGES = {
 
 
 def check_base_distortion(phi: MultiMap) -> ValidationReport:
-    """Two-sided exact bounds for a base-level map: image pairs never move
-    farther apart than their sources, and source pairs stay within image
-    distance + 2.  Each broken bound is reported once, at its row-major
-    first pair.
+    """Two-sided exact bounds for a base-level map between ultrametric
+    spaces: image pairs never move farther apart than their sources, and
+    source pairs stay within image distance + 2.  Each broken bound is
+    reported once, at its row-major first pair.
 
     Every forward modulus row is a running max of target distances over
     source pairs within its eps, so contraction holds on every pair exactly
     when each forward row has delta <= eps; likewise expansion-plus-2 holds
-    exactly when each backward row has delta <= eps + 2.  On two spaces
-    known to be ultrametric the label-read moduli decide a passing map
-    with no pair scan; a failing bound, or any other space, runs the scan
-    over every pair, which names the witness."""
+    exactly when each backward row has delta <= eps + 2.  The label-read
+    moduli decide the verdict; only a broken bound runs the pair scan,
+    which names its witness.  ValueError when a space is not
+    ultrametric."""
     return _base_distortion_report(phi, None, None)
 
 
@@ -1116,36 +1108,34 @@ def _base_distortion_report(
 ) -> ValidationReport:
     """check_base_distortion, reusing the moduli a caller already has."""
     checked = ("base-contraction", "base-expansion-plus-2")
+    _require_ultrametric(phi)
     if not phi.is_function or not phi.is_total:
         return ValidationReport(
             "base distortion bounds", checked,
             (Violation("base-contraction", (),
                        "bounds apply to total single-valued maps only"),))
-    if _on_labels(phi):
-        fwd = fwd if fwd is not None else _label_modulus(phi)
-        bwd = bwd if bwd is not None else _label_modulus(phi.inverse())
-        if (all(d <= e for e, d in fwd.table)
-                and all(d <= e + 2 for e, d in bwd.table)):
-            return ValidationReport("base distortion bounds", checked, ())
+    fwd = fwd if fwd is not None else _label_modulus(phi)
+    bwd = bwd if bwd is not None else _label_modulus(phi.inverse())
     sv, tv = phi.source.values, phi.target.values
     # both bounds as code tables, exact for any rational values: the
     # largest target code <= each source value, and the largest source
     # code <= each target value + 2
     t_within = np.asarray([bisect_right(tv, v) - 1 for v in sv], dtype=np.int64)
     s_within = np.asarray([bisect_right(sv, v + 2) - 1 for v in tv], dtype=np.int64)
-    first: dict[str, Violation] = {}
-    for lo, sc, tc in _pair_code_blocks(phi):
-        for rule, bad in ((checked[0], tc > t_within[sc]),
-                          (checked[1], sc > s_within[tc])):
-            if rule in first or not bad.any():
-                continue
-            i, j = map(int, np.argwhere(bad)[0])
-            x, y = phi.pairs[lo + i][0], phi.pairs[j][0]
-            first[rule] = Violation(rule, (x, y), _BASE_BOUND_MESSAGES[rule].format(
-                x=x, y=y, ds=rat_str(sv[sc[i, j]]), dt=rat_str(tv[tc[i, j]])))
-        if len(first) == len(checked):
-            break
-    violations = [first[rule] for rule in checked if rule in first]
+    broken = {}
+    if any(d > e for e, d in fwd.table):
+        broken[checked[0]] = lambda sc, tc: tc > t_within[sc]
+    if any(d > e + 2 for e, d in bwd.table):
+        broken[checked[1]] = lambda sc, tc: sc > s_within[tc]
+    if not broken:
+        return ValidationReport("base distortion bounds", checked, ())
+    first = _first_failing_pairs(phi, broken)
+    violations = []
+    for rule in broken:
+        (x, fx), (y, fy) = (phi.pairs[k] for k in first[rule])
+        violations.append(Violation(rule, (x, y), _BASE_BOUND_MESSAGES[rule].format(
+            x=x, y=y, ds=rat_str(phi.source.dist(x, y)),
+            dt=rat_str(phi.target.dist(fx, fy)))))
     return ValidationReport("base distortion bounds", checked, tuple(violations))
 
 

@@ -64,32 +64,37 @@ class Space:
     and builders emit points so that id order and tuple order agree.
     """
 
-    __slots__ = ("points", "values", "_codes", "_index", "_ultra", "_labels")
+    __slots__ = ("points", "values", "_codes", "_index", "_labels")
 
     def __init__(
         self,
         points: Sequence[PointId],
         codes: np.ndarray,
         values: Sequence[Rational],
-        ultrametric: Optional[bool] = None,
         caps: Caps = DEFAULT_CAPS,
     ):
-        points = tuple(points)
+        codes = np.asarray(codes)
+        self._fill(tuple(points), codes, tuple(canon(v) for v in values), None, caps)
+        if sorted(self.values) != list(self.values) or \
+                len(set(self.values)) != len(self.values):
+            raise ValueError("values must be strictly sorted and distinct")
+        if codes.shape != (len(self.points), len(self.points)):
+            raise ValueError("codes shape does not match point count")
+
+    def _fill(self, points: tuple, codes: Optional[np.ndarray], values: tuple,
+              labels: Optional[list], caps: Caps) -> "Space":
+        """Set every slot; the one path by which a space is filled.  Only
+        the cap and the point ids are checked: the encoders pass values
+        that are already canonical, sorted and distinct, and __init__
+        checks those of user code.  labels is the complete ball-label
+        table of a space known to be ultrametric, else None."""
         caps.check_points(len(points), "space")
         if len(set(points)) != len(points):
             raise ValueError("duplicate point ids")
-        values = tuple(canon(v) for v in values)
-        if sorted(values) != list(values) or len(set(values)) != len(values):
-            raise ValueError("values must be strictly sorted and distinct")
-        codes = np.asarray(codes)
-        if codes.shape != (len(points), len(points)):
-            raise ValueError("codes shape does not match point count")
-        self.points = points
-        self.values = values
-        self._codes = codes
+        self.points, self.values = points, values
+        self._codes, self._labels = codes, labels
         self._index = {p: i for i, p in enumerate(points)}
-        self._ultra = ultrametric
-        self._labels: Optional[list] = None
+        return self
 
     # -- construction ------------------------------------------------------
 
@@ -98,7 +103,6 @@ class Space:
         cls,
         points: Sequence[PointId],
         matrix: Sequence[Sequence[Rational]],
-        ultrametric: Optional[bool] = None,
         caps: Caps = DEFAULT_CAPS,
     ) -> "Space":
         """Build from an explicit rational distance matrix (kept verbatim;
@@ -109,7 +113,7 @@ class Space:
         entry is canonicalized once, and equal rationals share a code
         whatever their type (Fraction(4, 2) and 2 hash and compare equal).
         """
-        return _encode_cells(points, matrix, canon, ultrametric, caps)
+        return _encode_cells(points, matrix, canon, caps)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -182,25 +186,25 @@ class Space:
 
     @property
     def is_ultrametric(self) -> bool:
-        """True when the strong triangle inequality holds; checked and
-        cached on first use unless the builder already proved it."""
-        if self._ultra is None:
-            self._ultra = validate_ultrametric(self).ok
-        return self._ultra
+        """True exactly when the space holds its ball-label table.  Spaces
+        built from their balls are born with it; any other space is
+        validated on first use, and a passing validation installs the
+        table (validate_metric_axioms) while a failing one is kept as
+        False."""
+        if self._labels is None and not validate_ultrametric(self).ok:
+            self._labels = False
+        return self._labels is not False
 
     def ball_labels(self, tcode: int) -> np.ndarray:
-        """Row tcode of the space's ball-label table: _class_labels of the
-        codes at that threshold, in point order.  Spaces built from their
-        balls are born with the whole table; any other space fills a row on
-        first use and keeps it, as the table's only owner."""
+        """Row tcode of the ball-label table: entry i is the least index of
+        a point within code tcode of point i, so each closed ball at that
+        code is named by its first member.  Rows below the diagonal's code
+        name no ball.  ValueError on a space that is not ultrametric."""
+        if not self.is_ultrametric:
+            raise ValueError("ball labels need an ultrametric space")
         if not 0 <= tcode < len(self.values):
             raise ValueError(f"no ball-label row for code {tcode}")
-        if self._labels is None:
-            self._labels = [None] * len(self.values)
-        row = self._labels[tcode]
-        if row is None:
-            row = self._labels[tcode] = _class_labels(self.codes, tcode)
-        return row
+        return self._labels[tcode]
 
     def subindices(self, subset: Optional[Iterable[PointId]]) -> np.ndarray:
         """Indices for a subset, sorted by id string (deterministic)."""
@@ -233,7 +237,6 @@ def _encode_cells(
     points: Sequence[PointId],
     rows: Iterable[Sequence],
     parse,
-    ultrametric: Optional[bool] = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> Space:
     """The one rational-to-code encoder of distance matrices: rows yields n
@@ -248,7 +251,7 @@ def _encode_cells(
     equal rationals (" 2 " and "4/2" beside "2") share one code."""
     points = tuple(points)
     n = len(points)
-    caps.check_points(n, "space")
+    caps.check_points(n, "space")  # before any cell is parsed
     table = _CellIds(parse)
     ids = np.empty((n, n), dtype=np.int32)
     count = 0
@@ -263,7 +266,7 @@ def _encode_cells(
     code_of = {v: c for c, v in enumerate(vals)}
     remap = np.fromiter(map(code_of.__getitem__, table.values),
                         dtype=_pick_dtype(len(vals)), count=len(table.values))
-    return Space(points, remap[ids], vals, ultrametric=ultrametric, caps=caps)
+    return Space.__new__(Space)._fill(points, remap[ids], tuple(vals), None, caps)
 
 
 def _ball_space(
@@ -281,8 +284,7 @@ def _ball_space(
     class is one run, and each run's least member labels its class.  The
     space holds that ball-label table and no matrix (see Space.codes)."""
     n = len(points)
-    caps.check_points(n, "space")
-    order = np.lexsort(parts)
+    order = np.lexsort(parts or [np.arange(n)])
     kept, labels, balls = [], [], n + 1
     for value, part in zip(values, parts):
         run = part[order]
@@ -293,11 +295,7 @@ def _ball_space(
             kept.append(value)
             labels.append(np.empty(n, dtype=np.int64))
             labels[-1][order] = np.minimum.reduceat(order, starts)[np.cumsum(new) - 1]
-    space = Space.__new__(Space)
-    space.points, space.values, space._codes = points, tuple(kept), None
-    space._index = {p: i for i, p in enumerate(points)}
-    space._ultra, space._labels = True, labels
-    return space
+    return Space.__new__(Space)._fill(tuple(points), None, tuple(kept), labels, caps)
 
 
 # -- validation ------------------------------------------------------------
@@ -315,13 +313,16 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     reported as explicit triples, each checked to violate the inequality;
     a triple met again at a later threshold is reported once.
     Requires the diagonal-zero, positivity and symmetry checks to have
-    passed (the reduction uses them).
+    passed (the reduction uses them), so a space that passes is proved
+    ultrametric: it keeps the scan's first-member label rows, the top one
+    all zero, as its ball-label table.
     """
     C = space.codes
     n = int(C.shape[0])
     vals = space.values
     pts = space.points
     out: list[Violation] = []
+    rows = []
     # reported triples as sorted keys (x*n + y)*n + z behind a -1 sentinel
     seen = np.full(1, -1, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(n, 1))
@@ -331,6 +332,7 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     # violations at the top value are impossible: nothing exceeds it
     for t in range(len(vals) - 1):
         labels = _class_labels(C, t)
+        rows.append(labels)
         narrow = labels.astype(_pick_dtype(n))  # point indices, compared faster
         for lo in range(0, n, chunk):
             mask = np.less_equal(C[lo:lo + chunk], t, out=mask_buf[:n - lo])
@@ -363,6 +365,8 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
                     "strong-triangle", (pts[xk], pts[yk], pts[zk]),
                     f"d(x,y) = {rat_str(vals[C[xk, yk]])} > max("
                     f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
+    if not out and space._labels is None:
+        space._labels = rows + [np.zeros(n, dtype=np.int64)] * bool(vals)
     return out
 
 
@@ -408,11 +412,12 @@ def validate_metric_axioms(
     strong=True checks the strong triangle inequality
     d(x,y) <= max(d(x,z), d(z,y)) over all triples with the equivalent
     per-threshold scan, which reports at least one explicit triple per
-    failure pattern.  The scan needs a zero diagonal, positivity and
-    symmetry, so when one of those fails the strong triangle is not judged
-    and is left out of the report's checked rules.  strong=False checks
-    the plain d(x,y) <= d(x,z) + d(z,y) (exact rational sums, so it runs
-    a pure-Python triple loop and is capped).
+    failure pattern; when it passes, the space keeps the scan's label
+    rows as its ball-label table.  The scan needs a zero diagonal,
+    positivity and symmetry, so when one of those fails the strong
+    triangle is not judged and is left out of the report's checked rules.
+    strong=False checks the plain d(x,y) <= d(x,z) + d(z,y) (exact
+    rational sums, so it runs a pure-Python triple loop and is capped).
     """
     C = space.codes
     n = len(space.points)
@@ -520,19 +525,18 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
     """Induced space on a subset: points in id order, value table compacted
-    to the realized distances.  An ultrametric with a complete ball-label
-    table passes the table's columns on the subset to _ball_space, so the
-    subspace holds only its own table; its whole, when in id order and
-    with every value realized, is the space itself.  Any other space
+    to the realized distances.  An ultrametric passes its ball-label
+    table's columns on the subset to _ball_space, so the subspace holds
+    only its own table; its whole, when in id order and with every value
+    realized, is the space itself.  A space not known to be ultrametric
     compacts the codes of the subset."""
     sub = space.subindices(subset)
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
     points = space.points if whole else tuple(space.points[int(i)] for i in sub)
-    table = space._labels
-    if space._ultra is True and table and all(row is not None for row in table):
+    if isinstance(space._labels, list):
         # codes below the diagonal's carry no ball
         c0 = space._code(sub[0], sub[0]) if sub.size else 0
-        parts = [row[sub] for row in table[c0:]]
+        parts = [row[sub] for row in space._labels[c0:]]
         if whole and c0 == 0:
             own = np.arange(sub.size)  # each ball's least member labels itself
             balls = [np.count_nonzero(row == own) for row in parts]
@@ -541,9 +545,7 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
         return _ball_space(points, parts, space.values[c0:], caps)
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
-    # strong triangle survives restriction; a failed one may not
-    ultra = True if space._ultra is True else None
-    return Space(points, codes, values, ultrametric=ultra, caps=caps)
+    return Space.__new__(Space)._fill(points, codes, values, None, caps)
 
 
 def _class_labels(codes: np.ndarray, tcode: int) -> np.ndarray:
@@ -762,31 +764,33 @@ def entropy_profile(
 
 
 def product(x: Space, y: Space, caps: Caps = DEFAULT_CAPS) -> Space:
-    """Product space under the max metric; ids are '(p|q)'."""
+    """Product of two ultrametric spaces under the max metric; ids are
+    '(p|q)'.  Under the max metric a closed ball is a pair of factor
+    balls, so the label of (p, q) at each value v is the pair of p's and
+    q's labels at v, and _ball_space encodes those nested balls from the
+    diagonal's value 0 up.  ValueError when a factor is not ultrametric."""
     n, m = len(x.points), len(y.points)
     caps.check_points(n * m, "product space")
+    if not (x.is_ultrametric and y.is_ultrametric):
+        raise ValueError("products need ultrametric factors")
     merged = sorted(set(x.values) | set(y.values))
-    code_of = {v: i for i, v in enumerate(merged)}
-    mapx = np.asarray([code_of[v] for v in x.values], dtype=_pick_dtype(len(merged)))
-    mapy = np.asarray([code_of[v] for v in y.values], dtype=_pick_dtype(len(merged)))
-    cx = mapx[x.codes]
-    cy = mapy[y.codes]
-    codes = np.maximum(
-        cx[:, None, :, None], cy[None, :, None, :]
-    ).reshape(n * m, n * m)
+    values = merged[bisect_left(merged, 0):] if n and m else []
+    parts = []
+    for v in values:
+        lx = x.ball_labels(x.threshold_code(v, CLOSED))
+        ly = y.ball_labels(y.threshold_code(v, CLOSED))
+        parts.append((lx[:, None] * m + ly).ravel())
     points = [f"({p}|{q})" for p in x.points for q in y.points]
-    if x._ultra is True and y._ultra is True:
-        ultra: Optional[bool] = True
-    elif x._ultra is False or y._ultra is False:
-        ultra = False
-    else:
-        ultra = None
-    return Space(points, codes, merged, ultrametric=ultra, caps=caps)
+    return _ball_space(points, parts, values, caps)
 
 
 def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
-    """Nonempty subsets of at most max_size points under the Hausdorff
-    metric; ultrametric whenever the base is.  Ids are '{p|q|r}'."""
+    """Nonempty subsets of at most max_size points of an ultrametric space
+    under the Hausdorff metric, again an ultrametric; ids are '{p|q|r}'.
+    Two subsets are within v exactly when they meet the same closed
+    v-balls, so a subset's label at v is the set of its members' labels,
+    and _ball_space encodes those nested balls from the diagonal's code
+    up.  ValueError when the space is not ultrametric."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     n = len(space.points)
@@ -794,23 +798,26 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
         math.comb(n, k) for k in range(1, min(max_size, n) + 1)
     )
     caps.check_points(count, "hyperspace")
+    if not space.is_ultrametric:
+        raise ValueError("hyperspaces need an ultrametric space")
     subsets = []
     for k in range(1, min(max_size, n) + 1):
         subsets.extend(itertools.combinations(range(n), k))
-    m = len(subsets)
     width = min(max_size, n)
     mem = np.asarray(
         [s + (s[0],) * (width - len(s)) for s in subsets], dtype=np.int64
     )
-    C = space.codes
-    # colmin[a, q] = min over members b of subset q of code(a, b)
-    colmin = C[:, mem].min(axis=2)
-    # directed[p, q] = max over members a of subset p of colmin[a, q]
-    directed = colmin[mem].max(axis=1)
-    codes = np.maximum(directed, directed.T)
+    c0 = space._code(0, 0) if n else len(space.values)  # no balls when empty
+    parts = []
+    for row in space._labels[c0:]:
+        # a subset's member labels as a set: sorted, each repeat replaced
+        # by the least label, sorted again
+        lab = np.sort(row[mem], axis=1)
+        lab[:, 1:] = np.where(lab[:, 1:] == lab[:, :-1], lab[:, :1], lab[:, 1:])
+        lab.sort(axis=1)
+        parts.append(np.unique(lab, axis=0, return_inverse=True)[1].ravel())
     points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
-    ultra = True if space._ultra is True else None
-    return Space(points, codes, space.values, ultrametric=ultra, caps=caps)
+    return _ball_space(points, parts, space.values[c0:], caps)
 
 
 # -- chain components and ultrametrization -----------------------------------

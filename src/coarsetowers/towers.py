@@ -527,27 +527,20 @@ def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:
     goes to the level-1 ball containing it (a bijection when radii[0] = 0).
 
     The base radius is not recorded on the tower, so membership is read
-    off the metric: a point's ball is the one whose representative is
-    nearest, the least representative id among equally near ones.  A
-    space holding only its ball-label table reads one label row instead:
-    the coarsest row on which the representatives' labels are still
-    pairwise distinct.  That row is no finer than the base radius's, so
-    its balls are unions of base balls holding one representative each:
-    each point's ball holds exactly its own base ball's representative,
-    the one nearest to it."""
+    off the ball-label table: the coarsest row, from the diagonal's code
+    up, on which the representatives' labels are still pairwise distinct.
+    That row is no finer than the base radius's, so its balls are unions
+    of base balls holding one representative each: each point's ball
+    holds exactly its own base ball's representative.  ValueError when
+    the space is not ultrametric."""
     reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
     cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
-    if space._codes is None:
-        # rows coarsen with the code, so the distinct ones are a prefix
-        t = 0
-        while t + 1 < len(space.values) and np.unique(
-                space.ball_labels(t + 1)[cols]).size == cols.size:
-            t += 1
-        labels = space.ball_labels(t)
-        rep_of = np.empty(len(space.points), dtype=np.int64)
-        rep_of[labels[cols]] = np.arange(cols.size)
-        nearest = rep_of[labels]
-    else:
-        # argmin keeps the first minimum, i.e. the least rep id among the nearest
-        nearest = space.codes[:, cols].argmin(axis=1)
-    return {p: reps[int(k)][1] for p, k in zip(space.points, nearest)}
+    # rows coarsen with the code, so the distinct ones are a run
+    t = space._code(cols[0], cols[0])
+    while t + 1 < len(space.values) and np.unique(
+            space.ball_labels(t + 1)[cols]).size == cols.size:
+        t += 1
+    labels = space.ball_labels(t)
+    rep_of = np.empty(len(space.points), dtype=np.int64)
+    rep_of[labels[cols]] = np.arange(cols.size)
+    return {p: reps[int(k)][1] for p, k in zip(space.points, rep_of[labels])}

@@ -1,0 +1,178 @@
+"""Dense kernels kept as test oracles.
+
+Each reads the n x n code matrices and visits every pair (or every block
+of pairs) it decides, the way the package did before its ultrametric
+kernels read ball-label tables: the block-scan distortion modulus, the
+full base-distortion scan, the isometry witness scan, the round-trip
+fiber diameter by gathered blocks, the nearest-representative ball map,
+and the dense product and hyperspace.
+They work on any space that holds (or writes) its code matrix, so they
+share no label logic with the kernels they check.
+"""
+
+import itertools
+from bisect import bisect_right
+from typing import Optional
+
+import numpy as np
+
+from coarsetowers import MultiMap, Space
+from coarsetowers.limits import DEFAULT_CAPS, Caps
+from coarsetowers.morphisms import DistortionModulus, _graph_indices
+from coarsetowers.rationals import rat_str
+from coarsetowers.report import ValidationReport, Violation
+from coarsetowers.spaces import _pick_dtype
+
+
+def pair_code_blocks(phi: MultiMap):
+    """(row offset, source-code block, target-code block) over every
+    ordered pair of graph points, whole rows of about four million cells
+    at a time, so the first hit found block by block is row-major first."""
+    src, tgt = phi.source, phi.target
+    ia, ib = _graph_indices(phi)
+    n = len(phi.pairs)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for lo in range(0, n, chunk):
+        yield (lo, src.codes[np.ix_(ia[lo:lo + chunk], ia)],
+               tgt.codes[np.ix_(ib[lo:lo + chunk], ib)])
+
+
+def block_scan_modulus(phi: MultiMap) -> DistortionModulus:
+    """The modulus by an exhaustive scan of every pair of graph points:
+    per source code the largest target code, then running maxima; the
+    witness of a row is the row-major first pair at its running max."""
+    src, tgt = phi.source, phi.target
+    nv = len(src.values)
+    best = [-1] * nv
+    bestpos: list = [None] * nv
+    for lo, sc, tc in pair_code_blocks(phi):
+        for c in np.unique(sc):
+            masked = np.where(sc == c, tc, -1)
+            j = int(masked.argmax())
+            v = int(masked.flat[j])
+            if v > best[int(c)]:
+                best[int(c)] = v
+                bestpos[int(c)] = (lo + j // tc.shape[1], j % tc.shape[1])
+    rows, wits = [], []
+    run, runpos = -1, (0, 0)
+    for c in range(nv):
+        if best[c] < 0:
+            continue  # source distance not realized between mapped points
+        if best[c] > run:
+            run, runpos = best[c], bestpos[c]
+        i, j = runpos
+        rows.append((src.values[c], tgt.values[run]))
+        wits.append((phi.pairs[i][0], phi.pairs[j][0],
+                     phi.pairs[i][1], phi.pairs[j][1]))
+    return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+
+
+_BASE_BOUND_MESSAGES = {
+    "base-contraction": "images of {x!r}, {y!r} are {dt} apart, sources only {ds}",
+    "base-expansion-plus-2": "sources {x!r}, {y!r} are {ds} apart, images {dt}",
+}
+
+
+def base_distortion_scan(phi: MultiMap) -> ValidationReport:
+    """check_base_distortion by a scan of every pair: contraction and
+    expansion-plus-2, each reported at its row-major first failing pair."""
+    checked = ("base-contraction", "base-expansion-plus-2")
+    if not phi.is_function or not phi.is_total:
+        return ValidationReport(
+            "base distortion bounds", checked,
+            (Violation("base-contraction", (),
+                       "bounds apply to total single-valued maps only"),))
+    sv, tv = phi.source.values, phi.target.values
+    t_within = np.asarray([bisect_right(tv, v) - 1 for v in sv], dtype=np.int64)
+    s_within = np.asarray([bisect_right(sv, v + 2) - 1 for v in tv], dtype=np.int64)
+    first: dict = {}
+    for lo, sc, tc in pair_code_blocks(phi):
+        for rule, bad in ((checked[0], tc > t_within[sc]),
+                          (checked[1], sc > s_within[tc])):
+            if rule in first or not bad.any():
+                continue
+            i, j = map(int, np.argwhere(bad)[0])
+            x, y = phi.pairs[lo + i][0], phi.pairs[j][0]
+            first[rule] = Violation(rule, (x, y), _BASE_BOUND_MESSAGES[rule].format(
+                x=x, y=y, ds=rat_str(sv[sc[i, j]]), dt=rat_str(tv[tc[i, j]])))
+        if len(first) == len(checked):
+            break
+    violations = [first[rule] for rule in checked if rule in first]
+    return ValidationReport("base distortion bounds", checked, tuple(violations))
+
+
+def isometric_witness(
+    phi: MultiMap, caps: Caps = DEFAULT_CAPS
+) -> Optional[tuple]:
+    """First graph-point pair whose source and target distances differ, or
+    None when the relation preserves every distance exactly."""
+    caps.check_points(len(phi.pairs), "relation graph")
+    tcode_of = {v: i for i, v in enumerate(phi.target.values)}
+    tmap = np.asarray(
+        [tcode_of.get(v, -1) for v in phi.source.values], dtype=np.int64)
+    for lo, sc, tc in pair_code_blocks(phi):
+        bad = tmap[sc] != tc
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            i, j = int(i) + lo, int(j)
+            return (phi.pairs[i][0], phi.pairs[j][0],
+                    phi.pairs[i][1], phi.pairs[j][1])
+    return None
+
+
+def roundtrip_fiber_diameter(phi: MultiMap):
+    """Max diameter of preimage(image({x})) over source points x, as the
+    largest code in each fiber's gathered block of the code matrix."""
+    src = phi.source
+    fibers = []
+    for x in phi.fibers:
+        members = set()
+        for y in phi.fibers[x]:
+            members.update(phi.cofibers[y])
+        fibers.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
+    return src.values[max(int(src.codes[np.ix_(f, f)].max()) for f in fibers)]
+
+
+def argmin_base_map(space: Space, tower) -> dict:
+    """The point-to-base-ball map of a ball tower as read off a code
+    matrix: the nearest representative, the least id among equally near
+    ones (argmin keeps the first minimum)."""
+    reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
+    cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
+    nearest = space.codes[:, cols].argmin(axis=1)
+    return {p: reps[int(k)][1] for p, k in zip(space.points, nearest)}
+
+
+def dense_product(x: Space, y: Space) -> Space:
+    """Product under the max metric as one 4-D maximum of the factors'
+    codes on their merged value table."""
+    n, m = len(x.points), len(y.points)
+    merged = sorted(set(x.values) | set(y.values))
+    code_of = {v: i for i, v in enumerate(merged)}
+    mapx = np.asarray([code_of[v] for v in x.values], dtype=_pick_dtype(len(merged)))
+    mapy = np.asarray([code_of[v] for v in y.values], dtype=_pick_dtype(len(merged)))
+    codes = np.maximum(
+        mapx[x.codes][:, None, :, None], mapy[y.codes][None, :, None, :]
+    ).reshape(n * m, n * m)
+    points = [f"({p}|{q})" for p in x.points for q in y.points]
+    return Space(points, codes, merged)
+
+
+def dense_hyperspace(space: Space, max_size: int) -> Space:
+    """Hausdorff hyperspace of nonempty subsets of at most max_size points
+    from column minima of the code matrix."""
+    n = len(space.points)
+    subsets = []
+    for k in range(1, min(max_size, n) + 1):
+        subsets.extend(itertools.combinations(range(n), k))
+    width = min(max_size, n)
+    mem = np.asarray(
+        [s + (s[0],) * (width - len(s)) for s in subsets], dtype=np.int64)
+    C = space.codes
+    # colmin[a, q] = min over members b of subset q of code(a, b)
+    colmin = C[:, mem].min(axis=2)
+    # directed[p, q] = max over members a of subset p of colmin[a, q]
+    directed = colmin[mem].max(axis=1)
+    codes = np.maximum(directed, directed.T)
+    points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
+    return Space(points, codes, space.values)

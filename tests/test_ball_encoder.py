@@ -4,7 +4,7 @@ Word spaces, chain ultrametrizations, tower bases and subspaces of
 labelled ultrametrics are all encoded from their nested balls, and each is
 born with its ball-label table.  The mask loops and the flag-table
 compaction they replaced are kept here verbatim as oracles; the dense
-compaction still serves every space without a complete table.
+compaction still serves every space not known to be ultrametric.
 """
 
 import itertools
@@ -83,7 +83,7 @@ def _assert_encoded(space, points, codes, values):
     assert space.values == tuple(values)
     assert space.codes.dtype == codes.dtype
     assert np.array_equal(space.codes, codes)
-    assert space._ultra is True
+    assert isinstance(space._labels, list)
     assert len(space._labels) == len(space.values)
     for k, row in enumerate(space._labels):
         assert np.array_equal(row, _class_labels(space.codes, k))
@@ -126,12 +126,10 @@ def test_ultrametrize_of_the_empty_space_realizes_nothing():
 
 def _labelled_spaces(rng):
     """Ultrametrics with a complete ball-label table: born with it from
-    each builder, or filled row by row through ball_labels."""
+    each builder, or installed by a passing validation."""
     plain = random_plain_metric(rng, 2, 10)
     filled = random_ultrametric(rng, 2, 12)
     assert filled.is_ultrametric
-    for k in range(len(filled.values)):
-        filled.ball_labels(k)
     tower = random_tower(rng)
     space = random_ultrametric(rng)
     return [
@@ -146,8 +144,7 @@ def _labelled_spaces(rng):
 
 def _dense_subspace(space, subset):
     """subspace through _compact: the same space without its table."""
-    return subspace(Space(space.points, space.codes, space.values,
-                          ultrametric=True), subset)
+    return subspace(Space(space.points, space.codes, space.values), subset)
 
 
 @given(st.integers(0, 2 ** 32))
@@ -188,9 +185,8 @@ def test_unrealized_values_of_a_labelled_space_are_dropped(shift):
     space = word_space(2, 3)
     codes = 2 * space.codes.astype(np.int64) + shift
     values = [-1] * shift + [v + Fraction(h, 3) for v in space.values for h in (0, 1)]
-    spread = Space(space.points, codes, values, ultrametric=True)
-    for k in range(len(spread.values)):
-        spread.ball_labels(k)
+    spread = Space(space.points, codes, values)
+    assert spread.is_ultrametric
     for subset in (spread.points, ["000", "111"], ["001", "011"], ["010"]):
         got = subspace(spread, subset)
         want = _dense_subspace(spread, subset)
@@ -202,14 +198,12 @@ def test_unrealized_values_of_a_labelled_space_are_dropped(shift):
 def test_plain_space_with_filled_rows_takes_the_dense_path(seed):
     rng = random.Random(seed)
     plain = random_plain_metric(rng)
-    for k in range(len(plain.values)):
-        plain.ball_labels(k)
-    assert plain._ultra is None
+    assert plain._labels is None
     subset = rng.sample(plain.points, rng.randint(1, len(plain)))
     got = subspace(plain, subset)
     sub = plain.subindices(subset)
     codes, values = _compact(plain.codes[np.ix_(sub, sub)], plain.values)
-    assert got._ultra is None and got._labels is None
+    assert got._labels is None
     assert got.values == values
     assert np.array_equal(got.codes, codes)
 

@@ -462,6 +462,19 @@ def test_experiment_sparse_product(capsys):
     assert out.splitlines()[0] == "eps,delta,large,small"
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "hyperspace-entropy", "--trials", "5"],
+    ["experiment", "ratio-bounded-synthesis", "--n", "7"],
+    ["experiment", "product-with-sparse-sequence", "--alphabet", "9"],
+])
+def test_experiments_reject_flags_they_do_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"does not read {argv[2]}" in err
+
+
 def test_experiment_ratio_bounded_seeded(capsys):
     argv = ["experiment", "ratio-bounded-synthesis", "--trials", "4",
             "--height", "6", "--seed", "3"]

@@ -1,8 +1,8 @@
 """Pinned report bytes: the sha256 of the equiv reports of the
 acceptance-9 configurations and of the height-9 ternary-to-binary run, of
-the towerize and entropy output on an ultrametrized distance CSV drawn
-from a fixed seed, and of the validate output on 600-point CSVs with
-planted defects.
+the product and hyperspace experiments' entropy tables, of the towerize
+and entropy output on an ultrametrized distance CSV drawn from a fixed
+seed, and of the validate output on 600-point CSVs with planted defects.
 
 Refactors of the encoders and kernels must leave every emitted byte as
 it was; a change that means to alter a report updates these digests and
@@ -32,6 +32,18 @@ EQUIV_DIGESTS = {
     # the headline run, as the equiv-ternary benchmark workload runs it
     ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary"):
         "039388f5004c1df7fe84a4ba939369981e7e0f46a7d62d3fadbf37e697e971c4",
+}
+
+# the entropy CSVs of the product and hyperspace experiments
+EXPERIMENT_DIGESTS = {
+    ("experiment", "hyperspace-entropy"):
+        "e9b086fa7be6430b6d88df3677b16eb55df55cb2200078e340f0ac09af246c49",
+    ("experiment", "hyperspace-entropy", "--n", "3", "--length", "5"):
+        "dfa6964459d100ec5c3d9d27c9e77c18023058797b8755105943734bd526ed7e",
+    ("experiment", "product-with-sparse-sequence"):
+        "6b9796d190b24bf97eb1095ef111a61e34acae3103c83fd578276237edbaaf25",
+    ("experiment", "product-with-sparse-sequence", "--length", "6", "--terms", "5"):
+        "aa2d08aff80c29cc2c0adc56dc52d280c80a1af09879442a8bec8db7f06bd103",
 }
 
 CSV_DIGEST = "a97ebaf39f900086832034aa53a4e2d5d47d2b702fd66714e750bdb9bf96432b"
@@ -70,6 +82,11 @@ def ultrametrized_csv(seed: int = 2024, n: int = 80) -> tuple[str, Space]:
 @pytest.mark.parametrize("argv", sorted(EQUIV_DIGESTS))
 def test_equiv_report_bytes_are_pinned(argv):
     assert _sha(_run(argv)) == EQUIV_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(EXPERIMENT_DIGESTS))
+def test_experiment_bytes_are_pinned(argv):
+    assert _sha(_run(argv)) == EXPERIMENT_DIGESTS[argv]
 
 
 def test_towerize_and_entropy_bytes_are_pinned(tmp_path):

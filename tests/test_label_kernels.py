@@ -1,10 +1,11 @@
-"""Ball-label kernels against the dense scans they replace.
+"""Ball-label kernels against the dense scans they replaced.
 
-On spaces known to be ultrametric, distortion moduli, base-distortion
-verdicts and entropy tables are read from each space's ball-label table.
-The block scans over every pair of graph points stay in the package for
-every other space, so a copy of a space without the ultrametric flag is
-the oracle: same points, codes and values, dense path.
+A space is ultrametric exactly when it holds its ball-label table, and
+the certificate kernels read that table: distortion moduli,
+base-distortion verdicts, round-trip fiber bounds, the isometry check,
+products, hyperspaces and entropy tables.  The dense kernels they
+replaced, which read code matrices pair by pair, are kept in oracles.py
+and serve as the reference here.
 """
 
 import random
@@ -21,13 +22,19 @@ from coarsetowers import (
     Space,
     ball,
     ball_tower,
+    ball_tower_base_map,
     base_space,
     build_admissible_morphism,
     check_base_distortion,
     distortion_modulus,
+    hyperspace,
+    product,
     regular_tower,
+    selection_pair,
     subspace,
     ultrametrize,
+    validate_ultrametric,
+    verify_asymorphism,
     word_space,
 )
 from coarsetowers import morphisms
@@ -35,13 +42,17 @@ from coarsetowers.limits import CapExceeded, Caps
 from coarsetowers.spaces import _class_labels, _compact, _pick_dtype
 
 from conftest import random_plain_metric, random_radii, random_ultrametric
+from oracles import (
+    argmin_base_map,
+    base_distortion_scan,
+    block_scan_modulus,
+    dense_hyperspace,
+    dense_product,
+    isometric_witness,
+    roundtrip_fiber_diameter,
+)
 
 SPACE_KINDS = ["rational", "ball-tower", "subspace", "word", "unrealized"]
-
-
-def _unflagged(space: Space) -> Space:
-    """The same space with its ultrametric flag unknown: dense path."""
-    return Space(space.points, space.codes, space.values)
 
 
 def _ball_tower_base(rng: random.Random) -> Space:
@@ -57,7 +68,7 @@ def _ball_tower_base(rng: random.Random) -> Space:
 def _random_space(rng: random.Random, kind: str) -> Space:
     if kind == "rational":
         space = random_ultrametric(rng, 2, 14)
-        assert space.is_ultrametric  # sets the flag the label path reads
+        assert space.is_ultrametric  # installs the table the kernels read
         return space
     if kind == "ball-tower":
         return _ball_tower_base(rng)
@@ -68,13 +79,19 @@ def _random_space(rng: random.Random, kind: str) -> Space:
         return subspace(space, keep)
     if kind == "word":
         return word_space(rng.randint(2, 3), rng.randint(1, 3))
-    # unrealized values below, between and above the realized ones
-    space = _random_space(rng, rng.choice(["rational", "ball-tower"]))
-    values = [-1]
+    spread = _spread(_random_space(rng, rng.choice(["rational", "ball-tower"])))
+    assert spread.is_ultrametric
+    return spread
+
+
+def _spread(space: Space, below: int = 1) -> Space:
+    """The same distances on a value table that lists unrealized values
+    below, between and above the realized ones (not yet validated); the
+    label rows of the values below fall below the diagonal's code."""
+    values = list(range(-below, 0))
     for v in space.values:
         values += [v, v + Fraction(1, 7)]
-    return Space(space.points, 2 * space.codes.astype(np.int64) + 1, values,
-                 ultrametric=True)
+    return Space(space.points, 2 * space.codes.astype(np.int64) + below, values)
 
 
 def _random_pairs(rng: random.Random, src: Space, tgt: Space, shape: str):
@@ -103,12 +120,64 @@ def test_label_modulus_matches_dense_scan(seed, src_kind, tgt_kind, shape):
     tgt = src if tgt_kind == "same" else _random_space(rng, tgt_kind)
     pairs = _random_pairs(rng, src, tgt, shape)
     phi = MultiMap(src, tgt, pairs)
-    dense = MultiMap(_unflagged(src), _unflagged(tgt), pairs)
-    assert morphisms._on_labels(phi) and not morphisms._on_labels(dense)
-    for fast, slow in ((phi, dense), (phi.inverse(), dense.inverse())):
-        got, want = distortion_modulus(fast), distortion_modulus(slow)
+    assert src.is_ultrametric and tgt.is_ultrametric
+    for rel in (phi, phi.inverse()):
+        got, want = distortion_modulus(rel), block_scan_modulus(rel)
         assert got.table == want.table
         assert got.witnesses == want.witnesses
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS),
+       st.sampled_from(SPACE_KINDS + ["same"]),
+       st.sampled_from(["identity", "function", "multi", "partial", "onto"]))
+@settings(max_examples=100, deadline=None)
+def test_isometry_check_names_the_scan_witness(seed, src_kind, tgt_kind, shape):
+    # the moduli decide distance preservation; a failure names the pair the
+    # scan of every pair names first
+    rng = random.Random(seed)
+    src = _random_space(rng, src_kind)
+    tgt = src if tgt_kind == "same" else _random_space(rng, tgt_kind)
+    if shape == "identity":
+        tgt, pairs = src, tuple((p, p) for p in src.points)
+    else:
+        pairs = _random_pairs(rng, src, tgt, shape)
+    phi = MultiMap(src, tgt, pairs)
+    cert = verify_asymorphism(phi, expect_isometry=True)
+    check = next(c for c in cert.checks if c.axiom == "distance-preserving")
+    want = isometric_witness(phi)
+    assert check.passed == (want is None)
+    assert check.witness == (want or ())
+    assert (cert.kind == "isometry") == (want is None and phi.is_bijection)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS),
+       st.sampled_from(SPACE_KINDS + ["same"]))
+@settings(max_examples=100, deadline=None)
+def test_fiber_bounds_match_gathered_blocks(seed, src_kind, tgt_kind):
+    # spaces with unrealized values included: the least code at which every
+    # round-trip fiber lies in one ball is the largest code in its block
+    rng = random.Random(seed)
+    src = _random_space(rng, src_kind)
+    tgt = src if tgt_kind == "same" else _random_space(rng, tgt_kind)
+    phi = MultiMap(src, tgt, _random_pairs(rng, src, tgt, "onto"))
+    sel = selection_pair(phi)
+    assert sel.source_fiber_bound == roundtrip_fiber_diameter(phi)
+    assert sel.target_fiber_bound == roundtrip_fiber_diameter(phi.inverse())
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ball_tower_base_map_takes_the_nearest_representative(seed, kind, zero_radius):
+    # two label rows of the deeper spread lie below the diagonal's code
+    rng = random.Random(seed)
+    space = _random_space(rng, kind)
+    if len(space) < 2:
+        return  # random_radii needs a positive diameter
+    radii = random_radii(rng, space)
+    bt = ball_tower(space, radii if zero_radius else radii[1:])
+    cases = [space] if kind == "unrealized" else [space, _spread(space, below=2)]
+    for case in cases:
+        assert ball_tower_base_map(case, bt) == argmin_base_map(case, bt)
 
 
 def _sibling_collapse(space: Space) -> dict:
@@ -139,8 +208,7 @@ def test_label_base_distortion_matches_block_scan(seed, src_kind, tgt_kind, kind
         else:
             fmap = {p: rng.choice(tgt.points) for p in src.points}
     phi = MultiMap.from_function(src, tgt, fmap)
-    dense = MultiMap.from_function(_unflagged(src), _unflagged(tgt), fmap)
-    got, want = check_base_distortion(phi), check_base_distortion(dense)
+    got, want = check_base_distortion(phi), base_distortion_scan(phi)
     assert got.checked == want.checked
     assert got.violations == want.violations
 
@@ -195,6 +263,37 @@ def test_label_table_rows_are_class_labels():
         base.ball_labels(-1)
 
 
+@given(st.integers(0, 2 ** 32), st.sampled_from(["rational", "unrealized", "shuffled"]))
+@settings(max_examples=60, deadline=None)
+def test_a_passing_validation_installs_the_class_label_table(seed, kind):
+    rng = random.Random(seed)
+    space = _factor(rng, kind)
+    assert space._labels is None
+    assert validate_ultrametric(space).ok
+    assert len(space._labels) == len(space.values)
+    for t in range(len(space.values)):
+        assert np.array_equal(space.ball_labels(t), _class_labels(space.codes, t))
+
+
+def test_plain_metrics_are_refused_by_the_label_kernels():
+    plain = Space.from_matrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    words = word_space(2, 2)
+    with pytest.raises(ValueError, match="ultrametric"):
+        plain.ball_labels(0)
+    assert not plain.is_ultrametric and plain._labels is False
+    for build in (lambda: product(plain, words), lambda: product(words, plain),
+                  lambda: hyperspace(plain, 2)):
+        with pytest.raises(ValueError, match="ultrametric"):
+            build()
+    cert = verify_asymorphism(MultiMap.identity(words))
+    to_words = MultiMap.from_function(plain, words, dict(zip(plain.points, words.points)))
+    for phi in (MultiMap.identity(plain), to_words, to_words.inverse()):
+        for kernel in (distortion_modulus, verify_asymorphism, selection_pair,
+                       check_base_distortion, lambda phi: selection_pair(phi, cert)):
+            with pytest.raises(ValueError, match="ultrametric"):
+                kernel(phi)
+
+
 def test_identity_subspace_shares_codes():
     space = word_space(3, 3)
     whole = subspace(space, reversed(space.points))
@@ -205,10 +304,62 @@ def test_identity_subspace_shares_codes():
     assert len(part.values) < len(space.values)
     # a space whose tuple order is not id order is still gathered
     shuffled = Space(tuple(reversed(space.points)),
-                     space.codes[::-1, ::-1], space.values, ultrametric=True)
+                     space.codes[::-1, ::-1], space.values)
+    assert shuffled.is_ultrametric
     again = subspace(shuffled, shuffled.points)
     assert again.points == space.points
     assert np.array_equal(again.codes, space.codes)
+
+
+# -- products and hyperspaces ----------------------------------------------------
+
+FACTOR_KINDS = ["rational", "word", "point", "unrealized", "shuffled"]
+
+
+def _factor(rng: random.Random, kind: str) -> Space:
+    """A small ultrametric not yet validated (word spaces are born with
+    their table): random rationals, a word space, one point, unrealized
+    values, or points listed out of id order."""
+    if kind == "point":
+        return Space.from_matrix(["p"], [[0]])
+    if kind == "word":
+        return word_space(rng.randint(2, 3), rng.randint(1, 2))
+    space = random_ultrametric(rng, 2, 8)
+    if kind == "unrealized":
+        return _spread(space)
+    if kind == "shuffled":
+        order = rng.sample(space.points, len(space))
+        return Space.from_matrix(
+            order, [[space.dist(p, q) for q in order] for p in order])
+    return space
+
+
+def _assert_matches_dense(got: Space, dense: Space) -> None:
+    """The label build holds only its table and equals the dense build,
+    whose unrealized values (listed by a spread factor) are dropped."""
+    assert got._codes is None and isinstance(got._labels, list)
+    codes, values = _compact(dense.codes, dense.values)
+    assert got.points == dense.points
+    assert got.values == values
+    assert got.codes.dtype == codes.dtype
+    assert np.array_equal(got.codes, codes)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(FACTOR_KINDS),
+       st.sampled_from(FACTOR_KINDS))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_the_dense_product(seed, x_kind, y_kind):
+    rng = random.Random(seed)
+    x, y = _factor(rng, x_kind), _factor(rng, y_kind)
+    _assert_matches_dense(product(x, y), dense_product(x, y))
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(FACTOR_KINDS), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_hyperspace_matches_the_dense_hyperspace(seed, kind, max_size):
+    rng = random.Random(seed)
+    space = _factor(rng, kind)
+    _assert_matches_dense(hyperspace(space, max_size), dense_hyperspace(space, max_size))
 
 
 # -- code compaction -----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Spaces that hold only their ball-label table.
 
 Every ultrametric the library builds (word spaces, chain
-ultrametrizations, tower bases, subspaces of labelled spaces) stores its
-label table and no code matrix.  Its codes are written on first read; the
-block fill that wrote them at construction before is kept here verbatim
-as the oracle, fed each builder's own nested partitions.  Distances,
-diameters and selection fiber bounds read off the table must equal those
-of the same space rebuilt dense.
+ultrametrizations, tower bases, subspaces of labelled spaces, products
+and hyperspaces) stores its label table and no code matrix.  Its codes
+are written on first read; the block fill that wrote them at
+construction before is kept here verbatim as the oracle, fed each
+builder's own nested partitions.  Distances, diameters and selection
+fiber bounds read off the table must equal those of the same space
+rebuilt dense, and the fiber bounds those of the gathered-block oracle.
 """
 
 import random
@@ -27,14 +28,18 @@ from coarsetowers import (
     base_space,
     chain_components,
     distortion_modulus,
+    entropy_from_degrees,
+    entropy_profile,
+    regular_tower,
     selection_pair,
     subspace,
+    tower_embedding,
     ultrametrize,
+    verify_asymorphism,
     word_space,
 )
-from coarsetowers import morphisms
-from coarsetowers.cli import RunConfig
-from coarsetowers.spaces import _pick_dtype
+from coarsetowers.cli import RunConfig, main
+from coarsetowers.spaces import CLOSED, _pick_dtype
 
 from conftest import (
     random_plain_metric,
@@ -43,6 +48,7 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
+from oracles import argmin_base_map, roundtrip_fiber_diameter
 
 
 def _block_fill(parts, values):
@@ -149,7 +155,7 @@ def _reads(space, pairs, some):
 def test_table_spaces_match_the_block_fill_and_their_dense_copy(seed):
     rng = random.Random(seed)
     for space, parts, values in _table_spaces(rng):
-        assert space._codes is None and space._ultra is True
+        assert space._codes is None and isinstance(space._labels, list)
         pairs = _relation(rng, space)
         some = rng.sample(space.points, min(len(space), 12))
         got = _reads(space, pairs, some)
@@ -158,17 +164,13 @@ def test_table_spaces_match_the_block_fill_and_their_dense_copy(seed):
         assert space.values == kept
         assert space.codes.dtype == codes.dtype
         assert np.array_equal(space.codes, codes)
-        dense = Space(space.points, codes, kept, ultrametric=True)
+        dense = Space(space.points, codes, kept)
+        assert dense.is_ultrametric
         assert got == _reads(dense, pairs, some)
-
-
-def _argmin_base_map(space, tower):
-    """The point-to-base-ball map as read off a code matrix: the nearest
-    representative, the least id among equally near ones."""
-    reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
-    cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
-    nearest = space.codes[:, cols].argmin(axis=1)
-    return {p: reps[int(k)][1] for p, k in zip(space.points, nearest)}
+        phi = MultiMap(dense, dense, pairs)
+        sel = got[2]
+        assert sel.source_fiber_bound == roundtrip_fiber_diameter(phi)
+        assert sel.target_fiber_bound == roundtrip_fiber_diameter(phi.inverse())
 
 
 @given(st.integers(0, 2 ** 32), st.booleans())
@@ -182,8 +184,8 @@ def test_ball_tower_base_map_of_a_table_space_reads_labels(seed, zero_radius):
         bt = ball_tower(space, radii if zero_radius else radii[1:])
         got = ball_tower_base_map(space, bt)
         assert space._codes is None
-        dense = Space(space.points, *_block_fill(parts, values), ultrametric=True)
-        assert got == _argmin_base_map(dense, bt)
+        dense = Space(space.points, *_block_fill(parts, values))
+        assert got == argmin_base_map(dense, bt)
 
 
 def test_a_whole_subspace_in_id_order_is_the_space_itself():
@@ -204,21 +206,61 @@ def test_word_space_of_15625_points_builds_at_the_default_cap():
 def test_a_relation_graph_over_the_cap_is_refused(dense):
     space = word_space(3, 2)
     if dense:
-        space = Space(space.points, space.codes, space.values, ultrametric=True)
+        space = Space(space.points, space.codes, space.values)
+        assert space.is_ultrametric
     phi = MultiMap.identity(space)
     at_cap, below = Caps(max_points=len(space)), Caps(max_points=len(space) - 1)
     distortion_modulus(phi, at_cap)
-    assert morphisms._isometric_witness(phi, at_cap) is None
+    assert verify_asymorphism(phi, expect_isometry=True, caps=at_cap).kind == "isometry"
     with pytest.raises(CapExceeded, match="relation graph has 9 points"):
         distortion_modulus(phi, below)
     with pytest.raises(CapExceeded, match="relation graph has 9 points"):
-        morphisms._isometric_witness(phi, below)
+        verify_asymorphism(phi, expect_isometry=True, caps=below)
 
 
 def test_caps_bound_points_only():
     assert not hasattr(DEFAULT_CAPS, "max_pair_evals")
     config = RunConfig("equiv", (), 40000, "closed", None, 0, {})
     assert config.caps == Caps(max_points=40000)
+
+
+# -- no matrix is written --------------------------------------------------------
+
+
+@pytest.fixture
+def no_matrix_writes(monkeypatch):
+    """Space.codes fails wherever it would write a matrix from a table."""
+    write = Space.codes.fget
+
+    def guarded(space):
+        if space._codes is None:
+            raise AssertionError(f"a {len(space)}-point code matrix was written")
+        return write(space)
+
+    monkeypatch.setattr(Space, "codes", property(guarded))
+
+
+def test_equiv_writes_no_code_matrix(no_matrix_writes, capsys):
+    assert main(["equiv", "--from", "regular:3", "--height", "7",
+                 "--to", "binary"]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degrees", [(), (3, 3, 3), (2, 5), (4, 2, 3)])
+def test_census_tower_check_writes_no_code_matrix(degrees, no_matrix_writes):
+    tower = regular_tower(degrees)
+    base = base_space(tower)
+    radii = [2 * i for i in range(tower.height)]
+    profile = entropy_profile(base, radii, radii, CLOSED)
+    for i in range(tower.height):
+        for j in range(i, tower.height):
+            assert profile.entries[(2 * i, 2 * j)] == entropy_from_degrees(tower, i, j)
+
+
+def test_embed_writes_no_code_matrix(no_matrix_writes):
+    _, cert = tower_embedding(regular_tower((2, 2)), regular_tower((3, 3)))
+    assert cert.kind == "embedding"
+    assert all(c.passed for c in cert.checks if c.axiom == "distance-preserving")
 
 
 def test_user_spaces_still_need_a_code_matrix():
