@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import Rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, entropy_profile, subspace, word_id, word_space
+from .spaces import CLOSED, Space, entropy_profile, subspace, word_space
 from .towers import (
     DegreeProfile,
     Tower,
@@ -605,7 +607,7 @@ class PipelineStage:
             "name": self.name,
             "source_points": len(self.map.source.points),
             "target_points": len(self.map.target.points),
-            "pairs": len(self.map.pairs),
+            "pairs": len(self.map.src_idx),
             "certificate": self.certificate.to_json(),
         }
 
@@ -636,7 +638,7 @@ class PipelineResult:
             "composed": {
                 "source_points": len(self.composed.source.points),
                 "target_points": len(self.composed.target.points),
-                "pairs": len(self.composed.pairs),
+                "pairs": len(self.composed.src_idx),
                 "certificate": self.certificate.to_json(),
             },
             "synthesis": self.synthesis.to_json(),
@@ -696,13 +698,21 @@ def _word_stage(
 ) -> MultiMap:
     """Digit-reversal bijection from a regular tower's base to the word
     space of the same size: the depth-k digit becomes the letter at
-    position length-k, so deeper splits land on cheaper positions."""
-    tgt = word_space(target_base, length, caps=caps)
-    pairs = []
-    for leaf in binary_base.points:
-        digits = [int(t) for t in leaf.split(".")[1:]]
-        pairs.append((leaf, word_id(list(reversed(digits)), target_base)))
-    return MultiMap(binary_base, tgt, tuple(pairs))
+    position length-k, so deeper splits land on cheaper positions.
+
+    Index arithmetic: the base lists its leaves in id order, each node's
+    children in string order of their digit ("10" < "2"), so leaf i has
+    at depth k the digit whose string ranks (i // a^(length-k)) mod a,
+    and the word point with the depth-k digit at position length-k is
+    the sum of digit_k * a^(k-1)."""
+    a = target_base
+    tgt = word_space(a, length, caps=caps)
+    digit = np.asarray(sorted(range(a), key=str), dtype=np.int64)
+    leaf = np.arange(len(binary_base.points))
+    word = np.zeros_like(leaf)
+    for k in range(1, length + 1):
+        word += digit[leaf // a ** (length - k) % a] * a ** (k - 1)
+    return MultiMap._of_indices(binary_base, tgt, leaf, word)
 
 
 def _pipeline_stage_specs(
@@ -733,18 +743,17 @@ def _pipeline_stage_specs(
     _, s1, germ_cert = build_admissible_morphism(
         sub1, roots, sub2, sub2.top, synth.sequences, caps=caps)
 
-    dom_set = set(s1.source.points)
     tower_base = base_space(tower, caps=caps)
-    s0_points = sorted(
-        x for x in tower_base.points if next1[x] in dom_set)
-    s0 = MultiMap(
-        subspace(tower_base, s0_points, caps=caps), s1.source,
-        tuple((x, next1[x]) for x in s0_points))
+    s0_points = [x for x in tower_base.points if next1[x] in s1.source]
+    s0 = MultiMap.from_function(
+        subspace(tower_base, s0_points, caps=caps), s1.source, next1)
 
+    # the germ map's target is the whole binary base, in the same id order
     binary_base = base_space(binary, caps=caps)
-    s2 = MultiMap(
-        s1.target, binary_base,
-        tuple((x, x) for x in binary_base.points))
+    if s1.target.points != binary_base.points:
+        raise RuntimeError("germ-map target is not the binary base")
+    leaves = np.arange(len(binary_base.points))
+    s2 = MultiMap._of_indices(s1.target, binary_base, leaves, leaves)
 
     s3 = _word_stage(binary_base, synth.m[-1], target_base, caps=caps)
 

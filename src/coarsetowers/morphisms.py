@@ -23,119 +23,139 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, PointId, Space, min_net, subspace
+from .spaces import CLOSED, PointId, Space, ball, min_net, subspace
 from .towers import (
     DegreeProfile, NodeId, Tower, _cone_profile, base_space, degree_profile)
 
 
 # -- multi-maps ---------------------------------------------------------------
 
+PointMap = Union[Mapping[PointId, PointId], Callable[[PointId], PointId]]
 
-@dataclass(frozen=True)
+
 class MultiMap:
-    """Relation between two finite spaces, stored as sorted (source, target)
-    id pairs.  Derived views (fibers, inverse, surjectivity) are computed on
-    demand and cached; the object itself never mutates."""
+    """Relation between two finite spaces, held as two read-only int64
+    arrays of point indices: graph point k relates source point
+    src_idx[k] to target point tgt_idx[k].  The graph is sorted by
+    (source id, target id), ranked by each space's _id_ranks, with no
+    repeats, so each source's targets form one run.  pairs, fibers and
+    cofibers are views derived on demand and cached; the object never
+    mutates.  Every constructor ends in _of_indices, the one sort."""
 
-    source: Space
-    target: Space
-    pairs: tuple[tuple[PointId, PointId], ...]
-
-    def __post_init__(self):
-        norm = tuple(sorted(set((a, b) for a, b in self.pairs)))
-        for a, b in norm:
-            if a not in self.source:
-                raise ValueError(f"pair source {a!r} not in the source space")
-            if b not in self.target:
-                raise ValueError(f"pair target {b!r} not in the target space")
-        object.__setattr__(self, "pairs", norm)
+    def __init__(self, source: Space, target: Space,
+                 pairs: Iterable[tuple[PointId, PointId]]):
+        pairs = tuple(pairs)
+        ids = tuple(zip(*pairs)) or ((), ())
+        try:
+            ia, ib = (np.fromiter(map(sp._index.__getitem__, i), np.int64, len(pairs))
+                      for sp, i in zip((source, target), ids))
+        except KeyError:  # name the first offending pair in sorted order
+            a, b = min((a, b) for a, b in pairs if a not in source or b not in target)
+            raise ValueError(f"pair source {a!r} not in the source space" if a not in source
+                             else f"pair target {b!r} not in the target space") from None
+        vars(self).update(vars(MultiMap._of_indices(source, target, ia, ib)))
 
     @classmethod
-    def from_function(
-        cls,
-        source: Space,
-        target: Space,
-        fn: Union[Mapping[PointId, PointId], Callable[[PointId], PointId]],
-    ) -> "MultiMap":
+    def _of_indices(cls, source: Space, target: Space, ia, ib) -> "MultiMap":
+        """The relation with graph points (ia[k], ib[k]), in any order and
+        with repeats; the indices must lie in range.  A stable sort of the
+        rank key runs in linear time on the nearly sorted keys builders
+        pass, where np.unique hashes every key first."""
+        (s_order, s_rank), (t_order, t_rank) = source._id_ranks(), target._id_ranks()
+        m = max(len(target.points), 1)
+        key = np.sort(s_rank[ia] * m + t_rank[ib], kind="stable")
+        rs, rt = np.divmod(key[_run_starts(key)], m)
+        mm = cls.__new__(cls)
+        mm.source, mm.target, mm.src_idx, mm.tgt_idx = source, target, s_order[rs], t_order[rt]
+        mm.src_idx.flags.writeable = mm.tgt_idx.flags.writeable = False
+        return mm
+
+    @classmethod
+    def from_function(cls, source: Space, target: Space, fn: PointMap) -> "MultiMap":
         get = fn.__getitem__ if isinstance(fn, Mapping) else fn
-        return cls(source, target, tuple((p, get(p)) for p in source.points))
+        return cls(source, target, zip(source.points, map(get, source.points)))
 
     @classmethod
     def identity(cls, space: Space) -> "MultiMap":
-        return cls(space, space, tuple((p, p) for p in space.points))
+        idx = np.arange(len(space.points))
+        return cls._of_indices(space, space, idx, idx)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[PointId, PointId], ...]:
+        return tuple(zip(_ids(self.source, self.src_idx), _ids(self.target, self.tgt_idx)))
 
     @cached_property
     def fibers(self) -> dict[PointId, tuple[PointId, ...]]:
-        out: dict[PointId, list[PointId]] = {}
-        for a, b in self.pairs:
-            out.setdefault(a, []).append(b)
-        return {a: tuple(bs) for a, bs in out.items()}
+        bounds = _run_starts(self.src_idx).tolist() + [self.src_idx.size]
+        targets = _ids(self.target, self.tgt_idx)
+        return {self.source.points[self.src_idx[lo]]: tuple(targets[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])}
 
     @cached_property
     def cofibers(self) -> dict[PointId, tuple[PointId, ...]]:
-        out: dict[PointId, list[PointId]] = {}
-        for a, b in self.pairs:
-            out.setdefault(b, []).append(a)
-        return {b: tuple(a_) for b, a_ in out.items()}
+        return self.inverse().fibers
 
     def image(self, subset: Optional[Iterable[PointId]] = None) -> tuple[PointId, ...]:
-        if subset is None:
-            return tuple(sorted(self.cofibers))
-        hit: set[PointId] = set()
-        for a in subset:
-            hit.update(self.fibers.get(a, ()))
-        return tuple(sorted(hit))
+        fibers = self.fibers
+        return tuple(sorted({b for a in (fibers if subset is None else subset)
+                             for b in fibers.get(a, ())}))
 
     def preimage(self, subset: Optional[Iterable[PointId]] = None) -> tuple[PointId, ...]:
-        if subset is None:
-            return tuple(sorted(self.fibers))
-        hit: set[PointId] = set()
-        for b in subset:
-            hit.update(self.cofibers.get(b, ()))
-        return tuple(sorted(hit))
+        return self.inverse().image(subset)
 
     def inverse(self) -> "MultiMap":
-        return MultiMap(self.target, self.source, tuple((b, a) for a, b in self.pairs))
+        return MultiMap._of_indices(self.target, self.source, self.tgt_idx, self.src_idx)
+
+    @cached_property
+    def _out_degree(self) -> np.ndarray:
+        return np.bincount(self.src_idx, minlength=len(self.source.points))
 
     @property
     def is_total(self) -> bool:
-        return len(self.fibers) == len(self.source.points)
+        return bool(self._out_degree.all())
 
     @property
     def is_surjective(self) -> bool:
-        return len(self.cofibers) == len(self.target.points)
+        return bool(np.bincount(self.tgt_idx, minlength=len(self.target.points)).all())
 
     @property
     def is_function(self) -> bool:
-        return all(len(bs) == 1 for bs in self.fibers.values())
+        return bool((self._out_degree <= 1).all())
 
     @property
     def is_bijection(self) -> bool:
-        return (
-            self.is_total
-            and self.is_surjective
-            and self.is_function
-            and all(len(a_) == 1 for a_ in self.cofibers.values())
-        )
+        return bool((self._out_degree == 1).all() and (self.inverse()._out_degree == 1).all())
 
     def as_function(self) -> dict[PointId, PointId]:
         if not self.is_function:
             raise ValueError("relation is not single-valued")
-        return {a: bs[0] for a, bs in self.fibers.items()}
+        return dict(self.pairs)
+
+
+def _ids(space: Space, idx: np.ndarray) -> list[PointId]:
+    return list(map(space.points.__getitem__, idx.tolist()))
+
+
+def _run_starts(idx: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal entries begins."""
+    return np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))[:idx.size]
 
 
 def compose(phi: MultiMap, psi: MultiMap) -> MultiMap:
     """Relational composition: x related to z when some middle point y has
     (x,y) in phi and (y,z) in psi.  The middle spaces must carry the same
-    point ids in the same order."""
+    point ids in the same order.  A join on the middle index: each graph
+    point of phi is repeated once per target of its middle point, read
+    off psi's run for that point."""
     if phi.target.points != psi.source.points:
         raise ValueError("composition needs matching middle point sets")
-    out: set[tuple[PointId, PointId]] = set()
-    psi_fibers = psi.fibers
-    for x, y in phi.pairs:
-        for z in psi_fibers.get(y, ()):
-            out.add((x, z))
-    return MultiMap(phi.source, psi.target, tuple(sorted(out)))
+    starts = _run_starts(psi.src_idx)
+    offset = np.zeros(len(psi.source.points), dtype=np.int64)
+    offset[psi.src_idx[starts]] = starts
+    count = psi._out_degree[phi.tgt_idx]
+    at = np.repeat(offset[phi.tgt_idx] - np.cumsum(count) + count, count)
+    z = psi.tgt_idx[at + np.arange(at.size)]
+    return MultiMap._of_indices(phi.source, psi.target, np.repeat(phi.src_idx, count), z)
 
 
 # -- distortion moduli --------------------------------------------------------
@@ -183,28 +203,17 @@ class DistortionModulus:
         }
 
 
-def _graph_indices(phi: MultiMap) -> tuple[np.ndarray, np.ndarray]:
-    """Source and target point indices of the graph points, in phi.pairs
-    order."""
-    src, tgt = phi.source, phi.target
-    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
-    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
-    return ia, ib
-
-
 def _pair_code_blocks(phi: MultiMap):
     """Yield (row offset, source-code block, target-code block) over every
     ordered pair of graph points, in blocks of whole rows of about four
     million cells each.  Cell (i, j) of a block is the pair of graph
-    points lo + i and j in phi.pairs order, so the first hit found block
+    points lo + i and j in graph order, so the first hit found block
     by block is the row-major first over the whole scan."""
-    src, tgt = phi.source, phi.target
-    ia, ib = _graph_indices(phi)
-    n = len(phi.pairs)
+    ia, ib, n = phi.src_idx, phi.tgt_idx, phi.src_idx.size
     chunk = max(1, 4_000_000 // max(n, 1))
     for lo in range(0, n, chunk):
-        yield (lo, src.codes[np.ix_(ia[lo:lo + chunk], ia)],
-               tgt.codes[np.ix_(ib[lo:lo + chunk], ib)])
+        yield (lo, phi.source.codes[np.ix_(ia[lo:lo + chunk], ia)],
+               phi.target.codes[np.ix_(ib[lo:lo + chunk], ib)])
 
 
 def _first_failing_pairs(phi: MultiMap, tests: dict) -> dict:
@@ -227,7 +236,8 @@ def _first_failing_pairs(phi: MultiMap, tests: dict) -> dict:
 
 def _witness(phi: MultiMap, i: int, j: int) -> tuple[PointId, PointId, PointId, PointId]:
     """Graph points i and j as (source i, source j, target i, target j)."""
-    return (phi.pairs[i][0], phi.pairs[j][0], phi.pairs[i][1], phi.pairs[j][1])
+    sp, tp, ia, ib = phi.source.points, phi.target.points, phi.src_idx, phi.tgt_idx
+    return (sp[ia[i]], sp[ia[j]], tp[ib[i]], tp[ib[j]])
 
 
 def _require_ultrametric(phi: MultiMap) -> None:
@@ -248,9 +258,9 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
     decide every pair without visiting it.  ValueError on an empty
     relation or when a space is not ultrametric.
     """
-    if not phi.pairs:
+    if not phi.src_idx.size:
         raise ValueError("modulus of an empty relation")
-    caps.check_points(len(phi.pairs), "relation graph")
+    caps.check_points(phi.src_idx.size, "relation graph")
     _require_ultrametric(phi)
     return _label_modulus(phi)
 
@@ -272,23 +282,16 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     every pair within c* - 1 stays within M(c* - 1) < M.
     """
     src, tgt = phi.source, phi.target
-    ia, ib = _graph_indices(phi)
-
-    def src_labels(c: int) -> np.ndarray:
-        return src.ball_labels(c)[ia]
-
-    def tgt_labels(t: int) -> np.ndarray:
-        return tgt.ball_labels(t)[ib]
-
+    ia, ib = phi.src_idx, phi.tgt_idx
     c0 = src._code(ia[0], ia[0])
     t0 = t = tgt._code(ib[0], ib[0])
-    T = tgt_labels(t)
+    T = tgt.ball_labels(t)[ib]
     rep = np.empty(len(src.points), dtype=np.int64)
     rows: list[tuple[Rational, Rational]] = []
     wits: list[tuple[PointId, PointId, PointId, PointId]] = []
     balls, run = 0, -1
     for c in range(c0, len(src.values)):
-        S = src_labels(c)
+        S = src.ball_labels(c)[ia]
         count = int(np.count_nonzero(np.bincount(S)))
         if count == balls:
             continue  # source distance not realized between mapped points
@@ -296,14 +299,14 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
         rep[S] = T  # one target label per source ball, if the ball fits
         while not (rep[S] == T).all():
             t += 1
-            T = tgt_labels(t)
+            T = tgt.ball_labels(t)[ib]
             rep[S] = T
         if t > run:
             # pairs within a smaller source code stay below target code t,
             # so the pairs at target code t found here sit at source code c
             run = t
             wit = _witness(phi, *_first_pair_at(
-                S, T, tgt_labels(t - 1) if t > t0 else None))
+                S, T, tgt.ball_labels(t - 1)[ib] if t > t0 else None))
         rows.append((src.values[c], tgt.values[t]))
         wits.append(wit)
         if balls == 1:
@@ -427,19 +430,18 @@ def verify_asymorphism(
     upgrades the kind to isometry; otherwise the check's witness is the
     row-major first pair of graph points whose distances differ.
     """
-    if not phi.pairs:
+    if not phi.src_idx.size:
         raise ValueError("cannot certify an empty relation")
+    inv = phi.inverse()
     fwd = distortion_modulus(phi, caps)
-    bwd = distortion_modulus(phi.inverse(), caps)
-    onto = phi.is_surjective
-    total = phi.is_total
-    missing_t = next((p for p in phi.target.points if p not in phi.cofibers), None)
-    missing_s = next((p for p in phi.source.points if p not in phi.fibers), None)
+    bwd = distortion_modulus(inv, caps)
+    onto, total = inv.is_total, phi.is_total
+    # the first point, in point order, left out of the image or the domain
+    missing_t = phi.target.points[inv._out_degree.argmin()]
+    missing_s = phi.source.points[phi._out_degree.argmin()]
     checks = [
-        CertCheck("forward-surjective", onto,
-                  () if onto else (missing_t,)),
-        CertCheck("backward-surjective", total,
-                  () if total else (missing_s,)),
+        CertCheck("forward-surjective", onto, () if onto else (missing_t,)),
+        CertCheck("backward-surjective", total, () if total else (missing_s,)),
         CertCheck("forward-modulus-finite", fwd.finite),
         CertCheck("backward-modulus-finite", bwd.finite),
         CertCheck("forward-modulus-monotone", fwd.check_monotone().ok),
@@ -508,23 +510,34 @@ class SelectionPair:
         }
 
 
-def _max_roundtrip_fiber_diameter(phi: MultiMap) -> Rational:
-    """Max diameter of a fiber of the inverse-then-forward round trip,
-    i.e. of preimage(image({x})) over all source points x, on an
-    ultrametric source: the least code, from the diagonal's code up, at
-    which every fiber lies in one ball of the label table."""
-    src = phi.source
-    fibers = []
-    for x in phi.fibers:
-        members = set()
-        for y in phi.fibers[x]:
-            members.update(phi.cofibers[y])
-        fibers.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
-    idx = np.concatenate(fibers)
-    starts = np.cumsum([0] + [f.size for f in fibers[:-1]])
-    for code in range(src._code(idx[0], idx[0]), len(src.values)):
-        lab = src.ball_labels(code)[idx]
-        if (np.minimum.reduceat(lab, starts) == np.maximum.reduceat(lab, starts)).all():
+def _heads(mm: MultiMap) -> tuple[np.ndarray, np.ndarray]:
+    """Each source point in the domain, by id, with its least target by
+    id: the first of its run."""
+    first = _run_starts(mm.src_idx)
+    return mm.src_idx[first], mm.tgt_idx[first]
+
+
+def _closeness(space: Space, f, g) -> Rational:
+    """Largest d(x, g(f(x))) over the domain of f, with f and g given as
+    their _heads (g's domain must hold f's image): one pass over the
+    label rows (Space._pair_codes), no per-point distance."""
+    (xs, fx), (ys, gy) = f, g
+    g_of = np.empty(int(ys.max()) + 1, dtype=np.int64)
+    g_of[ys] = gy
+    return space.values[int(space._pair_codes(xs, g_of[fx]).max())]
+
+
+def _max_roundtrip_fiber_diameter(phi: MultiMap, inv: MultiMap) -> Rational:
+    """Max diameter of preimage(image({x})) over the source points x of
+    phi (inv is its inverse), on an ultrametric source.  That set is the
+    union of the cofibers of x's targets, which all hold x, so it lies in
+    one ball at code c exactly when each of them does: the bound is the
+    least code, from the diagonal's up, at which the label minima and
+    maxima over every run of inv agree."""
+    src, runs, i0 = phi.source, _run_starts(inv.src_idx), phi.src_idx[0]
+    for code in range(src._code(i0, i0), len(src.values)):
+        lab = src.ball_labels(code)[inv.tgt_idx]
+        if (np.minimum.reduceat(lab, runs) == np.maximum.reduceat(lab, runs)).all():
             break
     return src.values[code]
 
@@ -543,19 +556,17 @@ def selection_pair(
         raise ValueError(
             f"selection needs a verified asymorphism, certificate says "
             f"{cert.kind!r}")
-    f = {x: min(ts) for x, ts in phi.fibers.items()}
-    g = {y: min(xs) for y, xs in phi.cofibers.items()}
-    src, tgt = phi.source, phi.target
-    s_close = max(src.dist(x, g[f[x]]) for x in f)
-    t_close = max(tgt.dist(y, f[g[y]]) for y in g)
-    s_bound = _max_roundtrip_fiber_diameter(phi)
-    t_bound = _max_roundtrip_fiber_diameter(phi.inverse())
+    inv = phi.inverse()
+    f, g = _heads(phi), _heads(inv)
+    s_close, t_close = _closeness(phi.source, f, g), _closeness(phi.target, g, f)
+    s_bound = _max_roundtrip_fiber_diameter(phi, inv)
+    t_bound = _max_roundtrip_fiber_diameter(inv, phi)
     if s_close > s_bound or t_close > t_bound:
         # {x, g(f(x))} always sits inside one round-trip fiber
         raise RuntimeError("selection closeness exceeded its fiber bound")
     return SelectionPair(
-        f=f,
-        g=g,
+        f=dict(zip(_ids(phi.source, f[0]), _ids(phi.target, f[1]))),
+        g=dict(zip(_ids(phi.target, g[0]), _ids(phi.source, g[1]))),
         closeness=max(s_close, t_close),
         source_closeness=s_close,
         target_closeness=t_close,
@@ -569,12 +580,19 @@ def is_large(
 ) -> Rational:
     """Covering radius of a subset: the sup over points of the distance to
     the nearest subset member.  Every finite subset is large at any radius
-    beyond this value, so the sup itself is reported."""
+    beyond this value, so the sup itself is reported: on a space holding
+    its ball-label table, the least code at which every ball holds a
+    subset member; otherwise read off the code matrix."""
     sub = space.subindices(subset)
     if sub.size == 0:
         raise ValueError("empty subset cannot be large")
-    colmin = space.codes[:, sub].min(axis=1)
-    return space.values[int(colmin.max())]
+    if not isinstance(space._labels, list):
+        return space.values[int(space.codes[:, sub].min(axis=1).max())]
+    for code in range(space._code(sub[0], sub[0]), len(space.values)):
+        labels = space.ball_labels(code)
+        if np.isin(labels, labels[sub]).all():
+            break
+    return space.values[code]
 
 
 @dataclass(frozen=True)
@@ -625,24 +643,17 @@ def coarse_normal_form(
         raise ValueError("f must be defined on every source point")
     if set(g) != set(target.points):
         raise ValueError("g must be defined on every target point")
-    for x, y in f.items():
-        if y not in target:
-            raise ValueError(f"f({x!r}) lands outside the target")
-    for y, x in g.items():
-        if x not in source:
-            raise ValueError(f"g({y!r}) lands outside the source")
-    r_source = max(source.dist(x, g[f[x]]) for x in source.points)
-    r_target = max(target.dist(y, f[g[y]]) for y in target.points)
-    big_r = max(r_source, r_target)
+    # ValueError on an image outside the other space
+    f_map = MultiMap.from_function(source, target, f)
+    g_map = MultiMap.from_function(target, source, g)
+    f_h, g_h = _heads(f_map), _heads(g_map)
+    big_r = max(_closeness(source, f_h, g_h), _closeness(target, g_h, f_h))
 
-    y_prime = tuple(sorted(set(f.values())))
-    transversal: dict[PointId, PointId] = {}
-    for x in sorted(f):  # least-id representative per fiber
-        y = f[x]
-        if y not in transversal:
-            transversal[y] = x
-    x_prime = tuple(sorted(transversal.values()))
-    h = {transversal[y]: y for y in y_prime}
+    # the least-id representative of each f-fiber heads its run in the inverse
+    ys, xs = _heads(f_map.inverse())
+    y_prime = tuple(_ids(target, ys))
+    h = dict(zip(_ids(source, xs), y_prime))
+    x_prime = tuple(sorted(h))
 
     sub_x = subspace(source, x_prime, caps=caps)
     sub_y = subspace(target, y_prime, caps=caps)
@@ -650,8 +661,7 @@ def coarse_normal_form(
     fwd = distortion_modulus(h_map, caps)
     bwd = distortion_modulus(h_map.inverse(), caps)
 
-    g_modulus = distortion_modulus(
-        MultiMap.from_function(target, source, dict(g)), caps)
+    g_modulus = distortion_modulus(g_map, caps)
     violations = []
     for eps, delta in bwd.table:
         bound = g_modulus.value_at(eps) + 2 * big_r
@@ -727,8 +737,7 @@ def tower_embedding(
     if len(set(phi.values())) != len(phi):
         raise RuntimeError("embedding construction lost injectivity")
 
-    base_pairs = tuple((x, phi[x]) for x in t1.base)
-    phi_base = MultiMap(base_space(t1, caps), base_space(t2, caps), base_pairs)
+    phi_base = MultiMap.from_function(base_space(t1, caps), base_space(t2, caps), phi)
     cert = verify_asymorphism(phi_base, expect_isometry=True, caps=caps)
     preserved = next(
         c for c in cert.checks if c.axiom == "distance-preserving")
@@ -879,9 +888,7 @@ def check_l2_preconditions(
         raise ValueError(
             f"sequence length {len(seqs)} does not match profile height {h}")
     checked: list[str] = []
-    violations: list[Violation] = []
-    for v in seqs.check().violations:
-        violations.append(v)
+    violations: list[Violation] = list(seqs.check().violations)
     checked.append("window-spacing")
     for i in range(1, h):
         ai, bi = seqs.window(i)
@@ -1054,8 +1061,7 @@ def build_admissible_morphism(
     dom_base = sorted(x for x in phi if t1.level[x] == 1)
     src_space = subspace(base_space(t1, caps), dom_base, caps=caps)
     tgt_space = subspace(base_space(t2, caps), t2.base_below(w), caps=caps)
-    phi_base = MultiMap(
-        src_space, tgt_space, tuple((x, phi[x]) for x in dom_base))
+    phi_base = MultiMap.from_function(src_space, tgt_space, phi)
     fwd = distortion_modulus(phi_base, caps)
     bwd = distortion_modulus(phi_base.inverse(), caps)
     bounds = _base_distortion_report(phi_base, fwd, bwd)
@@ -1132,7 +1138,7 @@ def _base_distortion_report(
     first = _first_failing_pairs(phi, broken)
     violations = []
     for rule in broken:
-        (x, fx), (y, fy) = (phi.pairs[k] for k in first[rule])
+        x, y, fx, fy = _witness(phi, *first[rule])
         violations.append(Violation(rule, (x, y), _BASE_BOUND_MESSAGES[rule].format(
             x=x, y=y, ds=rat_str(phi.source.dist(x, y)),
             dt=rat_str(phi.target.dist(fx, fy)))))
@@ -1151,23 +1157,14 @@ def check_entropy_transport(
     target ball around f(x) of radius forward(r).  Closed nets throughout."""
     if not phi.is_total:
         raise ValueError("entropy transport needs a total map")
-    fwd = certificate.forward_modulus
-    bwd = certificate.backward_modulus
+    fwd, bwd = certificate.forward_modulus, certificate.backward_modulus
     src, tgt = phi.source, phi.target
     pts = tuple(centers) if centers is not None else src.points
     violations: list[Violation] = []
     for x in pts:
         y = min(phi.fibers[x])
-        xi = src.index(x)
-        yi = tgt.index(y)
         for r in src.values:
-            ball_x = [src.points[int(i)]
-                      for i in np.nonzero(
-                          src.codes[xi] <= src.threshold_code(r, CLOSED))[0]]
-            cover = fwd.value_at(r)
-            tcode = tgt.threshold_code(cover, CLOSED)
-            ball_y = [tgt.points[int(i)]
-                      for i in np.nonzero(tgt.codes[yi] <= tcode)[0]]
+            ball_x, ball_y = ball(src, x, r), ball(tgt, y, fwd.value_at(r))
             for eps in tgt.values:
                 n_target = len(min_net(tgt, ball_y, eps, CLOSED, caps))
                 n_source = len(min_net(src, ball_x, bwd.value_at(2 * eps),

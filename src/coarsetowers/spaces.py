@@ -64,7 +64,7 @@ class Space:
     and builders emit points so that id order and tuple order agree.
     """
 
-    __slots__ = ("points", "values", "_codes", "_index", "_labels")
+    __slots__ = ("points", "values", "_codes", "_index", "_labels", "_ranks")
 
     def __init__(
         self,
@@ -94,6 +94,7 @@ class Space:
         self.points, self.values = points, values
         self._codes, self._labels = codes, labels
         self._index = {p: i for i, p in enumerate(points)}
+        self._ranks = None
         return self
 
     # -- construction ------------------------------------------------------
@@ -152,12 +153,35 @@ class Space:
             self._codes = codes
         return self._codes
 
-    def _code(self, i: int, j: int) -> int:
-        """Code of the pair at indices i, j: off the matrix when the space
-        holds one, else the number of (nested) label rows that separate it."""
+    def _pair_codes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Codes of the pairs (i[k], j[k]) of point indices: off the matrix
+        when the space holds one, else the number of (nested) label rows
+        that separate each pair."""
         if self._codes is not None:
-            return int(self._codes[i, j])
-        return sum(int(row[i] != row[j]) for row in self._labels)
+            return self._codes[i, j].astype(np.int64)
+        out = np.zeros(np.shape(i), dtype=np.int64)
+        for row in self._labels:
+            out += row[i] != row[j]
+        return out
+
+    def _code(self, i: int, j: int) -> int:
+        """Code of the pair at indices i, j (see _pair_codes)."""
+        return int(self._pair_codes(i, j))
+
+    def _id_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, rank): the point indices sorted by id, and each point's
+        place in that order; computed once.  Builders list points in id
+        order, except word spaces over alphabets above 10, whose ids sort
+        "0.10" before "0.2"."""
+        if self._ranks is None:
+            n = len(self.points)
+            order = np.fromiter(sorted(range(n), key=self.points.__getitem__),
+                                dtype=np.int64, count=n)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            order.flags.writeable = rank.flags.writeable = False
+            self._ranks = order, rank
+        return self._ranks
 
     def dist(self, x: PointId, y: PointId) -> Rational:
         return self.values[self._code(self.index(x), self.index(y))]

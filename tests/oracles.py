@@ -1,13 +1,21 @@
-"""Dense kernels kept as test oracles.
+"""Dense and string kernels kept as test oracles.
 
-Each reads the n x n code matrices and visits every pair (or every block
-of pairs) it decides, the way the package did before its ultrametric
-kernels read ball-label tables: the block-scan distortion modulus, the
-full base-distortion scan, the isometry witness scan, the round-trip
-fiber diameter by gathered blocks, the nearest-representative ball map,
-and the dense product and hyperspace.
-They work on any space that holds (or writes) its code matrix, so they
-share no label logic with the kernels they check.
+The dense ones read the n x n code matrices and visit every pair (or
+every block of pairs) they decide, the way the package did before its
+ultrametric kernels read ball-label tables: the block-scan distortion
+modulus, the full base-distortion scan, the isometry witness scan, the
+round-trip fiber diameter by gathered blocks, the covering radius by
+column minima, the nearest-representative ball map, and the dense
+product and hyperspace.  They work on any space that holds (or writes)
+its code matrix, so they share no label logic with the kernels they
+check.
+
+The string ones work on a relation's id pairs, the way the package did
+before relations held index arrays: fibers and cofibers as dicts of id
+tuples, the inverse, composition through a set of id pairs, and the
+selection pair's f, g and closenesses by one distance per point.  Graph
+indices are looked up from the pairs, so nothing here reads the index
+arrays they check.
 """
 
 import itertools
@@ -18,10 +26,69 @@ import numpy as np
 
 from coarsetowers import MultiMap, Space
 from coarsetowers.limits import DEFAULT_CAPS, Caps
-from coarsetowers.morphisms import DistortionModulus, _graph_indices
+from coarsetowers.morphisms import DistortionModulus
 from coarsetowers.rationals import rat_str
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.spaces import _pick_dtype
+
+
+# -- relations as id pairs ---------------------------------------------------
+
+
+def graph_indices(phi: MultiMap) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target point indices of the graph points, in pairs order."""
+    src, tgt = phi.source, phi.target
+    ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
+    ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
+    return ia, ib
+
+
+def fibers(pairs) -> dict:
+    """Each source id with its targets, in pairs order."""
+    out: dict = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return {a: tuple(bs) for a, bs in out.items()}
+
+
+def cofibers(pairs) -> dict:
+    """Each target id with its sources, in pairs order."""
+    return fibers((b, a) for a, b in pairs)
+
+
+def inverse_pairs(phi: MultiMap) -> tuple:
+    return tuple(sorted(set((b, a) for a, b in phi.pairs)))
+
+
+def compose_pairs(phi: MultiMap, psi: MultiMap) -> tuple:
+    """The composite's sorted id pairs: each (x, y) of phi joined with
+    every (y, z) of psi."""
+    out = set()
+    psi_fibers = fibers(psi.pairs)
+    for x, y in phi.pairs:
+        for z in psi_fibers.get(y, ()):
+            out.add((x, z))
+    return tuple(sorted(out))
+
+
+def selection(phi: MultiMap) -> tuple:
+    """(f, g, source closeness, target closeness): f takes the least
+    target id of each fiber, g the least source id of each cofiber, and
+    each closeness is the largest round-trip distance, one matrix read a
+    point."""
+    f = {x: min(ts) for x, ts in fibers(phi.pairs).items()}
+    g = {y: min(xs) for y, xs in cofibers(phi.pairs).items()}
+    s_close = max(matrix_dist(phi.source, x, g[f[x]]) for x in f)
+    t_close = max(matrix_dist(phi.target, y, f[g[y]]) for y in g)
+    return f, g, s_close, t_close
+
+
+def matrix_dist(space: Space, x, y):
+    """The distance of two ids read off the code matrix."""
+    return space.values[int(space.codes[space.index(x), space.index(y)])]
+
+
+# -- dense scans --------------------------------------------------------------
 
 
 def pair_code_blocks(phi: MultiMap):
@@ -29,7 +96,7 @@ def pair_code_blocks(phi: MultiMap):
     ordered pair of graph points, whole rows of about four million cells
     at a time, so the first hit found block by block is row-major first."""
     src, tgt = phi.source, phi.target
-    ia, ib = _graph_indices(phi)
+    ia, ib = graph_indices(phi)
     n = len(phi.pairs)
     chunk = max(1, 4_000_000 // max(n, 1))
     for lo in range(0, n, chunk):
@@ -124,13 +191,21 @@ def roundtrip_fiber_diameter(phi: MultiMap):
     """Max diameter of preimage(image({x})) over source points x, as the
     largest code in each fiber's gathered block of the code matrix."""
     src = phi.source
-    fibers = []
-    for x in phi.fibers:
+    out, back = fibers(phi.pairs), cofibers(phi.pairs)
+    blocks = []
+    for x in out:
         members = set()
-        for y in phi.fibers[x]:
-            members.update(phi.cofibers[y])
-        fibers.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
-    return src.values[max(int(src.codes[np.ix_(f, f)].max()) for f in fibers)]
+        for y in out[x]:
+            members.update(back[y])
+        blocks.append(np.asarray([src.index(m) for m in members], dtype=np.int64))
+    return src.values[max(int(src.codes[np.ix_(b, b)].max()) for b in blocks)]
+
+
+def covering_radius(space: Space, subset) -> object:
+    """is_large by column minima: the largest over points of the least
+    code to a subset member."""
+    sub = space.subindices(subset)
+    return space.values[int(space.codes[:, sub].min(axis=1).max())]
 
 
 def argmin_base_map(space: Space, tower) -> dict:

@@ -32,6 +32,12 @@ EQUIV_DIGESTS = {
     # the headline run, as the equiv-ternary benchmark workload runs it
     ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary"):
         "039388f5004c1df7fe84a4ba939369981e7e0f46a7d62d3fadbf37e697e971c4",
+    # alphabets above 10 list their word points out of id order ("0.10"
+    # before "0.2"), so these pin relations whose index order is not id order
+    ("equiv", "--from", "regular:3", "--to", "regular:11"):
+        "bd0a66742ae4f3550cf2921aab5474b41d26766b3279e194d62893f5494519fb",
+    ("equiv", "--from", "regular:2", "--to", "regular:12"):
+        "c9a846251476b90750d838d4e42f1ee3254f630ec5455c53518225b2559e5786",
 }
 
 # the entropy CSVs of the product and hyperspace experiments

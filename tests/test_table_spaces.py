@@ -27,6 +27,7 @@ from coarsetowers import (
     ball_tower_base_map,
     base_space,
     chain_components,
+    coarse_normal_form,
     distortion_modulus,
     entropy_from_degrees,
     entropy_profile,
@@ -188,6 +189,29 @@ def test_ball_tower_base_map_of_a_table_space_reads_labels(seed, zero_radius):
         assert got == argmin_base_map(dense, bt)
 
 
+def _label_count_codes(space):
+    """Codes by their definition on a label table: the number of label
+    rows on which the two points' labels differ."""
+    out = 0
+    for row in space._labels:
+        out = out + (row[:, None] != row[None, :])
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("depth_first", [True, False])
+def test_codes_written_from_the_table_match_the_block_fill(depth_first):
+    rng = random.Random(11)
+    tower = regular_tower((3, 2, 4)) if depth_first else shuffled_tower(
+        rng, regular_tower((3, 2, 4)))
+    space = base_space(tower)
+    parts, values = _tower_parts(tower)
+    order = np.lexsort(space._labels)
+    assert bool((order == np.arange(len(space))).all()) == depth_first
+    codes, kept = _block_fill(parts, values)
+    assert np.array_equal(space.codes, codes)
+    assert np.array_equal(space.codes, _label_count_codes(space))
+
+
 def test_a_whole_subspace_in_id_order_is_the_space_itself():
     space = base_space(random_tower(random.Random(3)))
     assert subspace(space, reversed(space.points)) is space
@@ -255,6 +279,14 @@ def test_census_tower_check_writes_no_code_matrix(degrees, no_matrix_writes):
     for i in range(tower.height):
         for j in range(i, tower.height):
             assert profile.entries[(2 * i, 2 * j)] == entropy_from_degrees(tower, i, j)
+
+
+def test_coarse_normal_form_writes_no_code_matrix(no_matrix_writes):
+    base = base_space(regular_tower((3, 3, 3)))
+    f = {p: p[:-1] + "0" for p in base.points}  # each sibling set onto its first
+    nf = coarse_normal_form(base, base, f, {p: p for p in base.points})
+    assert (nf.r_bound, nf.x_cover, nf.y_cover) == (2, 2, 2)
+    assert len(nf.x_prime) == len(nf.y_prime) == 9
 
 
 def test_embed_writes_no_code_matrix(no_matrix_writes):
