@@ -89,11 +89,11 @@ class Space:
         checks those of user code.  labels is the complete ball-label
         table of a space known to be ultrametric, else None."""
         caps.check_points(len(points), "space")
-        if len(set(points)) != len(points):
+        self._index = dict(zip(points, range(len(points))))
+        if len(self._index) != len(points):
             raise ValueError("duplicate point ids")
         self.points, self.values = points, values
         self._codes, self._labels = codes, labels
-        self._index = {p: i for i, p in enumerate(points)}
         self._ranks = None
         return self
 
@@ -540,10 +540,19 @@ def word_space(
 
 
 def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]:
-    """Closed ball: all points at distance <= radius, in point order."""
-    row = space.codes[space.index(center)]
+    """Closed ball: all points at distance <= radius, in point order.  A
+    space holding its ball-label table reads the ball off it: the points
+    sharing the center's label in the row of the radius's code.  Only a
+    space without a table reads its codes."""
+    x = space.index(center)
     t = space.threshold_code(radius, CLOSED)
-    idx = np.nonzero(row <= t)[0] if t >= 0 else np.asarray([], dtype=np.int64)
+    if t < 0:
+        return ()
+    if isinstance(space._labels, list):
+        row = space._labels[t]
+        idx = np.flatnonzero(row == row[x])
+    else:
+        idx = np.flatnonzero(space.codes[x] <= t)
     return tuple(space.points[int(i)] for i in idx)
 
 
@@ -746,7 +755,12 @@ def entropy_profile(
     net is a single point.  The label rows are first-member labels, so the
     finer balls are named by their least members, which are exactly the
     points labelled by themselves, and counting those per coarse label
-    counts the balls inside each delta-ball exactly."""
+    counts the balls inside each delta-ball exactly.  A cell with
+    te >= td is (1, 1) without a count: each delta-ball lies in one
+    eps-ball.  Any other cell counts the eps-ball representatives per
+    delta-label, and its max and min run over the nonzero counts, which
+    are the counts of the delta-balls, since each holds at least one
+    representative."""
     n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
@@ -761,19 +775,22 @@ def entropy_profile(
         if any(delta < 0 for delta in delta_list):
             raise ValueError("delta must be >= 0")
         tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
+        lds = [space.ball_labels(td) for td in tds]
+        deltas = [canon(delta) for delta in delta_list]
         points = np.arange(n)
         for eps, te in zip(eps_list, tes):
-            le = space.ball_labels(te)
-            for delta, td in zip(delta_list, tds):
+            eps = canon(eps)
+            reps = np.flatnonzero(space.ball_labels(te) == points)
+            for delta, td, ld in zip(deltas, tds, lds):
                 # closed delta-balls are the classes of {code <= td}, so the
                 # net size of a center's ball is the number of eps-balls
-                # inside its delta-ball (1 when te >= td)
-                ld = space.ball_labels(td)
-                fine = le if te < td else ld
-                reps = np.flatnonzero(fine == points)
-                counts = np.bincount(ld[reps], minlength=n)[ld]
-                entries[(canon(eps), canon(delta))] = (
-                    int(counts.max()), int(counts.min()))
+                # inside its delta-ball
+                if te >= td:
+                    entries[(eps, delta)] = (1, 1)
+                    continue
+                counts = np.bincount(ld[reps])
+                counts = counts[counts > 0]
+                entries[(eps, delta)] = (int(counts.max()), int(counts.min()))
     else:
         for eps in eps_list:
             for delta in delta_list:

@@ -11,6 +11,7 @@ ultrametric taking even values.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,37 @@ from .report import ValidationReport, Violation
 from .spaces import CLOSED, Space, _ball_space
 
 NodeId = str
+
+
+def _is_valid_tower(
+    ids: list, level: Mapping[NodeId, int], parent: Mapping[NodeId, Optional[NodeId]]
+) -> bool:
+    """True exactly when validate_tower finds no violation, decided with
+    builtins that loop at C speed (no Python loop runs per node).  With
+    ids unique and every level an integer >= 1 with minimum 1, a single
+    top, the top alone without a parent, every other parent an id one
+    level up, and exactly the nodes above level 1 having a child, every
+    parent chain climbs one level a step and ends at the top.  An empty
+    id list fails the level-type test."""
+    levels, unique = list(map(level.get, ids)), set(ids)
+    if len(unique) != len(ids) or set(map(type, levels)) != {int}:
+        return False
+    height = max(levels)
+    if min(levels) != 1 or levels.count(height) != 1:
+        return False
+    parents = list(map(parent.get, ids))
+    top = levels.index(height)
+    if parents[top] is not None or parents.count(None) != 1:
+        return False
+    del parents[top], levels[top]
+    has_child = set(parents)
+    if not has_child <= unique:
+        return False
+    ups = list(map(operator.sub, map(level.get, parents), levels))
+    # parents sit above level 1, so has_child is all of those nodes
+    # exactly when it has as many members
+    return ups.count(1) == len(ups) and \
+        len(has_child) == len(levels) - levels.count(1) + (height > 1)
 
 
 def validate_tower(
@@ -46,6 +78,9 @@ def validate_tower(
         "level-condition", "chains-reach-top",
     )
     ids = list(node_ids)
+    # the per-node walk below only lists the witnesses of an invalid tower
+    if _is_valid_tower(ids, level, parent):
+        return ValidationReport("tower axioms", checked, ())
     seen = set()
     for i in ids:
         if i in seen:
@@ -133,10 +168,15 @@ class Tower:
     l = 1..height, _ids[l - 1] lists the level's node ids in id order and,
     below the top, _par[l - 1][k] is the index in _ids[l] of the parent of
     _ids[l - 1][k].  _profile keeps the degree profile once counted.
+
+    children is built from the arrays on first read and kept in _children;
+    the census reads degree profiles and base spaces, never children.
+    level and parent are filled eagerly, because the library's builders
+    validate every tower they build through those two dicts.
     """
 
-    __slots__ = ("height", "nodes", "level", "parent", "children", "base",
-                 "_ids", "_par", "_profile")
+    __slots__ = ("height", "nodes", "level", "parent", "base",
+                 "_children", "_ids", "_par", "_profile")
 
     def __init__(
         self,
@@ -161,23 +201,32 @@ class Tower:
         self._ids = tuple(tuple(row) for row in ids)
         self._par = tuple(par)
         self._profile: Optional[DegreeProfile] = None
+        self._children: Optional[dict[NodeId, tuple[NodeId, ...]]] = None
         self.height = len(ids)
         self.nodes = tuple(itertools.chain.from_iterable(self._ids))
         self.base = self._ids[0]
         self.level = {}
         self.parent = {}
-        self.children = dict.fromkeys(self.base, ())
         for lv, (row, up) in enumerate(zip(self._ids, self._ids[1:]), start=1):
             p = self._par[lv - 1]
             self.level.update(dict.fromkeys(row, lv))
             self.parent.update(zip(row, map(up.__getitem__, p.tolist())))
-            # a stable sort keeps each node's children in id order
-            kids = tuple([row[k] for k in np.argsort(p, kind="stable").tolist()])
-            ends = np.cumsum(np.bincount(p, minlength=len(up))).tolist()
-            self.children.update(
-                (node, kids[lo:hi]) for node, lo, hi in zip(up, [0] + ends, ends))
         self.level.update(dict.fromkeys(self._ids[-1], self.height))
         self.parent.update(dict.fromkeys(self._ids[-1]))
+
+    @property
+    def children(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        """Each node's children in id order, built on first read."""
+        if self._children is None:
+            children = dict.fromkeys(self.base, ())
+            for row, up, p in zip(self._ids, self._ids[1:], self._par):
+                # a stable sort keeps each node's children in id order
+                kids = tuple([row[k] for k in np.argsort(p, kind="stable").tolist()])
+                ends = np.cumsum(np.bincount(p, minlength=len(up))).tolist()
+                children.update(
+                    (node, kids[lo:hi]) for node, lo, hi in zip(up, [0] + ends, ends))
+            self._children = children
+        return self._children
 
     # -- navigation --------------------------------------------------------
 

@@ -11,6 +11,7 @@ rebuilt dense, and the fiber bounds those of the gathered-block oracle.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from coarsetowers import (
     DEFAULT_CAPS,
     MultiMap,
     Space,
+    ball,
     ball_tower,
     ball_tower_base_map,
     base_space,
     chain_components,
+    check_entropy_transport,
     coarse_normal_form,
     distortion_modulus,
     entropy_from_degrees,
@@ -293,6 +296,33 @@ def test_embed_writes_no_code_matrix(no_matrix_writes):
     _, cert = tower_embedding(regular_tower((2, 2)), regular_tower((3, 3)))
     assert cert.kind == "embedding"
     assert all(c.passed for c in cert.checks if c.axiom == "distance-preserving")
+
+
+def test_balls_and_entropy_transport_read_the_table():
+    words = word_space(3, 4)
+    assert ball(words, "0000", 2) == tuple(
+        p for p in words.points if words.dist("0000", p) <= 2)
+    assert words._codes is None
+    small = word_space(3, 3)
+    phi = MultiMap.identity(small)
+    assert check_entropy_transport(phi, verify_asymorphism(phi)).ok
+    assert small._codes is None
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_ball_off_the_table_matches_the_codes(seed):
+    space = random_ultrametric(random.Random(seed))
+    assert space.is_ultrametric  # validation installs the table
+    diam = space.diameter()
+    radii = [-1, diam + 1] + list(space.values) + [
+        Fraction(a + b, 2) for a, b in zip(space.values, space.values[1:])]
+    for center in space.points:
+        row = space.codes[space.index(center)]
+        for r in radii:
+            t = space.threshold_code(r, CLOSED)
+            want = tuple(p for p, c in zip(space.points, row.tolist()) if 0 <= t and c <= t)
+            assert ball(space, center, r) == want
 
 
 def test_user_spaces_still_need_a_code_matrix():

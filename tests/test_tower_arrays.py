@@ -15,6 +15,7 @@ from coarsetowers import (
     ball_tower,
     base_space,
     degree_profile,
+    entropy_from_degrees,
     entropy_profile,
     level_subtower,
     regular_tower,
@@ -276,6 +277,12 @@ def _reference_validate_tower(node_ids, level, parent):
     return ValidationReport("tower axioms", checked, tuple(violations))
 
 
+_MUTATIONS = (
+    "dropped-parent", "two-level-hop", "cycle", "duplicate-id", "second-top",
+    "bad-level", "foreign-parent", "childless", "top-parent", "missing-level",
+    "shifted-levels", "level-zero", "empty")
+
+
 def _mutate(rng, tower, kind):
     ids = list(tower.nodes)
     rng.shuffle(ids)
@@ -299,13 +306,31 @@ def _mutate(rng, tower, kind):
         parent["extra"] = None
     elif kind == "bad-level":
         level[x] = rng.choice((True, 2.5))
+    elif kind == "foreign-parent" and below:
+        parent[x] = "elsewhere"
+    elif kind == "childless":
+        # a node above level 1 whose parent is real but which has no child
+        inner = [y for y in below if tower.level[y] > 1]
+        if inner:
+            y = rng.choice(inner)
+            ids.append("childless")
+            level["childless"] = tower.level[y]
+            parent["childless"] = parent[y]
+    elif kind == "top-parent":
+        parent[tower.top] = rng.choice(ids)
+    elif kind == "missing-level":
+        del level[x]
+    elif kind == "shifted-levels":
+        level = {y: lv + 1 for y, lv in level.items()}
+    elif kind == "level-zero":
+        level = {y: lv - 1 for y, lv in level.items()}
+    elif kind == "empty":
+        ids = []
     return ids, level, parent
 
 
-@given(st.integers(0, 2 ** 32),
-       st.sampled_from(["none", "dropped-parent", "two-level-hop", "cycle",
-                        "duplicate-id", "second-top", "bad-level"]))
-@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(("none",) + _MUTATIONS))
+@settings(max_examples=300, deadline=None)
 def test_validate_tower_matches_reference(seed, kind):
     rng = random.Random(seed)
     tower = random_tower(rng, height_min=1, height_max=5)
@@ -319,3 +344,40 @@ def test_validate_tower_stops_walking_a_cycle_at_a_huge_level():
     rep = validate_tower(["r", "a"], {"r": 10 ** 30, "a": 1}, {"r": "r", "a": "r"})
     assert [(v.rule, v.witness) for v in rep.violations] == [
         ("parent-structure", ("r",)), ("level-condition", ("a", "r"))]
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+def test_every_mutation_kind_breaks_a_rule_the_reference_names(kind):
+    # a height-4 tower with a branching node on every level gives each
+    # mutation somewhere to bite
+    tower = regular_tower((2, 2, 2))
+    for seed in range(5):
+        ids, level, parent = _mutate(random.Random(seed), tower, kind)
+        ref = _reference_validate_tower(ids, level, parent)
+        assert not ref.ok
+        assert validate_tower(ids, level, parent) == ref
+
+
+# -- children on demand ---------------------------------------------------------------
+
+
+def _eager_children(tower):
+    """Each node's children in id order, keyed in node order, read off
+    the parent map one node at a time."""
+    return {x: tuple(sorted(c for c in tower.nodes if tower.parent[c] == x))
+            for x in tower.nodes}
+
+
+@pytest.mark.parametrize("degrees", [(), (3,), (2, 12, 3), (1, 2, 1)])
+def test_children_are_built_on_first_read(degrees):
+    tower = regular_tower(degrees)
+    base = base_space(tower)
+    radii = [2 * i for i in range(tower.height)]
+    profile = entropy_profile(base, radii, radii, CLOSED)
+    for i in range(tower.height):
+        for j in range(i, tower.height):
+            assert profile.entries[(2 * i, 2 * j)] == entropy_from_degrees(tower, i, j)
+    assert tower._children is None
+    children = tower.children
+    assert list(children.items()) == list(_eager_children(tower).items())
+    assert tower.children is children  # built once
