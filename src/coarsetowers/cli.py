@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: argparse and the commands it dispatches to.
 
 Subcommands cover validation, entropy tables, ball towers, level
 subtowers, tower embeddings, certified equivalence runs, classification,
-and the measurement experiments.  Exit codes are a stable contract:
-0 success, 1 verified-negative, 2 input error, 3 resource or truncation
-exhaustion.  Identical configurations produce byte-identical output.
+and the measurement experiments.  Each subparser is bound to its command,
+which takes the parsed namespace; one flag check runs first, refusing a
+flag the command does not read and filling the global defaults.  Exit
+codes are a stable contract: 0 success, 1 verified-negative, 2 input
+error, 3 resource or truncation exhaustion.  Identical configurations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,40 +80,12 @@ DECISIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, inputs, caps, conventions."""
-
-    command: str
-    inputs: tuple
-    cap: int
-    net: str
-    out: Optional[str]
-    seed: int
-    params: dict
-
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("--cap must be positive")
-        if self.net not in (STRICT, CLOSED):
-            raise ValueError(f"--net must be strict or closed, not {self.net!r}")
-
-    @property
-    def caps(self) -> Caps:
-        return Caps(max_points=self.cap)
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _parse_rationals(text: str) -> tuple:
@@ -121,7 +95,8 @@ def _parse_rationals(text: str) -> tuple:
 def _load_document(path: str):
     """Returns ("space", Space-parts) or ("tower", raw dict); CSV means a
     distance matrix."""
-    text = _read(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         try:
@@ -197,8 +172,7 @@ def _tower_from_spec(
             return regular_tower([d] * (H - 1), H, caps=caps), f"regular:{d}:h{H}"
         H = height if height is not None else len(degrees) + 1
         return regular_tower(degrees, H, caps=caps), f"{spec}:h{H}"
-    tower = _load_tower(spec, caps)
-    return tower, spec
+    return _load_tower(spec, caps), spec
 
 
 def _target_base(spec: str) -> int:
@@ -216,75 +190,82 @@ def _target_base(spec: str) -> int:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_validate(config: RunConfig) -> int:
-    path = config.inputs[0]
-    kind, payload = _load_document(path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    kind, payload = _load_document(args.input)
     if kind == "tower":
         report = validate_tower(*_tower_fields(payload))
     else:
-        space = (space_from_csv(payload, config.caps) if kind == "space-csv"
-                 else space_from_json(payload, config.caps))
-        report = validate_ultrametric(space, config.caps)
-    _emit(config, dump_json(report.to_json()))
+        space = (space_from_csv(payload, args.caps) if kind == "space-csv"
+                 else space_from_json(payload, args.caps))
+        report = validate_ultrametric(space)
+    _emit(args, dump_json(report.to_json()))
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def cmd_entropy(config: RunConfig) -> int:
-    space = _load_space(config.inputs[0], config.caps)
-    eps = config.params.get("eps") or space.values
-    delta = config.params.get("delta") or space.values
-    profile = entropy_profile(space, eps, delta, config.net, config.caps)
-    rows = [(e, d, large, small) for e, d, large, small in profile.rows()]
-    _emit(config, dump_csv(("eps", "delta", "large", "small"), rows))
+def _entropy_table(args: argparse.Namespace, space: Space,
+                   eps: Optional[tuple] = None,
+                   delta: Optional[tuple] = None) -> int:
+    """Emit a space's entropy table as CSV; the radii default to the
+    space's values."""
+    profile = entropy_profile(space, eps or space.values,
+                              delta or space.values, args.net, args.caps)
+    _emit(args, dump_csv(("eps", "delta", "large", "small"), profile.rows()))
     return EXIT_OK
 
 
-def cmd_towerize(config: RunConfig) -> int:
-    space = _load_space(config.inputs[0], config.caps)
-    radii = config.params["radii"]
-    tower = ball_tower(space, radii, caps=config.caps)
-    _emit(config, dump_json(tower_to_json(tower)))
+def cmd_entropy(args: argparse.Namespace) -> int:
+    radii = {}
+    for flag in ("eps", "delta"):
+        text = getattr(args, flag)
+        radii[flag] = None if text is None else _parse_rationals(text)
+        if radii[flag] == ():
+            raise ValueError(f"--{flag} needs at least one radius")
+    space = _load_space(args.input, args.caps)
+    return _entropy_table(args, space, radii["eps"], radii["delta"])
+
+
+def cmd_towerize(args: argparse.Namespace) -> int:
+    radii = _parse_rationals(args.radii)
+    space = _load_space(args.input, args.caps)
+    _emit(args, dump_json(tower_to_json(ball_tower(space, radii, caps=args.caps))))
     return EXIT_OK
 
 
-def cmd_subtower(config: RunConfig) -> int:
-    tower = _load_tower(config.inputs[0], config.caps)
-    levels = config.params["levels"]
+def cmd_subtower(args: argparse.Namespace) -> int:
+    levels = _parse_rationals(args.levels)
+    tower = _load_tower(args.input, args.caps)
     if any(not isinstance(v, int) for v in levels):
         raise ValueError("--levels must be whole numbers")
-    sub, next_map = level_subtower(tower, levels, caps=config.caps)
+    sub, next_map = level_subtower(tower, levels, caps=args.caps)
     out = {
         "tower": tower_to_json(sub),
         "next_map": {b: next_map[b] for b in sorted(next_map)},
     }
-    _emit(config, dump_json(out))
+    _emit(args, dump_json(out))
     return EXIT_OK
 
 
-def cmd_embed(config: RunConfig) -> int:
-    caps = config.caps
-    t1 = _load_tower(config.inputs[0], caps)
-    t2 = _load_tower(config.inputs[1], caps)
+def cmd_embed(args: argparse.Namespace) -> int:
+    t1 = _load_tower(args.tower1, args.caps)
+    t2 = _load_tower(args.tower2, args.caps)
     try:
         assignment, cert = tower_embedding(
-            t1, t2, require_iso=config.params.get("iso", False), caps=caps)
+            t1, t2, require_iso=args.iso, caps=args.caps)
     except ValueError as err:
-        _emit(config, dump_json({"embedding": None, "error": str(err)}))
+        _emit(args, dump_json({"embedding": None, "error": str(err)}))
         return EXIT_NEGATIVE
     out = {
         "assignment": [[a, assignment[a]] for a in sorted(assignment)],
         "certificate": cert.to_json(),
     }
-    _emit(config, dump_json(out))
+    _emit(args, dump_json(out))
     return EXIT_OK
 
 
-def cmd_equiv(config: RunConfig) -> int:
-    caps = config.caps
-    base = _target_base(config.params.get("to", "binary"))
-    tower, label = _tower_from_spec(
-        config.params["from"], caps, config.params.get("height"), base)
-    result = equivalence_pipeline(tower, target_base=base, caps=caps)
+def cmd_equiv(args: argparse.Namespace) -> int:
+    base = _target_base(args.to_spec)
+    tower, label = _tower_from_spec(args.from_spec, args.caps, args.height, base)
+    result = equivalence_pipeline(tower, target_base=base, caps=args.caps)
     report = pipeline_report(
         result,
         source_label=label,
@@ -292,75 +273,61 @@ def cmd_equiv(config: RunConfig) -> int:
         target_label=f"words:{base}:{result.synthesis.m[-1]}",
         decisions=DECISIONS,
         config={
-            "cap": config.cap,
-            "net": config.net,
-            "seed": config.seed,
-            "to": config.params.get("to", "binary"),
-            "height": config.params.get("height"),
+            "cap": args.cap,
+            "net": args.net,
+            "seed": args.seed,
+            "to": args.to_spec,
+            "height": args.height,
         },
     )
-    _emit(config, dump_json(report))
+    _emit(args, dump_json(report))
     ok = result.certificate.kind == "asymorphism" and result.certificate.is_asymorphism
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def cmd_classify(config: RunConfig) -> int:
-    caps = config.caps
-
+def cmd_classify(args: argparse.Namespace) -> int:
     def profile_of(spec: str) -> DegreeProfile:
         if spec.startswith("regular:"):
             return DegreeProfile.regular(_regular_degrees(spec))
-        return degree_profile(_load_tower(spec, caps))
+        return degree_profile(_load_tower(spec, args.caps))
 
     verdict = classify(
-        profile_of(config.inputs[0]),
-        profile_of(config.inputs[1]),
-        infinite1=config.params.get("infinite_from", False),
-        infinite2=config.params.get("infinite_to", False),
+        profile_of(args.profile1),
+        profile_of(args.profile2),
+        infinite1=args.from_infinite,
+        infinite2=args.to_infinite,
     )
-    _emit(config, dump_json(verdict))
+    _emit(args, dump_json(verdict))
     return EXIT_OK
 
 
 # -- experiments ---------------------------------------------------------------
 
 
-def _entropy_csv(space: Space, config: RunConfig) -> str:
-    profile = entropy_profile(
-        space, space.values, space.values, config.net, config.caps)
-    rows = [(e, d, large, small) for e, d, large, small in profile.rows()]
-    return dump_csv(("eps", "delta", "large", "small"), rows)
+def _experiment_hyperspace(args: argparse.Namespace, n: int, length: int,
+                           alphabet: int) -> int:
+    words = word_space(alphabet, length, caps=args.caps)
+    return _entropy_table(args, hyperspace(words, n, caps=args.caps))
 
 
-def _experiment_hyperspace(config: RunConfig) -> str:
-    n = int(config.params.get("n", 2))
-    length = int(config.params.get("length", 4))
-    alphabet = int(config.params.get("alphabet", 2))
-    space = hyperspace(
-        word_space(alphabet, length, caps=config.caps), n, caps=config.caps)
-    return _entropy_csv(space, config)
-
-
-def _experiment_sparse_product(config: RunConfig) -> str:
-    length = int(config.params.get("length", 4))
-    terms = int(config.params.get("terms", 4))
+def _experiment_sparse_product(args: argparse.Namespace, length: int,
+                               terms: int) -> int:
     positions = [k * k for k in range(1, terms + 1)]
-    left = word_space(2, length, caps=config.caps)
+    left = word_space(2, length, caps=args.caps)
     # binary words whose letter n sits at position positions[n]: the word
     # space's codes with the value of code n + 1 moved from 2^n to 2^positions[n]
-    words = word_space(2, terms, caps=config.caps)
+    words = word_space(2, terms, caps=args.caps)
     right = Space(words.points, words.codes,
-                  (0,) + tuple(2 ** s for s in positions), caps=config.caps)
-    return _entropy_csv(product(left, right, caps=config.caps), config)
+                  (0,) + tuple(2 ** s for s in positions), caps=args.caps)
+    return _entropy_table(args, product(left, right, caps=args.caps))
 
 
-def _experiment_ratio_bounded(config: RunConfig) -> str:
+def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
+                              height: int, ratio_bound: str) -> int:
     """Synthesis success frequency on random profiles whose per-level
     Deg/deg ratio stays under a bound; measurement only."""
-    trials = int(config.params.get("trials", 50))
-    height = int(config.params.get("height", 8))
-    bound = Fraction(as_rational(config.params.get("ratio_bound", 2)))
-    rng = random.Random(config.seed)
+    bound = Fraction(as_rational(ratio_bound))
+    rng = random.Random(args.seed)
     rows = []
     for trial in range(trials):
         small, large = {}, {}
@@ -385,39 +352,38 @@ def _experiment_ratio_bounded(config: RunConfig) -> str:
             rows.append((trial, height, rat_json(value), 1, len(out)))
         except SynthesisExhausted:
             rows.append((trial, height, rat_json(value), 0, 0))
-    return dump_csv(("trial", "height", "homogeneity", "success", "steps"), rows)
+    _emit(args, dump_csv(
+        ("trial", "height", "homogeneity", "success", "steps"), rows))
+    return EXIT_OK
 
 
+# each experiment's runner and the flags it reads, with their defaults;
+# the parser declares their union, and an experiment refuses the others
 EXPERIMENTS = {
-    "hyperspace-entropy": _experiment_hyperspace,
-    "ratio-bounded-synthesis": _experiment_ratio_bounded,
-    "product-with-sparse-sequence": _experiment_sparse_product,
+    "hyperspace-entropy": (
+        _experiment_hyperspace, {"n": 2, "length": 4, "alphabet": 2}),
+    "product-with-sparse-sequence": (
+        _experiment_sparse_product, {"length": 4, "terms": 4}),
+    "ratio-bounded-synthesis": (
+        _experiment_ratio_bounded,
+        {"trials": 50, "height": 8, "ratio_bound": "2"}),
 }
-
-
+_EXPERIMENT_FLAGS = {flag: default for _, flags in EXPERIMENTS.values()
+                     for flag, default in flags.items()}
 # the commands and experiments whose output is an entropy table, the only
 # output the net convention changes
 _NET_READERS = ("entropy", "hyperspace-entropy", "product-with-sparse-sequence")
 # the one experiment whose output the seed changes
 _SEED_READER = "ratio-bounded-synthesis"
-# the flags each experiment reads; each runner holds their defaults, and
-# any other experiment flag is refused
-_EXPERIMENT_FLAGS = {
-    "hyperspace-entropy": ("n", "length", "alphabet"),
-    "ratio-bounded-synthesis": ("trials", "height", "ratio_bound"),
-    "product-with-sparse-sequence": ("length", "terms"),
-}
 
 
-def cmd_experiment(config: RunConfig) -> int:
-    name = config.inputs[0]
-    runner = EXPERIMENTS.get(name)
-    if runner is None:
+def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.name not in EXPERIMENTS:
         raise ValueError(
-            f"unknown experiment {name!r}; choices: "
+            f"unknown experiment {args.name!r}; choices: "
             f"{', '.join(sorted(EXPERIMENTS))}")
-    _emit(config, runner(config))
-    return EXIT_OK
+    runner, flags = EXPERIMENTS[args.name]
+    return runner(args, **{k: getattr(args, k, d) for k, d in flags.items()})
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -426,8 +392,8 @@ def cmd_experiment(config: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # the global flags ride on a parent parser so they are accepted both
     # before and after the subcommand; all defaults are SUPPRESS (filled
-    # in later) because a subparser parses into a fresh namespace and
-    # would clobber values parsed before the subcommand
+    # in by _check_flags) because a subparser parses into a fresh
+    # namespace and would clobber values parsed before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help="max points of every space, relation graph "
@@ -449,35 +415,34 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a space or tower file")
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("validate", cmd_validate, "check a space or tower file")
     p.add_argument("input")
 
-    p = sub.add_parser("entropy", parents=[common],
-                       help="emit an entropy table as CSV")
+    p = command("entropy", cmd_entropy, "emit an entropy table as CSV")
     p.add_argument("input")
     p.add_argument("--eps", default=None, help="comma-separated radii")
     p.add_argument("--delta", default=None, help="comma-separated radii")
 
-    p = sub.add_parser("towerize", parents=[common],
-                       help="ball tower of a space")
+    p = command("towerize", cmd_towerize, "ball tower of a space")
     p.add_argument("input")
     p.add_argument("--radii", required=True, help="comma-separated radii")
 
-    p = sub.add_parser("subtower", parents=[common],
-                       help="restrict a tower to chosen levels")
+    p = command("subtower", cmd_subtower, "restrict a tower to chosen levels")
     p.add_argument("input")
     p.add_argument("--levels", required=True, help="comma-separated levels")
 
-    p = sub.add_parser("embed", parents=[common],
-                       help="embed one tower into another")
+    p = command("embed", cmd_embed, "embed one tower into another")
     p.add_argument("tower1")
     p.add_argument("tower2")
     p.add_argument("--iso", action="store_true",
                    help="require a full isomorphism")
 
-    p = sub.add_parser("equiv", parents=[common],
-                       help="run the certified equivalence pipeline")
+    p = command("equiv", cmd_equiv, "run the certified equivalence pipeline")
     p.add_argument("--from", dest="from_spec", required=True,
                    help="regular:<d> or a tower file")
     p.add_argument("--to", dest="to_spec", default="binary",
@@ -486,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tower height; single-degree sources pick one "
                         "automatically")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="classification verdict for two towers")
+    p = command("classify", cmd_classify,
+                "classification verdict for two towers")
     p.add_argument("profile1", help="regular:<d,...> or a tower file")
     p.add_argument("profile2")
     p.add_argument("--from-infinite", action="store_true",
@@ -495,88 +460,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-infinite", action="store_true",
                    help="mark the second input as an infinite-degree profile")
 
-    p = sub.add_parser("experiment", parents=[common],
-                       help="measurement harnesses")
+    p = command("experiment", cmd_experiment, "measurement harnesses")
     p.add_argument("name", help=", ".join(sorted(EXPERIMENTS)))
-    for flag in ("n", "length", "alphabet", "terms", "trials", "height"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--ratio-bound")
+    for flag, default in _EXPERIMENT_FLAGS.items():
+        p.add_argument("--" + flag.replace("_", "-"), type=type(default),
+                       default=argparse.SUPPRESS)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict = {}
-    inputs: tuple = ()
-    cmd = args.command
-    if cmd == "validate":
-        inputs = (args.input,)
-    elif cmd == "entropy":
-        inputs = (args.input,)
-        for flag in ("eps", "delta"):
-            text = getattr(args, flag)
-            params[flag] = None if text is None else _parse_rationals(text)
-            if params[flag] == ():
-                raise ValueError(f"--{flag} needs at least one radius")
-    elif cmd == "towerize":
-        inputs = (args.input,)
-        params["radii"] = _parse_rationals(args.radii)
-    elif cmd == "subtower":
-        inputs = (args.input,)
-        params["levels"] = _parse_rationals(args.levels)
-    elif cmd == "embed":
-        inputs = (args.tower1, args.tower2)
-        params["iso"] = args.iso
-    elif cmd == "equiv":
-        params["from"] = args.from_spec
-        params["to"] = args.to_spec
-        params["height"] = args.height
-    elif cmd == "classify":
-        inputs = (args.profile1, args.profile2)
-        params["infinite_from"] = args.from_infinite
-        params["infinite_to"] = args.to_infinite
-    elif cmd == "experiment":
-        inputs = (args.name,)
-        params = {k: getattr(args, k)
-                  for k in ("n", "length", "alphabet", "terms", "trials",
-                            "height", "ratio_bound")
-                  if getattr(args, k) is not None}
-        reads = _EXPERIMENT_FLAGS.get(args.name)
-        foreign = [k for k in params if reads is not None and k not in reads]
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag the command does not read and a cap below one, then
+    fill the global defaults and the caps."""
+    reader = args.name if args.command == "experiment" else args.command
+    if args.command == "experiment" and reader in EXPERIMENTS:
+        reads = EXPERIMENTS[reader][1]
+        foreign = [k for k in _EXPERIMENT_FLAGS
+                   if hasattr(args, k) and k not in reads]
         if foreign:
             flags = ", ".join("--" + k.replace("_", "-") for k in reads)
             raise ValueError(
-                f"{args.name} does not read --{foreign[0].replace('_', '-')}; "
+                f"{reader} does not read --{foreign[0].replace('_', '-')}; "
                 f"it reads {flags}")
-    net = getattr(args, "net", CLOSED)
-    reader = args.name if cmd == "experiment" else cmd
-    if net != CLOSED and reader not in _NET_READERS:
+    if getattr(args, "net", CLOSED) != CLOSED and reader not in _NET_READERS:
         raise ValueError(
             f"{reader} does not read --net; only entropy tables do "
             f"({', '.join(_NET_READERS)})")
     if hasattr(args, "seed") and reader != _SEED_READER:
         raise ValueError(
             f"{reader} does not read --seed; only {_SEED_READER} does")
-    return RunConfig(
-        command=cmd,
-        inputs=inputs,
-        cap=getattr(args, "cap", 20000),
-        net=net,
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        params=params,
-    )
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "entropy": cmd_entropy,
-    "towerize": cmd_towerize,
-    "subtower": cmd_subtower,
-    "embed": cmd_embed,
-    "equiv": cmd_equiv,
-    "classify": cmd_classify,
-    "experiment": cmd_experiment,
-}
+    for flag, default in (("cap", 20000), ("net", CLOSED), ("out", None),
+                          ("seed", 0)):
+        if not hasattr(args, flag):
+            setattr(args, flag, default)
+    if args.cap <= 0:
+        raise ValueError("--cap must be positive")
+    args.caps = Caps(max_points=args.cap)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -587,8 +505,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on bad usage, matching the input-error contract
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        return COMMANDS[config.command](config)
+        _check_flags(args)
+        return args.run(args)
     except (SynthesisExhausted, CapExceeded) as err:
         sys.stderr.write(f"exhausted: {err}\n")
         return EXIT_EXHAUSTED

@@ -105,22 +105,16 @@ class HomogeneityWitness:
 
     def tail_c(self, i: int, j: int) -> Fraction:
         """Product of c_k for i <= k < j (1 on the empty range)."""
-        self._check(i, j)
-        out = Fraction(1)
-        for k in range(i, j):
-            out *= Fraction(self.c[k - 1])
-        return out
+        return self._tail(self.c, i, j)
 
     def tail_delta(self, i: int, j: int) -> Fraction:
-        self._check(i, j)
-        out = Fraction(1)
-        for k in range(i, j):
-            out *= Fraction(self.delta[k - 1])
-        return out
+        """Product of delta_k for i <= k < j (1 on the empty range)."""
+        return self._tail(self.delta, i, j)
 
-    def _check(self, i: int, j: int) -> None:
+    def _tail(self, factors: tuple, i: int, j: int) -> Fraction:
         if not (1 <= i <= j <= self.height):
             raise ValueError(f"tail range ({i},{j}) outside 1..{self.height}")
+        return math.prod(map(Fraction, factors[i - 1:j - 1]), start=Fraction(1))
 
     @classmethod
     def default_for(cls, profile: DegreeProfile) -> "HomogeneityWitness":
@@ -160,16 +154,6 @@ class HomogeneityWitness:
              "margin-above-one"),
             tuple(violations),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "c": [rat_json(v) for v in self.c],
-            "delta": [rat_json(v) for v in self.delta],
-            "tail_product_full": {
-                "c": rat_json(self.tail_c(1, self.height)),
-                "delta": rat_json(self.tail_delta(1, self.height)),
-            },
-        }
 
 
 def asymptotic_homogeneity(profile: DegreeProfile) -> tuple[Fraction, Fraction]:
@@ -260,10 +244,10 @@ def _step_gate(
     witness: HomogeneityWitness,
     cur: _Step,
     nxt: int,
-) -> Optional[tuple[int, Fraction, Fraction, Fraction]]:
+) -> Optional[tuple[Fraction, Fraction, Fraction]]:
     """Exponent-independent feasibility of extending cur to level nxt.
 
-    Returns (d, C_step, denom, tail) when the gap passes the contraction
+    Returns (d, denom, tail) when the gap passes the contraction
     margin and the window-ratio invariant, else None.
     """
     H = profile.height
@@ -276,8 +260,7 @@ def _step_gate(
     # usable after the two-sided slack of the level map is paid
     if Fraction(witness.delta[cur.n - 1]) * (d - cur.b) < d + 2 * cur.b:
         return None
-    C_step = witness.tail_c(cur.n, nxt)
-    denom = C_step * d + 2 * cur.b - cur.a
+    denom = witness.tail_c(cur.n, nxt) * d + 2 * cur.b - cur.a
     tail = witness.tail_c(nxt, H) * witness.tail_delta(nxt, H)
     if tail <= 1:
         return None
@@ -285,7 +268,7 @@ def _step_gate(
     # dominate the remaining tail product
     if (cur.b * (d - cur.b)) / (cur.a * denom) < tail:
         return None
-    return d, C_step, denom, tail
+    return d, denom, tail
 
 
 def _minimal_exponent(
@@ -385,9 +368,25 @@ def verify_synthesis(
     return ValidationReport("synthesis", tuple(checked), tuple(violations))
 
 
+def _verified_output(
+    profile: DegreeProfile,
+    chain: list,
+    target_base: int,
+    witness: HomogeneityWitness,
+) -> SynthesisOutput:
+    """The sequences of a step chain, after verify_synthesis passes them."""
+    out = SynthesisOutput(
+        tuple(s.a for s in chain),
+        tuple(s.b for s in chain),
+        tuple(s.n for s in chain),
+        tuple(s.m for s in chain),
+    )
+    verify_synthesis(profile, out, target_base, witness).require()
+    return out
+
+
 def _height_advice(
     profile: DegreeProfile,
-    target_base: int,
     accept: Callable[[DegreeProfile, HomogeneityWitness], bool],
     extra: int = 48,
 ) -> Optional[int]:
@@ -427,7 +426,7 @@ def _greedy_chain(
             gate = _step_gate(profile, witness, cur, nxt)
             if gate is None:
                 continue
-            d, _, denom, tail = gate
+            d, denom, tail = gate
             dm = _minimal_exponent(target_base, cur, d, tail)
             if dm is None:
                 continue
@@ -459,7 +458,7 @@ def synthesize_sequences(
     if len(chain) < 2:
         def ok(ext: DegreeProfile, w: HomogeneityWitness) -> bool:
             return len(_greedy_chain(ext, w, target_base)) >= 2
-        advice = _height_advice(profile, target_base, ok)
+        advice = _height_advice(profile, ok)
         hint = (
             f"; height {advice} with the same degree pattern admits one"
             if advice is not None else
@@ -467,14 +466,7 @@ def synthesize_sequences(
         raise SynthesisExhausted(
             f"no admissible sequence pair fits within height "
             f"{profile.height}{hint}", advice)
-    out = SynthesisOutput(
-        tuple(s.a for s in chain),
-        tuple(s.b for s in chain),
-        tuple(s.n for s in chain),
-        tuple(s.m for s in chain),
-    )
-    verify_synthesis(profile, out, target_base, witness).require()
-    return out
+    return _verified_output(profile, chain, target_base, witness)
 
 
 # -- germ fitting for the pipeline -------------------------------------------
@@ -532,7 +524,7 @@ def _fit_germ(
                 yield nxt, gate
 
     def search(cur: _Step, chain: list, steps_left: int, partial: bool):
-        for nxt, (d, _, denom, tail) in candidates(cur):
+        for nxt, (d, denom, tail) in candidates(cur):
             if steps_left == 1:
                 count = profile.small_between(nxt, H)
                 dm = _fit_exponent_window(
@@ -564,13 +556,7 @@ def _fit_germ(
             if hit is None:
                 continue
             chain, size = hit
-            out = SynthesisOutput(
-                tuple(s.a for s in chain),
-                tuple(s.b for s in chain),
-                tuple(s.n for s in chain),
-                tuple(s.m for s in chain),
-            )
-            verify_synthesis(profile, out, target_base, witness).require()
+            out = _verified_output(profile, chain, target_base, witness)
             full = size == profile.small_between(out.n[-1], H)
             return out, full, size
 
@@ -581,7 +567,7 @@ def _fit_germ(
                 return _fit_germ(ext, w, target_base, budget, advice=False)[1]
             except SynthesisExhausted:
                 return False
-        needed = _height_advice(profile, target_base, ok)
+        needed = _height_advice(profile, ok)
     hint = (
         f"; height {needed} with the same degree pattern admits a full fit"
         if needed is not None else

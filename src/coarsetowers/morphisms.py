@@ -212,16 +212,17 @@ def _pair_code_blocks(phi: MultiMap):
     ia, ib, n = phi.src_idx, phi.tgt_idx, phi.src_idx.size
     chunk = max(1, 4_000_000 // max(n, 1))
     for lo in range(0, n, chunk):
-        yield (lo, phi.source.codes[np.ix_(ia[lo:lo + chunk], ia)],
-               phi.target.codes[np.ix_(ib[lo:lo + chunk], ib)])
+        yield (lo, phi.source._pair_codes(ia[lo:lo + chunk, None], ia[None, :]),
+               phi.target._pair_codes(ib[lo:lo + chunk, None], ib[None, :]))
 
 
 def _first_failing_pairs(phi: MultiMap, tests: dict) -> dict:
     """For each named test, a predicate on a source-code block and its
     target-code block, the row-major first pair (i, j) of graph points
-    that fails it; tests no pair fails are left out.  This scan writes
-    both spaces' code matrices, so it runs only to name the witness of a
-    bound the moduli have already shown broken."""
+    that fails it; tests no pair fails are left out.  This scan reads
+    every pair's code (label rows on a table-only space, no matrix is
+    written), so it runs only to name the witness of a bound the moduli
+    have already shown broken."""
     first: dict = {}
     for lo, sc, tc in _pair_code_blocks(phi):
         for name in tests.keys() - first.keys():
@@ -575,9 +576,7 @@ def selection_pair(
     )
 
 
-def is_large(
-    space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS
-) -> Rational:
+def is_large(space: Space, subset: Iterable[PointId]) -> Rational:
     """Covering radius of a subset: the sup over points of the distance to
     the nearest subset member.  Every finite subset is large at any radius
     beyond this value, so the sup itself is reported: on a space holding
@@ -587,7 +586,8 @@ def is_large(
     if sub.size == 0:
         raise ValueError("empty subset cannot be large")
     if not isinstance(space._labels, list):
-        return space.values[int(space.codes[:, sub].min(axis=1).max())]
+        # a space without its table was built from its matrix
+        return space.values[int(space._codes[:, sub].min(axis=1).max())]
     for code in range(space._code(sub[0], sub[0]), len(space.values)):
         labels = space.ball_labels(code)
         if np.isin(labels, labels[sub]).all():
@@ -610,19 +610,6 @@ class NormalForm:
     h_forward: DistortionModulus
     h_backward: DistortionModulus
     backward_bound: ValidationReport
-
-    def to_json(self) -> dict:
-        return {
-            "x_prime": list(self.x_prime),
-            "y_prime": list(self.y_prime),
-            "h": {k: self.h[k] for k in sorted(self.h)},
-            "r_bound": rat_json(self.r_bound),
-            "x_cover": rat_json(self.x_cover),
-            "y_cover": rat_json(self.y_cover),
-            "h_forward": self.h_forward.to_json(),
-            "h_backward": self.h_backward.to_json(),
-            "backward_bound": self.backward_bound.to_json(),
-        }
 
 
 def coarse_normal_form(
@@ -673,8 +660,8 @@ def coarse_normal_form(
     backward_report = ValidationReport(
         "normal form backward modulus", ("backward-bound",), tuple(violations))
 
-    x_cover = is_large(source, x_prime, caps)
-    y_cover = is_large(target, y_prime, caps)
+    x_cover = is_large(source, x_prime)
+    y_cover = is_large(target, y_prime)
     if y_cover > big_r or x_cover > 2 * big_r:
         raise RuntimeError("normal form cover radii exceeded their bounds")
     return NormalForm(
@@ -857,12 +844,6 @@ class AdmissibleSequences:
                     f"{rat_str(ai)}, b = {rat_str(bi)}"))
         return ValidationReport(
             "admissible sequences", ("window-spacing",), tuple(violations))
-
-    def to_json(self) -> dict:
-        return {
-            "a": [rat_json(v) for v in self.a],
-            "b": [rat_json(v) for v in self.b],
-        }
 
 
 def check_l2_preconditions(

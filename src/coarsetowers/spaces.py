@@ -154,19 +154,23 @@ class Space:
         return self._codes
 
     def _pair_codes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Codes of the pairs (i[k], j[k]) of point indices: off the matrix
-        when the space holds one, else the number of (nested) label rows
-        that separate each pair."""
+        """Codes of the pairs (i, j) of point indices, broadcast against
+        each other: off the matrix when the space holds one, else the
+        number of (nested) label rows that separate each pair."""
         if self._codes is not None:
             return self._codes[i, j].astype(np.int64)
-        out = np.zeros(np.shape(i), dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)),
+                       dtype=np.int64)
         for row in self._labels:
             out += row[i] != row[j]
         return out
 
     def _code(self, i: int, j: int) -> int:
-        """Code of the pair at indices i, j (see _pair_codes)."""
-        return int(self._pair_codes(i, j))
+        """Code of the pair at indices i, j, read as scalars (see
+        _pair_codes)."""
+        if self._codes is not None:
+            return int(self._codes[i, j])
+        return sum(1 for row in self._labels if row.item(i) != row.item(j))
 
     def _id_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, rank): the point indices sorted by id, and each point's
@@ -425,9 +429,7 @@ def _upper_pair_defects(C: np.ndarray, positive: int) -> tuple[list, list]:
     return row_major(found[0]), row_major(found[1])
 
 
-def validate_metric_axioms(
-    space: Space, strong: bool = True, caps: Caps = DEFAULT_CAPS
-) -> ValidationReport:
+def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationReport:
     """Exhaustive metric-axiom check.
 
     Symmetry and positivity are read over fixed-size tiles of the upper
@@ -490,10 +492,10 @@ def validate_metric_axioms(
     return ValidationReport("metric axioms", checked, tuple(violations))
 
 
-def validate_ultrametric(space: Space, caps: Caps = DEFAULT_CAPS) -> ValidationReport:
+def validate_ultrametric(space: Space) -> ValidationReport:
     """Metric axioms with the strong triangle inequality, decided exactly
     for all triples."""
-    return validate_metric_axioms(space, strong=True, caps=caps)
+    return validate_metric_axioms(space, strong=True)
 
 
 # -- word spaces -----------------------------------------------------------

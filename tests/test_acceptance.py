@@ -68,7 +68,7 @@ def test_criterion_1_validator_families():
     counts = {"word": 0, "product": 0, "hyperspace": 0, "ultrametrized": 0}
 
     def check(space, label, family):
-        report = validate_ultrametric(space, caps)
+        report = validate_ultrametric(space)
         if not (report.ok and not report.violations):
             failures.append(label)
         counts[family] += 1

@@ -564,6 +564,18 @@ def test_cap_flag_trips_exhausted(capsys, w22_csv):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_cap_must_be_positive(capsys, w22_csv, cap, where):
+    flag = ["--cap", cap]
+    argv = flag + ["entropy", w22_csv] if where == "before" else \
+        ["entropy", w22_csv] + flag
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cap must be positive\n"
+
+
 def test_out_flag_writes_file(capsys, tmp_path, w22_csv):
     dest = tmp_path / "table.csv"
     code, out, err = run_cli(

@@ -24,11 +24,13 @@ from coarsetowers import (
     DEFAULT_CAPS,
     MultiMap,
     Space,
+    StageFailure,
     ball,
     ball_tower,
     ball_tower_base_map,
     base_space,
     chain_components,
+    check_base_distortion,
     check_entropy_transport,
     coarse_normal_form,
     distortion_modulus,
@@ -42,7 +44,8 @@ from coarsetowers import (
     verify_asymorphism,
     word_space,
 )
-from coarsetowers.cli import RunConfig, main
+from coarsetowers import cli
+from coarsetowers.cli import main
 from coarsetowers.spaces import CLOSED, _pick_dtype
 
 from conftest import (
@@ -245,10 +248,18 @@ def test_a_relation_graph_over_the_cap_is_refused(dense):
         verify_asymorphism(phi, expect_isometry=True, caps=below)
 
 
-def test_caps_bound_points_only():
+def test_caps_bound_points_only(monkeypatch):
     assert not hasattr(DEFAULT_CAPS, "max_pair_evals")
-    config = RunConfig("equiv", (), 40000, "closed", None, 0, {})
-    assert config.caps == Caps(max_points=40000)
+    seen = []
+
+    def capture(tower, target_base, caps):
+        seen.append(caps)
+        raise StageFailure("captured")
+
+    monkeypatch.setattr(cli, "equivalence_pipeline", capture)
+    assert main(["equiv", "--from", "regular:3", "--height", "4",
+                 "--cap", "40000"]) == 1
+    assert seen == [Caps(max_points=40000)]
 
 
 # -- no matrix is written --------------------------------------------------------
@@ -296,6 +307,22 @@ def test_embed_writes_no_code_matrix(no_matrix_writes):
     _, cert = tower_embedding(regular_tower((2, 2)), regular_tower((3, 3)))
     assert cert.kind == "embedding"
     assert all(c.passed for c in cert.checks if c.axiom == "distance-preserving")
+
+
+def test_failed_bound_witness_scans_write_no_code_matrix(no_matrix_writes):
+    # reversing the letters of binary words breaks every bound, so the pair
+    # scans that name the witnesses run, over label rows only
+    words = word_space(2, 4)
+    phi = MultiMap.from_function(words, words, {p: p[::-1] for p in words.points})
+    report = check_base_distortion(phi)
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("base-contraction", ("0000", "0100")),
+        ("base-expansion-plus-2", ("0000", "0001"))]
+    cert = verify_asymorphism(phi, expect_isometry=True)
+    check = next(c for c in cert.checks if c.axiom == "distance-preserving")
+    assert not check.passed
+    assert check.witness == ("0000", "0001", "0000", "1000")
+    assert words._codes is None
 
 
 def test_balls_and_entropy_transport_read_the_table():
