@@ -25,6 +25,7 @@ from .spaces import (
     CLOSED,
     STRICT,
     Space,
+    _ball_space,
     entropy_profile,
     hyperspace,
     product,
@@ -315,10 +316,11 @@ def _experiment_sparse_product(args: argparse.Namespace, length: int,
     positions = [k * k for k in range(1, terms + 1)]
     left = word_space(2, length, caps=args.caps)
     # binary words whose letter n sits at position positions[n]: the word
-    # space's codes with the value of code n + 1 moved from 2^n to 2^positions[n]
+    # space's balls with the value of row n + 1 moved from 2^n to 2^positions[n]
     words = word_space(2, terms, caps=args.caps)
-    right = Space(words.points, words.codes,
-                  (0,) + tuple(2 ** s for s in positions), caps=args.caps)
+    rows = [words.ball_labels(t) for t in range(len(words.values))]
+    right = _ball_space(words.points, rows,
+                        (0,) + tuple(2 ** s for s in positions), args.caps)
     return _entropy_table(args, product(left, right, caps=args.caps))
 
 

@@ -1,8 +1,8 @@
 """Pass/fail validation reports with violation witnesses.
 
 A report never hides failures behind an exception: validators return the
-full list of violating witnesses so callers (and certificates) can show
-exactly what broke.
+violating witnesses so callers (and certificates) can show exactly what
+broke.  A list cut at a validator's witness cap is marked truncated.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class ValidationReport:
     subject: str
     checked: tuple[str, ...]
     violations: tuple[Violation, ...] = field(default_factory=tuple)
+    # the validator stopped at its witness cap: more violations exist
+    truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -46,12 +48,15 @@ class ValidationReport:
         return self
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "subject": self.subject,
             "checked": list(self.checked),
             "ok": self.ok,
             "violations": [v.to_json() for v in self.violations],
         }
+        if self.truncated:  # only a capped report says so
+            out["truncated"] = True
+        return out
 
 
 def _jsonable(value):

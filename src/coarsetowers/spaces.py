@@ -329,8 +329,13 @@ def _ball_space(
 # -- validation ------------------------------------------------------------
 
 
-def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
-    """Complete strong-triangle scan, one pass per realized distance value.
+# the strong-triangle scan lists at most this many witness triples
+_MAX_WITNESSES = 1000
+
+
+def _strong_triangle_by_threshold(space: Space) -> tuple[list[Violation], bool]:
+    """Complete strong-triangle scan, one pass per realized distance value;
+    returns the witness triples and whether the list was cut.
 
     d satisfies d(x,y) <= max(d(x,z), d(z,y)) for all triples iff for every
     realized value v the relation {d <= v} is transitive: one direction is
@@ -339,7 +344,9 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
     the whole scan costs O(values * n^2) instead of the all-triples O(n^3)
     while still deciding exactly the same property.  Every failure is
     reported as explicit triples, each checked to violate the inequality;
-    a triple met again at a later threshold is reported once.
+    a triple met again at a later threshold is reported once.  The scan
+    stops at the first triple past _MAX_WITNESSES, so a cut list is the
+    first _MAX_WITNESSES triples of the whole one.
     Requires the diagonal-zero, positivity and symmetry checks to have
     passed (the reduction uses them), so a space that passes is proved
     ultrametric: it keeps the scan's first-member label rows, the top one
@@ -388,6 +395,8 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
             fresh = seen[pos - 1] != key
             seen = np.insert(seen, pos[fresh], key[fresh])
             for k in bad[np.sort(first[fresh])].tolist():
+                if len(out) == _MAX_WITNESSES:
+                    return out, True
                 xk, yk, zk = int(x[k]), int(y[k]), int(z[k])
                 out.append(Violation(
                     "strong-triangle", (pts[xk], pts[yk], pts[zk]),
@@ -395,7 +404,7 @@ def _strong_triangle_by_threshold(space: Space) -> list[Violation]:
                     f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
     if not out and space._labels is None:
         space._labels = rows + [np.zeros(n, dtype=np.int64)] * bool(vals)
-    return out
+    return out, False
 
 
 # side of the square tiles the pair checks read: a tile and its mirror fit
@@ -429,8 +438,48 @@ def _upper_pair_defects(C: np.ndarray, positive: int) -> tuple[list, list]:
     return row_major(found[0]), row_major(found[1])
 
 
+def _check_ball_table(space: Space) -> None:
+    """Prove a table-only space ultrametric off its K ball-label rows, in
+    O(K * n): values[0] is 0, row 0 names every point apart, every row
+    labels each ball by its least member (r[i] <= i and r[r] == r), each
+    row is nested in the next (r_{t+1}[r_t] == r_{t+1}) and the top row
+    is one ball.  On such a table the code of a pair, the number of rows
+    that separate it (Space._pair_codes), is also the least row it shares
+    (Space.codes), and sharing a ball is transitive, so the strong triangle
+    holds; the diagonal, positivity and symmetry hold by construction.  A
+    table breaking this is a fault of the builder, not of user input, so
+    ValueError names its first bad row."""
+    rows, n = space._labels, len(space.points)
+    if len(rows) != len(space.values) or bool(rows) != bool(n):
+        raise ValueError(f"ball-label table of {n} points has {len(rows)} "
+                         f"rows for {len(space.values)} values")
+    if not n:
+        return
+    if space.values[0] != 0:
+        raise ValueError("ball-label row 0 is not at distance 0")
+    points = np.arange(n)
+    for t, row in enumerate(rows):
+        if row.shape != (n,) or not ((0 <= row) & (row <= points)).all() \
+                or not (row[row] == row).all():
+            raise ValueError(f"ball-label row {t} does not name each ball "
+                             "by its least member")
+        if t == 0 and not (row == points).all():
+            raise ValueError("ball-label row 0 does not name every point apart")
+        if t and not (row[rows[t - 1]] == row).all():
+            raise ValueError(f"ball-label row {t} splits a ball of row {t - 1}")
+    if rows[-1].any():
+        raise ValueError(f"ball-label row {len(rows) - 1}, the top, is not one ball")
+
+
 def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationReport:
     """Exhaustive metric-axiom check.
+
+    A space that holds only its ball-label table (a builder's output whose
+    codes were never read) is decided off that table in O(rows * n), with
+    no matrix written (see _check_ball_table): it passes every rule, and a
+    broken table raises ValueError.  A space holding its code matrix
+    (files, Space(...), or a table space whose codes were read) is
+    checked on the matrix as follows.
 
     Symmetry and positivity are read over fixed-size tiles of the upper
     triangle, each compared with its mirror tile, so no n x n mask is
@@ -438,17 +487,24 @@ def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationRepor
     strong=True checks the strong triangle inequality
     d(x,y) <= max(d(x,z), d(z,y)) over all triples with the equivalent
     per-threshold scan, which reports at least one explicit triple per
-    failure pattern; when it passes, the space keeps the scan's label
+    failure pattern, at most _MAX_WITNESSES in all (a cut list marks the
+    report truncated); when it passes, the space keeps the scan's label
     rows as its ball-label table.  The scan needs a zero diagonal,
     positivity and symmetry, so when one of those fails the strong
     triangle is not judged and is left out of the report's checked rules.
     strong=False checks the plain d(x,y) <= d(x,z) + d(z,y) (exact
     rational sums, so it runs a pure-Python triple loop and is capped).
     """
+    checked = ("diagonal-zero", "positivity", "symmetry")
+    if space._codes is None and isinstance(space._labels, list):
+        _check_ball_table(space)
+        # values are >= 0, so max(a, b) <= a + b: the plain triangle follows
+        return ValidationReport("metric axioms", checked + (
+            ("strong-triangle",) if strong else ("triangle",)))
     C = space.codes
     n = len(space.points)
     violations: list[Violation] = []
-    checked = ("diagonal-zero", "positivity", "symmetry")
+    truncated = False
 
     diag = np.diagonal(C)
     for i in np.nonzero(np.asarray([space.values[c] != 0 for c in diag]))[0]:
@@ -471,7 +527,8 @@ def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationRepor
     if strong:
         if not violations:
             checked += ("strong-triangle",)
-            violations.extend(_strong_triangle_by_threshold(space))
+            found, truncated = _strong_triangle_by_threshold(space)
+            violations.extend(found)
     else:
         checked += ("triangle",)
         if n ** 3 > 8_000_000:
@@ -489,7 +546,7 @@ def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationRepor
                             (space.points[x], space.points[y], space.points[z]),
                             f"d(x,y) = {rat_str(dxy)} > "
                             f"{rat_str(vals[C[x, z]])} + {rat_str(vals[C[z, y]])}"))
-    return ValidationReport("metric axioms", checked, tuple(violations))
+    return ValidationReport("metric axioms", checked, tuple(violations), truncated)
 
 
 def validate_ultrametric(space: Space) -> ValidationReport:
@@ -866,27 +923,63 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
 # -- chain components and ultrametrization -----------------------------------
 
 
-def _chain_labels(space: Space, radius: Rational) -> np.ndarray:
-    """Each point's chain component at the radius, numbered by first
-    member in point order."""
+def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarray]:
+    """First-member labels of the chain components at each of the
+    ascending radii: entry i is the least index joined to point i by a
+    chain of steps of length <= radius.  A space holding its ball-label
+    table reads the row at the radius's code, since an ultrametric's chain
+    components are its closed balls.  Any other space is single linkage
+    over its (symmetric) codes: Prim's algorithm builds one minimum
+    spanning tree, reading one matrix row per step with O(n) state, and
+    the components at code t are those of the tree edges of code <= t,
+    merged in code order by a union-find whose roots are least members."""
     n = len(space.points)
-    t = space.threshold_code(radius, CLOSED)
-    adj = space.codes <= t if t >= 0 else np.eye(n, dtype=bool)
-    label = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[start] = True
-        seen = np.zeros(n, dtype=bool)
-        while frontier.any():
-            seen |= frontier
-            reach = adj[frontier].any(axis=0)
-            frontier = reach & ~seen
-        label[seen] = comp
-        comp += 1
-    return label
+    tcodes = [space.threshold_code(r, CLOSED) for r in radii]
+    if isinstance(space._labels, list):
+        return [space._labels[t] if r >= 0 and t >= 0 else np.arange(n)
+                for r, t in zip(radii, tcodes)]
+    C = space.codes
+    edges = []  # (code, i, j)
+    if n:
+        top = len(space.values)  # above every code: marks a tree point
+        best = C[0].astype(np.int64)  # each point's least code to the tree
+        best[0] = top
+        near = np.zeros(n, dtype=np.int64)  # the tree point giving it
+        todo = np.ones(n, dtype=bool)
+        todo[0] = False
+        for _ in range(n - 1):
+            j = int(best.argmin())
+            edges.append((int(best[j]), int(near[j]), j))
+            todo[j] = False
+            best[j] = top
+            row = C[j]
+            closer = row < best
+            closer &= todo
+            np.putmask(best, closer, row)
+            np.putmask(near, closer, j)
+        edges.sort()
+    parent = list(range(n))  # parent[i] <= i
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    out, k = [], 0
+    for t in tcodes:
+        while k < len(edges) and edges[k][0] <= t:
+            a, b = root(edges[k][1]), root(edges[k][2])
+            parent[max(a, b)] = min(a, b)
+            k += 1
+        labels = np.asarray(parent, dtype=np.int64)
+        while True:  # jump each pointer to its root
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
+        out.append(labels)
+    return out
 
 
 def chain_components(
@@ -894,10 +987,13 @@ def chain_components(
 ) -> tuple[tuple[PointId, ...], ...]:
     """Partition into chain components: x ~ y when a chain of steps of
     length <= radius joins them.  Components come back sorted by first
-    member in point order."""
-    label = _chain_labels(space, radius)
-    groups: list[list[PointId]] = [[] for _ in range(int(label.max(initial=-1)) + 1)]
-    for p, c in zip(space.points, label.tolist()):
+    member in point order.  A space holding its ball-label table answers
+    with the row at the radius's code, any other from a minimum spanning
+    tree of its codes (_chain_partitions)."""
+    label = _chain_partitions(space, [radius])[0]
+    _, comp = np.unique(label, return_inverse=True)
+    groups: list[list[PointId]] = [[] for _ in range(int(comp.max(initial=-1)) + 1)]
+    for p, c in zip(space.points, comp.tolist()):
         groups[c].append(p)
     return tuple(tuple(g) for g in groups)
 
@@ -910,16 +1006,17 @@ def ultrametrize(
     rho(x, y) = 2 * (least 1-based scale index at which x and y fall in the
     same chain component); the factor 2 puts distances on the even grid the
     tower path metric uses.  Requires strictly increasing scales whose last
-    entry chains the whole space together.
+    entry chains the whole space together.  The components at every scale
+    come from one spanning tree of the codes (or the ball-label table of a
+    space that holds one), and the result holds only its label table.
     """
     scales = [canon(s) for s in scales]
     if not scales:
         raise ValueError("need at least one scale")
     if any(s2 <= s1 for s1, s2 in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    parts = [np.arange(len(space.points))]
-    parts += [_chain_labels(space, r) for r in scales]
-    if parts[-1].any():  # a second component is numbered 1
+    parts = [np.arange(len(space.points))] + _chain_partitions(space, scales)
+    if parts[-1].any():  # a second component is labelled by a later point
         raise ValueError(
             "top scale does not chain the space into a single component")
     values = tuple(2 * k for k in range(len(scales) + 1))

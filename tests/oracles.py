@@ -5,10 +5,10 @@ every block of pairs) they decide, the way the package did before its
 ultrametric kernels read ball-label tables: the block-scan distortion
 modulus, the full base-distortion scan, the isometry witness scan, the
 round-trip fiber diameter by gathered blocks, the covering radius by
-column minima, the nearest-representative ball map, and the dense
-product and hyperspace.  They work on any space that holds (or writes)
-its code matrix, so they share no label logic with the kernels they
-check.
+column minima, the nearest-representative ball map, the dense product
+and hyperspace, and chain components by a breadth-first search.
+They work on any space that holds (or writes) its code matrix, so they
+share no label logic with the kernels they check.
 
 The string ones work on a relation's id pairs, the way the package did
 before relations held index arrays: fibers and cofibers as dicts of id
@@ -251,3 +251,27 @@ def dense_hyperspace(space: Space, max_size: int) -> Space:
     codes = np.maximum(directed, directed.T)
     points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
     return Space(points, codes, space.values)
+
+
+def chain_labels(space: Space, radius) -> np.ndarray:
+    """Each point's chain component at the radius, numbered by first
+    member in point order: a breadth-first search per component over the
+    n x n adjacency {codes <= radius's code}."""
+    n = len(space.points)
+    t = space.threshold_code(radius, "closed")
+    adj = space.codes <= t if t >= 0 else np.eye(n, dtype=bool)
+    label = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        frontier = np.zeros(n, dtype=bool)
+        frontier[start] = True
+        seen = np.zeros(n, dtype=bool)
+        while frontier.any():
+            seen |= frontier
+            reach = adj[frontier].any(axis=0)
+            frontier = reach & ~seen
+        label[seen] = comp
+        comp += 1
+    return label

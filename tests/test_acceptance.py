@@ -21,6 +21,7 @@ import pytest
 from coarsetowers import (
     DegreeProfile,
     MultiMap,
+    Space,
     Tower,
     asymptotic_homogeneity,
     ball_tower,
@@ -73,11 +74,20 @@ def test_criterion_1_validator_families():
             failures.append(label)
         counts[family] += 1
 
+    def check_written(space, label):
+        # the matrix scan on the written codes installs the builder's table
+        held = Space(space.points, space.codes, space.values, caps=caps)
+        report = validate_ultrametric(held)
+        if not report.ok or len(held._labels) != len(space._labels) or not all(
+                np.array_equal(a, b) for a, b in zip(held._labels, space._labels)):
+            failures.append(f"{label} written")
+
     for a in (2, 3, 5):
         for length in range(1, 9):
             if a ** length <= caps.max_points:
-                check(word_space(a, length, caps=caps),
-                      f"word({a},{length})", "word")
+                words = word_space(a, length, caps=caps)
+                check(words, f"word({a},{length})", "word")
+                check_written(words, f"word({a},{length})")
 
     factor_pairs = [
         (word_space(2, 3), word_space(3, 2)),
@@ -110,7 +120,8 @@ def test_criterion_1_validator_families():
         1, ok,
         f"{total} spaces validated ({counts['word']} word, "
         f"{counts['product']} product, {counts['hyperspace']} hyperspace, "
-        f"{counts['ultrametrized']} ultrametrized plain metrics), "
+        f"{counts['ultrametrized']} ultrametrized plain metrics; each word "
+        f"space also from its written matrix), "
         f"0 violations, {elapsed:.1f}s < 60s")
     assert not failures, failures[:5]
     assert elapsed < 60.0

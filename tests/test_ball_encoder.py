@@ -20,7 +20,6 @@ from coarsetowers import (
     Space,
     ball_tower,
     base_space,
-    chain_components,
     entropy_profile,
     min_net,
     regular_tower,
@@ -39,6 +38,7 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
+from oracles import chain_labels
 
 
 def _mask_word_space(alphabet_size, length):
@@ -63,10 +63,7 @@ def _mask_ultrametrize(space, scales):
     out = np.zeros((n, n), dtype=_pick_dtype(len(scales) + 1))
     assigned = np.eye(n, dtype=bool)
     for k, r in enumerate(scales, start=1):
-        lab = np.empty(n, dtype=np.int64)
-        for ci, part in enumerate(chain_components(space, r)):
-            for p in part:
-                lab[space.index(p)] = ci
+        lab = chain_labels(space, r)
         same = lab[:, None] == lab[None, :]
         newly = same & ~assigned
         out[newly] = k

@@ -31,6 +31,7 @@ from coarsetowers import (
     word_id,
     word_space,
 )
+from coarsetowers import spaces
 from coarsetowers.rationals import as_rational, canon, rat_parse, rat_str
 from coarsetowers.spaces import (
     _TILE,
@@ -49,6 +50,7 @@ from conftest import (
     shuffled_tower,
     triple_violations,
 )
+from oracles import chain_labels
 
 
 # -- word spaces ---------------------------------------------------------------
@@ -166,8 +168,9 @@ def test_threshold_scan_agrees_with_triple_loop():
             i, j = rng.sample(range(n), 2)
             mat[i][j] = mat[j][i] = max(base.values) * 2
         sp = Space.from_matrix([f"q{i}" for i in range(n)], mat)
-        fast = _strong_triangle_by_threshold(sp)
+        fast, truncated = _strong_triangle_by_threshold(sp)
         slow = triple_violations(sp)
+        assert not truncated
         assert bool(fast) == bool(slow)
         for v in fast:
             x, y, z = v.witness
@@ -257,18 +260,73 @@ def test_tiled_pair_checks_report_like_the_full_masks(n, seed):
             (points[i], points[j]) for i, j in pairs]
 
 
-def test_validating_a_word_space_builds_no_square_mask():
-    # the codes are written during the call; an n x n boolean on top of
-    # them (43 MB on these 6561 points) would break the bound
-    words = word_space(3, 8)
+def _traced_validation(space):
     tracemalloc.start()
     try:
-        report = validate_ultrametric(words)
+        report = validate_ultrametric(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_validating_a_word_space_builds_no_square_mask():
+    # the tiles and the threshold scan on a held matrix: an n x n boolean
+    # (43 MB on these 6561 points) would break the bound
+    words = word_space(3, 8)
+    held = Space(words.points, words.codes, words.values)
+    report, peak = _traced_validation(held)
     assert report.ok
-    assert peak < words.codes.nbytes + 16_000_000
+    assert peak < 16_000_000
+
+
+def test_validating_a_table_space_writes_no_matrix():
+    # 9 label rows of 6561 points are read; the matrix would be 86 MB
+    words = word_space(3, 8)
+    report, peak = _traced_validation(words)
+    assert report.ok and report.checked[-1] == "strong-triangle"
+    assert peak < 2_000_000
+    assert words._codes is None
+
+
+def _line(n):
+    """n points on a line: the strong triangle fails at every scale."""
+    return Space.from_matrix([f"l{i:02d}" for i in range(n)],
+                             [[abs(i - j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("cap", [1, 10, 57])
+def test_witness_cap_keeps_a_prefix_of_the_whole_list(cap, monkeypatch):
+    whole, cut = _strong_triangle_by_threshold(_line(12))
+    assert not cut and len(whole) > 57
+    monkeypatch.setattr(spaces, "_MAX_WITNESSES", cap)
+    found, cut = _strong_triangle_by_threshold(_line(12))
+    assert cut and found == whole[:cap]
+    report = validate_ultrametric(_line(12))
+    assert report.truncated and report.violations == tuple(whole[:cap])
+    assert report.to_json()["truncated"] is True
+    assert not report.ok
+
+
+def test_a_list_at_the_cap_is_whole(monkeypatch):
+    whole, _ = _strong_triangle_by_threshold(_line(12))
+    monkeypatch.setattr(spaces, "_MAX_WITNESSES", len(whole))
+    report = validate_ultrametric(_line(12))
+    assert report.violations == tuple(whole) and not report.truncated
+    assert "truncated" not in report.to_json()
+
+
+def test_a_plain_csv_of_many_distances_is_cut_at_the_cap():
+    rng = random.Random(4)
+    pts = [(rng.randrange(10 ** 4), rng.randrange(10 ** 4)) for _ in range(150)]
+    sp = Space.from_matrix(
+        [f"c{i:03d}" for i in range(len(pts))],
+        [[abs(a - c) + abs(b - d) for c, d in pts] for a, b in pts])
+    report = validate_ultrametric(sp)
+    assert report.truncated and len(report.violations) == spaces._MAX_WITNESSES
+    for v in report.violations[::97]:
+        x, y, z = v.witness
+        assert sp.dist(x, y) > max(sp.dist(x, z), sp.dist(z, y))
 
 
 # -- balls, nets, largeness ------------------------------------------------------
@@ -457,6 +515,50 @@ def test_chain_components_coarsen_as_radius_grows():
                 for comp in prev:
                     assert len({blocks[p] for p in comp}) == 1
             prev = comps
+
+
+def _grouped(space, label):
+    """Components from component numbers, in order of first member."""
+    return tuple(tuple(p for p, c in zip(space.points, label.tolist()) if c == k)
+                 for k in range(int(label.max(initial=-1)) + 1))
+
+
+def _tied_metric(rng, n):
+    """Distances 1 and 2 only: a metric with ties everywhere."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.choice([1, 2])
+    return Space.from_matrix([f"t{i}" for i in range(n)], d)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(["plain", "tied", "ultra"]))
+@settings(max_examples=80, deadline=None)
+def test_chain_components_match_the_breadth_first_oracle(seed, kind):
+    rng = random.Random(seed)
+    if kind == "plain":
+        sp = random_plain_metric(rng, 1, 14)
+    elif kind == "tied":
+        sp = _tied_metric(rng, rng.randint(0, 12))
+    else:  # a table space answers from its label rows
+        plain = random_plain_metric(rng, 2, 10)
+        sp = ultrametrize(plain, random_radii(rng, plain)[1:])
+    radii = [-1, 0, Fraction(1, 2)] + list(sp.values) + [
+        Fraction(a + b, 2) for a, b in zip(sp.values, sp.values[1:])]
+    got = [chain_components(sp, r) for r in radii]
+    if kind == "ultra":
+        assert sp._codes is None
+        sp = Space(sp.points, sp.codes, sp.values)
+    assert got == [_grouped(sp, chain_labels(sp, r)) for r in radii]
+
+
+def test_chain_components_of_one_point_and_of_none():
+    one = Space(("a",), np.zeros((1, 1), dtype=np.int16), (0,))
+    empty = Space((), np.zeros((0, 0), dtype=np.int16), ())
+    for r in (-1, 0, 5):
+        assert chain_components(one, r) == (("a",),)
+        assert chain_components(empty, r) == ()
+    assert chain_components(ultrametrize(one, [1]), 0) == (("a",),)
 
 
 def test_ultrametrize_line_example():

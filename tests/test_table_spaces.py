@@ -36,16 +36,21 @@ from coarsetowers import (
     distortion_modulus,
     entropy_from_degrees,
     entropy_profile,
+    hyperspace,
+    product,
     regular_tower,
     selection_pair,
     subspace,
     tower_embedding,
     ultrametrize,
+    validate_metric_axioms,
+    validate_ultrametric,
     verify_asymorphism,
     word_space,
 )
 from coarsetowers import cli
 from coarsetowers.cli import main
+from coarsetowers.serialization import space_from_csv
 from coarsetowers.spaces import CLOSED, _pick_dtype
 
 from conftest import (
@@ -55,7 +60,7 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import argmin_base_map, roundtrip_fiber_diameter
+from oracles import argmin_base_map, chain_labels, roundtrip_fiber_diameter
 
 
 def _block_fill(parts, values):
@@ -94,12 +99,7 @@ def _word_parts(alphabet_size, length):
 
 
 def _chain_parts(plain, scales):
-    parts = [np.arange(len(plain))]
-    for r in scales:
-        lab = np.empty(len(plain), dtype=np.int64)
-        for c, comp in enumerate(chain_components(plain, r)):
-            lab[[plain.index(p) for p in comp]] = c
-        parts.append(lab)
+    parts = [np.arange(len(plain))] + [chain_labels(plain, r) for r in scales]
     return parts, tuple(2 * k for k in range(len(scales) + 1))
 
 
@@ -355,3 +355,108 @@ def test_ball_off_the_table_matches_the_codes(seed):
 def test_user_spaces_still_need_a_code_matrix():
     with pytest.raises(ValueError, match="codes shape"):
         Space(("a", "b"), None, (0, 1))
+
+
+def test_validating_a_word_space_writes_no_code_matrix(no_matrix_writes):
+    words = word_space(3, 8)
+    for strong in (True, False):
+        assert validate_metric_axioms(words, strong).ok
+
+
+def test_chain_components_of_a_table_space_write_no_code_matrix(no_matrix_writes):
+    words = word_space(3, 8)
+    assert len(chain_components(words, -1)) == len(words)
+    assert len(chain_components(words, 0)) == len(words)
+    assert len(chain_components(words, 8)) == 3 ** 4  # the last four letters agree
+    assert chain_components(words, 128) == (words.points,)
+
+
+def test_csv_ingest_writes_no_code_matrix_past_the_load(no_matrix_writes):
+    # the load holds its matrix; ultrametrize reads it, and everything from
+    # there to the ball tower's base map reads the label table only
+    rng = random.Random(8)
+    pts = [(rng.randrange(400), rng.randrange(400)) for _ in range(60)]
+    ids = [f"p{i:02d}" for i in range(len(pts))]
+    rows = [",".join([i] + [str(abs(a - c) + abs(b - d)) for c, d in pts])
+            for i, (a, b) in zip(ids, pts)]
+    plain = space_from_csv("\n".join(["id," + ",".join(ids)] + rows) + "\n")
+    top = plain.diameter()
+    ultra = ultrametrize(plain, [Fraction(top, 2 ** k) for k in range(5, -1, -1)])
+    assert validate_ultrametric(ultra).ok
+    radii = list(ultra.values)
+    assert entropy_profile(ultra, radii[:-1], radii[1:], CLOSED).check_monotone().ok
+    tower = ball_tower(ultra, radii)
+    assert set(ball_tower_base_map(ultra, tower).values()) == set(tower.base)
+    assert ultra._codes is None
+
+
+def test_sparse_product_experiment_writes_no_code_matrix(no_matrix_writes, capsys):
+    assert main(["experiment", "product-with-sparse-sequence"]) == 0
+    assert capsys.readouterr().out
+
+
+# -- the validator reads the table ---------------------------------------------
+
+
+def _builder_outputs(rng):
+    """Table-only spaces from every builder that encodes nested balls."""
+    out = [space for space, _, _ in _table_spaces(rng)]
+    left = word_space(rng.randint(2, 3), rng.randint(1, 2))
+    out.append(product(left, base_space(random_tower(rng, 2, 3, 3))))
+    out.append(hyperspace(word_space(2, rng.randint(1, 3)), rng.randint(1, 3)))
+    return out
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=30, deadline=None)
+def test_table_verdict_matches_the_matrix_scan(seed):
+    for space in _builder_outputs(random.Random(seed)):
+        assert space._codes is None and isinstance(space._labels, list)
+        strong = validate_metric_axioms(space, strong=True)
+        plain = validate_metric_axioms(space, strong=False)
+        assert space._codes is None
+        dense = Space(space.points, space.codes, space.values)
+        assert strong.to_json() == validate_metric_axioms(dense).to_json()
+        # the scan installs the builder's own table
+        assert len(dense._labels) == len(space._labels)
+        for got, want in zip(dense._labels, space._labels):
+            assert np.array_equal(got, want)
+        if len(space) <= 20:  # the plain triangle is a Python triple loop
+            assert plain.to_json() == validate_metric_axioms(dense, strong=False).to_json()
+
+
+def _corrupt(rows):
+    """word_space(2, 3) with its label rows replaced."""
+    words = word_space(2, 3)
+    words._labels = [np.asarray(r, dtype=np.int64) for r in rows]
+    return words
+
+
+# word_space(2, 3) has the rows 0..7, i mod 4, i mod 2 and all zero
+_ROWS = [list(range(8)), [0, 1, 2, 3] * 2, [0, 1] * 4, [0] * 8]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_ROWS[0], _ROWS[1], [0, 0, 2, 2, 4, 4, 6, 6], _ROWS[3]],
+     "row 2 splits a ball of row 1"),
+    ([_ROWS[1], _ROWS[1], _ROWS[2], _ROWS[3]],
+     "row 0 does not name every point apart"),
+    ([_ROWS[0], _ROWS[1], _ROWS[2], _ROWS[2]], "row 3, the top, is not one ball"),
+    ([_ROWS[0], [4, 5, 6, 7] * 2, _ROWS[2], _ROWS[3]],
+     "row 1 does not name each ball by its least member"),
+    ([_ROWS[0], [0, 1, 2, 3, 0, 1, 2, 9], _ROWS[2], _ROWS[3]],
+     "row 1 does not name each ball by its least member"),
+    (_ROWS[:3], "has 3 rows for 4 values"),
+])
+def test_a_broken_table_raises_naming_its_row(rows, message):
+    assert validate_ultrametric(_corrupt(_ROWS)).ok
+    for strong in (True, False):
+        with pytest.raises(ValueError, match=message):
+            validate_metric_axioms(_corrupt(rows), strong)
+
+
+def test_a_table_not_at_distance_zero_raises():
+    words = word_space(2, 2)
+    words.values = (1, 2, 3)
+    with pytest.raises(ValueError, match="row 0 is not at distance 0"):
+        validate_ultrametric(words)
