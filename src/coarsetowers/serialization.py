@@ -13,9 +13,11 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import rat_from_json, rat_json, rat_parse, rat_str
-from .spaces import Space, _encode_cells
+from .spaces import Space, _encode_cells, _encode_ints
 from .towers import NodeId, Tower
 
 __all__ = [
@@ -67,10 +69,17 @@ def space_to_csv(space: Space) -> str:
 
 def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     """Space from a distance-matrix CSV, optionally labeled (header "id" or
-    empty first cell, then each row's first cell names its point).  Cells
-    go to the shared encoder as raw text, so each distinct text is parsed
-    once by rat_parse, which strips it; a mislabeled or short row, or a
-    bad cell, raises at its row, the first defect in row order first."""
+    empty first cell, then each row's first cell names its point).  A
+    mislabeled or short row, or a bad cell, raises at its row, the first
+    defect in row order first.
+
+    Each row's cells are read into one n x n int32 array, numpy calling
+    int on each text, which reads a cell without "/" as rat_parse does;
+    when every row converts and the values span at most n^2 integers,
+    _encode_ints codes them from a presence mask.  Any other matrix (a
+    fraction, a bad cell, a value outside int32, a wider span) goes whole
+    to the shared encoder as raw text, so each distinct text is parsed
+    once by rat_parse and every error keeps its text and its row."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty distance matrix")
@@ -99,6 +108,18 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
                 raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
             yield cells
 
+    caps.check_points(n, "space")  # before any cell is parsed
+    ints = np.empty((n, n), dtype=np.int32)
+    for k, cells in enumerate(rows()):
+        try:
+            ints[k] = np.array(cells, dtype=np.int32)
+        except (ValueError, OverflowError):
+            break
+    else:
+        space = _encode_ints(points, ints, caps)
+        if space is not None:
+            return space
+    del ints  # the shared encoder fills its own id array
     return _encode_cells(points, rows(), rat_parse, caps=caps)
 
 

@@ -297,6 +297,34 @@ def _encode_cells(
     return Space.__new__(Space)._fill(points, remap[ids], tuple(vals), None, caps)
 
 
+def _encode_ints(
+    points: Sequence[PointId], ints: np.ndarray, caps: Caps = DEFAULT_CAPS
+) -> Optional[Space]:
+    """The codes of an n x n integer matrix, from a presence mask over
+    [min, max] instead of a dict: a value's code is the count of present
+    values below it, so nothing is sorted and no cell costs a Python call.
+    The mask holds one flag per integer of the span, so None when the
+    span exceeds the n^2 cells; ints is shifted in place.  Values, codes
+    and their dtype are those _encode_cells gives the same cells."""
+    n = ints.shape[0]
+    lo, hi = (int(ints.min()), int(ints.max())) if n else (0, -1)
+    if hi - lo > n * n:
+        return None
+    ints -= lo
+    present = np.zeros(hi - lo + 1, dtype=bool)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for r in range(0, n, chunk):
+        present[ints[r:r + chunk]] = True
+    used = np.flatnonzero(present)
+    rank = np.cumsum(present, dtype=_pick_dtype(used.size))
+    rank -= 1
+    codes = np.empty((n, n), dtype=rank.dtype)
+    for r in range(0, n, chunk):
+        codes[r:r + chunk] = rank[ints[r:r + chunk]]
+    return Space.__new__(Space)._fill(
+        tuple(points), codes, tuple((used + lo).tolist()), None, caps)
+
+
 def _ball_space(
     points: Sequence[PointId],
     parts: Sequence[np.ndarray],
@@ -590,8 +618,9 @@ def word_space(
     idx = np.arange(count)
     parts = [idx % alphabet_size ** (length - k) for k in range(length + 1)]
     values = (0,) + tuple(2 ** p for p in range(length))
-    points = tuple(word_id(w, alphabet_size)
-                   for w in itertools.product(range(alphabet_size), repeat=length))
+    letters = [str(d) for d in range(alphabet_size)]
+    sep = "" if alphabet_size <= 10 else "."  # as word_id joins them
+    points = tuple(map(sep.join, itertools.product(letters, repeat=length)))
     return _ball_space(points, parts, values, caps)
 
 
@@ -605,9 +634,9 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
     space without a table reads its codes."""
     x = space.index(center)
     t = space.threshold_code(radius, CLOSED)
-    if t < 0:
-        return ()
     if isinstance(space._labels, list):
+        if t < space._code(x, x):  # rows below the diagonal's code name no ball
+            return ()
         row = space._labels[t]
         idx = np.flatnonzero(row == row[x])
     else:
@@ -674,7 +703,8 @@ def min_net(
     if sub.size == 0:
         return ()
     t = space.threshold_code(radius, convention)
-    if t < 0:
+    # on an ultrametric, label rows below the diagonal's code name no ball
+    if t < 0 or (space.is_ultrametric and t < space._code(sub[0], sub[0])):
         raise ValueError(
             f"no admissible net: no distance satisfies the {convention} "
             f"bound at radius {rat_str(radius)}")
@@ -826,8 +856,9 @@ def entropy_profile(
     entries: dict = {}
     if space.is_ultrametric:
         tes = [space.threshold_code(eps, convention) for eps in eps_list]
+        c0 = space._code(0, 0)  # rows below the diagonal's code name no ball
         for eps, te in zip(eps_list, tes):
-            if te < 0:
+            if te < c0:
                 raise ValueError(
                     f"no net exists at eps={rat_str(eps)} under the "
                     f"{convention} convention")

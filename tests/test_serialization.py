@@ -3,14 +3,18 @@ certified pipeline report format."""
 
 import itertools
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsetowers import MultiMap, Space, Tower, regular_tower, word_space
+from coarsetowers import (MultiMap, Space, Tower, regular_tower,
+                          validate_ultrametric, word_space)
 from coarsetowers.rationals import canon, rat_parse
 from coarsetowers.serialization import (
     content_hash,
@@ -28,7 +32,7 @@ from coarsetowers.serialization import (
     tower_from_json,
     tower_to_json,
 )
-from coarsetowers.spaces import _encode_cells, _pick_dtype
+from coarsetowers.spaces import _CellIds, _encode_cells, _pick_dtype
 
 from conftest import random_ultrametric
 
@@ -238,6 +242,196 @@ def test_zero_denominator_is_an_input_error():
         space_from_csv("id,a,b\na,0,1/0\nb,1,0\n")
     with pytest.raises(ValueError, match="zero denominator"):
         rat_from_json("3/0")
+
+
+# -- integer CSVs -------------------------------------------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _spelled(x: int, kind: str) -> str:
+    """x as a CSV cell that int() reads as x."""
+    sign, digits = ("-" if x < 0 else ""), str(abs(x))
+    if kind == "padded":
+        return f"  {x} "
+    if kind == "signed":
+        return f"+{x}" if x >= 0 else str(x)
+    if kind == "underscore":
+        return f"{sign}{digits[:-1] or 0}_{digits[-1]}"
+    if kind == "zeros":
+        return f"{sign}00{digits}"
+    if kind == "arabic-indic":
+        return str(x).translate(ARABIC_INDIC)
+    return str(x)
+
+
+# spellings of integers in [-k, k], and fixed texts that are not all ints
+INT_KINDS = ("plain", "padded", "signed", "underscore", "zeros", "arabic-indic")
+TEXT_KINDS = {
+    "thousand": ["1_000", "-1_000"],
+    "int32-bounds": [str(2 ** 31 - 1), str(2 ** 31), str(-2 ** 31),
+                     str(-2 ** 31 - 1)],
+    "above-int64": [str(2 ** 63), str(-2 ** 63 - 1), str(10 ** 30)],
+    "fraction": ["1/2", "4/2", "-3/5", "0/7", " 9/3 "],
+    "empty": ["", "   "],
+    "junk": ["x", "1.5", "--1", "1e3", "0x10", "1__0", "_1"],
+    "zero-denominator": ["1/0", "0/0"],
+}
+CELL_KINDS = list(INT_KINDS) + sorted(TEXT_KINDS)
+
+
+def _cells(kind: str, k: int):
+    if kind in INT_KINDS:
+        return st.integers(-k, k).map(lambda x: _spelled(x, kind))
+    return st.sampled_from(TEXT_KINDS[kind])
+
+
+def _outcome(load, *args):
+    """What a loader gives: its space's points, values, codes and code
+    dtype, or the type and message of what it raised."""
+    try:
+        sp = load(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return sp.points, sp.values, sp.codes.tolist(), sp.codes.dtype
+
+
+def _labeled_csv(points, rows) -> str:
+    return "".join([",".join(["id"] + points) + "\n"] + [
+        ",".join([p] + row) + "\n" for p, row in zip(points, rows)])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_csv_path_matches_the_dict_encoder(data):
+    n = data.draw(st.integers(1, 7))
+    # spans of [-k, k] fall on both sides of the n^2 cells
+    k = data.draw(st.sampled_from([0, 1, (n * n) // 2, n * n, 10 ** 6]))
+    kinds = data.draw(st.lists(st.sampled_from(CELL_KINDS), min_size=1,
+                               max_size=3, unique=True))
+    cell = st.one_of(*[_cells(kind, k) for kind in kinds])
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    points = [f"p{i}" for i in range(n)]
+    assert _outcome(space_from_csv, _labeled_csv(points, rows)) == \
+        _outcome(_encode_cells, points, rows, rat_parse)
+
+
+def _missing_calls(monkeypatch) -> list:
+    """The keys that reach the dict encoder's parse, recorded."""
+    calls, parse = [], _CellIds.__missing__
+
+    def spy(table, key):
+        calls.append(key)
+        return parse(table, key)
+
+    monkeypatch.setattr(_CellIds, "__missing__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("top, dict_path", [(8, False), (9, False), (10, True)])
+def test_value_span_beyond_the_cells_takes_the_dict_encoder(
+        top, dict_path, monkeypatch):
+    # 3 x 3 cells: a mask of up to 9 + 1 flags, not one more
+    calls = _missing_calls(monkeypatch)
+    rows = [["0", "1", str(top)], ["1", "0", "3"], [str(top), "3", "0"]]
+    sp = space_from_csv(_labeled_csv(["a", "b", "c"], rows))
+    assert sp.values == (0, 1, 3, top)
+    assert sp.codes.tolist() == [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+    assert bool(calls) == dict_path
+
+
+@pytest.mark.parametrize("distinct", [31_999, 32_000, 32_041])
+def test_integer_csv_switches_dtype_where_the_dict_encoder_does(
+        distinct, monkeypatch):
+    # 179^2 = 32041 cells hold every count of values around 32000
+    rng = random.Random(distinct)
+    n = 179
+    flat = [str(k % distinct - 16_000) for k in range(n * n)]
+    rng.shuffle(flat)
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    points = [f"q{i:03d}" for i in range(n)]
+    want = _outcome(_encode_cells, points, rows, rat_parse)
+    calls = _missing_calls(monkeypatch)
+    assert _outcome(space_from_csv, _labeled_csv(points, rows)) == want
+    assert want[3] == (np.int16 if distinct < 32_000 else np.int32)
+    assert not calls
+
+
+@pytest.mark.parametrize("cells, message", [
+    # (row, column) as the messages count them; column 0 is the label
+    ({(2, 2): "1/0", (3, 0): "q"}, "zero denominator in '1/0'"),
+    ({(2, 0): "q", (3, 2): "1/0"},
+     "row 2 label 'q' does not match header order ('b')"),
+    ({(2, 2): "7", (3, 1): " x "}, "invalid literal for int() with base 10: 'x'"),
+    ({(2, 2): str(2 ** 40), (3, 0): "q"},
+     "row 3 label 'q' does not match header order ('c')"),
+    ({(1, 3): "2/3", (2, 1): "1,5"}, "row 2 has 4 entries, want 3"),
+])
+def test_first_defect_in_row_order_is_reported(cells, message):
+    lines = [["id", "a", "b", "c"], ["a", "0", "1", "2"],
+             ["b", "1", "0", "1"], ["c", "2", "1", "0"]]
+    for (row, col), cell in cells.items():
+        lines[row][col] = cell
+    with pytest.raises(ValueError) as err:
+        space_from_csv("".join(",".join(line) + "\n" for line in lines))
+    assert str(err.value) == message
+
+
+def _perfbench_workloads():
+    """perfbench's input generators (the benchmark sits beside the tests)."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench import workloads
+    return workloads
+
+
+@pytest.fixture
+def no_dict_parse(monkeypatch):
+    """_CellIds.__missing__ fails wherever a cell would go through the
+    dict encoder."""
+    def refuse(table, key):
+        raise AssertionError(f"cell {key!r} reached the dict encoder")
+
+    monkeypatch.setattr(_CellIds, "__missing__", refuse)
+
+
+def test_integer_csvs_never_reach_the_dict_encoder(no_dict_parse):
+    workloads = _perfbench_workloads()
+    points = workloads.clustered_points(600, np.random.default_rng(1))
+    text = workloads.distance_csv(points)
+    sp = space_from_csv(text)
+    dist = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    values = np.unique(dist)
+    assert sp.values == tuple(values.tolist())
+    assert np.array_equal(sp.codes, np.searchsorted(values, dist))
+    assert sp.codes.dtype == np.int32  # 61678 values at seed 1
+    # planted defects: an asymmetric pair and a zero between distinct points
+    lines = [line.split(",") for line in text.splitlines()]
+    lines[1 + 3][1 + 7] = str(int(lines[1 + 3][1 + 7]) + 1)
+    lines[1 + 5][1 + 9] = lines[1 + 9][1 + 5] = " 0 "
+    bad = space_from_csv("\n".join(",".join(line) for line in lines) + "\n")
+    report = validate_ultrametric(bad)
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("symmetry", ("p0003", "p0007")), ("positivity", ("p0005", "p0009"))]
+
+
+def test_integer_csv_load_stays_small():
+    # the dict encoder peaks at 37-39 MB here: an int32 id array, the
+    # codes and a dict of about 90000 distinct cell texts
+    workloads = _perfbench_workloads()
+    text = workloads.distance_csv(
+        workloads.clustered_points(1000, np.random.default_rng(1)))
+    tracemalloc.start()
+    try:
+        sp = space_from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.codes.dtype == np.int32  # over 32000 distinct values
+    assert peak < 30 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 # -- multimaps -------------------------------------------------------------------

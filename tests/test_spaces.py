@@ -1,6 +1,7 @@
 """Ultrametric space layer: constructors, validators, balls, nets, entropy,
 products, hyperspaces, and the chain-component ultrametrization."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -77,6 +78,9 @@ def test_word_space_ternary():
 def test_word_id_separator_depends_on_alphabet():
     assert word_id([0, 2, 1], 3) == "021"
     assert word_id([0, 2, 1], 12) == "0.2.1"
+    for a, length in [(2, 3), (3, 2), (10, 2), (11, 2), (12, 2)]:
+        assert word_space(a, length).points == tuple(
+            word_id(w, a) for w in itertools.product(range(a), repeat=length))
 
 
 def test_word_space_validates_as_ultrametric():

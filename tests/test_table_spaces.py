@@ -37,6 +37,7 @@ from coarsetowers import (
     entropy_from_degrees,
     entropy_profile,
     hyperspace,
+    min_net,
     product,
     regular_tower,
     selection_pair,
@@ -51,7 +52,7 @@ from coarsetowers import (
 from coarsetowers import cli
 from coarsetowers.cli import main
 from coarsetowers.serialization import space_from_csv
-from coarsetowers.spaces import CLOSED, _pick_dtype
+from coarsetowers.spaces import CLOSED, STRICT, _pick_dtype
 
 from conftest import (
     random_plain_metric,
@@ -340,16 +341,42 @@ def test_balls_and_entropy_transport_read_the_table():
 @settings(max_examples=30, deadline=None)
 def test_ball_off_the_table_matches_the_codes(seed):
     space = random_ultrametric(random.Random(seed))
-    assert space.is_ultrametric  # validation installs the table
-    diam = space.diameter()
-    radii = [-1, diam + 1] + list(space.values) + [
-        Fraction(a + b, 2) for a, b in zip(space.values, space.values[1:])]
-    for center in space.points:
-        row = space.codes[space.index(center)]
-        for r in radii:
-            t = space.threshold_code(r, CLOSED)
-            want = tuple(p for p, c in zip(space.points, row.tolist()) if 0 <= t and c <= t)
-            assert ball(space, center, r) == want
+    # a listed, unrealized value below 0 puts a label row under the
+    # diagonal's code
+    shifted = Space(space.points, space.codes + 1, (-1,) + space.values)
+    for space in (space, shifted):
+        assert space.is_ultrametric  # validation installs the table
+        diam = space.diameter()
+        radii = [-2, -1, Fraction(-1, 2), diam + 1] + list(space.values) + [
+            Fraction(a + b, 2) for a, b in zip(space.values, space.values[1:])]
+        for center in space.points:
+            row = space.codes[space.index(center)]
+            for r in radii:
+                t = space.threshold_code(r, CLOSED)
+                want = tuple(p for p, c in zip(space.points, row.tolist()) if c <= t)
+                assert ball(space, center, r) == want
+
+
+def test_label_rows_below_the_diagonal_name_no_ball():
+    # the value -1 is listed but unrealized: its label row lies below the
+    # diagonal's code, so a negative radius holds no point and no net
+    s = Space(("a", "b"), np.array([[1, 2], [2, 1]]), (-1, 0, 1))
+    assert s.is_ultrametric
+    for r in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2):
+        t = s.threshold_code(r, CLOSED)
+        for x in s.points:
+            row = s.codes[s.index(x)].tolist()
+            assert ball(s, x, r) == tuple(
+                p for p, c in zip(s.points, row) if c <= t)
+    assert ball(s, "a", Fraction(-1, 2)) == ()
+    for radius, convention in [(Fraction(-1, 2), CLOSED), (0, STRICT)]:
+        with pytest.raises(ValueError, match="no admissible net"):
+            min_net(s, None, radius, convention)
+        with pytest.raises(ValueError, match="no net exists"):
+            entropy_profile(s, [radius], [0, 1], convention)
+    assert min_net(s, None, 0, CLOSED) == ("a", "b")
+    assert entropy_profile(s, [0], [0, 1], CLOSED).entries == {
+        (0, 0): (1, 1), (0, 1): (2, 2)}
 
 
 def test_user_spaces_still_need_a_code_matrix():
