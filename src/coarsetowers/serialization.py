@@ -9,6 +9,7 @@ of the same configuration are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import rat_from_json, rat_json, rat_parse, rat_str
-from .spaces import Space, _encode_cells, _encode_ints
+from .spaces import Space, _compact, _encode_cells
 from .towers import NodeId, Tower
 
 __all__ = [
@@ -33,6 +34,8 @@ __all__ = [
     "dump_csv",
     "pipeline_report",
 ]
+
+_INT32 = np.iinfo(np.int32)
 
 
 def space_to_json(space: Space) -> dict:
@@ -73,13 +76,15 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     mislabeled or short row, or a bad cell, raises at its row, the first
     defect in row order first.
 
-    Each row's cells are read into one n x n int32 array, numpy calling
-    int on each text, which reads a cell without "/" as rat_parse does;
-    when every row converts and the values span at most n^2 integers,
-    _encode_ints codes them from a presence mask.  Any other matrix (a
-    fraction, a bad cell, a value outside int32, a wider span) goes whole
-    to the shared encoder as raw text, so each distinct text is parsed
-    once by rat_parse and every error keeps its text and its row."""
+    Each row's cells are read with numpy calling int on each text, which
+    reads a cell without "/" as rat_parse does, into an int64 row; a row
+    within int32 is stored in one n x n int32 array.  When the stored
+    values span at most n^2 integers, _compact codes them from a presence
+    mask over [min, max], and if every row was stored that is the space.
+    Otherwise the shared encoder reads on from the first row not stored
+    (a fraction, a bad cell, a value outside int32), or from the first
+    row when the span is wider, parsing each distinct text once with
+    rat_parse, so every error keeps its text and its row."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty distance matrix")
@@ -110,17 +115,28 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
 
     caps.check_points(n, "space")  # before any cell is parsed
     ints = np.empty((n, n), dtype=np.int32)
-    for k, cells in enumerate(rows()):
+    done, rest = 0, rows()
+    for cells in rest:
         try:
-            ints[k] = np.array(cells, dtype=np.int32)
+            row = np.array(cells, dtype=np.int64)
         except (ValueError, OverflowError):
+            row = None
+        if row is None or row.min() < _INT32.min or row.max() > _INT32.max:
+            rest = itertools.chain([cells], rest)
             break
-    else:
-        space = _encode_ints(points, ints, caps)
-        if space is not None:
-            return space
-    del ints  # the shared encoder fills its own id array
-    return _encode_cells(points, rows(), rat_parse, caps=caps)
+        ints[done] = row
+        done += 1
+    lo, hi = (int(ints[:done].min()), int(ints[:done].max())) if done else (0, -1)
+    # the mask holds one flag per integer of [lo, hi]; shifted, they fit int32
+    if hi - lo > min(n * n, _INT32.max):
+        return _encode_cells(points, rows(), rat_parse, caps, ints)
+    ints[:done] -= lo
+    codes, values = _compact(ints[:done], range(lo, hi + 1))
+    if done == n:
+        return Space.__new__(Space)._fill(
+            tuple(points), codes, values, None, caps)
+    ints[:done] = codes
+    return _encode_cells(points, rest, rat_parse, caps, ints, done, values)
 
 
 def tower_to_json(tower: Tower) -> dict:

@@ -41,7 +41,9 @@ def _compact(
     values.  Renumbering keeps the order, so the code map stays
     order-preserving.  Realized codes are marked in a table of len(values)
     flags, rows of about four million cells at a time, so nothing is
-    sorted; when every value is realized the codes come back unrenumbered."""
+    sorted; when every value is realized the codes come back unrenumbered.
+    values may be a range of integers, whose realized ones are picked by
+    one add."""
     present = np.zeros(len(values), dtype=bool)
     n = codes.shape[0]
     chunk = max(1, 4_000_000 // max(n, 1))
@@ -53,7 +55,9 @@ def _compact(
         return codes.astype(dtype, copy=False), tuple(values)
     remap = np.zeros(len(values), dtype=dtype)
     remap[used] = np.arange(used.size)
-    return remap[codes], tuple(values[int(c)] for c in used)
+    if isinstance(values, range):
+        return remap[codes], tuple((used * values.step + values.start).tolist())
+    return remap[codes], tuple(map(values.__getitem__, used.tolist()))
 
 
 class Space:
@@ -266,6 +270,9 @@ def _encode_cells(
     rows: Iterable[Sequence],
     parse,
     caps: Caps = DEFAULT_CAPS,
+    ids: Optional[np.ndarray] = None,
+    count: int = 0,
+    values: Sequence[Rational] = (),
 ) -> Space:
     """The one rational-to-code encoder of distance matrices: rows yields n
     rows of n cell keys, and parse maps a key to its canonical rational.
@@ -276,13 +283,16 @@ def _encode_cells(
     and a generator of rows may check each row before it is read.  The
     distinct values are sorted once and one gather through a remap table
     writes the codes in the _pick_dtype of their count; keys that parse to
-    equal rationals (" 2 " and "4/2" beside "2") share one code."""
+    equal rationals (" 2 " and "4/2" beside "2") share one code.  A caller
+    that has read the first count rows itself passes the id array with
+    those rows holding ids into values, and rows yields the rest."""
     points = tuple(points)
     n = len(points)
     caps.check_points(n, "space")  # before any cell is parsed
     table = _CellIds(parse)
-    ids = np.empty((n, n), dtype=np.int32)
-    count = 0
+    table.values.extend(values)
+    if ids is None:
+        ids = np.empty((n, n), dtype=np.int32)
     for row in rows:
         if count == n or len(row) != n:
             raise ValueError("matrix is not square")
@@ -295,34 +305,6 @@ def _encode_cells(
     remap = np.fromiter(map(code_of.__getitem__, table.values),
                         dtype=_pick_dtype(len(vals)), count=len(table.values))
     return Space.__new__(Space)._fill(points, remap[ids], tuple(vals), None, caps)
-
-
-def _encode_ints(
-    points: Sequence[PointId], ints: np.ndarray, caps: Caps = DEFAULT_CAPS
-) -> Optional[Space]:
-    """The codes of an n x n integer matrix, from a presence mask over
-    [min, max] instead of a dict: a value's code is the count of present
-    values below it, so nothing is sorted and no cell costs a Python call.
-    The mask holds one flag per integer of the span, so None when the
-    span exceeds the n^2 cells; ints is shifted in place.  Values, codes
-    and their dtype are those _encode_cells gives the same cells."""
-    n = ints.shape[0]
-    lo, hi = (int(ints.min()), int(ints.max())) if n else (0, -1)
-    if hi - lo > n * n:
-        return None
-    ints -= lo
-    present = np.zeros(hi - lo + 1, dtype=bool)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for r in range(0, n, chunk):
-        present[ints[r:r + chunk]] = True
-    used = np.flatnonzero(present)
-    rank = np.cumsum(present, dtype=_pick_dtype(used.size))
-    rank -= 1
-    codes = np.empty((n, n), dtype=rank.dtype)
-    for r in range(0, n, chunk):
-        codes[r:r + chunk] = rank[ints[r:r + chunk]]
-    return Space.__new__(Space)._fill(
-        tuple(points), codes, tuple((used + lo).tolist()), None, caps)
 
 
 def _ball_space(

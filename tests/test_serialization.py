@@ -342,6 +342,23 @@ def test_value_span_beyond_the_cells_takes_the_dict_encoder(
     assert bool(calls) == dict_path
 
 
+@pytest.mark.parametrize("late", ["1/2", str(2 ** 32 + 1), str(-2 ** 31 - 1)])
+def test_dict_encoder_starts_at_the_first_row_not_stored(late, monkeypatch):
+    # rows before the late cell, spanning under n^2 values, are read once,
+    # as integers; values past int32 stay exact (int32 would wrap 2^32 + 1
+    # to 1)
+    n = 6
+    rng = random.Random(n)
+    rows = [[str(rng.randrange(-15, 15)) for _ in range(n)] for _ in range(n)]
+    rows[4][2] = late
+    points = [f"p{i}" for i in range(n)]
+    want = _outcome(_encode_cells, points, rows, rat_parse)
+    calls = _missing_calls(monkeypatch)
+    assert _outcome(space_from_csv, _labeled_csv(points, rows)) == want
+    assert rat_parse(late) in want[1]
+    assert set(calls) <= set(rows[4] + rows[5]) and late in calls
+
+
 @pytest.mark.parametrize("distinct", [31_999, 32_000, 32_041])
 def test_integer_csv_switches_dtype_where_the_dict_encoder_does(
         distinct, monkeypatch):
