@@ -716,9 +716,7 @@ def _pipeline_stage_specs(
     P = len(synth)
 
     sub1, next1 = level_subtower(tower, synth.n + (H,), caps=caps)
-    top_level_nodes = sorted(
-        x for x in tower.nodes if tower.level[x] == synth.n[-1])
-    roots = tuple(top_level_nodes[:top_size])
+    roots = tower._ids[synth.n[-1] - 1][:top_size]  # each level is id-sorted
 
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
                            caps=caps)

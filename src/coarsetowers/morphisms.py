@@ -4,15 +4,16 @@ A multi-map is a relation: each source point may carry several targets and
 the inverse is again a multi-map.  Everything a certificate claims about one
 (moduli, surjectivity, closeness of a selection) is checked by exhaustive
 scans over the realized distances, never assumed.  The second half of the
-module works on towers: level-preserving embeddings, the admissibility
-checker, and the deterministic builder that maps one germ onto another
-within prescribed fiber-size windows.
+module works on towers: the admissibility checker, and level-preserving
+embeddings and the germ builder, which descend one index array per level
+and whose node maps hold the tower conditions by construction, so only
+their base restrictions are certified by such scans.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +26,8 @@ from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
 from .spaces import CLOSED, PointId, Space, ball, min_net, subspace
 from .towers import (
-    DegreeProfile, NodeId, Tower, _cone_profile, base_space, degree_profile)
+    DegreeProfile, NodeId, Tower, _cone_profile, _descend, _node_dict, _under,
+    base_space, degree_profile)
 
 
 # -- multi-maps ---------------------------------------------------------------
@@ -690,10 +692,10 @@ def tower_embedding(
 
     Feasible whenever every level of t2 has at least as many children per
     node as the largest degree of t1 on that level; the first failing level
-    is reported otherwise.  Construction is the deterministic greedy one:
-    children in id order occupy the least-id free children of the image.
-    The returned certificate covers the base restriction, which must
-    preserve the path metric exactly.
+    is reported otherwise.  Construction is greedy, one gather per level:
+    a node's k-th child in id order goes to the k-th child of its image,
+    so the map is injective.  The returned certificate covers the base
+    restriction, which must preserve the path metric exactly.
     """
     if t1.height != t2.height:
         raise ValueError(
@@ -714,17 +716,9 @@ def tower_embedding(
                 raise ValueError(
                     f"isomorphism precondition fails at level {k}: "
                     f"degree data {vals} not homogeneous-equal")
-    phi: dict[NodeId, NodeId] = {t1.top: t2.top}
-    for node in reversed(t1.nodes):  # descending (level, id)
-        if t1.level[node] == 1:
-            continue
-        image_kids = t2.children[phi[node]]
-        for i, child in enumerate(t1.children[node]):
-            phi[child] = image_kids[i]
-    if len(set(phi.values())) != len(phi):
-        raise RuntimeError("embedding construction lost injectivity")
-
-    phi_base = MultiMap.from_function(base_space(t1, caps), base_space(t2, caps), phi)
+    phi = _descend(t1, t2, t1.height, [0], 0, lambda lv, seq, img, kids, deg, up, j: j)
+    phi_base = MultiMap._of_indices(
+        base_space(t1, caps), base_space(t2, caps), np.arange(len(t1.base)), phi[0])
     cert = verify_asymorphism(phi_base, expect_isometry=True, caps=caps)
     preserved = next(
         c for c in cert.checks if c.axiom == "distance-preserving")
@@ -734,10 +728,15 @@ def tower_embedding(
             f"{preserved.witness}")
     if require_iso and not phi_base.is_bijection:
         raise RuntimeError("isomorphism request produced a non-bijection")
-    return phi, cert
+    return _node_dict(phi, t1, t2), cert
 
 
 # -- admissible morphisms -----------------------------------------------------
+
+
+_ADMISSIBLE_CHECKS = (
+    "domain-lower-set", "level-preserving", "monotone",
+    "fibers-in-one-sibling-set", "image-lower-set", "single-top-image")
 
 
 def check_admissible(
@@ -750,9 +749,7 @@ def check_admissible(
     sibling set, has a lower-set image, and sends the maximal domain nodes
     to at most one node.
     """
-    checked = (
-        "domain-lower-set", "level-preserving", "monotone",
-        "fibers-in-one-sibling-set", "image-lower-set", "single-top-image")
+    checked = _ADMISSIBLE_CHECKS
     violations: list[Violation] = []
     dom = set(phi)
     for x in phi:
@@ -934,13 +931,8 @@ def balanced_partition(
             f"{parts}*{hi_i} for sizes in [{rat_str(canon(as_rational(lo)))}, "
             f"{rat_str(canon(as_rational(hi)))}]")
     base, rem = divmod(n, parts)
-    out: list[tuple] = []
-    pos = 0
-    for k in range(parts):
-        size = base + 1 if k < rem else base
-        out.append(tuple(seq[pos:pos + size]))
-        pos += size
-    return out
+    ends = [k * base + min(k, rem) for k in range(parts + 1)]
+    return [tuple(seq[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def build_admissible_morphism(
@@ -953,14 +945,20 @@ def build_admissible_morphism(
 ) -> tuple[dict[NodeId, NodeId], MultiMap, MorphismCertificate]:
     """Map the cones below a sibling set of t1 onto the cone below w in t2.
 
-    Deterministic descent: the roots all map to w; at each mapped node the
-    children of the image are shared out by largest remainder in id order,
-    every source sibling set is cut by balanced_partition within that
-    level's window, and parts pair with image children in id order.  The
-    result is surjective onto the cone of w, passes check_admissible, and
-    its base restriction satisfies the two-sided distance bounds (images
-    never move apart, sources stay within image distance + 2); all of this
-    is re-checked after construction and certified.
+    Deterministic descent, level by level: the roots map to w, each
+    image's children are shared out by largest remainder over its fiber,
+    each source sibling set is cut into balanced_partition's blocks within
+    the level's window, and blocks pair with image children in id order.
+    The map passes check_admissible by construction:
+    - domain lower set: a mapped node's blocks hold all its children;
+    - level-preserving: level l maps into level l of t2;
+    - monotone: each child goes to a child of its parent's image;
+    - fibers in one sibling set: a fiber is one block, or the roots;
+    - image lower set: a fiber's quotas sum to its image's child count;
+    - single top image: the roots, the maximal domain nodes, go to w;
+    so the image is the cone of w.  The base restriction's moduli, its
+    two-sided distance bounds (images never move apart, sources stay
+    within image distance + 2) and its surjectivity are computed.
 
     Returns (phi, phi_base, cert): the node map, its restriction to base
     points as a map between the induced base spaces (source: the mapped
@@ -1001,48 +999,13 @@ def build_admissible_morphism(
         p2 = _cone_profile(t2, (w,))
         check_l2_preconditions(p1, p2, seqs).require()
 
-    phi: dict[NodeId, NodeId] = {}
-
-    def descend(group: Sequence[NodeId], target: NodeId, level: int) -> None:
-        for x in group:
-            phi[x] = target
-        if level == 1:
-            return
-        target_kids = t2.children[target]
-        count = len(group)
-        base_q, rem = divmod(len(target_kids), count)
-        lo, hi = seqs.window(level - 1)
-        pos = 0
-        for idx, x in enumerate(group):
-            quota = base_q + 1 if idx < rem else base_q
-            if quota == 0:
-                raise ValueError(
-                    f"level {level}: node {x!r} receives no image children "
-                    f"(deg(w) = {len(target_kids)} < fiber size {count})")
-            try:
-                blocks = balanced_partition(
-                    t1.children[x], quota, lo, hi)
-            except ValueError as err:
-                raise ValueError(f"level {level - 1} under {x!r}: {err}") from None
-            for block in blocks:
-                descend(block, target_kids[pos], level - 1)
-                pos += 1
-
-    descend(roots, w, lvl)
-
-    admissibility = check_admissible(phi, t1, t2)
-    if not admissibility.ok:
-        raise RuntimeError(
-            f"builder produced a non-admissible map: "
-            f"{admissibility.violations[0].message}")
-    target_cone = set(t2.cone(w))
-    if set(phi.values()) != target_cone:
-        raise RuntimeError("builder image does not cover the target cone")
-
-    dom_base = sorted(x for x in phi if t1.level[x] == 1)
-    src_space = subspace(base_space(t1, caps), dom_base, caps=caps)
-    tgt_space = subspace(base_space(t2, caps), t2.base_below(w), caps=caps)
-    phi_base = MultiMap.from_function(src_space, tgt_space, phi)
+    at = [bisect_left(t1._ids[lvl - 1], r) for r in roots]
+    phi = _germ_levels(t1, at, t2, bisect_left(t2._ids[lvl - 1], w), seqs)
+    dom, cone = np.flatnonzero(phi[0] >= 0), np.flatnonzero(_under(t2, (w,))[-1])
+    src_space = subspace(base_space(t1, caps), map(t1.base.__getitem__, dom.tolist()), caps=caps)
+    tgt_space = subspace(base_space(t2, caps), map(t2.base.__getitem__, cone.tolist()), caps=caps)
+    phi_base = MultiMap._of_indices(
+        src_space, tgt_space, np.arange(dom.size), np.searchsorted(cone, phi[0][dom]))
     fwd = distortion_modulus(phi_base, caps)
     bwd = distortion_modulus(phi_base.inverse(), caps)
     bounds = _base_distortion_report(phi_base, fwd, bwd)
@@ -1050,20 +1013,55 @@ def build_admissible_morphism(
         raise RuntimeError(
             f"built base map violates its distortion bounds: "
             f"{bounds.violations[0].message}")
-    checks = tuple(
-        [CertCheck(v, True) for v in admissibility.checked]
-        + [CertCheck("base-contraction", True),
-           CertCheck("base-expansion-plus-2", True),
-           CertCheck("surjective-onto-cone", True)])
+    onto = phi_base.is_surjective
+    checks = tuple([CertCheck(v, True) for v in _ADMISSIBLE_CHECKS + bounds.checked]
+                   + [CertCheck("surjective-onto-cone", onto)])
     cert = MorphismCertificate(
         kind="admissible",
         forward_modulus=fwd,
         backward_modulus=bwd,
         checks=checks,
-        forward_surjective=True,
-        backward_surjective=True,
+        forward_surjective=onto,
+        backward_surjective=phi_base.is_total,
     )
-    return phi, phi_base, cert
+    return _node_dict(phi, t1, t2), phi_base, cert
+
+
+def _germ_levels(
+    t1: Tower, roots: Sequence[int], t2: Tower, w: int, seqs: AdmissibleSequences
+) -> list[np.ndarray]:
+    """The builder's _descend from ascending root indices on level
+    len(seqs) to w.  A fiber is a run of seq, in id order; its member r
+    takes a largest-remainder quota of the image's children and cuts its
+    own children into that many blocks, largest first; block k goes to
+    the image child at r's offset + k.  The first node in descent order
+    with no image child or with blocks outside the window names the
+    failure, as a depth-first recursion would."""
+    def place(lv, seq, img, kids, deg, up, j):
+        _, first, fiber, size = np.unique(
+            img, return_index=True, return_inverse=True, return_counts=True)
+        count, rank = size[fiber], np.arange(img.size) - first[fiber]
+        share, spare = np.divmod(deg, count)
+        quota = share + (rank < spare)
+        block, extra = np.divmod(kids, np.maximum(quota, 1))
+        lo, hi = seqs.window(lv - 1)
+        bad = (quota == 0) | (block < math.ceil(lo)) | (block + (extra > 0) > math.floor(hi))
+        if bad.any():
+            i = int(bad.argmax())
+            x = t1._ids[lv - 1][seq[i]]
+            if quota[i] == 0:
+                raise ValueError(
+                    f"level {lv}: node {x!r} receives no image children "
+                    f"(deg(w) = {deg[i]} < fiber size {count[i]})")
+            try:
+                balanced_partition(range(kids[i]), int(quota[i]), lo, hi)
+            except ValueError as err:
+                raise ValueError(f"level {lv - 1} under {x!r}: {err}") from None
+        b, e = block[up], extra[up]
+        k = np.where(j < e * (b + 1), j // (b + 1), (j - e) // b)  # each child's block
+        return (rank * share + np.minimum(rank, spare))[up] + k
+
+    return _descend(t1, t2, len(seqs), roots, w, place)
 
 
 _BASE_BOUND_MESSAGES = {

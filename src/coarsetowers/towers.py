@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -220,11 +220,11 @@ class Tower:
         if self._children is None:
             children = dict.fromkeys(self.base, ())
             for row, up, p in zip(self._ids, self._ids[1:], self._par):
-                # a stable sort keeps each node's children in id order
-                kids = tuple([row[k] for k in np.argsort(p, kind="stable").tolist()])
-                ends = np.cumsum(np.bincount(p, minlength=len(up))).tolist()
+                order, starts = _child_runs(p, len(up))
+                kids = tuple([row[k] for k in order.tolist()])
+                bounds = starts.tolist()
                 children.update(
-                    (node, kids[lo:hi]) for node, lo, hi in zip(up, [0] + ends, ends))
+                    (node, kids[lo:hi]) for node, lo, hi in zip(up, bounds, bounds[1:]))
             self._children = children
         return self._children
 
@@ -255,16 +255,11 @@ class Tower:
 
     def cone(self, node: NodeId) -> tuple[NodeId, ...]:
         """Lower cone: the node and everything below it, in (level, id) order."""
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.children[cur])
-        return tuple(sorted(out, key=lambda i: (self.level[i], i)))
+        rows = map(itertools.compress, self._ids, _under(self, (node,))[::-1])
+        return tuple(itertools.chain.from_iterable(rows))
 
     def base_below(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(i for i in self.cone(node) if self.level[i] == 1)
+        return tuple(itertools.compress(self.base, _under(self, (node,))[-1]))
 
     def path_metric(self, x: NodeId, y: NodeId) -> int:
         """d(x, y) = 2*lev(sup) - lev(x) - lev(y); on base pairs this is the
@@ -282,6 +277,64 @@ def _built(
     tower._fill(ids, par)
     _require_tower(validate_tower(tower.nodes, tower.level, tower.parent))
     return tower
+
+
+# -- maps between towers -----------------------------------------------------
+
+
+def _child_runs(par: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A level's indices sorted stably by parent index (par), so node k of
+    the size nodes above has the children order[starts[k]:starts[k + 1]],
+    in id order."""
+    counts = np.bincount(par, minlength=size)
+    return np.argsort(par, kind="stable"), np.concatenate(([0], np.cumsum(counts)))
+
+
+def _descend(
+    t1: Tower, t2: Tower, top: int, roots: Sequence[int], w: int,
+    place: Callable[..., np.ndarray],
+) -> list[np.ndarray]:
+    """A map from t1 to t2 built top-down, one index array per level:
+    phi[l - 1][k] indexes t2._ids[l - 1] for t1._ids[l - 1][k], -1 off the
+    domain.  Root indices on level top go to w; a mapped node's children
+    go to its image's children at place(lv, seq, img, kids, deg, up, j):
+    seq and img are the mapped nodes in descent order and their images,
+    kids and deg their child counts, up and j each child's parent
+    position in seq and its rank among its siblings."""
+    seq, img, phi = np.asarray(roots, dtype=np.int64), np.full(len(roots), w), []
+    for lv in range(top, 0, -1):
+        phi.append(np.full(len(t1._ids[lv - 1]), -1))
+        phi[-1][seq] = img
+        if lv == 1:
+            return phi[::-1]
+        order1, starts1 = _child_runs(t1._par[lv - 2], len(t1._ids[lv - 1]))
+        order2, starts2 = _child_runs(t2._par[lv - 2], len(t2._ids[lv - 1]))
+        kids = np.diff(starts1)[seq]
+        up = np.repeat(np.arange(seq.size), kids)
+        j = np.arange(up.size) - np.repeat(np.cumsum(kids) - kids, kids)
+        at = place(lv, seq, img, kids, np.diff(starts2)[img], up, j)
+        seq, img = order1[starts1[seq[up]] + j], order2[starts2[img[up]] + at]
+
+
+def _under(tower: Tower, roots: Sequence[NodeId]) -> list[np.ndarray]:
+    """Which nodes lie under roots that share one level L: one mask per
+    level, from L down to 1."""
+    top = tower.level[roots[0]]
+    masks = [np.zeros(len(tower._ids[top - 1]), dtype=bool)]
+    masks[0][[bisect_left(tower._ids[top - 1], r) for r in roots]] = True
+    for par in reversed(tower._par[:top - 1]):
+        masks.append(masks[-1][par])
+    return masks
+
+
+def _node_dict(phi: Sequence[np.ndarray], t1: Tower, t2: Tower) -> dict[NodeId, NodeId]:
+    """The node map held in _descend's index arrays."""
+    out: dict[NodeId, NodeId] = {}
+    for row, ids1, ids2 in zip(phi, t1._ids, t2._ids):
+        dom = np.flatnonzero(row >= 0)
+        out.update(zip(map(ids1.__getitem__, dom.tolist()),
+                       map(ids2.__getitem__, row[dom].tolist())))
+    return out
 
 
 # -- base space --------------------------------------------------------------
@@ -494,12 +547,7 @@ def _cone_profile(tower: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
     count is the tower's own and only the min/max runs over the cones.
     """
     top = tower.level[roots[0]]
-    row = tower._ids[top - 1]
-    under = np.zeros(len(row), dtype=bool)
-    under[[bisect_left(row, r) for r in roots]] = True
-    masks = [under]  # masks[k]: the nodes under the roots at level top - k
-    for lv in range(top - 1, 0, -1):
-        masks.append(masks[-1][tower._par[lv - 1]])
+    masks = _under(tower, roots)  # masks[k]: the nodes under the roots at level top - k
     small: dict = {}
     large: dict = {}
     counts: list[np.ndarray] = []  # counts[i - 1]: level-i descendants

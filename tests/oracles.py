@@ -16,6 +16,12 @@ tuples, the inverse, composition through a set of id pairs, and the
 selection pair's f, g and closenesses by one distance per point.  Graph
 indices are looked up from the pairs, so nothing here reads the index
 arrays they check.
+
+The tower-map ones build node maps the way the package did before it
+descended one index array per level: the germ builder's depth-first
+recursion over children dicts, and the greedy embedding loop.  They read
+each node's children off the parent map, not Tower.children, whose child
+runs the level loops share.
 """
 
 import itertools
@@ -24,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from coarsetowers import MultiMap, Space
+from coarsetowers import MultiMap, Space, balanced_partition
 from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.morphisms import DistortionModulus
 from coarsetowers.rationals import rat_str
@@ -275,3 +281,66 @@ def chain_labels(space: Space, radius) -> np.ndarray:
         label[seen] = comp
         comp += 1
     return label
+
+
+# -- tower maps as node dicts -------------------------------------------------
+
+
+def children_by_parent(tower) -> dict:
+    """Each node's children in id order, one pass over the parent map."""
+    out: dict = {x: [] for x in tower.nodes}
+    for x in sorted(tower.nodes):
+        if tower.parent[x] is not None:
+            out[tower.parent[x]].append(x)
+    return out
+
+
+def germ_descent(t1, roots, t2, w, seqs) -> dict:
+    """The admissible germ map by depth-first recursion: the roots all go
+    to w; at each mapped node the children of the image are shared out by
+    largest remainder in id order, the node's children are cut by
+    balanced_partition within the level's window, and parts pair with the
+    image children in id order.  Raises the first infeasibility met."""
+    phi: dict = {}
+    kids1, kids2 = children_by_parent(t1), children_by_parent(t2)
+
+    def descend(group, target, level):
+        for x in group:
+            phi[x] = target
+        if level == 1:
+            return
+        target_kids = kids2[target]
+        count = len(group)
+        base_q, rem = divmod(len(target_kids), count)
+        lo, hi = seqs.window(level - 1)
+        pos = 0
+        for idx, x in enumerate(group):
+            quota = base_q + 1 if idx < rem else base_q
+            if quota == 0:
+                raise ValueError(
+                    f"level {level}: node {x!r} receives no image children "
+                    f"(deg(w) = {len(target_kids)} < fiber size {count})")
+            try:
+                blocks = balanced_partition(kids1[x], quota, lo, hi)
+            except ValueError as err:
+                raise ValueError(f"level {level - 1} under {x!r}: {err}") from None
+            for block in blocks:
+                descend(block, target_kids[pos], level - 1)
+                pos += 1
+
+    descend(sorted(roots), w, t2.level[w])
+    return phi
+
+
+def greedy_embedding(t1, t2) -> dict:
+    """The level-preserving embedding node by node, top down: the k-th
+    child of a node, in id order, goes to the k-th child of its image."""
+    kids1, kids2 = children_by_parent(t1), children_by_parent(t2)
+    phi = {t1.top: t2.top}
+    for node in reversed(t1.nodes):  # descending (level, id)
+        if t1.level[node] == 1:
+            continue
+        image_kids = kids2[phi[node]]
+        for i, child in enumerate(kids1[node]):
+            phi[child] = image_kids[i]
+    return phi

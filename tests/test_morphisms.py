@@ -311,9 +311,16 @@ def test_normal_form_moduli_are_sound():
 # -- tower embeddings -----------------------------------------------------------------
 
 
+def _assert_injective_level_preserving(assign, t1, t2):
+    assert set(assign) == set(t1.nodes)
+    assert len(set(assign.values())) == len(assign)
+    assert all(t1.level[x] == t2.level[y] for x, y in assign.items())
+
+
 def test_tower_embedding_binary_into_ternary():
-    assign, cert = tower_embedding(regular_tower((2, 2)),
-                                   regular_tower((3, 3)))
+    t1, t2 = regular_tower((2, 2)), regular_tower((3, 3))
+    assign, cert = tower_embedding(t1, t2)
+    _assert_injective_level_preserving(assign, t1, t2)
     assert sorted(assign.items()) == [
         ("t", "t"), ("t.0", "t.0"), ("t.0.0", "t.0.0"), ("t.0.1", "t.0.1"),
         ("t.1", "t.1"), ("t.1.0", "t.1.0"), ("t.1.1", "t.1.1")]
@@ -323,6 +330,7 @@ def test_tower_embedding_binary_into_ternary():
 def test_tower_embedding_preserves_base_distances():
     t1, t2 = regular_tower((2, 2)), regular_tower((3, 3))
     assign, _ = tower_embedding(t1, t2)
+    _assert_injective_level_preserving(assign, t1, t2)
     for x in t1.base:
         for y in t1.base:
             assert t1.path_metric(x, y) == t2.path_metric(assign[x], assign[y])
@@ -339,7 +347,9 @@ def test_tower_embedding_reports_precise_failing_level():
 
 
 def test_tower_embedding_of_chain():
-    assign, _ = tower_embedding(regular_tower((1, 1)), regular_tower((2, 2)))
+    t1, t2 = regular_tower((1, 1)), regular_tower((2, 2))
+    assign, _ = tower_embedding(t1, t2)
+    _assert_injective_level_preserving(assign, t1, t2)
     assert sorted(assign.items()) == [
         ("t", "t"), ("t.0", "t.0"), ("t.0.0", "t.0.0")]
 
@@ -475,6 +485,7 @@ def test_build_admissible_morphism_27_into_64():
         "fibers-in-one-sibling-set", "image-lower-set", "single-top-image",
         "base-contraction", "base-expansion-plus-2", "surjective-onto-cone"}
     assert check_admissible(phi, t1, t2).ok
+    assert set(phi.values()) == set(t2.cone(t2.top))
     # 108 source leaves spread over the 64 targets in fibers of 1 and 2
     leaf_fibers = Counter()
     per_target = Counter(t for s, t in phi.items() if t1.level[s] == 1)
