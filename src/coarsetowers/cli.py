@@ -328,6 +328,8 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
                               height: int, ratio_bound: str) -> int:
     """Synthesis success frequency on random profiles whose per-level
     Deg/deg ratio stays under a bound; measurement only."""
+    if trials < 0 or height < 1:
+        raise ValueError("--trials must be >= 0" if trials < 0 else "--height must be >= 1")
     bound = Fraction(as_rational(ratio_bound))
     rng = random.Random(args.seed)
     rows = []

@@ -20,10 +20,11 @@ import numpy as np
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import Rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, entropy_profile, subspace, word_space
+from .spaces import CLOSED, Space, _subspace, entropy_profile, subspace, word_space
 from .towers import (
     DegreeProfile,
     Tower,
+    _under,
     ball_tower,
     ball_tower_base_map,
     base_space,
@@ -707,15 +708,17 @@ def _pipeline_stage_specs(
     target_base: int,
     caps: Caps,
 ) -> tuple[list, SynthesisOutput, bool, dict]:
+    """equivalence_pipeline's four stages as (name, map, certificate or
+    None), with the synthesis, its fullness and the report meta; every
+    stage map is built on index arrays."""
     profile = degree_profile(tower)
     if witness is None:
         witness = HomogeneityWitness.default_for(profile)
     witness.check_against(profile).require()
     H = profile.height
     synth, full, top_size = _fit_germ(profile, witness, target_base)
-    P = len(synth)
 
-    sub1, next1 = level_subtower(tower, synth.n + (H,), caps=caps)
+    sub1, _ = level_subtower(tower, synth.n + (H,), caps=caps)
     roots = tower._ids[synth.n[-1] - 1][:top_size]  # each level is id-sorted
 
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
@@ -727,17 +730,13 @@ def _pipeline_stage_specs(
     _, s1, germ_cert = build_admissible_morphism(
         sub1, roots, sub2, sub2.top, synth.sequences, caps=caps)
 
-    tower_base = base_space(tower, caps=caps)
-    s0_points = [x for x in tower_base.points if next1[x] in s1.source]
-    s0 = MultiMap.from_function(
-        subspace(tower_base, s0_points, caps=caps), s1.source, next1)
-
-    # the germ map's target is the whole binary base, in the same id order
+    # n_1 = 1 and m_1 = 0, so sub1 keeps the tower's base and sub2 the
+    # binary base: each regrouping is the identity on one point tuple
+    dom = np.flatnonzero(_under(tower, synth.n[-1], range(top_size))[-1])
+    grouped = _subspace(base_space(tower, caps=caps), dom, caps)
     binary_base = base_space(binary, caps=caps)
-    if s1.target.points != binary_base.points:
-        raise RuntimeError("germ-map target is not the binary base")
-    leaves = np.arange(len(binary_base.points))
-    s2 = MultiMap._of_indices(s1.target, binary_base, leaves, leaves)
+    s0, s2 = (MultiMap._of_indices(a, b, np.arange(len(a)), np.arange(len(a)))
+              for a, b in ((grouped, s1.source), (s1.target, binary_base)))
 
     s3 = _word_stage(binary_base, synth.m[-1], target_base, caps=caps)
 
@@ -754,7 +753,7 @@ def _pipeline_stage_specs(
         "target_word_points": len(s3.target.points),
         "germ_top_size": top_size,
         "full_germ": full,
-        "steps": P,
+        "steps": len(synth),
         "a1_policy": "a_1 = 1",
         "b1_policy": "smallest p/q >= max(3, full tail product), q <= 64",
         "delta_policy": "delta_i = 1 + 2^(1-i)",
@@ -818,12 +817,9 @@ def space_equivalence(
 
     specs, synth, full, meta = _pipeline_stage_specs(
         bt, witness, target_base, caps)
-    to_balls = ball_tower_base_map(space, bt)
     first_tgt = specs[0][1].source
-    balls = set(first_tgt.points)
-    kept = sorted(p for p in space.points if to_balls[p] in balls)
-    pre = MultiMap(subspace(space, kept, caps=caps), first_tgt,
-                   tuple((p, to_balls[p]) for p in kept))
+    to_balls = {p: b for p, b in ball_tower_base_map(space, bt).items() if b in first_tgt}
+    pre = MultiMap.from_function(subspace(space, to_balls, caps=caps), first_tgt, to_balls)
     meta = dict(meta)
     meta["entropy_ratio_product"] = rat_json(canon(ratio))
     meta["homogeneity_value"] = rat_json(value)

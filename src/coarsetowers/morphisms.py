@@ -24,7 +24,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, PointId, Space, ball, min_net, subspace
+from .spaces import CLOSED, PointId, Space, _subspace, ball, min_net
 from .towers import (
     DegreeProfile, NodeId, Tower, _cone_profile, _descend, _node_dict, _under,
     base_space, degree_profile)
@@ -503,8 +503,8 @@ class SelectionPair:
 
     def to_json(self) -> dict:
         return {
-            "f": {k: self.f[k] for k in sorted(self.f)},
-            "g": {k: self.g[k] for k in sorted(self.g)},
+            "f": dict(self.f),  # selection_pair lists both in id order
+            "g": dict(self.g),
             "closeness": rat_json(self.closeness),
             "source_closeness": rat_json(self.source_closeness),
             "target_closeness": rat_json(self.target_closeness),
@@ -638,15 +638,14 @@ def coarse_normal_form(
     f_h, g_h = _heads(f_map), _heads(g_map)
     big_r = max(_closeness(source, f_h, g_h), _closeness(target, g_h, f_h))
 
-    # the least-id representative of each f-fiber heads its run in the inverse
+    # the least-id representative of each f-fiber heads its run in the
+    # inverse; ys come in id order, and xs[at] lists X' in id order
     ys, xs = _heads(f_map.inverse())
-    y_prime = tuple(_ids(target, ys))
+    at = np.argsort(source._id_ranks()[1][xs])
+    sub_x, sub_y = _subspace(source, xs[at], caps), _subspace(target, ys, caps)
+    x_prime, y_prime = sub_x.points, sub_y.points
     h = dict(zip(_ids(source, xs), y_prime))
-    x_prime = tuple(sorted(h))
-
-    sub_x = subspace(source, x_prime, caps=caps)
-    sub_y = subspace(target, y_prime, caps=caps)
-    h_map = MultiMap.from_function(sub_x, sub_y, h)
+    h_map = MultiMap._of_indices(sub_x, sub_y, np.arange(at.size), at)
     fwd = distortion_modulus(h_map, caps)
     bwd = distortion_modulus(h_map.inverse(), caps)
 
@@ -994,18 +993,19 @@ def build_admissible_morphism(
         raise ValueError(
             f"root count {len(roots)} outside the level-{lvl} window "
             f"[{rat_str(a_top)}, {rat_str(b_top)}]")
+    at = [bisect_left(t1._ids[lvl - 1], r) for r in roots]
+    w_at = [bisect_left(t2._ids[lvl - 1], w)]
     if lvl > 1:
-        p1 = _cone_profile(t1, roots)
-        p2 = _cone_profile(t2, (w,))
+        p1 = _cone_profile(t1, lvl, at)
+        p2 = _cone_profile(t2, lvl, w_at)
         check_l2_preconditions(p1, p2, seqs).require()
 
-    at = [bisect_left(t1._ids[lvl - 1], r) for r in roots]
-    phi = _germ_levels(t1, at, t2, bisect_left(t2._ids[lvl - 1], w), seqs)
-    dom, cone = np.flatnonzero(phi[0] >= 0), np.flatnonzero(_under(t2, (w,))[-1])
-    src_space = subspace(base_space(t1, caps), map(t1.base.__getitem__, dom.tolist()), caps=caps)
-    tgt_space = subspace(base_space(t2, caps), map(t2.base.__getitem__, cone.tolist()), caps=caps)
+    phi = _germ_levels(t1, at, t2, w_at[0], seqs)
+    # each level lists its ids in order, so ascending indices are in id order
+    dom, cone = np.flatnonzero(phi[0] >= 0), np.flatnonzero(_under(t2, lvl, w_at)[-1])
     phi_base = MultiMap._of_indices(
-        src_space, tgt_space, np.arange(dom.size), np.searchsorted(cone, phi[0][dom]))
+        _subspace(base_space(t1, caps), dom, caps), _subspace(base_space(t2, caps), cone, caps),
+        np.arange(dom.size), np.searchsorted(cone, phi[0][dom]))
     fwd = distortion_modulus(phi_base, caps)
     bwd = distortion_modulus(phi_base.inverse(), caps)
     bounds = _base_distortion_report(phi_base, fwd, bwd)

@@ -140,13 +140,12 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
 
 
 def tower_to_json(tower: Tower) -> dict:
-    return {
-        "height": tower.height,
-        "nodes": [
-            {"id": i, "level": tower.level[i], "parent": tower.parent[i]}
-            for i in tower.nodes
-        ],
-    }
+    """Nodes in (level, id) order, their parents read off the arrays."""
+    ups = [map(up.__getitem__, par.tolist()) for up, par in zip(tower._ids[1:], tower._par)]
+    nodes = [{"id": i, "level": lv, "parent": p}
+             for lv, (row, ps) in enumerate(zip(tower._ids, ups + [[None]]), start=1)
+             for i, p in zip(row, ps)]
+    return {"height": tower.height, "nodes": nodes}
 
 
 def _tower_fields(data: dict) -> tuple[list, dict, dict]:
@@ -161,12 +160,14 @@ def _tower_fields(data: dict) -> tuple[list, dict, dict]:
     for entry in nodes:
         if not isinstance(entry, dict) or "id" not in entry or "level" not in entry:
             raise ValueError("each node needs 'id' and 'level'")
-        i = entry["id"]
+        i, p = entry["id"], entry.get("parent")
         if not isinstance(i, str):
             raise ValueError("node ids must be strings")
+        if not isinstance(p, (str, type(None))):
+            raise ValueError(f"node {i!r}: parent must be a string or null, got {p!r}")
         ids.append(i)
         level[i] = entry["level"]
-        parent[i] = entry.get("parent")
+        parent[i] = p
     return ids, level, parent
 
 

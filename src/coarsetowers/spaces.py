@@ -239,12 +239,13 @@ class Space:
         return self._labels[tcode]
 
     def subindices(self, subset: Optional[Iterable[PointId]]) -> np.ndarray:
-        """Indices for a subset, sorted by id string (deterministic)."""
+        """Indices of a subset's distinct points (every point for None) in
+        id order, the order _id_ranks gives; KeyError on an unknown id."""
+        order, rank = self._id_ranks()
         if subset is None:
-            ids = sorted(self.points)
-        else:
-            ids = sorted(set(subset))
-        return np.asarray([self.index(p) for p in ids], dtype=np.int64)
+            return order
+        idx = np.fromiter(map(self.index, subset), dtype=np.int64)
+        return order[np.unique(rank[idx])]
 
 
 class _CellIds(dict):
@@ -627,15 +628,18 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
 
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
-    """Induced space on a subset: points in id order, value table compacted
-    to the realized distances.  An ultrametric passes its ball-label
-    table's columns on the subset to _ball_space, so the subspace holds
-    only its own table; its whole, when in id order and with every value
-    realized, is the space itself.  A space not known to be ultrametric
-    compacts the codes of the subset."""
-    sub = space.subindices(subset)
+    """Induced space on a subset of point ids (see _subspace)."""
+    return _subspace(space, space.subindices(subset), caps)
+
+
+def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space:
+    """Induced space on the distinct point indices sub, given and kept in
+    id order, its values compacted to the realized distances.  An
+    ultrametric hands its label table's columns on sub to _ball_space; its
+    whole, in id order and realizing every value, is the space itself.
+    Any other space compacts the codes of sub."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
-    points = space.points if whole else tuple(space.points[int(i)] for i in sub)
+    points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
     if isinstance(space._labels, list):
         # codes below the diagonal's carry no ball
         c0 = space._code(sub[0], sub[0]) if sub.size else 0

@@ -205,14 +205,11 @@ class Tower:
         self.height = len(ids)
         self.nodes = tuple(itertools.chain.from_iterable(self._ids))
         self.base = self._ids[0]
-        self.level = {}
-        self.parent = {}
-        for lv, (row, up) in enumerate(zip(self._ids, self._ids[1:]), start=1):
-            p = self._par[lv - 1]
+        self.level, self.parent = {}, dict.fromkeys(self._ids[-1])
+        for lv, row in enumerate(self._ids, start=1):
             self.level.update(dict.fromkeys(row, lv))
+        for row, up, p in zip(self._ids, self._ids[1:], self._par):
             self.parent.update(zip(row, map(up.__getitem__, p.tolist())))
-        self.level.update(dict.fromkeys(self._ids[-1], self.height))
-        self.parent.update(dict.fromkeys(self._ids[-1]))
 
     @property
     def children(self) -> dict[NodeId, tuple[NodeId, ...]]:
@@ -255,11 +252,13 @@ class Tower:
 
     def cone(self, node: NodeId) -> tuple[NodeId, ...]:
         """Lower cone: the node and everything below it, in (level, id) order."""
-        rows = map(itertools.compress, self._ids, _under(self, (node,))[::-1])
+        lv = self.level[node]
+        masks = _under(self, lv, [bisect_left(self._ids[lv - 1], node)])
+        rows = map(itertools.compress, self._ids, masks[::-1])
         return tuple(itertools.chain.from_iterable(rows))
 
     def base_below(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(itertools.compress(self.base, _under(self, (node,))[-1]))
+        return tuple(i for i in self.cone(node) if self.level[i] == 1)
 
     def path_metric(self, x: NodeId, y: NodeId) -> int:
         """d(x, y) = 2*lev(sup) - lev(x) - lev(y); on base pairs this is the
@@ -316,12 +315,11 @@ def _descend(
         seq, img = order1[starts1[seq[up]] + j], order2[starts2[img[up]] + at]
 
 
-def _under(tower: Tower, roots: Sequence[NodeId]) -> list[np.ndarray]:
-    """Which nodes lie under roots that share one level L: one mask per
-    level, from L down to 1."""
-    top = tower.level[roots[0]]
+def _under(tower: Tower, top: int, roots: Sequence[int]) -> list[np.ndarray]:
+    """Which nodes lie under the nodes at indices roots of level top: one
+    mask per level, from top down to 1."""
     masks = [np.zeros(len(tower._ids[top - 1]), dtype=bool)]
-    masks[0][[bisect_left(tower._ids[top - 1], r) for r in roots]] = True
+    masks[0][roots] = True
     for par in reversed(tower._par[:top - 1]):
         masks.append(masks[-1][par])
     return masks
@@ -531,14 +529,14 @@ def degree_profile(tower: Tower) -> DegreeProfile:
     """Exhaustive degree profile of a materialized tower: the cone profile
     of its top, whose cone is the whole tower, kept on the tower."""
     if tower._profile is None:
-        tower._profile = _cone_profile(tower, (tower.top,))
+        tower._profile = _cone_profile(tower, tower.height, [0])
     return tower._profile
 
 
-def _cone_profile(tower: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
-    """Degree profile over the union of the lower cones of roots that share
-    one level L: entry (i, j) is the min/max, over the level-j nodes under
-    the roots, of their level-i descendant counts.
+def _cone_profile(tower: Tower, top: int, roots: Sequence[int]) -> DegreeProfile:
+    """Degree profile over the union of the lower cones of the nodes at
+    indices roots of level top: entry (i, j) is the min/max, over the
+    level-j nodes under the roots, of their level-i descendant counts.
 
     A node's level-i descendants are those of its children summed, so one
     bincount over the parent array, weighted by the children's counts,
@@ -546,8 +544,7 @@ def _cone_profile(tower: Tower, roots: Sequence[NodeId]) -> DegreeProfile:
     2**53, so the float sums are exact.  Cones are closed downward, so each
     count is the tower's own and only the min/max runs over the cones.
     """
-    top = tower.level[roots[0]]
-    masks = _under(tower, roots)  # masks[k]: the nodes under the roots at level top - k
+    masks = _under(tower, top, roots)  # masks[k]: the nodes under the roots at level top - k
     small: dict = {}
     large: dict = {}
     counts: list[np.ndarray] = []  # counts[i - 1]: level-i descendants

@@ -114,6 +114,19 @@ def test_validate_tower_rejects_non_integer_level(capsys, tmp_path, level):
             if v["rule"] == "levels-total"] == [["x"]]
 
 
+@pytest.mark.parametrize("argv", [["validate", "@"], ["embed", "@", "@"],
+                                  ["equiv", "--from", "@"]])
+def test_tower_parent_of_the_wrong_type_names_its_node(capsys, tmp_path, argv):
+    # a list parent once surfaced as "unhashable type: 'list'"
+    doc = {"nodes": [{"id": "t", "level": 2, "parent": None},
+                     {"id": "x", "level": 1, "parent": ["t"]}]}
+    path = write(tmp_path, "parent.json", json.dumps(doc))
+    code, out, err = run_cli(capsys, [path if a == "@" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == "error: node 'x': parent must be a string or null, got ['t']\n"
+
+
 def test_validate_zero_denominator_is_an_input_error(capsys, tmp_path):
     path = write(tmp_path, "zero.csv", "id,a,b\na,0,1/0\nb,1,0\n")
     code, out, err = run_cli(capsys, ["validate", path])
@@ -486,6 +499,28 @@ def test_experiment_ratio_bounded_seeded(capsys):
     assert lines[0] == "trial,height,homogeneity,success,steps"
     assert len(lines) == 5
     assert all(line.split(",")[1] == "6" for line in lines[1:])
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--height", "0", "--height must be >= 1"),
+    ("--height", "-3", "--height must be >= 1"),
+    ("--trials", "-1", "--trials must be >= 0"),
+])
+def test_experiment_ratio_bounded_refuses_out_of_range_flags(capsys, flag, value, message):
+    # height 0 once failed inside the homogeneity witness, and a negative
+    # trial count printed a header-only table with exit 0
+    code, out, err = run_cli(
+        capsys, ["experiment", "ratio-bounded-synthesis", flag, value])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_experiment_ratio_bounded_accepts_the_least_values(capsys):
+    code, out, _ = run_cli(capsys, ["experiment", "ratio-bounded-synthesis",
+                                    "--height", "1", "--trials", "0"])
+    assert code == 0
+    assert out == "trial,height,homogeneity,success,steps\n"
 
 
 def test_experiment_seed_changes_output(capsys):

@@ -313,7 +313,7 @@ def test_cap_reaches_every_pipeline_construction(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         return wrapped
 
-    names = ("regular_tower", "level_subtower", "base_space", "subspace",
+    names = ("regular_tower", "level_subtower", "base_space", "_subspace",
              "word_space", "build_admissible_morphism")
     for name in names:
         monkeypatch.setattr(homogenize, name, spy(name, getattr(homogenize, name)))

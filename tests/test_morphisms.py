@@ -308,6 +308,26 @@ def test_normal_form_moduli_are_sound():
             assert d_src <= nf.h_backward.value_at(d_tgt) + 2 * nf.r_bound
 
 
+@pytest.mark.parametrize("mf, mg", [(5, 3), (7, 5), (3, 11), (13, 7)])
+def test_normal_form_moduli_are_those_of_h(mf, mg):
+    # f sends X out of order, so the least-id representatives of its fibers
+    # come out of id order when listed by image: h's relation must pair each
+    # kept point with its own image, not with the image of its rank
+    X, Y = word_space(3, 3), word_space(2, 4)
+    f = {p: Y.points[int(p, 3) * mf % 16] for p in X.points}
+    g = {q: X.points[int(q, 2) * mg % 27] for q in Y.points}
+    nf = coarse_normal_form(X, Y, f, g)
+    reps = [min(x for x in X.points if f[x] == y) for y in sorted(set(f.values()))]
+    assert list(nf.x_prime) != reps and sorted(reps) == list(nf.x_prime)
+    h = MultiMap.from_function(
+        subspace(X, nf.x_prime), subspace(Y, nf.y_prime), nf.h)
+    assert nf.h == dict(zip(reps, sorted(set(f.values()))))
+    for got, want in ((nf.h_forward, distortion_modulus(h)),
+                      (nf.h_backward, distortion_modulus(h.inverse()))):
+        assert got.table == want.table
+        assert got.witnesses == want.witnesses
+
+
 # -- tower embeddings -----------------------------------------------------------------
 
 
@@ -460,7 +480,8 @@ def test_cone_profile_matches_germ_towers(seed):
         parent = rng.choice([n for n in tower.nodes if tower.level[n] == lvl + 1])
         kids = tower.children[parent]
         roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
-    assert _cone_profile(tower, roots) == _germ_merged_profile(tower, roots)
+    at = [tower._ids[lvl - 1].index(r) for r in roots]
+    assert _cone_profile(tower, lvl, at) == _germ_merged_profile(tower, roots)
 
 
 def test_build_admissible_morphism_height_one():

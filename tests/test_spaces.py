@@ -619,6 +619,41 @@ def test_subspace_unknown_point():
         subspace(word_space(2, 2), ["00", "zz"])
 
 
+def _subindex_cases(rng):
+    """Spaces whose point order and id order differ in several ways: word
+    spaces over 11 letters list "0.10" before "0.2", tower bases list their
+    ids in order, ball tower bases name balls by their least members, and
+    random ultrametrics use their own ids."""
+    um = random_ultrametric(rng)
+    tower = random_tower(rng)
+    return [word_space(11, 2), word_space(3, 2), um,
+            base_space(tower), base_space(shuffled_tower(rng, tower)),
+            base_space(ball_tower(um, random_radii(rng, um)))]
+
+
+@given(st.integers(0, 2 ** 32), st.data())
+@settings(max_examples=40, deadline=None)
+def test_subindices_match_sorted_id_set(seed, data):
+    rng = random.Random(seed)
+    for space in _subindex_cases(rng):
+        repeats = data.draw(st.lists(st.sampled_from(space.points),
+                                     max_size=2 * len(space.points)))
+        for subset in (None, [], repeats, space.points[::-1]):
+            ids = sorted(set(space.points if subset is None else subset))
+            got = space.subindices(subset)
+            assert got.dtype == np.int64
+            assert got.tolist() == [space.index(p) for p in ids]
+        assert space.subindices(iter(repeats)).tolist() == \
+            space.subindices(repeats).tolist()
+
+
+def test_subindices_name_an_unknown_id():
+    w = word_space(11, 2)
+    assert w.subindices(["0.2", "0.10"]).tolist() == [w.index("0.10"), w.index("0.2")]
+    with pytest.raises(KeyError, match="unknown point id: 'zz'"):
+        w.subindices(["0.1", "zz"])
+
+
 def unique_inverse_subspace(space, subset):
     """Reference restriction: np.unique(return_inverse) over the block."""
     sub = space.subindices(subset)

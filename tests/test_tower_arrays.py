@@ -3,6 +3,7 @@ replaced: degree profiles, base spaces and their ball-label tables,
 nested-ball entropy counts, the builders and the validator."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,9 @@ from coarsetowers import (
     validate_tower,
     word_space,
 )
-from coarsetowers import spaces
+from coarsetowers import equivalence_pipeline, spaces
 from coarsetowers.report import ValidationReport, Violation
+from coarsetowers.serialization import dump_json, tower_to_json
 from coarsetowers.spaces import CLOSED, STRICT, _class_labels
 from coarsetowers.towers import _cone_profile
 
@@ -70,8 +72,39 @@ def test_degree_kernels_match_dict_walk(seed):
             roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
         nodes = sorted({x for r in roots for x in tower.cone(r)},
                        key=lambda i: (tower.level[i], i))
-        assert _cone_profile(tower, roots) == \
+        at = [tower._ids[lvl - 1].index(r) for r in roots]
+        assert _cone_profile(tower, lvl, at) == \
             oracle_cone_profile(tower, nodes, lvl)
+
+
+class _Unreadable(Mapping):
+    """Stands in for a tower's level or parent dict; every read fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"node dict read at {key!r}")
+
+    def __iter__(self):
+        raise AssertionError("node dict iterated")
+
+    def __len__(self):
+        raise AssertionError("node dict sized")
+
+
+def _guarded(degrees):
+    tower = regular_tower(degrees)
+    tower.level = tower.parent = _Unreadable()
+    return tower
+
+
+def test_kernels_read_the_arrays_not_the_node_dicts():
+    # the degree kernels, the pipeline and the JSON writer work on _ids
+    # and _par; only validation and navigation read level and parent
+    degrees = (3,) * 6
+    plain = regular_tower(degrees)
+    assert tower_to_json(_guarded(degrees)) == tower_to_json(plain)
+    assert degree_profile(_guarded(degrees)) == degree_profile(plain)
+    assert dump_json(equivalence_pipeline(_guarded(degrees)).to_json()) == \
+        dump_json(equivalence_pipeline(plain).to_json())
 
 
 # -- base spaces and their label tables -------------------------------------------
