@@ -95,8 +95,9 @@ def _parse_rationals(text: str) -> tuple:
 
 def _load_document(path: str):
     """Returns ("space", Space-parts) or ("tower", raw dict); CSV means a
-    distance matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
+    distance matrix.  A leading byte-order mark, as some spreadsheet
+    programs write, is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):

@@ -24,12 +24,12 @@ from .spaces import CLOSED, Space, _subspace, entropy_profile, subspace, word_sp
 from .towers import (
     DegreeProfile,
     Tower,
+    _level_subtower,
     _under,
     ball_tower,
     ball_tower_base_map,
     base_space,
     degree_profile,
-    level_subtower,
     regular_tower,
 )
 from .morphisms import (
@@ -37,7 +37,7 @@ from .morphisms import (
     MorphismCertificate,
     MultiMap,
     SelectionPair,
-    build_admissible_morphism,
+    _admissible_morphism,
     check_l2_preconditions,
     check_modulus_composition,
     compose,
@@ -718,16 +718,15 @@ def _pipeline_stage_specs(
     H = profile.height
     synth, full, top_size = _fit_germ(profile, witness, target_base)
 
-    sub1, _ = level_subtower(tower, synth.n + (H,), caps=caps)
+    sub1 = _level_subtower(tower, synth.n + (H,), caps=caps)
     roots = tower._ids[synth.n[-1] - 1][:top_size]  # each level is id-sorted
 
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
                            caps=caps)
-    sub2, _ = level_subtower(binary, tuple(mi + 1 for mi in synth.m),
-                             caps=caps)
+    sub2 = _level_subtower(binary, tuple(mi + 1 for mi in synth.m), caps=caps)
 
     # the builder's certified base map is the germ-map stage itself
-    _, s1, germ_cert = build_admissible_morphism(
+    _, s1, germ_cert = _admissible_morphism(
         sub1, roots, sub2, sub2.top, synth.sequences, caps=caps)
 
     # n_1 = 1 and m_1 = 0, so sub1 keeps the tower's base and sub2 the

@@ -967,6 +967,21 @@ def build_admissible_morphism(
     Any infeasibility aborts with the failing inequality; nothing partial
     is returned.
     """
+    phi, phi_base, cert = _admissible_morphism(t1, roots, t2, w, seqs, caps)
+    return _node_dict(phi, t1, t2), phi_base, cert
+
+
+def _admissible_morphism(
+    t1: Tower,
+    roots: Sequence[NodeId],
+    t2: Tower,
+    w: NodeId,
+    seqs: AdmissibleSequences,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[list[np.ndarray], MultiMap, MorphismCertificate]:
+    """build_admissible_morphism with the node map left in _descend's
+    index arrays (phi[l - 1][i] is the level-l index of the image of
+    t1's level-l node i, or -1), for callers that need no node dict."""
     roots = sorted(set(roots))
     if not roots:
         raise ValueError("empty root set")
@@ -1024,7 +1039,7 @@ def build_admissible_morphism(
         forward_surjective=onto,
         backward_surjective=phi_base.is_total,
     )
-    return _node_dict(phi, t1, t2), phi_base, cert
+    return phi, phi_base, cert
 
 
 def _germ_levels(

@@ -70,20 +70,48 @@ def space_to_csv(space: Space) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_row(body: str, n: int) -> Optional[np.ndarray]:
+    """A row's n cells as int64, read as int reads each one, or None when
+    a cell is not an integer or lies past int64.  A row of plain ASCII
+    digits and commas with no empty cell is parsed by one np.fromstring
+    call, which reads such a cell as int does (a cell past int64
+    saturates, and fails the caller's int32 bound); the gate keeps out
+    what fromstring reads leniently ("-,1" as 0 and 1, "- 1" as -1).
+    Any other row goes to _cells_row."""
+    raw = body.encode("ascii", "replace")  # a non-ASCII character fails as "?"
+    # fenced by commas, an empty cell (first, last or inner) shows as ",,"
+    if not raw.translate(None, b"0123456789,") and b",," not in b"," + raw + b",":
+        row = np.fromstring(body, dtype=np.int64, sep=",")
+        if row.size == n:
+            return row
+    return _cells_row(body.split(","))
+
+
+def _cells_row(cells: list) -> Optional[np.ndarray]:
+    """Cells as int64 by int on each text (padding, signs, "_" and
+    non-ASCII digits read as rat_parse reads them), or None."""
+    try:
+        return np.array(cells, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
+
 def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     """Space from a distance-matrix CSV, optionally labeled (header "id" or
-    empty first cell, then each row's first cell names its point).  A
-    mislabeled or short row, or a bad cell, raises at its row, the first
-    defect in row order first.
+    empty first cell, then each row's first cell names its point).  Too
+    many points or a repeated header id raises before any cell is read;
+    a mislabeled or short row, or a bad cell, raises at its row, the
+    first defect in row order first.
 
-    Each row's cells are read with numpy calling int on each text, which
-    reads a cell without "/" as rat_parse does, into an int64 row; a row
-    within int32 is stored in one n x n int32 array.  When the stored
-    values span at most n^2 integers, _compact codes them from a presence
-    mask over [min, max], and if every row was stored that is the space.
-    Otherwise the shared encoder reads on from the first row not stored
-    (a fraction, a bad cell, a value outside int32), or from the first
-    row when the span is wider, parsing each distinct text once with
+    Each row is read by _int_row into int64: a row of plain digits by one
+    np.fromstring call, any other by int on each cell, which reads a cell
+    without "/" as rat_parse does.  A row within int32 is stored in one
+    n x n int32 array.  When the stored values span at most n^2 integers,
+    _compact codes them from a presence mask over [min, max], and if
+    every row was stored that is the space.  Otherwise the shared encoder
+    reads on, from split cells, from the first row not stored (a
+    fraction, a bad cell, a value outside int32), or from the first row
+    when the span is wider, parsing each distinct text once with
     rat_parse, so every error keeps its text and its row."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -99,44 +127,48 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
 
-    def rows():
+    def bodies():
+        """Each row's text after its label, label and length checked."""
         for k, ln in enumerate(lines[1:]):
-            cells = ln.split(",")
+            body = ln
             if labeled:
-                label = cells[0].strip()
+                label, _, body = ln.partition(",")
+                label = label.strip()
                 if label != points[k]:
                     raise ValueError(
                         f"row {k + 1} label {label!r} does not match header "
                         f"order ({points[k]!r})")
-                cells = cells[1:]
-            if len(cells) != n:
-                raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
-            yield cells
+            # as many entries as ln.split(",") has cells, less the label
+            entries = ln.count(",") + 1 - labeled
+            if entries != n:
+                raise ValueError(f"row {k + 1} has {entries} entries, want {n}")
+            yield body
 
     caps.check_points(n, "space")  # before any cell is parsed
+    if len(set(points)) != n:
+        raise ValueError("duplicate point ids")
     ints = np.empty((n, n), dtype=np.int32)
-    done, rest = 0, rows()
-    for cells in rest:
-        try:
-            row = np.array(cells, dtype=np.int64)
-        except (ValueError, OverflowError):
-            row = None
+    done, rest = 0, bodies()
+    for body in rest:
+        row = _int_row(body, n)
         if row is None or row.min() < _INT32.min or row.max() > _INT32.max:
-            rest = itertools.chain([cells], rest)
+            rest = itertools.chain([body], rest)
             break
         ints[done] = row
         done += 1
     lo, hi = (int(ints[:done].min()), int(ints[:done].max())) if done else (0, -1)
     # the mask holds one flag per integer of [lo, hi]; shifted, they fit int32
     if hi - lo > min(n * n, _INT32.max):
-        return _encode_cells(points, rows(), rat_parse, caps, ints)
+        return _encode_cells(points, (b.split(",") for b in bodies()), rat_parse,
+                             caps, ints)
     ints[:done] -= lo
     codes, values = _compact(ints[:done], range(lo, hi + 1))
     if done == n:
         return Space.__new__(Space)._fill(
             tuple(points), codes, values, None, caps)
     ints[:done] = codes
-    return _encode_cells(points, rest, rat_parse, caps, ints, done, values)
+    return _encode_cells(points, (b.split(",") for b in rest), rat_parse,
+                         caps, ints, done, values)
 
 
 def tower_to_json(tower: Tower) -> dict:

@@ -401,6 +401,19 @@ def level_subtower(
     smallest subtower node above it.
     """
     levels = sorted(set(int(l) for l in levels))
+    sub = _level_subtower(tower, levels, caps)
+    anc = np.arange(len(tower.base))
+    for lv in range(1, levels[0]):
+        anc = tower._par[lv - 1][anc]
+    low = tower._ids[levels[0] - 1]
+    return sub, dict(zip(tower.base, map(low.__getitem__, anc.tolist())))
+
+
+def _level_subtower(
+    tower: Tower, levels: Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> Tower:
+    """level_subtower's subtower alone, for callers that need no
+    next_map; levels sorted, with no repeats."""
     if not levels:
         raise ValueError("need at least one level")
     if levels[0] < 1 or levels[-1] > tower.height:
@@ -415,13 +428,7 @@ def level_subtower(
         for lv in range(lo + 1, hi):
             up = tower._par[lv - 1][up]
         par.append(up)
-    sub = _built([tower._ids[lv - 1] for lv in levels], par, caps)
-    anc = np.arange(len(tower.base))
-    for lv in range(1, levels[0]):
-        anc = tower._par[lv - 1][anc]
-    low = tower._ids[levels[0] - 1]
-    next_map = dict(zip(tower.base, map(low.__getitem__, anc.tolist())))
-    return sub, next_map
+    return _built([tower._ids[lv - 1] for lv in levels], par, caps)
 
 
 # -- degree profiles ----------------------------------------------------------

@@ -101,6 +101,32 @@ def test_validate_tower_negative(capsys, tmp_path):
     assert any(v["rule"] == "level-condition" for v in report["violations"])
 
 
+BOM_DOCUMENTS = {
+    "w22.csv": lambda: space_to_csv(word_space(2, 2)),
+    "w32.json": lambda: dump_json(space_to_json(word_space(3, 2))),
+    "binary4.json": lambda: dump_json(tower_to_json(regular_tower((2, 2, 2)))),
+}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("w22.csv", ["validate", "@"]),
+    ("w22.csv", ["towerize", "@", "--radii", "1,2,4"]),
+    ("w32.json", ["validate", "@"]),
+    ("w32.json", ["entropy", "@"]),
+    ("binary4.json", ["validate", "@"]),
+    ("binary4.json", ["subtower", "@", "--levels", "2,4"]),
+])
+def test_byte_order_mark_is_dropped(capsys, tmp_path, name, argv):
+    # spreadsheet programs start UTF-8 files with U+FEFF
+    runs = []
+    for mark in ("", "\ufeff"):
+        path = write(tmp_path, ("bom-" if mark else "") + name,
+                     mark + BOM_DOCUMENTS[name]())
+        runs.append(run_cli(capsys, [path if a == "@" else a for a in argv]))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("level", [2.7, True])
 def test_validate_tower_rejects_non_integer_level(capsys, tmp_path, level):
     doc = {"nodes": [{"id": "t", "level": 2, "parent": None},

@@ -27,7 +27,7 @@ from coarsetowers import (
     verify_synthesis,
     word_space,
 )
-from coarsetowers import homogenize, morphisms
+from coarsetowers import homogenize, morphisms, towers
 
 MIXED_PROFILE = DegreeProfile(
     3, {(1, 2): 2, (1, 3): 5, (2, 3): 2}, {(1, 2): 3, (1, 3): 5, (2, 3): 2})
@@ -284,18 +284,30 @@ def test_pipeline_builds_each_base_space_once(monkeypatch):
         return base_space(tower, *args, **kwargs)
 
     def recorded_builder(*args, **kwargs):
-        returned.append(morphisms.build_admissible_morphism(*args, **kwargs))
+        returned.append(morphisms._admissible_morphism(*args, **kwargs))
         return returned[-1]
 
     monkeypatch.setattr(homogenize, "base_space", counted_base_space)
     monkeypatch.setattr(morphisms, "base_space", counted_base_space)
     monkeypatch.setattr(
-        homogenize, "build_admissible_morphism", recorded_builder)
+        homogenize, "_admissible_morphism", recorded_builder)
     res = equivalence_pipeline(regular_tower((3,) * 6))
     assert len(built) == len({id(t) for t in built}) == 4
     assert len(returned) == 1
     germ = next(s for s in res.stages if s.name == "germ-map")
     assert germ.map is returned[0][1]
+
+
+def test_pipeline_builds_no_map_it_discards(monkeypatch):
+    """Neither the germ's node dict nor a subtower's next_map is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a map the pipeline discards")
+
+    monkeypatch.setattr(morphisms, "_node_dict", refuse)
+    for module in (towers, homogenize):
+        monkeypatch.setattr(module, "level_subtower", refuse, raising=False)
+    res = equivalence_pipeline(regular_tower((3,) * 6))
+    assert res.certificate.is_asymorphism
 
 
 def test_cap_reaches_every_pipeline_construction(monkeypatch, tmp_path):
@@ -313,8 +325,8 @@ def test_cap_reaches_every_pipeline_construction(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         return wrapped
 
-    names = ("regular_tower", "level_subtower", "base_space", "_subspace",
-             "word_space", "build_admissible_morphism")
+    names = ("regular_tower", "_level_subtower", "base_space", "_subspace",
+             "word_space", "_admissible_morphism")
     for name in names:
         monkeypatch.setattr(homogenize, name, spy(name, getattr(homogenize, name)))
     out = tmp_path / "equiv.json"

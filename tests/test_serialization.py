@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from coarsetowers import (MultiMap, Space, Tower, regular_tower,
                           validate_ultrametric, word_space)
+from coarsetowers import serialization
+from coarsetowers.limits import CapExceeded, Caps
 from coarsetowers.rationals import canon, rat_parse
 from coarsetowers.serialization import (
     content_hash,
@@ -277,6 +280,8 @@ TEXT_KINDS = {
     "empty": ["", "   "],
     "junk": ["x", "1.5", "--1", "1e3", "0x10", "1__0", "_1"],
     "zero-denominator": ["1/0", "0/0"],
+    # texts np.fromstring reads leniently, or past int64 as saturated
+    "lenient": ["-", "- 1", "+ 1", "1-2", "0-", "1 2", "\t1", "0" * 25 + "1"],
 }
 CELL_KINDS = list(INT_KINDS) + sorted(TEXT_KINDS)
 
@@ -313,9 +318,29 @@ def test_integer_csv_path_matches_the_dict_encoder(data):
     cell = st.one_of(*[_cells(kind, k) for kind in kinds])
     rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                               min_size=n, max_size=n))
+    # an empty first, middle or last cell: a leading, doubled or trailing comma
+    for row, at in zip(rows, data.draw(st.lists(
+            st.sampled_from([None, 0, n // 2, -1]), min_size=n, max_size=n))):
+        if at is not None:
+            row[at] = ""
     points = [f"p{i}" for i in range(n)]
-    assert _outcome(space_from_csv, _labeled_csv(points, rows)) == \
-        _outcome(_encode_cells, points, rows, rat_parse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy warning path is taken
+        got = _outcome(space_from_csv, _labeled_csv(points, rows))
+    assert got == _outcome(_encode_cells, points, rows, rat_parse)
+
+
+@pytest.mark.parametrize("cells", [
+    ["0", "", "1"], ["", "0", "1"], ["1", "0", ""], ["", "", ""],
+    [str(2 ** 63), "0", "1"], ["1", "0", "\u0661"],
+] + [[text, "0", "1"] for text in TEXT_KINDS["lenient"]])
+def test_rows_fromstring_reads_leniently_keep_their_outcome(cells):
+    rows = [["0", "1", "2"], cells, ["2", "1", "0"]]
+    points = ["a", "b", "c"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(space_from_csv, _labeled_csv(points, rows))
+    assert got == _outcome(_encode_cells, points, rows, rat_parse)
 
 
 def _missing_calls(monkeypatch) -> list:
@@ -396,6 +421,37 @@ def test_first_defect_in_row_order_is_reported(cells, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("id,a\na\n", "row 1 has 0 entries, want 1"),  # a label and no comma
+    ("id,a,b\na,0\nb,1,0\n", "row 1 has 1 entries, want 2"),
+    ("a,b\n0,1,2\n1,0\n", "row 1 has 3 entries, want 2"),
+    ("id,a\na,-,1\n", "row 1 has 2 entries, want 1"),
+])
+def test_row_length_counts_cells_as_split_does(text, message):
+    with pytest.raises(ValueError) as err:
+        space_from_csv(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows", [
+    ["a,0,1", "a,1,0"],
+    ["a,0,x", "a,1,0"],  # a bad cell
+    ["b,0,1", "a,1,0"],  # a label out of header order
+    ["a,0", "a,1,0"],  # a short row
+])
+def test_duplicate_header_ids_come_before_any_row(rows):
+    with pytest.raises(ValueError) as err:
+        space_from_csv("id,a,a\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == "duplicate point ids"
+
+
+def test_duplicate_header_ids_come_after_the_row_count_and_cap():
+    with pytest.raises(ValueError, match="expected 2 data rows, found 1"):
+        space_from_csv("id,a,a\na,0,x\n")
+    with pytest.raises(CapExceeded, match="space has 3 points, cap is 2"):
+        space_from_csv("id,a,a,b\na,0,x\na\nb\n", Caps(max_points=2))
+
+
 def _perfbench_workloads():
     """perfbench's input generators (the benchmark sits beside the tests)."""
     root = str(Path(__file__).resolve().parents[1])
@@ -433,6 +489,34 @@ def test_integer_csvs_never_reach_the_dict_encoder(no_dict_parse):
     report = validate_ultrametric(bad)
     assert [(v.rule, v.witness) for v in report.violations] == [
         ("symmetry", ("p0003", "p0007")), ("positivity", ("p0005", "p0009"))]
+
+
+@pytest.fixture
+def no_cell_reader(monkeypatch):
+    """serialization._cells_row fails wherever a row would be read by int
+    on each cell; returns the rows np.fromstring reads, recorded."""
+    read, fromstring = [], np.fromstring
+
+    def refuse(cells):
+        raise AssertionError(f"row {cells[:3]!r}... reached the per-cell reader")
+
+    def spy(text, *args, **kwargs):
+        read.append(text)
+        return fromstring(text, *args, **kwargs)
+
+    monkeypatch.setattr(serialization, "_cells_row", refuse)
+    monkeypatch.setattr(np, "fromstring", spy)
+    return read
+
+
+def test_plain_integer_rows_take_the_fromstring_reader(no_cell_reader, no_dict_parse):
+    workloads = _perfbench_workloads()
+    points = workloads.clustered_points(600, np.random.default_rng(1))
+    text = workloads.distance_csv(points)
+    sp = space_from_csv(text)
+    assert no_cell_reader == [ln.partition(",")[2] for ln in text.splitlines()[1:]]
+    dist = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    assert np.array_equal(np.asarray(sp.values)[sp.codes], dist)
 
 
 def test_integer_csv_load_stays_small():

@@ -18,7 +18,6 @@ from coarsetowers import (
     AdmissibleSequences,
     Tower,
     ball_tower,
-    build_admissible_morphism,
     degree_profile,
     equivalence_pipeline,
     regular_tower,
@@ -26,7 +25,7 @@ from coarsetowers import (
 )
 from coarsetowers import homogenize
 from coarsetowers.cli import main
-from coarsetowers.morphisms import _germ_levels
+from coarsetowers.morphisms import _admissible_morphism, _germ_levels
 from coarsetowers.serialization import dump_json, tower_to_json
 from coarsetowers.towers import _node_dict
 
@@ -127,15 +126,15 @@ def test_pipeline_germs_match_recursion(monkeypatch):
     calls = []
 
     def recorded(*args, **kwargs):
-        calls.append((args, build_admissible_morphism(*args, **kwargs)))
+        calls.append((args, _admissible_morphism(*args, **kwargs)))
         return calls[-1][1]
 
-    monkeypatch.setattr(homogenize, "build_admissible_morphism", recorded)
+    monkeypatch.setattr(homogenize, "_admissible_morphism", recorded)
     for degrees in ((3,) * 6, (2,) * 11, (5,) * 5, (2, 3) * 4, (3, 2) * 4):
         equivalence_pipeline(regular_tower(degrees))
     assert len(calls) == 5
     for (t1, roots, t2, w, seqs), (phi, _, _) in calls:
-        assert phi == germ_descent(t1, roots, t2, w, seqs)
+        assert _node_dict(phi, t1, t2) == germ_descent(t1, roots, t2, w, seqs)
 
 
 def _dominating(rng, tower):
