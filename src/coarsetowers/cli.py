@@ -53,7 +53,6 @@ from .homogenize import (
     synthesize_sequences,
 )
 from .serialization import (
-    content_hash,
     dump_csv,
     dump_json,
     pipeline_report,
@@ -61,6 +60,7 @@ from .serialization import (
     space_from_json,
     _tower_fields,
     tower_from_json,
+    tower_hash,
     tower_to_json,
 )
 
@@ -150,8 +150,12 @@ def _auto_height(degree: int, target_base: int, caps: Caps) -> int:
 
 
 def _regular_degrees(spec: str) -> list[int]:
-    """The degrees of a regular:<d>[,<d>...] spec, each at least 1."""
-    degrees = [int(t) for t in spec.split(":", 1)[1].split(",")]
+    """The degrees of a regular:<d>[,<d>...] spec, each an integer at
+    least 1; an empty or non-integer entry is a bad degree too."""
+    try:
+        degrees = [int(t) for t in spec.split(":", 1)[1].split(",")]
+    except ValueError:
+        raise ValueError(f"bad degree in {spec!r}") from None
     if any(d < 1 for d in degrees):
         raise ValueError(f"bad degree in {spec!r}")
     return degrees
@@ -271,7 +275,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     report = pipeline_report(
         result,
         source_label=label,
-        source_hash=content_hash(tower_to_json(tower)),
+        source_hash=tower_hash(tower),
         target_label=f"words:{base}:{result.synthesis.m[-1]}",
         decisions=DECISIONS,
         config={

@@ -13,7 +13,7 @@ their base restrictions are certified by such scans.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -26,8 +26,8 @@ from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
 from .spaces import CLOSED, PointId, Space, _subspace, ball, min_net
 from .towers import (
-    DegreeProfile, NodeId, Tower, _cone_profile, _descend, _node_dict, _under,
-    base_space, degree_profile)
+    DegreeProfile, NodeId, Tower, _cone_profile, _descend, _locate, _node_dict,
+    _under, base_space, degree_profile)
 
 
 # -- multi-maps ---------------------------------------------------------------
@@ -321,22 +321,21 @@ def _first_pair_at(
     S: np.ndarray, T: np.ndarray, T_below: Optional[np.ndarray]
 ) -> tuple[int, int]:
     """Row-major first pair (k, l) of graph points sharing a label in S and
-    in T but not in T_below (None excludes nothing).  T_below refines T,
-    so per row the count is the size of the group agreeing on S and T
-    minus that of the group agreeing on S and T_below."""
+    in T but not in T_below (None excludes nothing), where T is constant
+    on every S-class and T_below refines T, as at _label_modulus's call.
 
-    def agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        key = a * (int(b.max()) + 1) + b
-        _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-        return cnt[inv]
-
-    count = agree(S, T)
-    if T_below is not None:
-        count -= agree(S, T_below)
-    k = int(np.argmax(count > 0))
-    row = (S == S[k]) & (T == T[k])
-    if T_below is not None:
-        row &= T_below != T_below[k]
+    Then k's S-class lies inside one T-class, so k has a partner exactly
+    when T_below splits its S-class: when some member's T_below differs
+    from the one label a scatter leaves for the class.  With T_below None
+    every point pairs with itself first."""
+    if T_below is None:
+        return 0, 0
+    rep = np.empty(int(S.max()) + 1, dtype=T_below.dtype)
+    rep[S] = T_below
+    split = np.zeros(rep.size, dtype=bool)
+    split[S[rep[S] != T_below]] = True
+    k = int(np.argmax(split[S]))
+    row = (S == S[k]) & (T == T[k]) & (T_below != T_below[k])
     return k, int(np.argmax(row))
 
 
@@ -985,20 +984,23 @@ def _admissible_morphism(
     roots = sorted(set(roots))
     if not roots:
         raise ValueError("empty root set")
-    if w not in t2.level:
+    found = _locate(t2, w)
+    if found is None:
         raise KeyError(f"unknown target node: {w!r}")
-    lvl = t2.level[w]
+    lvl, w_at = found
+    at = []
     for r in roots:
-        if r not in t1.level:
+        found = _locate(t1, r)
+        if found is None:
             raise KeyError(f"unknown source node: {r!r}")
-        if t1.level[r] != lvl:
+        if found[0] != lvl:
             raise ValueError(
-                f"root {r!r} sits at level {t1.level[r]}, target {w!r} at "
+                f"root {r!r} sits at level {found[0]}, target {w!r} at "
                 f"level {lvl}")
-    if len(roots) > 1:
-        parents = {t1.parent[r] for r in roots}
-        if len(parents) != 1 or None in parents:
-            raise ValueError("roots must form a sibling set")
+        at.append(found[1])
+    # several roots lie below the top, which is the one node on its level
+    if len(roots) > 1 and len(set(t1._par[lvl - 1][at].tolist())) != 1:
+        raise ValueError("roots must form a sibling set")
     if len(seqs) != lvl:
         raise ValueError(
             f"need one window per level 1..{lvl}, got {len(seqs)}")
@@ -1008,16 +1010,14 @@ def _admissible_morphism(
         raise ValueError(
             f"root count {len(roots)} outside the level-{lvl} window "
             f"[{rat_str(a_top)}, {rat_str(b_top)}]")
-    at = [bisect_left(t1._ids[lvl - 1], r) for r in roots]
-    w_at = [bisect_left(t2._ids[lvl - 1], w)]
     if lvl > 1:
         p1 = _cone_profile(t1, lvl, at)
-        p2 = _cone_profile(t2, lvl, w_at)
+        p2 = _cone_profile(t2, lvl, [w_at])
         check_l2_preconditions(p1, p2, seqs).require()
 
-    phi = _germ_levels(t1, at, t2, w_at[0], seqs)
+    phi = _germ_levels(t1, at, t2, w_at, seqs)
     # each level lists its ids in order, so ascending indices are in id order
-    dom, cone = np.flatnonzero(phi[0] >= 0), np.flatnonzero(_under(t2, lvl, w_at)[-1])
+    dom, cone = np.flatnonzero(phi[0] >= 0), np.flatnonzero(_under(t2, lvl, [w_at])[-1])
     phi_base = MultiMap._of_indices(
         _subspace(base_space(t1, caps), dom, caps), _subspace(base_space(t2, caps), cone, caps),
         np.arange(dom.size), np.searchsorted(cone, phi[0][dom]))

@@ -8,10 +8,12 @@ of the same configuration are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "tower_from_json",
     "multimap_to_json",
     "content_hash",
+    "tower_hash",
     "dump_json",
     "dump_csv",
     "pipeline_report",
@@ -228,8 +231,81 @@ def content_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def tower_hash(tower: Tower) -> str:
+    """content_hash(tower_to_json(tower)), hashed a level at a time.
+
+    That text is {"height":H,"nodes":[...]} with each node written as
+    {"id":I,"level":L,"parent":P} in (level, id) order, the parent null
+    at the top.  Each id is escaped once, as json.dumps escapes a string,
+    and each level's text is joined from the escaped ids and one tail per
+    parent, so no dict is built per node.  A tower whose ids are not all
+    strings is hashed from its document."""
+    try:
+        esc = [list(map(encode_basestring_ascii, row)) for row in tower._ids]
+    except TypeError:
+        return content_hash(tower_to_json(tower))
+    digest = hashlib.sha256(b'{"height":%d,"nodes":[' % tower.height)
+    pars = [par.tolist() for par in tower._par] + [[0]]
+    for lv, (row, up, par) in enumerate(zip(esc, esc[1:] + [["null"]], pars), start=1):
+        tails = [f',"level":{lv},"parent":{p}}}' for p in up]
+        nodes = ',{"id":'.join(map(str.__add__, row, map(tails.__getitem__, par)))
+        end = "]}" if lv == tower.height else ","
+        digest.update(('{"id":' + nodes + end).encode("ascii"))
+    return digest.hexdigest()[:16]
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+class _Unmatched(Exception):
+    """A part of a document that _indented does not write as json.dumps."""
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline.
+
+    With an indent json.dumps runs its pure-Python encoder, so the
+    document is written by _indented, which leaves each container holding
+    no container to the C encoder.  On anything it does not match byte
+    for byte (a dict holding containers under a key that is not a
+    string) and on any error, json.dumps writes the document, or raises,
+    as it always did."""
+    try:
+        text = _indented(obj, "\n")
+    except Exception:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    return text + "\n"
+
+
+def _indented(obj, nl: str) -> str:
+    """obj's text in dump_json's layout, nl being the line break and
+    indent of the line it starts on.
+
+    A container holding no container is written by the C encoder with
+    the item separator "," + its items' line break and indent; its text
+    then lacks only the break after its opening bracket and the one
+    before its closing bracket."""
+    inner = nl + "  "
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _flat_encoder(inner).encode(obj)  # a scalar, [] or {}
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        text = _flat_encoder(inner).encode(obj)
+        return text[0] + inner + text[1:-1] + nl + text[-1]
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        if not all(isinstance(k, str) for k, _ in items):
+            raise _Unmatched("a non-string key in a dict holding containers")
+        body = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in items]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    body = [_indented(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
+
+
+@functools.lru_cache(maxsize=64)
+def _flat_encoder(inner: str) -> json.JSONEncoder:
+    """The C encoder, writing items separated by "," + inner."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
 
 
 def dump_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -163,19 +163,23 @@ def _require_tower(report: ValidationReport) -> None:
 class Tower:
     """Validated tower; construction rejects structurally invalid data.
 
-    Besides the navigation fields (level, parent, children, nodes, base) a
-    tower keeps one array form that the kernels count over: for each level
-    l = 1..height, _ids[l - 1] lists the level's node ids in id order and,
-    below the top, _par[l - 1][k] is the index in _ids[l] of the parent of
-    _ids[l - 1][k].  _profile keeps the degree profile once counted.
+    The tower is held in one array form that the kernels count over: for
+    each level l = 1..height, _ids[l - 1] lists the level's node ids in id
+    order and, below the top, _par[l - 1][k] is the index in _ids[l] of
+    the parent of _ids[l - 1][k].  _profile keeps the degree profile once
+    counted.
 
-    children is built from the arrays on first read and kept in _children;
-    the census reads degree profiles and base spaces, never children.
-    level and parent are filled eagerly, because the library's builders
-    validate every tower they build through those two dicts.
+    The navigation views nodes, level, parent and children are built from
+    the arrays on first read and kept (in _nodes, _level, _parent,
+    _children): the kernels and the equiv pipeline read only the arrays,
+    so most towers never build a dict.  The constructor validates its raw
+    input, and regular_tower and ball_tower validate what they build
+    through level and parent; a level subtower is not re-validated, since
+    restricting a valid tower to some levels that include its top keeps
+    every axiom.
     """
 
-    __slots__ = ("height", "nodes", "level", "parent", "base",
+    __slots__ = ("height", "base", "_nodes", "_level", "_parent",
                  "_children", "_ids", "_par", "_profile")
 
     def __init__(
@@ -201,15 +205,39 @@ class Tower:
         self._ids = tuple(tuple(row) for row in ids)
         self._par = tuple(par)
         self._profile: Optional[DegreeProfile] = None
+        self._nodes: Optional[tuple[NodeId, ...]] = None
+        self._level: Optional[dict[NodeId, int]] = None
+        self._parent: Optional[dict[NodeId, Optional[NodeId]]] = None
         self._children: Optional[dict[NodeId, tuple[NodeId, ...]]] = None
         self.height = len(ids)
-        self.nodes = tuple(itertools.chain.from_iterable(self._ids))
         self.base = self._ids[0]
-        self.level, self.parent = {}, dict.fromkeys(self._ids[-1])
-        for lv, row in enumerate(self._ids, start=1):
-            self.level.update(dict.fromkeys(row, lv))
-        for row, up, p in zip(self._ids, self._ids[1:], self._par):
-            self.parent.update(zip(row, map(up.__getitem__, p.tolist())))
+
+    @property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """Every node in (level, id) order, built on first read."""
+        if self._nodes is None:
+            self._nodes = tuple(itertools.chain.from_iterable(self._ids))
+        return self._nodes
+
+    @property
+    def level(self) -> dict[NodeId, int]:
+        """Each node's level, built on first read."""
+        if self._level is None:
+            level: dict[NodeId, int] = {}
+            for lv, row in enumerate(self._ids, start=1):
+                level.update(dict.fromkeys(row, lv))
+            self._level = level
+        return self._level
+
+    @property
+    def parent(self) -> dict[NodeId, Optional[NodeId]]:
+        """Each node's parent, None at the top, built on first read."""
+        if self._parent is None:
+            parent = dict.fromkeys(self._ids[-1])
+            for row, up, p in zip(self._ids, self._ids[1:], self._par):
+                parent.update(zip(row, map(up.__getitem__, p.tolist())))
+            self._parent = parent
+        return self._parent
 
     @property
     def children(self) -> dict[NodeId, tuple[NodeId, ...]]:
@@ -229,7 +257,7 @@ class Tower:
 
     @property
     def top(self) -> NodeId:
-        return self.nodes[-1]
+        return self._ids[-1][0]
 
     def ancestor(self, node: NodeId, lvl: int) -> NodeId:
         cur = node
@@ -267,13 +295,21 @@ class Tower:
         return 2 * self.level[s] - self.level[x] - self.level[y]
 
 
+def _of_arrays(
+    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
+) -> Tower:
+    """A tower from its array form, within the cap but not validated."""
+    caps.check_points(sum(map(len, ids)), "tower node set")
+    tower = Tower.__new__(Tower)
+    tower._fill(ids, par)
+    return tower
+
+
 def _built(
     ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
 ) -> Tower:
     """A tower the library built in array form, validated like any other."""
-    caps.check_points(sum(map(len, ids)), "tower node set")
-    tower = Tower.__new__(Tower)
-    tower._fill(ids, par)
+    tower = _of_arrays(ids, par, caps)
     _require_tower(validate_tower(tower.nodes, tower.level, tower.parent))
     return tower
 
@@ -323,6 +359,16 @@ def _under(tower: Tower, top: int, roots: Sequence[int]) -> list[np.ndarray]:
     for par in reversed(tower._par[:top - 1]):
         masks.append(masks[-1][par])
     return masks
+
+
+def _locate(tower: Tower, node: NodeId) -> Optional[tuple[int, int]]:
+    """A node's level and its index in that level's ids, found by
+    bisecting the id-sorted levels; None when the tower lacks it."""
+    for lv, row in enumerate(tower._ids, start=1):
+        k = bisect_left(row, node)
+        if k < len(row) and row[k] == node:
+            return lv, k
+    return None
 
 
 def _node_dict(phi: Sequence[np.ndarray], t1: Tower, t2: Tower) -> dict[NodeId, NodeId]:
@@ -421,14 +467,19 @@ def _level_subtower(
     if levels[-1] != tower.height:
         # keep a single top: the top level must be selected
         raise ValueError("the top level must be among the chosen levels")
-    # a chosen level's parent is its ancestor on the next chosen level
+    # a chosen level's parent is its ancestor on the next chosen level.
+    # The restriction is a valid tower, so it is not re-validated: ids stay
+    # unique, the top stays alone on the top level, each parent sits one
+    # relabeled level up, and every node above the lowest chosen level has
+    # a child on the chosen level below, as a node of a valid tower has
+    # descendants on every level below it.
     par = []
     for lo, hi in zip(levels, levels[1:]):
         up = tower._par[lo - 1]
         for lv in range(lo + 1, hi):
             up = tower._par[lv - 1][up]
         par.append(up)
-    return _built([tower._ids[lv - 1] for lv in levels], par, caps)
+    return _of_arrays([tower._ids[lv - 1] for lv in levels], par, caps)
 
 
 # -- degree profiles ----------------------------------------------------------
@@ -545,11 +596,11 @@ def _cone_profile(tower: Tower, top: int, roots: Sequence[int]) -> DegreeProfile
     indices roots of level top: entry (i, j) is the min/max, over the
     level-j nodes under the roots, of their level-i descendant counts.
 
-    A node's level-i descendants are those of its children summed, so one
-    bincount over the parent array, weighted by the children's counts,
-    lifts every count one level up; the weights are integers far below
-    2**53, so the float sums are exact.  Cones are closed downward, so each
-    count is the tower's own and only the min/max runs over the cones.
+    A node's level-i descendants are those of its children summed, so
+    adding the children's counts at their parent indices (np.add.at, in
+    int64) lifts every count one level up, and a count never passes
+    through a float.  Cones are closed downward, so each count is the
+    tower's own and only the min/max runs over the cones.
     """
     masks = _under(tower, top, roots)  # masks[k]: the nodes under the roots at level top - k
     small: dict = {}
@@ -557,8 +608,10 @@ def _cone_profile(tower: Tower, top: int, roots: Sequence[int]) -> DegreeProfile
     counts: list[np.ndarray] = []  # counts[i - 1]: level-i descendants
     for j in range(2, top + 1):
         par, size = tower._par[j - 2], len(tower._ids[j - 1])
-        counts = [np.bincount(par, weights=c, minlength=size) for c in counts]
-        counts.append(np.bincount(par, minlength=size))
+        lifted = [np.zeros(size, dtype=np.int64) for _ in counts]
+        for up, c in zip(lifted, counts):
+            np.add.at(up, par, c)
+        counts = lifted + [np.bincount(par, minlength=size)]
         mask = masks[top - j]
         for i, c in enumerate(counts, start=1):
             c = c[mask]

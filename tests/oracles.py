@@ -8,7 +8,9 @@ round-trip fiber diameter by gathered blocks, the covering radius by
 column minima, the nearest-representative ball map, the dense product
 and hyperspace, and chain components by a breadth-first search.
 They work on any space that holds (or writes) its code matrix, so they
-share no label logic with the kernels they check.
+share no label logic with the kernels they check.  Beside them sits the
+modulus witness pair found by sorting label keys into groups, the way
+the package found it before one scatter per call did.
 
 The string ones work on a relation's id pairs, the way the package did
 before relations held index arrays: fibers and cofibers as dicts of id
@@ -138,6 +140,30 @@ def block_scan_modulus(phi: MultiMap) -> DistortionModulus:
         wits.append((phi.pairs[i][0], phi.pairs[j][0],
                      phi.pairs[i][1], phi.pairs[j][1]))
     return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+
+
+def sorted_first_pair_at(
+    S: np.ndarray, T: np.ndarray, T_below: Optional[np.ndarray]
+) -> tuple[int, int]:
+    """Row-major first pair (k, l) of graph points sharing a label in S and
+    in T but not in T_below (None excludes nothing), by sorting: per row
+    the count is the size of the group agreeing on S and T minus that of
+    the group agreeing on S and T_below, which T_below refining T makes
+    the number of partners."""
+
+    def agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        key = a * (int(b.max()) + 1) + b
+        _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
+        return cnt[inv]
+
+    count = agree(S, T)
+    if T_below is not None:
+        count -= agree(S, T_below)
+    k = int(np.argmax(count > 0))
+    row = (S == S[k]) & (T == T[k])
+    if T_below is not None:
+        row &= T_below != T_below[k]
+    return k, int(np.argmax(row))
 
 
 _BASE_BOUND_MESSAGES = {

@@ -475,6 +475,22 @@ def test_classify_rejects_degree_zero(capsys):
     assert err == "error: bad degree in 'regular:0'\n"
 
 
+MALFORMED_REGULAR = ["regular:", "regular:3,x", "regular:3,,2", "regular:3,"]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_REGULAR)
+@pytest.mark.parametrize("argv", [
+    lambda spec: ["equiv", "--from", spec],
+    lambda spec: ["classify", spec, "regular:2"],
+    lambda spec: ["classify", "regular:2", spec],
+], ids=["equiv-from", "classify-first", "classify-second"])
+def test_malformed_regular_spec_names_the_spec(capsys, argv, spec):
+    # an empty or non-integer entry once surfaced as int()'s own message
+    code, out, err = run_cli(capsys, argv(spec))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad degree in {spec!r}\n"
+
+
 # -- experiments ------------------------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 acceptance-9 configurations and of the height-9 ternary-to-binary run, of
 the product and hyperspace experiments' entropy tables, of the towerize
 and entropy output on an ultrametrized distance CSV drawn from a fixed
-seed, and of the validate output on 600-point CSVs with planted defects.
+seed, of the validate output on 600-point CSVs with planted defects, and
+of the equiv, subtower and towerize output on inputs whose ids JSON must
+escape.
 
 Refactors of the encoders and kernels must leave every emitted byte as
 it was; a change that means to alter a report updates these digests and
@@ -11,16 +13,17 @@ says why.
 
 import hashlib
 import io
+import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from coarsetowers import Space, ultrametrize
+from coarsetowers import Space, regular_tower, ultrametrize, word_space
 from coarsetowers.cli import main
 from coarsetowers.rationals import rat_str
-from coarsetowers.serialization import space_to_csv
+from coarsetowers.serialization import space_to_csv, space_to_json
 
 EQUIV_DIGESTS = {
     ("equiv", "--from", "regular:3"):
@@ -143,3 +146,50 @@ def test_validate_bytes_on_planted_defects_are_pinned(defect, ultra_600, tmp_pat
     path = tmp_path / f"{defect}.csv"
     path.write_text(planted_csv(ultra_600, PLANTED[defect]), encoding="utf-8")
     assert _sha(_run(["validate", str(path)], expect=1)) == VALIDATE_DIGESTS[defect]
+
+
+# -- ids that JSON escapes ----------------------------------------------------------
+
+# a quote, a backslash, a bell and a tab (control characters), a non-ASCII
+# letter, a line separator and an astral character (a surrogate pair)
+ESCAPED = ['"', "\\", "\x07", "\t", "\u00e9", "\u2028", "\U0001F600"]
+
+ESCAPED_DIGESTS = {
+    ("equiv", "--from", "escaped-tower.json"):
+        "3aaf8ed7e124f850ba1111e8cbfed30f950a065db6a5e91abf8060b3972bb678",
+    ("subtower", "escaped-tower.json", "--levels", "1,3,4,7"):
+        "70bc9b888a4c838da6169177c421488a80433ac08bc798192d60e6ab865e9377",
+    ("towerize", "escaped-space.json", "--radii", "0,1,2,4"):
+        "4906cc98f2433623914f2a164b0b6d251166b6e381fba1bc7f690837024bd8de",
+}
+
+
+def _escaped(k: int, name: str) -> str:
+    return ESCAPED[k % len(ESCAPED)] + name + ESCAPED[k // len(ESCAPED) % len(ESCAPED)]
+
+
+def escaped_tower_text() -> str:
+    """The 3-regular tower of height 7 under ids that JSON escapes, whose
+    id order is not the order of the dotted ids; written by json.dumps,
+    so the input does not depend on the writer under test."""
+    tower = regular_tower((3,) * 6)
+    name = {x: _escaped(k, x) for k, x in enumerate(tower.nodes)}
+    name[None] = None
+    nodes = [{"id": name[x], "level": tower.level[x], "parent": name[tower.parent[x]]}
+             for x in tower.nodes]
+    return json.dumps({"height": tower.height, "nodes": nodes})
+
+
+def escaped_space_text() -> str:
+    """The binary words of length 3 under point ids that JSON escapes."""
+    doc = space_to_json(word_space(2, 3))
+    doc["points"] = [_escaped(k, p) for k, p in enumerate(doc["points"])]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv", sorted(ESCAPED_DIGESTS))
+def test_bytes_on_escaped_ids_are_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the equiv report names its source file
+    (tmp_path / "escaped-tower.json").write_text(escaped_tower_text(), encoding="utf-8")
+    (tmp_path / "escaped-space.json").write_text(escaped_space_text(), encoding="utf-8")
+    assert _sha(_run(argv)) == ESCAPED_DIGESTS[argv]

@@ -50,6 +50,7 @@ from oracles import (
     dense_product,
     isometric_witness,
     roundtrip_fiber_diameter,
+    sorted_first_pair_at,
 )
 
 SPACE_KINDS = ["rational", "ball-tower", "subspace", "word", "unrealized"]
@@ -125,6 +126,27 @@ def test_label_modulus_matches_dense_scan(seed, src_kind, tgt_kind, shape):
         got, want = distortion_modulus(rel), block_scan_modulus(rel)
         assert got.table == want.table
         assert got.witnesses == want.witnesses
+
+
+def _labels(rng: random.Random, keys: np.ndarray) -> np.ndarray:
+    """keys relabeled by a random injection into 0..2 * #keys."""
+    distinct = np.unique(keys)
+    image = np.asarray(rng.sample(range(2 * distinct.size + 1), distinct.size))
+    return image[np.searchsorted(distinct, keys)]
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_witness_pair_matches_the_sorting_oracle(seed, n, below):
+    # inputs as _label_modulus passes them, T constant on every S-class
+    # and T_below refining T: S and T_below each cut the T-classes into
+    # parts, independently of each other
+    rng = random.Random(seed)
+    t, s_part, b_part = (np.asarray([rng.randrange(k) for _ in range(n)])
+                         for k in (rng.randint(1, 4) for _ in range(3)))
+    S, T = _labels(rng, t * 4 + s_part), _labels(rng, t)
+    T_below = _labels(rng, t * 4 + b_part) if below else None
+    assert morphisms._first_pair_at(S, T, T_below) == sorted_first_pair_at(S, T, T_below)
 
 
 @given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS),

@@ -2,6 +2,7 @@
 certified pipeline report format."""
 
 import itertools
+import json
 import random
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsetowers import (MultiMap, Space, Tower, regular_tower,
+from coarsetowers import (MultiMap, Space, Tower, ball_tower, regular_tower,
                           validate_ultrametric, word_space)
 from coarsetowers import serialization
 from coarsetowers.limits import CapExceeded, Caps
@@ -33,11 +34,12 @@ from coarsetowers.serialization import (
     space_to_csv,
     space_to_json,
     tower_from_json,
+    tower_hash,
     tower_to_json,
 )
 from coarsetowers.spaces import _CellIds, _encode_cells, _pick_dtype
 
-from conftest import random_ultrametric
+from conftest import random_radii, random_tower, random_ultrametric, shuffled_tower
 
 
 # -- spaces ---------------------------------------------------------------------
@@ -574,6 +576,53 @@ def test_dump_json_is_deterministic():
     assert a.endswith("\n")
 
 
+# characters JSON escapes or writes as \u escapes: a quote, a backslash,
+# control characters, a line separator, non-ASCII and astral characters
+# and a lone surrogate
+ESCAPES = '"\\\x00\x07\x1f\t\n\u2028\u00e9\U0001F600\ud800'
+TEXTS = st.one_of(st.text(max_size=6), st.text(ESCAPES + "ab/", max_size=6))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10, 10),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -0.0]), TEXTS)
+# keys that json.dumps converts (numbers, booleans, None), mixed ones that
+# its key sort refuses, and values that it cannot write at all
+KEYS = st.one_of(TEXTS, st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+UNWRITABLE = st.one_of(st.builds(object), st.fractions(), st.sets(st.integers(), max_size=2))
+
+
+def _containers(kids):
+    return st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(TEXTS, kids, max_size=4),
+        st.dictionaries(KEYS, kids, max_size=3))
+
+
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, st.just([]), st.just({}), st.just(())), _containers, max_leaves=16)
+
+
+def _written(write, obj):
+    try:
+        return write(obj)
+    except Exception as err:  # the writers must fail alike
+        return type(err), str(err)
+
+
+@given(st.one_of(DOCUMENTS, st.recursive(UNWRITABLE, _containers, max_leaves=4)))
+@settings(max_examples=400, deadline=None)
+def test_dump_json_writes_what_json_dumps_writes(obj):
+    assert _written(dump_json, obj) == \
+        _written(lambda o: json.dumps(o, indent=2, sort_keys=True) + "\n", obj)
+
+
+def test_dump_json_on_a_cycle_raises_as_json_dumps_does():
+    loop: list = [[1]]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dump_json({"a": loop})
+
+
 def test_dump_csv_renders_rationals():
     text = dump_csv(["x", "y"], [[1, rat_str(Fraction(1, 2))], [2, 3]])
     assert text.splitlines() == ["x,y", "1,1/2", "2,3"]
@@ -595,6 +644,37 @@ def test_content_hash_stability_and_sensitivity():
 
 def test_content_hash_ignores_key_order():
     assert content_hash({"x": 1, "y": 2}) == content_hash({"y": 2, "x": 1})
+
+
+def _renamed(tower: Tower, prefix: list, suffix: list) -> Tower:
+    """The tower with node k renamed prefix[k % len] + id + suffix[k % len];
+    the affixes are drawn from ESCAPES, which no id holds, so names stay
+    unique."""
+    name = {x: prefix[k % len(prefix)] + x + suffix[k % len(suffix)]
+            for k, x in enumerate(tower.nodes)}
+    return Tower(list(name.values()),
+                 {name[x]: lv for x, lv in tower.level.items()},
+                 {name[x]: p and name[p] for x, p in tower.parent.items()})
+
+
+AFFIXES = st.lists(st.text(ESCAPES, max_size=3), min_size=1, max_size=5)
+
+
+@given(st.integers(0, 2 ** 32), AFFIXES, AFFIXES)
+@settings(max_examples=100, deadline=None)
+def test_tower_hash_is_the_document_hash(seed, prefix, suffix):
+    rng = random.Random(seed)
+    space = random_ultrametric(rng)
+    for tower in (random_tower(rng), shuffled_tower(rng, random_tower(rng)),
+                  ball_tower(space, random_radii(rng, space)), regular_tower(())):
+        for t in (tower, _renamed(tower, prefix, suffix)):
+            assert tower_hash(t) == content_hash(tower_to_json(t))
+
+
+def test_tower_hash_of_non_string_ids_is_the_document_hash():
+    tower = Tower([0, 1, 2], {0: 1, 1: 1, 2: 2}, {0: 2, 1: 2, 2: None})
+    assert tower_to_json(tower)["nodes"][0]["id"] == 0
+    assert tower_hash(tower) == content_hash(tower_to_json(tower))
 
 
 # -- pipeline reports ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from coarsetowers import (
     validate_tower,
     word_space,
 )
-from coarsetowers import equivalence_pipeline, spaces
+from coarsetowers import cli, equivalence_pipeline, homogenize, serialization, spaces, towers
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.serialization import dump_json, tower_to_json
 from coarsetowers.spaces import CLOSED, STRICT, _class_labels
@@ -37,6 +37,7 @@ from conftest import (
     random_tower,
     random_ultrametric,
 )
+from test_golden_reports import EQUIV_DIGESTS, _run, _sha
 
 
 def _sample_towers(rng):
@@ -92,7 +93,7 @@ class _Unreadable(Mapping):
 
 def _guarded(degrees):
     tower = regular_tower(degrees)
-    tower.level = tower.parent = _Unreadable()
+    tower._level = tower._parent = _Unreadable()
     return tower
 
 
@@ -105,6 +106,25 @@ def test_kernels_read_the_arrays_not_the_node_dicts():
     assert degree_profile(_guarded(degrees)) == degree_profile(plain)
     assert dump_json(equivalence_pipeline(_guarded(degrees)).to_json()) == \
         dump_json(equivalence_pipeline(plain).to_json())
+
+
+def test_equiv_builds_no_node_dicts_past_its_source(monkeypatch):
+    # the source hash streams the arrays, and the pipeline's level
+    # subtowers never build a node view: with tower_to_json failing and
+    # every view of the subtowers unreadable the report keeps its bytes
+    def no_document(tower):
+        raise AssertionError("tower_to_json called")
+
+    def unviewed(tower, levels, caps):
+        sub = towers._level_subtower(tower, levels, caps)
+        sub._nodes = sub._level = sub._parent = sub._children = _Unreadable()
+        return sub
+
+    monkeypatch.setattr(cli, "tower_to_json", no_document)
+    monkeypatch.setattr(serialization, "tower_to_json", no_document)
+    monkeypatch.setattr(homogenize, "_level_subtower", unviewed)
+    argv = ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary")
+    assert _sha(_run(argv)) == EQUIV_DIGESTS[argv]
 
 
 # -- base spaces and their label tables -------------------------------------------
@@ -234,6 +254,21 @@ def test_regular_tower_matches_validated_constructor(degrees):
                     {x: up(x) for x in ids})
         assert _fields(sub) == _fields(ref)
         assert next_map == {b: built.ancestor(b, chosen[0]) for b in built.base}
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_level_subtowers_are_valid_towers(seed):
+    # _level_subtower does not validate what it builds, so the validator
+    # checks it here, and the constructor rebuilds the same arrays
+    rng = random.Random(seed)
+    for tower in _sample_towers(rng):
+        below = rng.sample(range(1, tower.height), rng.randint(0, tower.height - 1))
+        sub = towers._level_subtower(tower, sorted(below) + [tower.height])
+        assert validate_tower(sub.nodes, sub.level, sub.parent).ok
+        ref = Tower(sub.nodes, sub.level, sub.parent)
+        assert sub._ids == ref._ids
+        assert all(map(np.array_equal, sub._par, ref._par))
 
 
 def _reference_validate_tower(node_ids, level, parent):
