@@ -13,6 +13,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -398,11 +399,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # -- dispatch -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags ride on a parent parser so they are accepted both
-    # before and after the subcommand; all defaults are SUPPRESS (filled
-    # in by _check_flags) because a subparser parses into a fresh
-    # namespace and would clobber values parsed before the subcommand
+    # built once per process: parse_args fills a fresh namespace on each
+    # call and leaves the parser as it was.  The global flags ride on a
+    # parent parser so they are accepted both before and after the
+    # subcommand; all defaults are SUPPRESS (filled in by _check_flags)
+    # because a subparser parses into a fresh namespace and would clobber
+    # values parsed before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help="max points of every space, relation graph "

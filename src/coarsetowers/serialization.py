@@ -231,26 +231,36 @@ def content_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+_HASH_CHUNK = 1 << 16  # nodes whose text is joined and hashed at once
+
+
 def tower_hash(tower: Tower) -> str:
     """content_hash(tower_to_json(tower)), hashed a level at a time.
 
     That text is {"height":H,"nodes":[...]} with each node written as
     {"id":I,"level":L,"parent":P} in (level, id) order, the parent null
     at the top.  Each id is escaped once, as json.dumps escapes a string,
-    and each level's text is joined from the escaped ids and one tail per
-    parent, so no dict is built per node.  A tower whose ids are not all
-    strings is hashed from its document."""
+    and a level's text is joined from the escaped ids and one tail per
+    parent, so no dict is built per node.  Only two levels are held
+    escaped at a time (a level's ids, then its parents' as the next
+    level's), and a level's text is hashed in runs of _HASH_CHUNK nodes.
+    A tower whose ids are not all strings is hashed from its document."""
+    digest = hashlib.sha256(b'{"height":%d,"nodes":[{"id":' % tower.height)
     try:
-        esc = [list(map(encode_basestring_ascii, row)) for row in tower._ids]
+        row = list(map(encode_basestring_ascii, tower._ids[0]))
+        for lv, par in enumerate(tower._par, start=1):
+            up = list(map(encode_basestring_ascii, tower._ids[lv]))
+            # each node's text runs on to the opening of the next node's
+            tails = [f',"level":{lv},"parent":{p}}},{{"id":' for p in up]
+            for lo in range(0, len(row), _HASH_CHUNK):
+                nodes = map(str.__add__, row[lo:lo + _HASH_CHUNK],
+                            map(tails.__getitem__, par[lo:lo + _HASH_CHUNK].tolist()))
+                digest.update("".join(nodes).encode("ascii"))
+            row = up
+        tail = f',"level":{tower.height},"parent":null}}'
+        digest.update(((tail + ',{"id":').join(row) + tail + "]}").encode("ascii"))
     except TypeError:
         return content_hash(tower_to_json(tower))
-    digest = hashlib.sha256(b'{"height":%d,"nodes":[' % tower.height)
-    pars = [par.tolist() for par in tower._par] + [[0]]
-    for lv, (row, up, par) in enumerate(zip(esc, esc[1:] + [["null"]], pars), start=1):
-        tails = [f',"level":{lv},"parent":{p}}}' for p in up]
-        nodes = ',{"id":'.join(map(str.__add__, row, map(tails.__getitem__, par)))
-        end = "]}" if lv == tower.height else ","
-        digest.update(('{"id":' + nodes + end).encode("ascii"))
     return digest.hexdigest()[:16]
 
 

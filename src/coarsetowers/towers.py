@@ -58,12 +58,28 @@ def _is_valid_tower(
         len(has_child) == len(levels) - levels.count(1) + (height > 1)
 
 
+def _array_fault(tower: Tower) -> Optional[str]:
+    """Why the tower's parent arrays cannot be read as a parent map, or
+    None when they can: below the top, level l's _par must be an integer
+    array holding, for each node of level l, an index into level l + 1."""
+    ids, pars = tower._ids, tower._par
+    if len(pars) != len(ids) - 1:
+        return f"expected {len(ids) - 1} parent index arrays, got {len(pars)}"
+    for lv, (row, up, par) in enumerate(zip(ids, ids[1:], pars), start=1):
+        if not (type(par) is np.ndarray and par.dtype.kind == "i"
+                and par.shape == (len(row),)
+                and (not row or 0 <= par.min() and par.max() < len(up))):
+            return f"level {lv} needs {len(row)} parent indices in [0, {len(up)})"
+    return None
+
+
 def validate_tower(
-    node_ids: Sequence[NodeId],
-    level: Mapping[NodeId, int],
-    parent: Mapping[NodeId, Optional[NodeId]],
+    node_ids: Tower | Sequence[NodeId],
+    level: Optional[Mapping[NodeId, int]] = None,
+    parent: Optional[Mapping[NodeId, Optional[NodeId]]] = None,
 ) -> ValidationReport:
-    """Check the tower axioms on raw data and report every violation.
+    """Check the tower axioms on raw data, or on a Tower's arrays, and
+    report every violation.
 
     Checked: unique ids, total integer level map with min level 1, a single
     top node, parent defined exactly below the top and absent at it, parent
@@ -71,12 +87,31 @@ def validate_tower(
     1 or a two-level parent hop both break it), and upper cones linearly
     ordered (automatic for a functional parent map, checked as acyclicity:
     every parent chain must reach the top).
+
+    A Tower is decided on its arrays; an invalid one is walked on its
+    views for the witnesses its raw data would get, and parent arrays that
+    cannot be read as a parent map are one parent-structure violation.
     """
     violations: list[Violation] = []
-    checked = (
-        "unique-ids", "levels-total", "single-top", "parent-structure",
-        "level-condition", "chains-reach-top",
-    )
+    checked = ("unique-ids", "levels-total", "single-top", "parent-structure",
+               "level-condition", "chains-reach-top")
+    if isinstance(node_ids, Tower):
+        if level is not None or parent is not None:
+            raise TypeError("a Tower is validated without level and parent maps")
+        tower, rows = node_ids, node_ids._ids
+        fault = _array_fault(tower)
+        if fault is not None:
+            return ValidationReport("tower axioms", checked, (
+                Violation("parent-structure", (), fault),))
+        # readable arrays give each node a level >= 1 and a parent one level
+        # up; left to check are non-empty levels, one top, a child under
+        # every node above level 1, and distinct ids
+        if all(rows) and len(rows[-1]) == 1 and all(
+                np.bincount(par, minlength=len(up)).all()
+                for up, par in zip(rows[1:], tower._par)) and \
+                len(set(itertools.chain.from_iterable(rows))) == sum(map(len, rows)):
+            return ValidationReport("tower axioms", checked, ())
+        node_ids, level, parent = tower.nodes, tower.level, tower.parent
     ids = list(node_ids)
     # the per-node walk below only lists the witnesses of an invalid tower
     if _is_valid_tower(ids, level, parent):
@@ -132,14 +167,11 @@ def validate_tower(
                 "level-condition", (i,),
                 f"node at level {level[i]} has no child, so its cone "
                 f"cannot realize the level count"))
-    # every parent chain must reach the top within height steps.  When no
-    # rule above failed, ids are unique, every node has an integer level
-    # >= 1, the top is the only node on the top level and the only one
-    # without a parent, and every other node's parent is a node exactly one
-    # level up: each step of a chain climbs one level, so every chain ends
-    # at the top and the walk below cannot report anything.  A chain that
-    # has not ended after as many steps as there are ids runs round a cycle
-    # and ends nowhere, so the walk also stops there (levels can be huge).
+    # every parent chain must reach the top.  When no rule above failed,
+    # each step of a chain climbs one level to a node that has a parent
+    # unless it is the top, so the walk cannot report anything.  A chain
+    # still going after as many steps as there are ids runs round a cycle,
+    # so the walk stops there too (levels can be huge).
     limit = min(height, len(seen)) + 1
     for i in levels_ok if violations else ():
         cur, steps = i, 0
@@ -169,14 +201,13 @@ class Tower:
     the parent of _ids[l - 1][k].  _profile keeps the degree profile once
     counted.
 
-    The navigation views nodes, level, parent and children are built from
-    the arrays on first read and kept (in _nodes, _level, _parent,
-    _children): the kernels and the equiv pipeline read only the arrays,
-    so most towers never build a dict.  The constructor validates its raw
-    input, and regular_tower and ball_tower validate what they build
-    through level and parent; a level subtower is not re-validated, since
-    restricting a valid tower to some levels that include its top keeps
-    every axiom.
+    The views nodes, level, parent and children are built from the arrays
+    on first read and kept (in _nodes, _level, _parent, _children); the
+    kernels, the equiv pipeline and validate_tower(tower) read only the
+    arrays, so most towers never build a dict.  The constructor validates
+    its raw input, regular_tower and ball_tower validate the arrays they
+    build, and a level subtower is not re-validated, since restricting a
+    valid tower to some levels that include its top keeps every axiom.
     """
 
     __slots__ = ("height", "base", "_nodes", "_level", "_parent",
@@ -259,40 +290,12 @@ class Tower:
     def top(self) -> NodeId:
         return self._ids[-1][0]
 
-    def ancestor(self, node: NodeId, lvl: int) -> NodeId:
-        cur = node
-        while self.level[cur] < lvl:
-            cur = self.parent[cur]
-        if self.level[cur] != lvl:
-            raise ValueError(f"{node} has no ancestor at level {lvl}")
-        return cur
-
-    def sup(self, x: NodeId, y: NodeId) -> NodeId:
-        """Least common upper bound of two nodes."""
-        a, b = x, y
-        while self.level[a] < self.level[b]:
-            a = self.parent[a]
-        while self.level[b] < self.level[a]:
-            b = self.parent[b]
-        while a != b:
-            a, b = self.parent[a], self.parent[b]
-        return a
-
     def cone(self, node: NodeId) -> tuple[NodeId, ...]:
         """Lower cone: the node and everything below it, in (level, id) order."""
         lv = self.level[node]
         masks = _under(self, lv, [bisect_left(self._ids[lv - 1], node)])
         rows = map(itertools.compress, self._ids, masks[::-1])
         return tuple(itertools.chain.from_iterable(rows))
-
-    def base_below(self, node: NodeId) -> tuple[NodeId, ...]:
-        return tuple(i for i in self.cone(node) if self.level[i] == 1)
-
-    def path_metric(self, x: NodeId, y: NodeId) -> int:
-        """d(x, y) = 2*lev(sup) - lev(x) - lev(y); on base pairs this is the
-        even-valued ultrametric the base space carries."""
-        s = self.sup(x, y)
-        return 2 * self.level[s] - self.level[x] - self.level[y]
 
 
 def _of_arrays(
@@ -308,9 +311,9 @@ def _of_arrays(
 def _built(
     ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
 ) -> Tower:
-    """A tower the library built in array form, validated like any other."""
+    """A tower the library built in array form, validated on its arrays."""
     tower = _of_arrays(ids, par, caps)
-    _require_tower(validate_tower(tower.nodes, tower.level, tower.parent))
+    _require_tower(validate_tower(tower))
     return tower
 
 
@@ -416,8 +419,7 @@ def regular_tower(
     degrees = [int(d) for d in degrees[: height - 1]]
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be >= 1")
-    total = 1
-    count = 1
+    total = count = 1
     for d in reversed(degrees):
         count *= d
         total += count
@@ -430,9 +432,9 @@ def regular_tower(
     ids: list[list[NodeId]] = [["t"]]
     par: list[np.ndarray] = []
     for deg in reversed(degrees):
-        digits = sorted(map(str, range(deg)))
+        tails = sorted(map(".{}".format, range(deg)))
         above = ids[-1]
-        ids.append([f"{p}.{c}" for p in above for c in digits])
+        ids.append([p + tail for p in above for tail in tails])
         par.append(np.repeat(np.arange(len(above)), deg))
     return _built(ids[::-1], par[::-1], caps)
 
@@ -468,11 +470,8 @@ def _level_subtower(
         # keep a single top: the top level must be selected
         raise ValueError("the top level must be among the chosen levels")
     # a chosen level's parent is its ancestor on the next chosen level.
-    # The restriction is a valid tower, so it is not re-validated: ids stay
-    # unique, the top stays alone on the top level, each parent sits one
-    # relabeled level up, and every node above the lowest chosen level has
-    # a child on the chosen level below, as a node of a valid tower has
-    # descendants on every level below it.
+    # Restricting a valid tower keeps every axiom (a node has descendants
+    # on every level below it), so the restriction is not re-validated.
     par = []
     for lo, hi in zip(levels, levels[1:]):
         up = tower._par[lo - 1]

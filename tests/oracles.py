@@ -19,6 +19,11 @@ selection pair's f, g and closenesses by one distance per point.  Graph
 indices are looked up from the pairs, so nothing here reads the index
 arrays they check.
 
+The navigation ones walk a tower's level and parent dicts the way
+Tower's methods did before the package stopped calling them: a node's
+ancestor on a level, the least common upper bound of two nodes, the
+path metric, and the base nodes below a node.
+
 The tower-map ones build node maps the way the package did before it
 descended one index array per level: the germ builder's depth-first
 recursion over children dicts, and the greedy embedding loop.  They read
@@ -307,6 +312,42 @@ def chain_labels(space: Space, radius) -> np.ndarray:
         label[seen] = comp
         comp += 1
     return label
+
+
+# -- navigation on node dicts --------------------------------------------------
+
+
+def ancestor(tower, node, lvl: int):
+    """The node's ancestor on level lvl, by a walk up the parent map."""
+    cur = node
+    while tower.level[cur] < lvl:
+        cur = tower.parent[cur]
+    if tower.level[cur] != lvl:
+        raise ValueError(f"{node} has no ancestor at level {lvl}")
+    return cur
+
+
+def sup(tower, x, y):
+    """Least common upper bound of two nodes."""
+    a, b = x, y
+    while tower.level[a] < tower.level[b]:
+        a = tower.parent[a]
+    while tower.level[b] < tower.level[a]:
+        b = tower.parent[b]
+    while a != b:
+        a, b = tower.parent[a], tower.parent[b]
+    return a
+
+
+def path_metric(tower, x, y) -> int:
+    """d(x, y) = 2*lev(sup) - lev(x) - lev(y); on base pairs this is the
+    even-valued ultrametric the base space carries."""
+    return 2 * tower.level[sup(tower, x, y)] - tower.level[x] - tower.level[y]
+
+
+def base_below(tower, node) -> tuple:
+    """The base nodes in the node's lower cone, in id order."""
+    return tuple(i for i in tower.cone(node) if tower.level[i] == 1)
 
 
 # -- tower maps as node dicts -------------------------------------------------

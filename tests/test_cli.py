@@ -16,6 +16,7 @@ from coarsetowers import (
     regular_tower,
     word_space,
 )
+from coarsetowers import cli
 from coarsetowers.cli import main
 from coarsetowers.serialization import (
     dump_csv,
@@ -668,6 +669,30 @@ def test_bad_usage_exits_2(capsys):
     assert main(["entropy"]) == 2
     assert main(["towerize", "somefile"]) == 2
     capsys.readouterr()
+
+
+def test_calls_in_one_process_share_the_parser_but_no_parsed_state(
+        capsys, monkeypatch, tmp_path, w22_csv):
+    # the parser is built once; each call parses into its own namespace
+    seen = []
+    check = cli._check_flags
+    monkeypatch.setattr(cli, "_check_flags", lambda args: (seen.append(args), check(args)))
+    dest = tmp_path / "table.csv"
+    argv = ["--cap", "50", "entropy", w22_csv, "--net", "strict", "--eps", "1",
+            "--out", str(dest)]
+    assert run_cli(capsys, argv) == (0, "", "")
+    assert run_cli(capsys, ["validate", w22_csv])[0] == 0
+    first, second = seen
+    assert (first.cap, first.net, first.eps, first.out) == (50, "strict", "1", str(dest))
+    assert (second.cap, second.net, second.out, second.seed) == (20000, "closed", None, 0)
+    assert second.command == "validate" and not hasattr(second, "eps")
+    assert cli.build_parser() is cli.build_parser()
+    # help text is written from the shared parser the same each time
+    helps = []
+    for _ in range(2):
+        assert main(["entropy", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--eps" in helps[0]
 
 
 # -- loader fuzzing -----------------------------------------------------------------

@@ -671,6 +671,15 @@ def test_tower_hash_is_the_document_hash(seed, prefix, suffix):
             assert tower_hash(t) == content_hash(tower_to_json(t))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_tower_hash_is_the_document_hash_in_any_run_length(monkeypatch, chunk):
+    # levels wider than a run are hashed in several runs
+    monkeypatch.setattr(serialization, "_HASH_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for tower in (random_tower(rng), regular_tower((3, 2, 4)), regular_tower(())):
+        assert tower_hash(tower) == content_hash(tower_to_json(tower))
+
+
 def test_tower_hash_of_non_string_ids_is_the_document_hash():
     tower = Tower([0, 1, 2], {0: 1, 1: 1, 2: 2}, {0: 2, 1: 2, 2: None})
     assert tower_to_json(tower)["nodes"][0]["id"] == 0

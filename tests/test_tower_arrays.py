@@ -37,6 +37,7 @@ from conftest import (
     random_tower,
     random_ultrametric,
 )
+from oracles import ancestor
 from test_golden_reports import EQUIV_DIGESTS, _run, _sha
 
 
@@ -253,7 +254,7 @@ def test_regular_tower_matches_validated_constructor(degrees):
         ref = Tower(ids, {x: rank[built.level[x]] for x in ids},
                     {x: up(x) for x in ids})
         assert _fields(sub) == _fields(ref)
-        assert next_map == {b: built.ancestor(b, chosen[0]) for b in built.base}
+        assert next_map == {b: ancestor(built, b, chosen[0]) for b in built.base}
 
 
 @given(st.integers(0, 2 ** 32))
@@ -424,6 +425,79 @@ def test_every_mutation_kind_breaks_a_rule_the_reference_names(kind):
         ref = _reference_validate_tower(ids, level, parent)
         assert not ref.ok
         assert validate_tower(ids, level, parent) == ref
+
+
+_ARRAY_CORRUPTIONS = ("repeated-id", "second-top", "childless")
+
+
+def _corrupt_arrays(rng, tower, kind):
+    """The tower's array form, broken so that its views still build:
+    an id of one level repeated on another, a second node on the top
+    level, or a node above level 1 that no node points to."""
+    ids = [list(row) for row in tower._ids]
+    par = list(tower._par)
+    if kind == "repeated-id" and tower.height > 1:
+        lo, hi = sorted(rng.sample(range(tower.height), 2))
+        ids[hi][rng.randrange(len(ids[hi]))] = rng.choice(ids[lo])
+    elif kind == "second-top":
+        ids[-1].append("extra")
+    elif kind == "childless" and tower.height > 2:
+        lv = rng.randrange(1, tower.height - 1)  # a row strictly inside
+        ids[lv].append("childless")
+        par[lv] = np.append(par[lv], rng.randrange(len(ids[lv + 1])))
+    return towers._of_arrays(ids, par, towers.DEFAULT_CAPS)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(("none",) + _ARRAY_CORRUPTIONS))
+@settings(max_examples=200, deadline=None)
+def test_array_verdict_matches_the_dict_walk(seed, kind):
+    rng = random.Random(seed)
+    tower = rng.choice(_sample_towers(rng) + [random_tower(rng, height_min=1)])
+    broken = _corrupt_arrays(rng, tower, kind)
+    report = validate_tower(broken)
+    assert report == validate_tower(broken.nodes, broken.level, broken.parent)
+    assert report.ok == (broken._ids == tower._ids)
+
+
+def test_every_array_corruption_is_named_by_the_dict_walk():
+    tower = regular_tower((2, 2, 2))
+    for kind in _ARRAY_CORRUPTIONS:
+        broken = _corrupt_arrays(random.Random(0), tower, kind)
+        report = validate_tower(broken)
+        assert not report.ok
+        assert report == validate_tower(broken.nodes, broken.level, broken.parent)
+
+
+@pytest.mark.parametrize("fault", ["minus-one", "past-the-end", "short", "float", "missing"])
+def test_unreadable_parent_arrays_fail_the_build(fault):
+    tower = regular_tower((2, 3))
+    par = [p.copy() for p in tower._par]
+    if fault == "minus-one":
+        par[0][1] = -1
+    elif fault == "past-the-end":
+        par[0][1] = len(tower._ids[1])
+    elif fault == "short":
+        par[0] = par[0][:-1]
+    elif fault == "float":
+        par[0] = par[0].astype(float)
+    else:
+        par.pop()
+    with pytest.raises(ValueError, match="parent-structure .*parent ind"):
+        towers._built(tower._ids, par, towers.DEFAULT_CAPS)
+
+
+def test_validate_tower_takes_no_maps_with_a_tower():
+    tower = regular_tower((2,))
+    with pytest.raises(TypeError):
+        validate_tower(tower, tower.level, tower.parent)
+
+
+def test_builders_build_no_node_views():
+    space = random_ultrametric(random.Random(5))
+    built = [regular_tower((3, 1, 2)), ball_tower(space, random_radii(random.Random(5), space))]
+    for tower in built:
+        base_space(tower)
+        assert (tower._nodes, tower._level, tower._parent) == (None, None, None)
 
 
 # -- children on demand ---------------------------------------------------------------

@@ -165,8 +165,8 @@ def _cli(argv) -> str:
 
 
 def test_tower_maps_read_no_node_navigation(monkeypatch, tmp_path):
-    """equiv and embed run on the parent arrays alone: with children,
-    cone and base_below raising, both give their usual bytes."""
+    """equiv and embed run on the parent arrays alone: with children and
+    cone raising, both give their usual bytes."""
     small = tmp_path / "small.json"
     big = tmp_path / "big.json"
     small.write_text(dump_json(tower_to_json(
@@ -179,7 +179,6 @@ def test_tower_maps_read_no_node_navigation(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Tower, "children", property(refuse))
     monkeypatch.setattr(Tower, "cone", refuse)
-    monkeypatch.setattr(Tower, "base_below", refuse)
     key = ("equiv", "--from", "regular:3")
     assert _sha(_cli(key)) == EQUIV_DIGESTS[key]
     assert _cli(["embed", str(small), str(big)]) == embedded

