@@ -55,7 +55,7 @@ from .homogenize import (
 )
 from .serialization import (
     dump_csv,
-    dump_json,
+    _json_pieces,
     pipeline_report,
     space_from_csv,
     space_from_json,
@@ -82,12 +82,13 @@ DECISIONS = {
 }
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, pieces: list[str]) -> None:
+    """Write the pieces of a document, in order, to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _parse_rationals(text: str) -> tuple:
@@ -205,7 +206,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         space = (space_from_csv(payload, args.caps) if kind == "space-csv"
                  else space_from_json(payload, args.caps))
         report = validate_ultrametric(space)
-    _emit(args, dump_json(report.to_json()))
+    _emit(args, _json_pieces(report.to_json()))
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -216,7 +217,7 @@ def _entropy_table(args: argparse.Namespace, space: Space,
     space's values."""
     profile = entropy_profile(space, eps or space.values,
                               delta or space.values, args.net, args.caps)
-    _emit(args, dump_csv(("eps", "delta", "large", "small"), profile.rows()))
+    _emit(args, [dump_csv(("eps", "delta", "large", "small"), profile.rows())])
     return EXIT_OK
 
 
@@ -234,7 +235,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 def cmd_towerize(args: argparse.Namespace) -> int:
     radii = _parse_rationals(args.radii)
     space = _load_space(args.input, args.caps)
-    _emit(args, dump_json(tower_to_json(ball_tower(space, radii, caps=args.caps))))
+    _emit(args, _json_pieces(tower_to_json(ball_tower(space, radii, caps=args.caps))))
     return EXIT_OK
 
 
@@ -248,7 +249,7 @@ def cmd_subtower(args: argparse.Namespace) -> int:
         "tower": tower_to_json(sub),
         "next_map": {b: next_map[b] for b in sorted(next_map)},
     }
-    _emit(args, dump_json(out))
+    _emit(args, _json_pieces(out))
     return EXIT_OK
 
 
@@ -259,13 +260,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
         assignment, cert = tower_embedding(
             t1, t2, require_iso=args.iso, caps=args.caps)
     except ValueError as err:
-        _emit(args, dump_json({"embedding": None, "error": str(err)}))
+        _emit(args, _json_pieces({"embedding": None, "error": str(err)}))
         return EXIT_NEGATIVE
     out = {
         "assignment": [[a, assignment[a]] for a in sorted(assignment)],
         "certificate": cert.to_json(),
     }
-    _emit(args, dump_json(out))
+    _emit(args, _json_pieces(out))
     return EXIT_OK
 
 
@@ -287,7 +288,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
             "height": args.height,
         },
     )
-    _emit(args, dump_json(report))
+    _emit(args, _json_pieces(report))
     ok = result.certificate.kind == "asymorphism" and result.certificate.is_asymorphism
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -304,7 +305,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         infinite1=args.from_infinite,
         infinite2=args.to_infinite,
     )
-    _emit(args, dump_json(verdict))
+    _emit(args, _json_pieces(verdict))
     return EXIT_OK
 
 
@@ -362,8 +363,8 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
             rows.append((trial, height, rat_json(value), 1, len(out)))
         except SynthesisExhausted:
             rows.append((trial, height, rat_json(value), 0, 0))
-    _emit(args, dump_csv(
-        ("trial", "height", "homogeneity", "success", "steps"), rows))
+    _emit(args, [dump_csv(
+        ("trial", "height", "homogeneity", "success", "steps"), rows)])
     return EXIT_OK
 
 

@@ -49,7 +49,7 @@ class MultiMap:
         pairs = tuple(pairs)
         ids = tuple(zip(*pairs)) or ((), ())
         try:
-            ia, ib = (np.fromiter(map(sp._index.__getitem__, i), np.int64, len(pairs))
+            ia, ib = (np.fromiter(map(sp._id_index().__getitem__, i), np.int64, len(pairs))
                       for sp, i in zip((source, target), ids))
         except KeyError:  # name the first offending pair in sorted order
             a, b = min((a, b) for a, b in pairs if a not in source or b not in target)

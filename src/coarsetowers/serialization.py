@@ -272,24 +272,34 @@ class _Unmatched(Exception):
 
 
 def dump_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) and a newline.
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline: the join
+    of _json_pieces(obj)."""
+    return "".join(_json_pieces(obj))
+
+
+def _json_pieces(obj) -> list[str]:
+    """dump_json's text as a list of pieces, so that a writer can write
+    them one by one and never hold the joined text.
 
     With an indent json.dumps runs its pure-Python encoder, so the
     document is written by _indented, which leaves each container holding
     no container to the C encoder.  On anything it does not match byte
     for byte (a dict holding containers under a key that is not a
     string) and on any error, json.dumps writes the document, or raises,
-    as it always did."""
+    as it always did.  Every piece is made before the list is returned,
+    so a document that cannot be written leaves nothing half written."""
+    pieces: list[str] = []
     try:
-        text = _indented(obj, "\n")
+        _indented(obj, "\n", pieces)
     except Exception:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    return text + "\n"
+        pieces = [json.dumps(obj, indent=2, sort_keys=True)]
+    pieces.append("\n")
+    return pieces
 
 
-def _indented(obj, nl: str) -> str:
-    """obj's text in dump_json's layout, nl being the line break and
-    indent of the line it starts on.
+def _indented(obj, nl: str, out: list[str]) -> None:
+    """Append obj's text in dump_json's layout to out, nl being the line
+    break and indent of the line it starts on.
 
     A container holding no container is written by the C encoder with
     the item separator "," + its items' line break and indent; its text
@@ -297,19 +307,27 @@ def _indented(obj, nl: str) -> str:
     before its closing bracket."""
     inner = nl + "  "
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _flat_encoder(inner).encode(obj)  # a scalar, [] or {}
+        out.append(_flat_encoder(inner).encode(obj))  # a scalar, [] or {}
+        return
     values = obj.values() if isinstance(obj, dict) else obj
     if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
         text = _flat_encoder(inner).encode(obj)
-        return text[0] + inner + text[1:-1] + nl + text[-1]
+        out += (text[0] + inner, text[1:-1], nl + text[-1])
+        return
     if isinstance(obj, dict):
         items = sorted(obj.items())
         if not all(isinstance(k, str) for k, _ in items):
             raise _Unmatched("a non-string key in a dict holding containers")
-        body = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in items]
-        return "{" + inner + ("," + inner).join(body) + nl + "}"
-    body = [_indented(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(body) + nl + "]"
+        heads = [encode_basestring_ascii(k) + ": " for k, _ in items]
+        values, brackets = [v for _, v in items], "{}"
+    else:
+        heads, brackets = [""] * len(obj), "[]"
+    sep = brackets[0] + inner
+    for head, v in zip(heads, values):
+        out.append(sep + head)
+        _indented(v, inner, out)
+        sep = "," + inner
+    out.append(nl + brackets[1])
 
 
 @functools.lru_cache(maxsize=64)

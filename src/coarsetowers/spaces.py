@@ -79,6 +79,7 @@ class Space:
     ):
         codes = np.asarray(codes)
         self._fill(tuple(points), codes, tuple(canon(v) for v in values), None, caps)
+        self._unique_ids()
         if sorted(self.values) != list(self.values) or \
                 len(set(self.values)) != len(self.values):
             raise ValueError("values must be strictly sorted and distinct")
@@ -88,17 +89,29 @@ class Space:
     def _fill(self, points: tuple, codes: Optional[np.ndarray], values: tuple,
               labels: Optional[list], caps: Caps) -> "Space":
         """Set every slot; the one path by which a space is filled.  Only
-        the cap and the point ids are checked: the encoders pass values
-        that are already canonical, sorted and distinct, and __init__
-        checks those of user code.  labels is the complete ball-label
-        table of a space known to be ultrametric, else None."""
+        the cap is checked: the encoders pass values that are already
+        canonical, sorted and distinct, and __init__ checks those of user
+        code.  Ids that come from outside or are composed are checked by
+        _unique_ids; base_space and _subspace pass ids known distinct, and
+        their id index is built on first lookup.  labels is the complete
+        ball-label table of a space known to be ultrametric, else None."""
         caps.check_points(len(points), "space")
-        self._index = dict(zip(points, range(len(points))))
-        if len(self._index) != len(points):
-            raise ValueError("duplicate point ids")
         self.points, self.values = points, values
         self._codes, self._labels = codes, labels
-        self._ranks = None
+        self._index = self._ranks = None
+        return self
+
+    def _id_index(self) -> dict:
+        """Each point id's index, built on first lookup."""
+        if self._index is None:
+            self._index = dict(zip(self.points, range(len(self.points))))
+        return self._index
+
+    def _unique_ids(self) -> "Space":
+        """The space itself once its id index shows no repeated id;
+        ValueError otherwise."""
+        if len(self._id_index()) != len(self.points):
+            raise ValueError("duplicate point ids")
         return self
 
     # -- construction ------------------------------------------------------
@@ -126,11 +139,11 @@ class Space:
         return len(self.points)
 
     def __contains__(self, point: PointId) -> bool:
-        return point in self._index
+        return point in self._id_index()
 
     def index(self, point: PointId) -> int:
         try:
-            return self._index[point]
+            return self._id_index()[point]
         except KeyError:
             raise KeyError(f"unknown point id: {point!r}") from None
 
@@ -305,7 +318,8 @@ def _encode_cells(
     code_of = {v: c for c, v in enumerate(vals)}
     remap = np.fromiter(map(code_of.__getitem__, table.values),
                         dtype=_pick_dtype(len(vals)), count=len(table.values))
-    return Space.__new__(Space)._fill(points, remap[ids], tuple(vals), None, caps)
+    return Space.__new__(Space)._fill(
+        points, remap[ids], tuple(vals), None, caps)._unique_ids()
 
 
 def _ball_space(
@@ -314,14 +328,27 @@ def _ball_space(
     values: Sequence[Rational],
     caps: Caps = DEFAULT_CAPS,
 ) -> Space:
-    """The one encoder of nested balls.  parts lists partitions of the
-    points as integer class names, finest first: parts[0] names every
-    point apart, the last holds one class, and points are within values[k]
-    exactly when they share a class of parts[k].  A partition that merges
-    nothing leaves its value unrealized and is dropped.  One lexsort,
-    coarsest partition first, gives the depth-first order, in which every
-    class is one run, and each run's least member labels its class.  The
-    space holds that ball-label table and no matrix (see Space.codes)."""
+    """The encoder of nested balls given as partitions (see _ball_table),
+    for ids that are composed, as product's and hyperspace's are, or that
+    come from outside: they are checked for repeats."""
+    return _ball_table(points, parts, values, caps)._unique_ids()
+
+
+def _ball_table(
+    points: Sequence[PointId],
+    parts: Sequence[np.ndarray],
+    values: Sequence[Rational],
+    caps: Caps = DEFAULT_CAPS,
+) -> Space:
+    """The space of nested balls given as partitions, its ids unchecked.
+    parts lists partitions of the points as integer class names, finest
+    first: parts[0] names every point apart, the last holds one class,
+    and points are within values[k] exactly when they share a class of
+    parts[k].  A partition that merges nothing leaves its value
+    unrealized and is dropped.  One lexsort, coarsest partition first,
+    gives the depth-first order, in which every class is one run, and
+    each run's least member labels its class.  The space holds that
+    ball-label table and no matrix (see Space.codes)."""
     n = len(points)
     order = np.lexsort(parts or [np.arange(n)])
     kept, labels, balls = [], [], n + 1
@@ -635,9 +662,10 @@ def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS)
 def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space:
     """Induced space on the distinct point indices sub, given and kept in
     id order, its values compacted to the realized distances.  An
-    ultrametric hands its label table's columns on sub to _ball_space; its
+    ultrametric hands its label table's columns on sub to _ball_table; its
     whole, in id order and realizing every value, is the space itself.
-    Any other space compacts the codes of sub."""
+    Any other space compacts the codes of sub.  The ids are distinct ones
+    of the space, so they are not checked again."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
     points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
     if isinstance(space._labels, list):
@@ -649,7 +677,7 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
             balls = [np.count_nonzero(row == own) for row in parts]
             if all(a > b for a, b in zip(balls, balls[1:])):
                 return space
-        return _ball_space(points, parts, space.values[c0:], caps)
+        return _ball_table(points, parts, space.values[c0:], caps)
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
     return Space.__new__(Space)._fill(points, codes, values, None, caps)
@@ -833,9 +861,9 @@ def entropy_profile(
     counts the balls inside each delta-ball exactly.  A cell with
     te >= td is (1, 1) without a count: each delta-ball lies in one
     eps-ball.  Any other cell counts the eps-ball representatives per
-    delta-label, and its max and min run over the nonzero counts, which
-    are the counts of the delta-balls, since each holds at least one
-    representative."""
+    delta-label, and its max and min run over the counts at the
+    delta-balls' own representatives, each of which also represents its
+    eps-ball.  Each code's representatives are found once."""
     n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
@@ -854,9 +882,11 @@ def entropy_profile(
         lds = [space.ball_labels(td) for td in tds]
         deltas = [canon(delta) for delta in delta_list]
         points = np.arange(n)
+        # each code's representatives: the points labelled by themselves
+        reps = {t: np.flatnonzero(space.ball_labels(t) == points)
+                for t in set(tes) | set(tds)}
         for eps, te in zip(eps_list, tes):
             eps = canon(eps)
-            reps = np.flatnonzero(space.ball_labels(te) == points)
             for delta, td, ld in zip(deltas, tds, lds):
                 # closed delta-balls are the classes of {code <= td}, so the
                 # net size of a center's ball is the number of eps-balls
@@ -864,9 +894,8 @@ def entropy_profile(
                 if te >= td:
                     entries[(eps, delta)] = (1, 1)
                     continue
-                counts = np.bincount(ld[reps])
-                counts = counts[counts > 0]
-                entries[(eps, delta)] = (int(counts.max()), int(counts.min()))
+                counts = np.bincount(ld[reps[te]])[reps[td]].tolist()
+                entries[(eps, delta)] = (max(counts), min(counts))
     else:
         for eps in eps_list:
             for delta in delta_list:

@@ -22,7 +22,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps, CapExceeded
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space, _ball_space
+from .spaces import CLOSED, Space
 
 NodeId = str
 
@@ -390,13 +390,26 @@ def _node_dict(phi: Sequence[np.ndarray], t1: Tower, t2: Tower) -> dict[NodeId, 
 def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
     """The base under the path metric, points in id order, holding only
     its ball-label table.  Base points are within 2*(l-1) exactly when they
-    share their level-l ancestor, so composing the parent arrays into
-    ancestor rows lists the nested balls for _ball_space."""
+    share their level-l ancestor, so row l labels each point by the least
+    base index under that ancestor.  Going up a level, each node's least
+    index is lifted to its parent by a minimum at the parent indices
+    (np.minimum.at, in int64), one rolling ancestor array is composed with
+    the parent array, and the row is the least index at each point's
+    ancestor: no sort, and one ancestor array at a time.  A level whose
+    node count does not fall merges no ball, so its value is unrealized
+    and dropped.  A tower's ids are distinct, so the base ids are not
+    checked again."""
     n = len(tower.base)
-    anc = [np.arange(n)]  # anc[l - 1][i]: index of point i's level-l ancestor
-    for par in tower._par:
-        anc.append(par[anc[-1]])
-    return _ball_space(tower.base, anc, [2 * lv for lv in range(tower.height)], caps)
+    anc = least = np.arange(n)  # point i's ancestor, node k's least base index
+    rows, values = [least], [0]
+    for lv, par in enumerate(tower._par, start=1):
+        up = np.full(len(tower._ids[lv]), n, dtype=np.int64)
+        np.minimum.at(up, par, least)
+        anc, least = par[anc], up
+        if up.size < par.size:
+            rows.append(least[anc])
+            values.append(2 * lv)
+    return Space.__new__(Space)._fill(tower.base, None, tuple(values), rows, caps)
 
 
 # -- builders ----------------------------------------------------------------
@@ -586,36 +599,43 @@ def degree_profile(tower: Tower) -> DegreeProfile:
     """Exhaustive degree profile of a materialized tower: the cone profile
     of its top, whose cone is the whole tower, kept on the tower."""
     if tower._profile is None:
-        tower._profile = _cone_profile(tower, tower.height, [0])
+        tower._profile = _cone_profile(tower, tower.height, None)
     return tower._profile
 
 
-def _cone_profile(tower: Tower, top: int, roots: Sequence[int]) -> DegreeProfile:
+def _cone_profile(
+    tower: Tower, top: int, roots: Optional[Sequence[int]]
+) -> DegreeProfile:
     """Degree profile over the union of the lower cones of the nodes at
     indices roots of level top: entry (i, j) is the min/max, over the
     level-j nodes under the roots, of their level-i descendant counts.
+    roots None stands for the whole tower, the cone of its top, and no
+    node is masked out.
 
-    A node's level-i descendants are those of its children summed, so
-    adding the children's counts at their parent indices (np.add.at, in
-    int64) lifts every count one level up, and a count never passes
-    through a float.  Cones are closed downward, so each count is the
-    tower's own and only the min/max runs over the cones.
+    A node's level-i descendants are those of its children summed, and a
+    node is its own one descendant on its level, so one np.add.at of the
+    children's rows at their parent indices, in int64, lifts every count
+    one level up, and a count never passes through a float.  Cones are
+    closed downward, so each count is the tower's own and only the
+    min/max runs over the cones, one reduction per level.
     """
-    masks = _under(tower, top, roots)  # masks[k]: the nodes under the roots at level top - k
+    # masks[k]: the nodes under the roots at level top - k
+    masks = None if roots is None else _under(tower, top, roots)
     small: dict = {}
     large: dict = {}
-    counts: list[np.ndarray] = []  # counts[i - 1]: level-i descendants
+    # counts[i - 1, k]: level-i descendants of node k of the current level
+    counts = np.ones((1, len(tower.base)), dtype=np.int64)
     for j in range(2, top + 1):
         par, size = tower._par[j - 2], len(tower._ids[j - 1])
-        lifted = [np.zeros(size, dtype=np.int64) for _ in counts]
-        for up, c in zip(lifted, counts):
-            np.add.at(up, par, c)
-        counts = lifted + [np.bincount(par, minlength=size)]
-        mask = masks[top - j]
-        for i, c in enumerate(counts, start=1):
-            c = c[mask]
-            small[(i, j)] = int(c.min())
-            large[(i, j)] = int(c.max())
+        lifted = np.zeros((j, size), dtype=np.int64)
+        at = np.arange(0, (j - 1) * size, size)[:, None] + par
+        np.add.at(lifted.reshape(-1), at.reshape(-1), counts.reshape(-1))
+        lifted[-1] = 1
+        counts = lifted
+        seen = counts[:-1] if masks is None else counts[:-1, masks[top - j]]
+        for i, lo, hi in zip(range(1, j), seen.min(axis=1).tolist(),
+                             seen.max(axis=1).tolist()):
+            small[(i, j)], large[(i, j)] = lo, hi
     return DegreeProfile(top, small, large)
 
 
@@ -626,7 +646,9 @@ def entropy_from_degrees(tower: Tower, i: int, j: int) -> tuple[int, int]:
     if not (0 <= i <= j < tower.height):
         raise ValueError(f"need 0 <= i <= j < height={tower.height}")
     prof = degree_profile(tower)
-    return (prof.large_between(i + 1, j + 1), prof.small_between(i + 1, j + 1))
+    if i == j:
+        return (1, 1)
+    return (prof.large[(i + 1, j + 1)], prof.small[(i + 1, j + 1)])
 
 
 # -- ball towers ----------------------------------------------------------------

@@ -24,6 +24,10 @@ Tower's methods did before the package stopped calling them: a node's
 ancestor on a level, the least common upper bound of two nodes, the
 path metric, and the base nodes below a node.
 
+The base-space one encodes a tower's base the way the package did
+before base_space lifted least members up the parent arrays: one
+ancestor row per level, handed to the nested-ball encoder's lexsort.
+
 The tower-map ones build node maps the way the package did before it
 descended one index array per level: the germ builder's depth-first
 recursion over children dicts, and the greedy embedding loop.  They read
@@ -42,7 +46,7 @@ from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.morphisms import DistortionModulus
 from coarsetowers.rationals import rat_str
 from coarsetowers.report import ValidationReport, Violation
-from coarsetowers.spaces import _pick_dtype
+from coarsetowers.spaces import _ball_space, _pick_dtype
 
 
 # -- relations as id pairs ---------------------------------------------------
@@ -348,6 +352,19 @@ def path_metric(tower, x, y) -> int:
 def base_below(tower, node) -> tuple:
     """The base nodes in the node's lower cone, in id order."""
     return tuple(i for i in tower.cone(node) if tower.level[i] == 1)
+
+
+# -- tower bases as ancestor partitions ---------------------------------------
+
+
+def ancestor_ball_space(tower) -> Space:
+    """The base space from one ancestor row per level: row l - 1 names
+    each base point's level-l ancestor, a partition of the base that
+    _ball_space encodes, dropping the levels that merge nothing."""
+    anc = [np.arange(len(tower.base))]
+    for par in tower._par:
+        anc.append(par[anc[-1]])
+    return _ball_space(tower.base, anc, [2 * lv for lv in range(tower.height)])
 
 
 # -- tower maps as node dicts -------------------------------------------------

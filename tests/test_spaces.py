@@ -492,6 +492,29 @@ def test_hyperspace_hausdorff_distance():
     assert validate_ultrametric(h).ok
 
 
+def test_composed_ids_that_collide_are_refused():
+    # ("a|b", "c") and ("a", "b|c") both compose to "(a|b|c)"
+    x = Space.from_matrix(["a|b", "a"], [[0, 1], [1, 0]])
+    y = Space.from_matrix(["c", "b|c"], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="duplicate point ids"):
+        product(x, y)
+    # {a|b, c} and {a, b|c} both compose to "{a|b|c}"
+    z = Space.from_matrix(["a", "a|b", "b|c", "c"],
+                          [[0 if i == j else 1 for j in range(4)] for i in range(4)])
+    with pytest.raises(ValueError, match="duplicate point ids"):
+        hyperspace(z, 2)
+
+
+def test_a_repeated_id_is_refused_wherever_ids_come_from_outside():
+    codes = np.array([[0, 1], [1, 0]], dtype=np.int16)
+    with pytest.raises(ValueError, match="duplicate point ids"):
+        Space(("a", "a"), codes, (0, 1))
+    with pytest.raises(ValueError, match="duplicate point ids"):
+        Space.from_matrix(["a", "a"], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="duplicate point ids"):
+        spaces._ball_space(("a", "a"), [np.arange(2), np.zeros(2, dtype=np.int64)], (0, 1))
+
+
 # -- chain components and ultrametrization ----------------------------------------
 
 

@@ -3,6 +3,7 @@ replaced: degree profiles, base spaces and their ball-label tables,
 nested-ball entropy counts, the builders and the validator."""
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsetowers import (
+    DegreeProfile,
+    MultiMap,
     Tower,
     ball_tower,
     base_space,
@@ -36,8 +39,9 @@ from conftest import (
     random_radii,
     random_tower,
     random_ultrametric,
+    shuffled_tower,
 )
-from oracles import ancestor
+from oracles import ancestor, ancestor_ball_space
 from test_golden_reports import EQUIV_DIGESTS, _run, _sha
 
 
@@ -77,6 +81,45 @@ def test_degree_kernels_match_dict_walk(seed):
         at = [tower._ids[lvl - 1].index(r) for r in roots]
         assert _cone_profile(tower, lvl, at) == \
             oracle_cone_profile(tower, nodes, lvl)
+
+
+def _brute_profile(tower, nodes, top):
+    """The degree profile over the level-j nodes among nodes, each
+    node's descendants counted per level by a walk over its children."""
+    small, large = {}, {}
+    for j in range(2, top + 1):
+        per_node = []
+        for node in (x for x in nodes if tower.level[x] == j):
+            counts, stack = Counter(), [node]
+            while stack:
+                for child in tower.children[stack.pop()]:
+                    counts[tower.level[child]] += 1
+                    stack.append(child)
+            per_node.append(counts)
+        for i in range(1, j):
+            small[(i, j)] = min(c[i] for c in per_node)
+            large[(i, j)] = max(c[i] for c in per_node)
+    return DegreeProfile(top, small, large)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_degree_profiles_match_a_brute_force_count(seed):
+    rng = random.Random(seed)
+    for tower in _sample_towers(rng) + [shuffled_tower(rng, random_tower(rng))]:
+        # the whole tower is its top's cone: no node is masked out
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(towers, "_under", None)
+            assert degree_profile(tower) == \
+                _brute_profile(tower, tower.nodes, tower.height)
+        if tower.height < 2:
+            continue
+        # a sub-cone below the top: any nodes of one level, masked
+        lvl = rng.randint(2 if tower.height > 2 else 1, tower.height - 1)
+        row = tower._ids[lvl - 1]
+        at = sorted(rng.sample(range(len(row)), rng.randint(1, len(row))))
+        nodes = {x for k in at for x in tower.cone(row[k])}
+        assert _cone_profile(tower, lvl, at) == _brute_profile(tower, nodes, lvl)
 
 
 class _Unreadable(Mapping):
@@ -154,6 +197,68 @@ def test_base_label_table_is_born_complete(degrees, monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(rows[0], np.arange(len(base)))
     _assert_label_table(base)
+
+
+def _assert_same_space(got, ref):
+    assert got.points == ref.points
+    assert got.values == ref.values
+    assert len(got._labels) == len(ref._labels)
+    for row, ref_row in zip(got._labels, ref._labels):
+        assert row.dtype == ref_row.dtype == np.int64
+        assert np.array_equal(row, ref_row)
+    assert got.codes.dtype == ref.codes.dtype
+    assert np.array_equal(got.codes, ref.codes)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_base_space_matches_ancestor_partitions(seed):
+    rng = random.Random(seed)
+    # random, shuffled, degree-1 regular and ball towers, and height 1
+    for tower in _sample_towers(rng) + [
+            shuffled_tower(rng, random_tower(rng, height_min=1)),
+            shuffled_tower(rng, regular_tower([rng.choice((1, 2)) for _ in range(4)])),
+            regular_tower(())]:
+        _assert_same_space(base_space(tower), ancestor_ball_space(tower))
+
+
+@pytest.mark.parametrize("degrees, values", [
+    ((), (0,)),
+    ((1,), (0,)),
+    ((1, 2, 1, 1, 3), (0, 4, 10)),
+    ((2, 1, 1), (0, 2)),
+    ((3, 3), (0, 2, 4)),
+])
+def test_base_space_drops_the_levels_that_merge_nothing(degrees, values):
+    tower = regular_tower(degrees)
+    base = base_space(tower)
+    assert base.values == values
+    _assert_same_space(base, ancestor_ball_space(tower))
+
+
+def test_a_base_builds_its_id_index_on_first_lookup():
+    tower = regular_tower((3, 2, 4))
+    expected = {p: k for k, p in enumerate(tower.base)}
+    lookups = [
+        lambda b: [b.index(p) for p in b.points] == list(range(len(b))),
+        lambda b: all(p in b for p in b.points) and "t" not in b,
+        lambda b: MultiMap(b, b, [(p, p) for p in b.points]).src_idx.tolist()
+        == list(range(len(b))),
+    ]
+    for lookup in lookups:
+        base = base_space(tower)
+        assert base._index is None
+        assert lookup(base)
+        assert base._index == expected
+    base = base_space(tower)
+    with pytest.raises(KeyError, match="unknown point id: 't'"):
+        base.index("t")
+    with pytest.raises(ValueError, match="pair source 't' not in the source space"):
+        MultiMap(base, base, [("t", base.points[0])])
+    # a subspace's ids are some of the space's: not checked again either
+    sub = subspace(base, base.points[::2])
+    assert sub._index is None
+    assert sub.index(base.points[2]) == 1
 
 
 # -- nested-ball entropy ------------------------------------------------------------
