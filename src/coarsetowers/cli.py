@@ -26,7 +26,7 @@ from .spaces import (
     CLOSED,
     STRICT,
     Space,
-    _ball_space,
+    _ball_table,
     entropy_profile,
     hyperspace,
     product,
@@ -326,7 +326,7 @@ def _experiment_sparse_product(args: argparse.Namespace, length: int,
     # space's balls with the value of row n + 1 moved from 2^n to 2^positions[n]
     words = word_space(2, terms, caps=args.caps)
     rows = [words.ball_labels(t) for t in range(len(words.values))]
-    right = _ball_space(words.points, rows,
+    right = _ball_table(words.points, rows,
                         (0,) + tuple(2 ** s for s in positions), args.caps)
     return _entropy_table(args, product(left, right, caps=args.caps))
 

@@ -92,9 +92,10 @@ class Space:
         the cap is checked: the encoders pass values that are already
         canonical, sorted and distinct, and __init__ checks those of user
         code.  Ids that come from outside or are composed are checked by
-        _unique_ids; base_space and _subspace pass ids known distinct, and
-        their id index is built on first lookup.  labels is the complete
-        ball-label table of a space known to be ultrametric, else None."""
+        _unique_ids; base_space, _subspace, word_space and ultrametrize pass
+        ids known distinct, and their id index is built on first lookup.
+        labels is the complete ball-label table of a space known to be
+        ultrametric, else None."""
         caps.check_points(len(points), "space")
         self.points, self.values = points, values
         self._codes, self._labels = codes, labels
@@ -322,18 +323,6 @@ def _encode_cells(
         points, remap[ids], tuple(vals), None, caps)._unique_ids()
 
 
-def _ball_space(
-    points: Sequence[PointId],
-    parts: Sequence[np.ndarray],
-    values: Sequence[Rational],
-    caps: Caps = DEFAULT_CAPS,
-) -> Space:
-    """The encoder of nested balls given as partitions (see _ball_table),
-    for ids that are composed, as product's and hyperspace's are, or that
-    come from outside: they are checked for repeats."""
-    return _ball_table(points, parts, values, caps)._unique_ids()
-
-
 def _ball_table(
     points: Sequence[PointId],
     parts: Sequence[np.ndarray],
@@ -341,26 +330,26 @@ def _ball_table(
     caps: Caps = DEFAULT_CAPS,
 ) -> Space:
     """The space of nested balls given as partitions, its ids unchecked.
-    parts lists partitions of the points as integer class names, finest
-    first: parts[0] names every point apart, the last holds one class,
-    and points are within values[k] exactly when they share a class of
-    parts[k].  A partition that merges nothing leaves its value
-    unrealized and is dropped.  One lexsort, coarsest partition first,
-    gives the depth-first order, in which every class is one run, and
-    each run's least member labels its class.  The space holds that
+    parts lists partitions of the points as non-negative integer class
+    names, finest first: parts[0] names every point apart, the last holds
+    one class, and points are within values[k] exactly when they share a
+    class of parts[k].  A partition that merges nothing leaves its value
+    unrealized and is dropped.  The least members of each kept
+    partition's classes are lifted into the next partition by a minimum at
+    their class names (np.minimum.at, in int64), and its row is the least
+    member at each point's class: no sort.  The space holds that
     ball-label table and no matrix (see Space.codes)."""
     n = len(points)
-    order = np.lexsort(parts or [np.arange(n)])
-    kept, labels, balls = [], [], n + 1
+    kept, labels, reps = [], [], np.arange(n)  # reps: the last kept row's least members
     for value, part in zip(values, parts):
-        run = part[order]
-        new = np.concatenate(([True], run[1:] != run[:-1]))
-        starts = np.flatnonzero(new)
-        if n and starts.size < balls:
-            balls = starts.size
+        names = part[reps]
+        least = np.full(int(names.max(initial=-1)) + 1, n, dtype=np.int64)
+        np.minimum.at(least, names, reps)
+        merged = least[least < n]
+        if n and (not labels or merged.size < reps.size):
             kept.append(value)
-            labels.append(np.empty(n, dtype=np.int64))
-            labels[-1][order] = np.minimum.reduceat(order, starts)[np.cumsum(new) - 1]
+            labels.append(least[part])
+            reps = merged
     return Space.__new__(Space)._fill(tuple(points), None, tuple(kept), labels, caps)
 
 
@@ -631,7 +620,7 @@ def word_space(
     letters = [str(d) for d in range(alphabet_size)]
     sep = "" if alphabet_size <= 10 else "."  # as word_id joins them
     points = tuple(map(sep.join, itertools.product(letters, repeat=length)))
-    return _ball_space(points, parts, values, caps)
+    return _ball_table(points, parts, values, caps)
 
 
 # -- balls, nets, entropy ----------------------------------------------------
@@ -913,8 +902,9 @@ def product(x: Space, y: Space, caps: Caps = DEFAULT_CAPS) -> Space:
     """Product of two ultrametric spaces under the max metric; ids are
     '(p|q)'.  Under the max metric a closed ball is a pair of factor
     balls, so the label of (p, q) at each value v is the pair of p's and
-    q's labels at v, and _ball_space encodes those nested balls from the
-    diagonal's value 0 up.  ValueError when a factor is not ultrametric."""
+    q's labels at v, and _ball_table encodes those nested balls from the
+    diagonal's value 0 up; the composed ids are checked for repeats.
+    ValueError when a factor is not ultrametric."""
     n, m = len(x.points), len(y.points)
     caps.check_points(n * m, "product space")
     if not (x.is_ultrametric and y.is_ultrametric):
@@ -927,7 +917,7 @@ def product(x: Space, y: Space, caps: Caps = DEFAULT_CAPS) -> Space:
         ly = y.ball_labels(y.threshold_code(v, CLOSED))
         parts.append((lx[:, None] * m + ly).ravel())
     points = [f"({p}|{q})" for p in x.points for q in y.points]
-    return _ball_space(points, parts, values, caps)
+    return _ball_table(points, parts, values, caps)._unique_ids()
 
 
 def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
@@ -935,8 +925,9 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
     under the Hausdorff metric, again an ultrametric; ids are '{p|q|r}'.
     Two subsets are within v exactly when they meet the same closed
     v-balls, so a subset's label at v is the set of its members' labels,
-    and _ball_space encodes those nested balls from the diagonal's code
-    up.  ValueError when the space is not ultrametric."""
+    and _ball_table encodes those nested balls from the diagonal's code
+    up; the composed ids are checked for repeats.  ValueError when the
+    space is not ultrametric."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     n = len(space.points)
@@ -963,7 +954,7 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
         lab.sort(axis=1)
         parts.append(np.unique(lab, axis=0, return_inverse=True)[1].ravel())
     points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
-    return _ball_space(points, parts, space.values[c0:], caps)
+    return _ball_table(points, parts, space.values[c0:], caps)._unique_ids()
 
 
 # -- chain components and ultrametrization -----------------------------------
@@ -1066,4 +1057,4 @@ def ultrametrize(
         raise ValueError(
             "top scale does not chain the space into a single component")
     values = tuple(2 * k for k in range(len(scales) + 1))
-    return _ball_space(space.points, parts, values, caps)
+    return _ball_table(space.points, parts, values, caps)

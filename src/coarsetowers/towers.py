@@ -11,7 +11,6 @@ ultrametric taking even values.
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,42 +26,40 @@ from .spaces import CLOSED, Space
 NodeId = str
 
 
-def _is_valid_tower(
-    ids: list, level: Mapping[NodeId, int], parent: Mapping[NodeId, Optional[NodeId]]
-) -> bool:
-    """True exactly when validate_tower finds no violation, decided with
-    builtins that loop at C speed (no Python loop runs per node).  With
-    ids unique and every level an integer >= 1 with minimum 1, a single
-    top, the top alone without a parent, every other parent an id one
-    level up, and exactly the nodes above level 1 having a child, every
-    parent chain climbs one level a step and ends at the top.  An empty
-    id list fails the level-type test."""
-    levels, unique = list(map(level.get, ids)), set(ids)
-    if len(unique) != len(ids) or set(map(type, levels)) != {int}:
-        return False
-    height = max(levels)
-    if min(levels) != 1 or levels.count(height) != 1:
-        return False
-    parents = list(map(parent.get, ids))
-    top = levels.index(height)
-    if parents[top] is not None or parents.count(None) != 1:
-        return False
-    del parents[top], levels[top]
-    has_child = set(parents)
-    if not has_child <= unique:
-        return False
-    ups = list(map(operator.sub, map(level.get, parents), levels))
-    # parents sit above level 1, so has_child is all of those nodes
-    # exactly when it has as many members
-    return ups.count(1) == len(ups) and \
-        len(has_child) == len(levels) - levels.count(1) + (height > 1)
+def _raw_arrays(ids: Sequence[NodeId], level: Mapping[NodeId, int],
+                parent: Mapping[NodeId, Optional[NodeId]]) -> Optional[tuple[list, list]]:
+    """Raw tower data in the array form a Tower holds: each level's ids in
+    id order and, below the top level, each node's parent index one level
+    up, -1 where the parent is not on the level above.  None when the data
+    has no such form: a level that is not an int in 1..len(ids) (checked
+    before any row is allocated, so a huge level costs nothing), a
+    top-level node with a parent, or ids that do not sort."""
+    levels = list(map(level.get, ids))
+    # levels are compared by type, not isinstance: bool is an int subclass
+    if set(map(type, levels)) != {int} or min(levels) < 1 or max(levels) > len(ids):
+        return None
+    rows: list[list[NodeId]] = [[] for _ in range(max(levels))]
+    for i, lv in zip(ids, levels):
+        rows[lv - 1].append(i)
+    try:
+        rows = list(map(sorted, rows))
+    except TypeError:
+        return None
+    if any(parent.get(i) is not None for i in rows[-1]):
+        return None
+    par = []
+    for row, up in zip(rows, rows[1:]):
+        at = dict(zip(up, range(len(up))))
+        par.append(np.fromiter(map(at.get, map(parent.get, row), itertools.repeat(-1)),
+                               np.int64, len(row)))
+    return rows, par
 
 
-def _array_fault(tower: Tower) -> Optional[str]:
-    """Why the tower's parent arrays cannot be read as a parent map, or
-    None when they can: below the top, level l's _par must be an integer
-    array holding, for each node of level l, an index into level l + 1."""
-    ids, pars = tower._ids, tower._par
+def _array_fault(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) -> Optional[str]:
+    """Why the parent arrays pars cannot be read as a parent map over the
+    level rows ids, or None when they can: below the top, level l's par
+    must be an integer array holding, for each node of level l, an index
+    into level l + 1."""
     if len(pars) != len(ids) - 1:
         return f"expected {len(ids) - 1} parent index arrays, got {len(pars)}"
     for lv, (row, up, par) in enumerate(zip(ids, ids[1:], pars), start=1):
@@ -71,6 +68,17 @@ def _array_fault(tower: Tower) -> Optional[str]:
                 and (not row or 0 <= par.min() and par.max() < len(up))):
             return f"level {lv} needs {len(row)} parent indices in [0, {len(up)})"
     return None
+
+
+def _valid_arrays(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) -> bool:
+    """Whether the array form satisfies the tower axioms.  Parent arrays
+    that can be read as a parent map give each node a level >= 1 and a
+    parent one level up; left to check are non-empty levels, one top, a
+    child under every node above level 1, and distinct ids."""
+    return _array_fault(ids, pars) is None and all(ids) and len(ids[-1]) == 1 and all(
+        np.bincount(par, minlength=len(up)).all()
+        for up, par in zip(ids[1:], pars)) and \
+        len(set(itertools.chain.from_iterable(ids))) == sum(map(len, ids))
 
 
 def validate_tower(
@@ -88,34 +96,28 @@ def validate_tower(
     ordered (automatic for a functional parent map, checked as acyclicity:
     every parent chain must reach the top).
 
-    A Tower is decided on its arrays; an invalid one is walked on its
-    views for the witnesses its raw data would get, and parent arrays that
+    Raw data is put in a Tower's array form (_raw_arrays), and both are
+    decided on those arrays.  Only invalid data is walked node by node, a
+    Tower on its views, to list the witnesses; a Tower's parent arrays that
     cannot be read as a parent map are one parent-structure violation.
     """
-    violations: list[Violation] = []
     checked = ("unique-ids", "levels-total", "single-top", "parent-structure",
                "level-condition", "chains-reach-top")
-    if isinstance(node_ids, Tower):
-        if level is not None or parent is not None:
-            raise TypeError("a Tower is validated without level and parent maps")
-        tower, rows = node_ids, node_ids._ids
-        fault = _array_fault(tower)
+    is_tower = isinstance(node_ids, Tower)
+    if is_tower and (level is not None or parent is not None):
+        raise TypeError("a Tower is validated without level and parent maps")
+    arrays = (node_ids._ids, node_ids._par) if is_tower else _raw_arrays(node_ids, level, parent)
+    if arrays is not None and _valid_arrays(*arrays):
+        return ValidationReport("tower axioms", checked, ())
+    if is_tower:
+        fault = _array_fault(*arrays)
         if fault is not None:
             return ValidationReport("tower axioms", checked, (
                 Violation("parent-structure", (), fault),))
-        # readable arrays give each node a level >= 1 and a parent one level
-        # up; left to check are non-empty levels, one top, a child under
-        # every node above level 1, and distinct ids
-        if all(rows) and len(rows[-1]) == 1 and all(
-                np.bincount(par, minlength=len(up)).all()
-                for up, par in zip(rows[1:], tower._par)) and \
-                len(set(itertools.chain.from_iterable(rows))) == sum(map(len, rows)):
-            return ValidationReport("tower axioms", checked, ())
-        node_ids, level, parent = tower.nodes, tower.level, tower.parent
+        node_ids, level, parent = node_ids.nodes, node_ids.level, node_ids.parent
+    # the per-node walk below only lists the witnesses of invalid data
+    violations: list[Violation] = []
     ids = list(node_ids)
-    # the per-node walk below only lists the witnesses of an invalid tower
-    if _is_valid_tower(ids, level, parent):
-        return ValidationReport("tower axioms", checked, ())
     seen = set()
     for i in ids:
         if i in seen:
@@ -167,24 +169,21 @@ def validate_tower(
                 "level-condition", (i,),
                 f"node at level {level[i]} has no child, so its cone "
                 f"cannot realize the level count"))
-    # every parent chain must reach the top.  When no rule above failed,
-    # each step of a chain climbs one level to a node that has a parent
-    # unless it is the top, so the walk cannot report anything.  A chain
-    # still going after as many steps as there are ids runs round a cycle,
-    # so the walk stops there too (levels can be huge).
+    # every parent chain must reach the top; one still going after as many
+    # steps as there are ids runs round a cycle, so the walk stops there
+    # (levels can be huge)
     limit = min(height, len(seen)) + 1
-    for i in levels_ok if violations else ():
+    for i in levels_ok:
         cur, steps = i, 0
         while parent.get(cur) is not None and steps <= limit:
             cur = parent[cur]
             steps += 1
             if cur not in seen:
                 break
-        if cur in seen and type(level.get(cur)) is int and level[cur] != height:
-            if parent.get(cur) is None and level[cur] != height:
-                violations.append(Violation(
-                    "chains-reach-top", (i, cur),
-                    "parent chain ends below the top"))
+        if cur in seen and parent.get(cur) is None and \
+                type(level.get(cur)) is int and level[cur] != height:
+            violations.append(Violation(
+                "chains-reach-top", (i, cur), "parent chain ends below the top"))
     return ValidationReport("tower axioms", checked, tuple(violations))
 
 
@@ -221,14 +220,12 @@ class Tower:
         caps: Caps = DEFAULT_CAPS,
     ):
         caps.check_points(len(node_ids), "tower node set")
-        _require_tower(validate_tower(node_ids, level, parent))
-        ids: list[list[NodeId]] = [[] for _ in range(max(level[i] for i in node_ids))]
-        for i in sorted(node_ids):
-            ids[level[i] - 1].append(i)
-        pos = {i: k for row in ids for k, i in enumerate(row)}
-        par = [np.fromiter((pos[parent[i]] for i in row), np.int64, len(row))
-               for row in ids[:-1]]
-        self._fill(ids, par)
+        arrays = _raw_arrays(node_ids, level, parent)
+        if arrays is None or not _valid_arrays(*arrays):
+            _require_tower(validate_tower(node_ids, level, parent))
+            # valid data has an array form unless its ids do not sort
+            raise TypeError("tower node ids must be mutually comparable")
+        self._fill(*arrays)
 
     def _fill(self, ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray]) -> None:
         """Set every field from the array form; the one path all
@@ -292,8 +289,10 @@ class Tower:
 
     def cone(self, node: NodeId) -> tuple[NodeId, ...]:
         """Lower cone: the node and everything below it, in (level, id) order."""
-        lv = self.level[node]
-        masks = _under(self, lv, [bisect_left(self._ids[lv - 1], node)])
+        at = _locate(self, node)
+        if at is None:
+            raise KeyError(node)
+        masks = _under(self, at[0], [at[1]])
         rows = map(itertools.compress, self._ids, masks[::-1])
         return tuple(itertools.chain.from_iterable(rows))
 

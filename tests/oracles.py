@@ -24,9 +24,13 @@ Tower's methods did before the package stopped calling them: a node's
 ancestor on a level, the least common upper bound of two nodes, the
 path metric, and the base nodes below a node.
 
-The base-space one encodes a tower's base the way the package did
-before base_space lifted least members up the parent arrays: one
-ancestor row per level, handed to the nested-ball encoder's lexsort.
+The nested-ball encoder is kept as the package wrote it before
+_ball_table lifted least members from one partition to the next: one
+lexsort of the partitions gives the depth-first order, in which every
+class is one run, labelled by its least member.  The base-space one
+encodes a tower's base the way the package did before base_space lifted
+least members up the parent arrays: one ancestor row per level, handed
+to that lexsort encoder.
 
 The tower-map ones build node maps the way the package did before it
 descended one index array per level: the germ builder's depth-first
@@ -46,7 +50,7 @@ from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.morphisms import DistortionModulus
 from coarsetowers.rationals import rat_str
 from coarsetowers.report import ValidationReport, Violation
-from coarsetowers.spaces import _ball_space, _pick_dtype
+from coarsetowers.spaces import _pick_dtype
 
 
 # -- relations as id pairs ---------------------------------------------------
@@ -354,17 +358,37 @@ def base_below(tower, node) -> tuple:
     return tuple(i for i in tower.cone(node) if tower.level[i] == 1)
 
 
-# -- tower bases as ancestor partitions ---------------------------------------
+# -- nested balls by lexsort ----------------------------------------------------
+
+
+def lexsort_ball_table(points, parts, values) -> Space:
+    """The space of nested partitions, finest first, as _ball_table gives
+    it: one lexsort, coarsest partition first, gives the depth-first
+    order, in which every class is one run, and each run's least member
+    labels its class; a partition that merges nothing is dropped."""
+    n = len(points)
+    order = np.lexsort(parts or [np.arange(n)])
+    kept, labels, balls = [], [], n + 1
+    for value, part in zip(values, parts):
+        run = part[order]
+        new = np.concatenate(([True], run[1:] != run[:-1]))
+        starts = np.flatnonzero(new)
+        if n and starts.size < balls:
+            balls = starts.size
+            kept.append(value)
+            labels.append(np.empty(n, dtype=np.int64))
+            labels[-1][order] = np.minimum.reduceat(order, starts)[np.cumsum(new) - 1]
+    return Space.__new__(Space)._fill(tuple(points), None, tuple(kept), labels, DEFAULT_CAPS)
 
 
 def ancestor_ball_space(tower) -> Space:
     """The base space from one ancestor row per level: row l - 1 names
     each base point's level-l ancestor, a partition of the base that
-    _ball_space encodes, dropping the levels that merge nothing."""
+    lexsort_ball_table encodes, dropping the levels that merge nothing."""
     anc = [np.arange(len(tower.base))]
     for par in tower._par:
         anc.append(par[anc[-1]])
-    return _ball_space(tower.base, anc, [2 * lv for lv in range(tower.height)])
+    return lexsort_ball_table(tower.base, anc, [2 * lv for lv in range(tower.height)])
 
 
 # -- tower maps as node dicts -------------------------------------------------

@@ -10,6 +10,7 @@ compaction still serves every space not known to be ultrametric.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from coarsetowers import (
     ball_tower,
     base_space,
     entropy_profile,
+    hyperspace,
     min_net,
+    product,
     regular_tower,
     subspace,
     ultrametrize,
@@ -38,7 +41,8 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import chain_labels
+from oracles import chain_labels, lexsort_ball_table
+from test_tower_arrays import _assert_same_space
 
 
 def _mask_word_space(alphabet_size, length):
@@ -218,6 +222,44 @@ def test_min_net_lists_least_ids_in_id_order(seed):
     for r in space.values:
         want = {min(q for q in subset if space.dist(p, q) <= r) for p in subset}
         assert min_net(space, subset, r) == tuple(sorted(want))
+
+
+# -- the nested-ball encoder against its lexsort ------------------------------------
+
+
+def _ball_table_inputs(build):
+    """The (points, parts, values) of every _ball_table call build makes."""
+    calls, encode = [], spaces._ball_table
+
+    def record(points, parts, values, caps=spaces.DEFAULT_CAPS):
+        calls.append((points, parts, values))
+        return encode(points, parts, values, caps)
+
+    with mock.patch.object(spaces, "_ball_table", record):
+        build()
+    return calls
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_ball_table_matches_the_lexsort_encoder(seed):
+    rng = random.Random(seed)
+    plain = random_plain_metric(rng, 2, 10)
+    space = random_ultrametric(rng, 2, 8)
+    words = word_space(rng.randint(2, 3), rng.randint(1, 3))
+    builds = [
+        lambda: word_space(rng.randint(2, 4), rng.randint(1, 4)),
+        lambda: product(space, words),
+        lambda: hyperspace(space, rng.randint(1, 3)),
+        lambda: ultrametrize(plain, _random_scales(rng, plain)),
+        # a proper subset: the whole in id order is the space itself
+        lambda: subspace(words, rng.sample(words.points, rng.randrange(len(words)))),
+        lambda: subspace(space, rng.sample(space.points, rng.randrange(len(space)))),
+    ]
+    for build in builds:
+        [(points, parts, values)] = _ball_table_inputs(build)
+        _assert_same_space(spaces._ball_table(points, parts, values),
+                           lexsort_ball_table(points, parts, values))
 
 
 # -- nothing scans the codes ---------------------------------------------------

@@ -511,8 +511,11 @@ def test_a_repeated_id_is_refused_wherever_ids_come_from_outside():
         Space(("a", "a"), codes, (0, 1))
     with pytest.raises(ValueError, match="duplicate point ids"):
         Space.from_matrix(["a", "a"], [[0, 1], [1, 0]])
+    # ("a|b", "c") and ("a", "b|c") both compose to "(a|b|c)"
+    x = Space.from_matrix(["a|b", "a"], [[0, 1], [1, 0]])
+    y = Space.from_matrix(["c", "b|c"], [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="duplicate point ids"):
-        spaces._ball_space(("a", "a"), [np.arange(2), np.zeros(2, dtype=np.int64)], (0, 1))
+        product(x, y)
 
 
 # -- chain components and ultrametrization ----------------------------------------

@@ -2,6 +2,7 @@
 replaced: degree profiles, base spaces and their ball-label tables,
 nested-ball entropy counts, the builders and the validator."""
 
+import dataclasses
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -509,15 +510,51 @@ def test_validate_tower_matches_reference(seed, kind):
     rng = random.Random(seed)
     tower = random_tower(rng, height_min=1, height_max=5)
     ids, level, parent = _mutate(rng, tower, kind)
-    assert validate_tower(ids, level, parent) == \
-        _reference_validate_tower(ids, level, parent)
+    ref = _reference_validate_tower(ids, level, parent)
+    assert validate_tower(ids, level, parent) == ref
+    _assert_tower_raises_exactly_on(ref, ids, level, parent)
+
+
+def _assert_tower_raises_exactly_on(ref, ids, level, parent):
+    """Tower(ids, level, parent) raises when the reference report names a
+    violation, with that report's require() message, and builds a valid
+    tower otherwise."""
+    if ref.ok:
+        assert validate_tower(Tower(ids, level, parent)).ok
+        return
+    with pytest.raises(ValueError) as want:
+        dataclasses.replace(ref, subject="tower").require()
+    with pytest.raises(ValueError) as got:
+        Tower(ids, level, parent)
+    assert str(got.value) == str(want.value)
 
 
 def test_validate_tower_stops_walking_a_cycle_at_a_huge_level():
-    # the walk used to take up to height steps round the cycle
-    rep = validate_tower(["r", "a"], {"r": 10 ** 30, "a": 1}, {"r": "r", "a": "r"})
-    assert [(v.rule, v.witness) for v in rep.violations] == [
-        ("parent-structure", ("r",)), ("level-condition", ("a", "r"))]
+    # the walk used to take up to height steps round the cycle, and the
+    # array form allocates no row for a level beyond the node count
+    ids, level = ["r", "a"], {"r": 10 ** 30, "a": 1}
+    hop = ("level-condition", ("a", "r"))
+    for parent, want in [({"r": "r", "a": "r"}, [("parent-structure", ("r",)), hop]),
+                         ({"a": "r"}, [hop])]:
+        rep = validate_tower(ids, level, parent)
+        assert [(v.rule, v.witness) for v in rep.violations] == want
+        _assert_tower_raises_exactly_on(rep, ids, level, parent)
+
+
+def test_ids_that_do_not_sort_keep_their_verdict():
+    # one level mixes str and int ids: the data is valid, but a Tower
+    # lists each level in id order
+    ids, level, parent = ["t", 1, "a"], {"t": 2, 1: 1, "a": 1}, {1: "t", "a": "t"}
+    assert validate_tower(ids, level, parent) == _reference_validate_tower(ids, level, parent)
+    assert validate_tower(ids, level, parent).ok
+    with pytest.raises(TypeError):
+        Tower(ids, level, parent)
+    # invalid data is named by the walk, and Tower raises the report
+    ids, level = ids + ["u"], {**level, "u": 2}
+    ref = _reference_validate_tower(ids, level, parent)
+    assert [v.rule for v in ref.violations] == ["single-top", "level-condition"]
+    assert validate_tower(ids, level, parent) == ref
+    _assert_tower_raises_exactly_on(ref, ids, level, parent)
 
 
 @pytest.mark.parametrize("kind", _MUTATIONS)
@@ -603,6 +640,16 @@ def test_builders_build_no_node_views():
     for tower in built:
         base_space(tower)
         assert (tower._nodes, tower._level, tower._parent) == (None, None, None)
+
+
+def test_cone_builds_no_node_view():
+    tower = regular_tower((2, 3))
+    assert tower.cone("t.1") == ("t.1.0", "t.1.1", "t.1")
+    assert tower.cone("t.2.0") == ("t.2.0",)
+    assert len(tower.cone("t")) == 10
+    with pytest.raises(KeyError):
+        tower.cone("t.3")
+    assert (tower._nodes, tower._level, tower._parent) == (None, None, None)
 
 
 # -- children on demand ---------------------------------------------------------------
