@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import json
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -73,21 +74,38 @@ def space_to_csv(space: Space) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BLOCK_CELLS = 1 << 18  # cells parsed by one np.fromstring call
+
+
+def _int_cells(bodies: list, n: int) -> Optional[np.ndarray]:
+    """The n cells of each row body as one int64 array, read as int reads
+    each one, or None when a row does not hold n cells or any cell may not
+    be read so.  The bodies are joined by newlines and encoded once.  With
+    its digits deleted, that text must be n - 1 commas per row: this checks
+    each row's length and keeps out what np.fromstring reads leniently
+    ("-,1" as 0 and 1, "- 1" as -1).  With its newlines made commas, one
+    fromstring call parses it; a cell past int64 saturates, which fails
+    the caller's int32 bound.  An empty cell shows as a leading, doubled
+    or trailing comma: NumPy 2 raises at the first two and NumPy 1 warns,
+    and the last reads one value short; each gives None."""
+    raw = "\n".join(bodies).encode("ascii", "replace")  # non-ASCII fails as "?"
+    if raw.translate(None, b"0123456789") != b"\n".join([b"," * (n - 1)] * len(bodies)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    return cells if cells.size == len(bodies) * n else None
+
+
 def _int_row(body: str, n: int) -> Optional[np.ndarray]:
     """A row's n cells as int64, read as int reads each one, or None when
-    a cell is not an integer or lies past int64.  A row of plain ASCII
-    digits and commas with no empty cell is parsed by one np.fromstring
-    call, which reads such a cell as int does (a cell past int64
-    saturates, and fails the caller's int32 bound); the gate keeps out
-    what fromstring reads leniently ("-,1" as 0 and 1, "- 1" as -1).
-    Any other row goes to _cells_row."""
-    raw = body.encode("ascii", "replace")  # a non-ASCII character fails as "?"
-    # fenced by commas, an empty cell (first, last or inner) shows as ",,"
-    if not raw.translate(None, b"0123456789,") and b",," not in b"," + raw + b",":
-        row = np.fromstring(body, dtype=np.int64, sep=",")
-        if row.size == n:
-            return row
-    return _cells_row(body.split(","))
+    a cell is not an integer or lies past int64: a row _int_cells reads,
+    else int on each cell (_cells_row)."""
+    row = _int_cells([body], n)
+    return _cells_row(body.split(",")) if row is None else row
 
 
 def _cells_row(cells: list) -> Optional[np.ndarray]:
@@ -106,10 +124,14 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     a mislabeled or short row, or a bad cell, raises at its row, the
     first defect in row order first.
 
-    Each row is read by _int_row into int64: a row of plain digits by one
-    np.fromstring call, any other by int on each cell, which reads a cell
-    without "/" as rat_parse does.  A row within int32 is stored in one
-    n x n int32 array.  When the stored values span at most n^2 integers,
+    Rows are read in blocks of about _BLOCK_CELLS cells: a block whose
+    labels and row lengths pass, whose cells _int_cells reads by one
+    np.fromstring call, and whose values lie within int32 is stored in
+    one n x n int32 array.  A block that fails any of these is read
+    again row by row, each row by _int_row (one fromstring call, or
+    int on each cell, which reads a cell without "/" as rat_parse does),
+    checked as it is read, and stored while it stays within int32; then
+    blocks resume.  When the stored values span at most n^2 integers,
     _compact codes them from a presence mask over [min, max], and if
     every row was stored that is the space.  Otherwise the shared encoder
     reads on, from split cells, from the first row not stored (a
@@ -130,10 +152,10 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
 
-    def bodies():
+    def bodies(start: int, stop: int):
         """Each row's text after its label, label and length checked."""
-        for k, ln in enumerate(lines[1:]):
-            body = ln
+        for k in range(start, stop):
+            ln = body = lines[k + 1]
             if labeled:
                 label, _, body = ln.partition(",")
                 label = label.strip()
@@ -147,22 +169,54 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
                 raise ValueError(f"row {k + 1} has {entries} entries, want {n}")
             yield body
 
+    def block(start: int, stop: int) -> Optional[np.ndarray]:
+        """Rows start..stop-1 as int64, or None where bodies() would raise
+        or _int_cells gives None."""
+        rows = lines[start + 1:stop + 1]
+        if labeled:
+            cut = [ln.partition(",") for ln in rows]
+            if any(label.strip() != p for (label, _, _), p in
+                   zip(cut, points[start:stop])):
+                return None
+            rows = [body for _, _, body in cut]
+        return _int_cells(rows, n)
+
     caps.check_points(n, "space")  # before any cell is parsed
     if len(set(points)) != n:
         raise ValueError("duplicate point ids")
     ints = np.empty((n, n), dtype=np.int32)
-    done, rest = 0, bodies()
-    for body in rest:
-        row = _int_row(body, n)
-        if row is None or row.min() < _INT32.min or row.max() > _INT32.max:
-            rest = itertools.chain([body], rest)
-            break
-        ints[done] = row
-        done += 1
-    lo, hi = (int(ints[:done].min()), int(ints[:done].max())) if done else (0, -1)
+    lo, hi = _INT32.max, _INT32.min
+
+    def store(cells: Optional[np.ndarray], start: int) -> bool:
+        """Store cells as the rows from start on if they were read and lie
+        within int32; say whether they were stored."""
+        nonlocal lo, hi
+        if cells is None:
+            return False
+        cmin, cmax = int(cells.min()), int(cells.max())
+        if cmin < _INT32.min or cmax > _INT32.max:
+            return False
+        ints[start:start + cells.size // n] = cells.reshape(-1, n)
+        lo, hi = min(lo, cmin), max(hi, cmax)
+        return True
+
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    done, rest = 0, None
+    while done < n and rest is None:
+        stop = min(n, done + step)
+        if store(block(done, stop), done):
+            done = stop
+            continue
+        for body in bodies(done, stop):
+            if not store(_int_row(body, n), done):
+                rest = itertools.chain([body], bodies(done + 1, n))
+                break
+            done += 1
+    if not done:
+        lo, hi = 0, -1
     # the mask holds one flag per integer of [lo, hi]; shifted, they fit int32
     if hi - lo > min(n * n, _INT32.max):
-        return _encode_cells(points, (b.split(",") for b in bodies()), rat_parse,
+        return _encode_cells(points, (b.split(",") for b in bodies(0, n)), rat_parse,
                              caps, ints)
     ints[:done] -= lo
     codes, values = _compact(ints[:done], range(lo, hi + 1))

@@ -979,7 +979,8 @@ def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarra
     edges = []  # (code, i, j)
     if n:
         top = len(space.values)  # above every code: marks a tree point
-        best = C[0].astype(np.int64)  # each point's least code to the tree
+        # each point's least code to the tree, in the codes' dtype if top fits
+        best = C[0].astype(C.dtype if top <= np.iinfo(C.dtype).max else np.int64)
         best[0] = top
         near = np.zeros(n, dtype=np.int64)  # the tree point giving it
         todo = np.ones(n, dtype=bool)

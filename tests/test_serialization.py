@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -454,6 +455,156 @@ def test_duplicate_header_ids_come_after_the_row_count_and_cap():
         space_from_csv("id,a,a,b\na,0,x\na\nb\n", Caps(max_points=2))
 
 
+# -- CSV blocks ----------------------------------------------------------------
+
+
+def _cell_oracle(text: str) -> Space:
+    """space_from_csv read cell by cell: each row's label and length
+    checked, then its split cells parsed by rat_parse in _encode_cells,
+    one row after another."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty distance matrix")
+    header = [c.strip() for c in lines[0].split(",")]
+    labeled = header[0] in ("id", "")
+    points = header[labeled:]
+    n = len(points)
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
+
+    def rows():
+        for k, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            if labeled:
+                label = cells.pop(0).strip()
+                if label != points[k]:
+                    raise ValueError(f"row {k + 1} label {label!r} does not "
+                                     f"match header order ({points[k]!r})")
+            if len(cells) != n:
+                raise ValueError(f"row {k + 1} has {len(cells)} entries, want {n}")
+            yield cells
+
+    return _encode_cells(points, rows(), rat_parse)
+
+
+# what a row may hold besides plain digits, one defect or spelling a row
+ROW_DEFECTS = ["padded", "signed", "zeros", "fraction", "empty-first",
+               "empty-middle", "empty-last", "trailing-comma", "int32-bounds",
+               "int64-bounds", "mislabeled", "short"]
+BOUNDS = {"int32-bounds": [2 ** 31 - 1, 2 ** 31, -2 ** 31, -2 ** 31 - 1],
+          "int64-bounds": [2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 30]}
+
+
+def _defective(cells: list, kind: str, at: int, draw) -> tuple[list, bool]:
+    """The row's cells with one defect or spelling of kind, and whether
+    its label is to be wrong."""
+    n = len(cells)
+    if kind == "padded":
+        cells[at] = f" {cells[at]}  "
+    elif kind == "signed":
+        cells[at] = draw(st.sampled_from("+-")) + cells[at]
+    elif kind == "zeros":
+        cells[at] = "00" + cells[at]
+    elif kind == "fraction":
+        cells[at] = draw(st.sampled_from(["1/2", "4/2", "-3/5", "0/7"]))
+    elif kind.startswith("empty"):
+        cells[{"empty-first": 0, "empty-middle": n // 2, "empty-last": -1}[kind]] = ""
+    elif kind == "trailing-comma":
+        cells.append("")
+    elif kind in BOUNDS:
+        cells[at] = str(draw(st.sampled_from(BOUNDS[kind])))
+    elif kind == "short":
+        cells.pop()
+    return cells, kind == "mislabeled"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_reader_matches_the_cell_oracle(data):
+    n = data.draw(st.integers(0, 7))
+    # spans of [0, k] fall on both sides of the n^2 cells
+    k = data.draw(st.sampled_from([0, 1, (n * n) // 2, n * n, 10 ** 6]))
+    defects = data.draw(st.lists(st.sampled_from(ROW_DEFECTS), max_size=2, unique=True))
+    points = [f"p{i}" for i in range(n)]
+    layout = data.draw(st.sampled_from(["id", "empty", "unlabeled"]))
+    labeled = layout != "unlabeled"
+    lines = [",".join([{"id": "id", "empty": ""}.get(layout)] * labeled + points)]
+    for p in points:
+        cells = [str(v) for v in data.draw(st.lists(
+            st.integers(0, k), min_size=n, max_size=n))]
+        kind = data.draw(st.sampled_from(["plain", "plain"] + defects))
+        cells, wrong = _defective(cells, kind, data.draw(st.integers(0, n - 1)),
+                                  data.draw)
+        lines.append(",".join(["q" if wrong else p] * labeled + cells))
+    for at, blank in data.draw(st.lists(st.tuples(
+            st.integers(0, len(lines)), st.sampled_from(["", "  ", "\t"])),
+            max_size=3)):
+        lines.insert(at, blank)
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    rows = data.draw(st.integers(1, 3))  # so block edges fall between any rows
+    with mock.patch.object(serialization, "_BLOCK_CELLS", rows * n), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy warning leaks out
+        got = _outcome(space_from_csv, text)
+    assert got == _outcome(_cell_oracle, text)
+
+
+ROWS = [["a", "0", "1", "2", "3"], ["b", "1", "0", "1", "2"],
+        ["c", "2", "1", "0", "1"], ["d", "3", "2", "1", "0"]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4, None])
+@pytest.mark.parametrize("edits, message", [
+    # row 2's defect comes first in row order, whatever row 3 holds
+    ({(1, 2): "x", (2, 0): "q"}, "invalid literal for int() with base 10: 'x'"),
+    ({(1, 2): "1/0", (2, 4): None}, "zero denominator in '1/0'"),
+    ({(1, 0): "q", (2, 2): "x"}, "row 2 label 'q' does not match header order ('b')"),
+    ({(1, 4): None, (2, 2): "1/0"}, "row 2 has 3 entries, want 4"),
+])
+def test_first_defect_in_row_order_holds_across_blocks(block_rows, edits, message):
+    # 2-row blocks put rows 2 and 3 in different blocks, 4-row blocks in one
+    lines = [["id", "a", "b", "c", "d"]] + [list(row) for row in ROWS]
+    for (row, col), cell in edits.items():
+        if cell is None:
+            del lines[1 + row][col]
+        else:
+            lines[1 + row][col] = cell
+    text = "".join(",".join(line) + "\n" for line in lines)
+    cells = serialization._BLOCK_CELLS if block_rows is None else 4 * block_rows
+    with mock.patch.object(serialization, "_BLOCK_CELLS", cells):
+        with pytest.raises(ValueError) as err:
+            space_from_csv(text)
+    assert str(err.value) == message
+
+
+def test_numpy_1_empty_cells_fail_the_fast_readers(monkeypatch):
+    # NumPy 1 meets an empty cell with a DeprecationWarning and reads the
+    # cells before it; under warnings as errors that must still be a
+    # failed read, and the cell encoder reports the empty cell
+    fromstring, warned = np.fromstring, []
+
+    def numpy_1(text, dtype, sep):
+        cells = text.split(b",")
+        if b"" in cells:
+            warned.append(text)
+            warnings.warn("string or file could not be read to its end due to "
+                          "unmatched data", DeprecationWarning, stacklevel=2)
+            text = b",".join(cells[:cells.index(b"")])
+        return fromstring(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", numpy_1)
+    points = ["a", "b", "c"]
+    for at in (0, 1, 2):
+        rows = [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]
+        rows[1][at] = ""
+        warned.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(space_from_csv, _labeled_csv(points, rows))
+        assert got == _outcome(_encode_cells, points, rows, rat_parse)
+        assert got[0] is ValueError and len(warned) == 2  # the block, then the row
+
+
 def _perfbench_workloads():
     """perfbench's input generators (the benchmark sits beside the tests)."""
     root = str(Path(__file__).resolve().parents[1])
@@ -516,7 +667,10 @@ def test_plain_integer_rows_take_the_fromstring_reader(no_cell_reader, no_dict_p
     points = workloads.clustered_points(600, np.random.default_rng(1))
     text = workloads.distance_csv(points)
     sp = space_from_csv(text)
-    assert no_cell_reader == [ln.partition(",")[2] for ln in text.splitlines()[1:]]
+    bodies = [ln.partition(",")[2] for ln in text.splitlines()[1:]]
+    # one call per block of rows: 436 rows of 600 cells, then 164
+    assert len(no_cell_reader) == -(-600 // (serialization._BLOCK_CELLS // 600)) == 2
+    assert b",".join(no_cell_reader).decode() == ",".join(bodies)
     dist = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
     assert np.array_equal(np.asarray(sp.values)[sp.codes], dist)
 

@@ -582,6 +582,22 @@ def test_chain_components_match_the_breadth_first_oracle(seed, kind):
     assert got == [_grouped(sp, chain_labels(sp, r)) for r in radii]
 
 
+def test_narrow_codes_keep_their_chain_components():
+    # 300 values: the tree mark, 300, lies past the uint8 codes
+    rng = np.random.default_rng(5)
+    n = 30
+    upper = np.triu(rng.integers(1, 256, size=(n, n)), 1)
+    codes = upper + upper.T
+    values = tuple(range(300))
+    narrow = Space([f"u{i}" for i in range(n)], codes.astype(np.uint8), values)
+    radii = [-1, 0, 1, 17, 100, 200, 254, 255, 299]
+    want = [_grouped(narrow, chain_labels(narrow, r)) for r in radii]
+    assert [chain_components(narrow, r) for r in radii] == want
+    assert len(set(want)) > 3  # the radii cut the space in several ways
+    wide = Space(narrow.points, codes, values)
+    assert [chain_components(wide, r) for r in radii] == want
+
+
 def test_chain_components_of_one_point_and_of_none():
     one = Space(("a",), np.zeros((1, 1), dtype=np.int16), (0,))
     empty = Space((), np.zeros((0, 0), dtype=np.int16), ())
