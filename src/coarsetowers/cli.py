@@ -283,7 +283,6 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         config={
             "cap": args.cap,
             "net": args.net,
-            "seed": args.seed,
             "to": args.to_spec,
             "height": args.height,
         },

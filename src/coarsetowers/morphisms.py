@@ -483,27 +483,59 @@ def with_closeness(
 # -- selections and normal form -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionPair:
     """Deterministic single-valued selections out of a verified asymorphism.
 
     f picks the least target id in each fiber, g the least source id in
     each cofiber; closeness is the worse of the two round-trip distances
     and is bounded by the matching relation fiber diameter, which is also
-    recorded so the bound is checkable from the data alone."""
+    recorded so the bound is checkable from the data alone.
 
-    f: dict[PointId, PointId]
-    g: dict[PointId, PointId]
+    The selections are held as the _heads of the relation and of its
+    inverse: each point index of the domain, in id order, with the index
+    of its selected point.  The id dicts f and g are built on first read,
+    and two pairs are equal when those dicts and the four closenesses and
+    bounds are."""
+
+    source: Space
+    target: Space
+    f_heads: tuple[np.ndarray, np.ndarray]
+    g_heads: tuple[np.ndarray, np.ndarray]
     closeness: Rational
     source_closeness: Rational
     target_closeness: Rational
     source_fiber_bound: Rational
     target_fiber_bound: Rational
 
+    @cached_property
+    def f(self) -> dict[PointId, PointId]:
+        xs, ys = self.f_heads
+        return dict(zip(_ids(self.source, xs), _ids(self.target, ys)))
+
+    @cached_property
+    def g(self) -> dict[PointId, PointId]:
+        ys, xs = self.g_heads
+        return dict(zip(_ids(self.target, ys), _ids(self.source, xs)))
+
+    def _key(self) -> tuple:
+        return (self.f, self.g, self.closeness, self.source_closeness,
+                self.target_closeness, self.source_fiber_bound,
+                self.target_fiber_bound)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SelectionPair):
+            return NotImplemented
+        return self._key() == other._key()
+
     def to_json(self) -> dict:
+        """f and g as index lists.  Entry k of f is the id-order index of
+        the target selected for the k-th source point in id order; g is
+        the same from the target.  The selections of an asymorphism are
+        total, so f lists every source point and g every target point."""
         return {
-            "f": dict(self.f),  # selection_pair lists both in id order
-            "g": dict(self.g),
+            "f": self.target._id_ranks()[1][self.f_heads[1]].tolist(),
+            "g": self.source._id_ranks()[1][self.g_heads[1]].tolist(),
             "closeness": rat_json(self.closeness),
             "source_closeness": rat_json(self.source_closeness),
             "target_closeness": rat_json(self.target_closeness),
@@ -567,8 +599,10 @@ def selection_pair(
         # {x, g(f(x))} always sits inside one round-trip fiber
         raise RuntimeError("selection closeness exceeded its fiber bound")
     return SelectionPair(
-        f=dict(zip(_ids(phi.source, f[0]), _ids(phi.target, f[1]))),
-        g=dict(zip(_ids(phi.target, g[0]), _ids(phi.source, g[1]))),
+        source=phi.source,
+        target=phi.target,
+        f_heads=f,
+        g_heads=g,
         closeness=max(s_close, t_close),
         source_closeness=s_close,
         target_closeness=t_close,

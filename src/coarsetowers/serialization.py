@@ -138,9 +138,13 @@ def space_from_csv(text: str, caps: Caps = DEFAULT_CAPS) -> Space:
     fraction, a bad cell, a value outside int32), or from the first row
     when the span is wider, parsing each distinct text once with
     rat_parse, so every error keeps its text and its row."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    # the non-blank lines of text.strip().splitlines(), with no copy of
+    # the text: blank lines dropped, then the text's ends stripped
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
     if not lines:
         raise ValueError("empty distance matrix")
+    lines[0] = lines[0].lstrip()
+    lines[-1] = lines[-1].rstrip()
     header = [c.strip() for c in lines[0].split(",")]
     if header and header[0] in ("id", ""):
         header = header[1:]
@@ -294,11 +298,12 @@ def tower_hash(tower: Tower) -> str:
     That text is {"height":H,"nodes":[...]} with each node written as
     {"id":I,"level":L,"parent":P} in (level, id) order, the parent null
     at the top.  Each id is escaped once, as json.dumps escapes a string,
-    and a level's text is joined from the escaped ids and one tail per
-    parent, so no dict is built per node.  Only two levels are held
-    escaped at a time (a level's ids, then its parents' as the next
-    level's), and a level's text is hashed in runs of _HASH_CHUNK nodes.
-    A tower whose ids are not all strings is hashed from its document."""
+    and a level's text is joined from (escaped id, tail) pairs, one tail
+    per parent, so no dict and no string is built per node.  Only two
+    levels are held escaped at a time (a level's ids, then its parents'
+    as the next level's), and a level's text is hashed in runs of
+    _HASH_CHUNK nodes.  A tower whose ids are not all strings is hashed
+    from its document."""
     digest = hashlib.sha256(b'{"height":%d,"nodes":[{"id":' % tower.height)
     try:
         row = list(map(encode_basestring_ascii, tower._ids[0]))
@@ -307,9 +312,9 @@ def tower_hash(tower: Tower) -> str:
             # each node's text runs on to the opening of the next node's
             tails = [f',"level":{lv},"parent":{p}}},{{"id":' for p in up]
             for lo in range(0, len(row), _HASH_CHUNK):
-                nodes = map(str.__add__, row[lo:lo + _HASH_CHUNK],
+                nodes = zip(row[lo:lo + _HASH_CHUNK],
                             map(tails.__getitem__, par[lo:lo + _HASH_CHUNK].tolist()))
-                digest.update("".join(nodes).encode("ascii"))
+                digest.update("".join(itertools.chain.from_iterable(nodes)).encode("ascii"))
             row = up
         tail = f',"level":{tower.height},"parent":null}}'
         digest.update(((tail + ',{"id":').join(row) + tail + "]}").encode("ascii"))
@@ -411,7 +416,7 @@ def pipeline_report(
     the ordered stage list with certificates, and the composed audit."""
     body = result.to_json()
     return {
-        "format": "coarse-equivalence-report/1",
+        "format": "coarse-equivalence-report/2",
         "inputs": {
             "source": {"label": source_label, "hash": source_hash},
             "target": {"label": target_label},

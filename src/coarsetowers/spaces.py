@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,13 +195,17 @@ class Space:
         """(order, rank): the point indices sorted by id, and each point's
         place in that order; computed once.  Builders list points in id
         order, except word spaces over alphabets above 10, whose ids sort
-        "0.10" before "0.2"."""
+        "0.10" before "0.2", so points already in id order, checked in
+        one pass, are ranked by the identity without a sort."""
         if self._ranks is None:
-            n = len(self.points)
-            order = np.fromiter(sorted(range(n), key=self.points.__getitem__),
-                                dtype=np.int64, count=n)
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
+            pts, n = self.points, len(self.points)
+            if all(map(operator.lt, pts, itertools.islice(pts, 1, None))):
+                order = rank = np.arange(n, dtype=np.int64)
+            else:
+                order = np.fromiter(sorted(range(n), key=pts.__getitem__),
+                                    dtype=np.int64, count=n)
+                rank = np.empty(n, dtype=np.int64)
+                rank[order] = np.arange(n)
             order.flags.writeable = rank.flags.writeable = False
             self._ranks = order, rank
         return self._ranks

@@ -55,6 +55,20 @@ def _raw_arrays(ids: Sequence[NodeId], level: Mapping[NodeId, int],
     return rows, par
 
 
+def _child_counts(row: Sequence[NodeId], up: Sequence[NodeId], par) -> Optional[np.ndarray]:
+    """How many children on level row each node of level up has, or None
+    when par is not an integer array holding, for each node of row, an
+    index into up.  One bincount decides both: it raises at a negative
+    index and counts past len(up) at one too large."""
+    if not (type(par) is np.ndarray and par.dtype.kind == "i" and par.shape == (len(row),)):
+        return None
+    try:
+        counts = np.bincount(par, minlength=len(up))
+    except ValueError:
+        return None
+    return counts if counts.size == len(up) else None
+
+
 def _array_fault(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) -> Optional[str]:
     """Why the parent arrays pars cannot be read as a parent map over the
     level rows ids, or None when they can: below the top, level l's par
@@ -63,22 +77,24 @@ def _array_fault(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) ->
     if len(pars) != len(ids) - 1:
         return f"expected {len(ids) - 1} parent index arrays, got {len(pars)}"
     for lv, (row, up, par) in enumerate(zip(ids, ids[1:], pars), start=1):
-        if not (type(par) is np.ndarray and par.dtype.kind == "i"
-                and par.shape == (len(row),)
-                and (not row or 0 <= par.min() and par.max() < len(up))):
+        if _child_counts(row, up, par) is None:
             return f"level {lv} needs {len(row)} parent indices in [0, {len(up)})"
     return None
 
 
 def _valid_arrays(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) -> bool:
-    """Whether the array form satisfies the tower axioms.  Parent arrays
-    that can be read as a parent map give each node a level >= 1 and a
-    parent one level up; left to check are non-empty levels, one top, a
-    child under every node above level 1, and distinct ids."""
-    return _array_fault(ids, pars) is None and all(ids) and len(ids[-1]) == 1 and all(
-        np.bincount(par, minlength=len(up)).all()
-        for up, par in zip(ids[1:], pars)) and \
-        len(set(itertools.chain.from_iterable(ids))) == sum(map(len, ids))
+    """Whether the array form satisfies the tower axioms: non-empty
+    levels, one top, parent arrays that can be read as a parent map (each
+    node a level >= 1 and a parent one level up) with a child under every
+    node above level 1, and distinct ids.  One bincount a level decides
+    the parent arrays."""
+    if len(pars) != len(ids) - 1 or not all(ids) or len(ids[-1]) != 1:
+        return False
+    for row, up, par in zip(ids, ids[1:], pars):
+        counts = _child_counts(row, up, par)
+        if counts is None or not counts.all():
+            return False
+    return len(set(itertools.chain.from_iterable(ids))) == sum(map(len, ids))
 
 
 def validate_tower(

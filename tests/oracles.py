@@ -17,7 +17,9 @@ before relations held index arrays: fibers and cofibers as dicts of id
 tuples, the inverse, composition through a set of id pairs, and the
 selection pair's f, g and closenesses by one distance per point.  Graph
 indices are looked up from the pairs, so nothing here reads the index
-arrays they check.
+arrays they check.  Beside them sits the id ranking by a keyed sort of
+every point index, the way Space._id_ranks ranked points before it
+checked for points already in id order.
 
 The navigation ones walk a tower's level and parent dicts the way
 Tower's methods did before the package stopped calling them: a node's
@@ -62,6 +64,17 @@ def graph_indices(phi: MultiMap) -> tuple[np.ndarray, np.ndarray]:
     ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
     ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
     return ia, ib
+
+
+def keyed_id_ranks(space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """(order, rank): the point indices sorted by id, and each point's
+    place in that order."""
+    n = len(space.points)
+    order = np.fromiter(sorted(range(n), key=space.points.__getitem__),
+                        dtype=np.int64, count=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, rank
 
 
 def fibers(pairs) -> dict:

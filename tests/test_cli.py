@@ -379,7 +379,7 @@ def test_equiv_explicit_height(capsys):
                                       "--height", "8"])
     assert code == 0
     report = json.loads(out)
-    assert report["format"] == "coarse-equivalence-report/1"
+    assert report["format"] == "coarse-equivalence-report/2"
     assert report["inputs"]["source"]["label"] == "regular:3:h8"
     assert report["pipeline"]["composed"]["source_points"] == 3 ** 7
     assert report["config"]["height"] == 8

@@ -8,7 +8,9 @@ escape.
 
 Refactors of the encoders and kernels must leave every emitted byte as
 it was; a change that means to alter a report updates these digests and
-says why.
+says why.  Each equiv report is also turned back into report format 1,
+whose digests are kept from before format 2, so the format change is
+pinned to carry the same content.
 """
 
 import hashlib
@@ -20,27 +22,46 @@ from fractions import Fraction
 
 import pytest
 
-from coarsetowers import Space, regular_tower, ultrametrize, word_space
+from coarsetowers import Space, cli, regular_tower, ultrametrize, word_space
 from coarsetowers.cli import main
 from coarsetowers.rationals import rat_str
-from coarsetowers.serialization import space_to_csv, space_to_json
+from coarsetowers.serialization import dump_json, space_to_csv, space_to_json
 
 EQUIV_DIGESTS = {
+    ("equiv", "--from", "regular:3"):
+        "381d193c8a84af21347a3929fc261edd497747b1188f3b865377e040d9894923",
+    ("equiv", "--from", "regular:3", "--height", "7"):
+        "4f9a669726f662daf6caac3fabd383c8181362f5e55ba5924b9d9f7f110c026a",
+    ("equiv", "--from", "regular:2"):
+        "e18226d8820c7c293f6919da8222a8f1d9e42056c8cbafc3f00b7ced9fc0c29f",
+    # the headline run, as the equiv-ternary benchmark workload runs it
+    ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary"):
+        "de9a7c0062117c02cd472f65b6151da118828688eb066b47cd9a1fb3b0c4333c",
+    # alphabets above 10 list their word points out of id order ("0.10"
+    # before "0.2"), so these pin relations whose index order is not id order
+    ("equiv", "--from", "regular:3", "--to", "regular:11"):
+        "05b55b48c378728be0f1d15830504b63e45be0ef9135ad0acfe27dbfe145833a",
+    ("equiv", "--from", "regular:2", "--to", "regular:12"):
+        "87bf05e675f401c4a6c671a01bdcde894464b822944d5fef64f3f9ce388f4a5e",
+}
+
+# the same equiv reports in format 1, where selection.f and selection.g
+# were id -> id objects and config held "seed": 0
+FORMAT_1_DIGESTS = {
     ("equiv", "--from", "regular:3"):
         "be3546bd3330ac023eb9b6a52d8caf76e2747668a9d104db06bf625e2580767a",
     ("equiv", "--from", "regular:3", "--height", "7"):
         "97448e00b7622051ff786a53260f2b4c341b1d52be633cc7935b7fdaa02e9ced",
     ("equiv", "--from", "regular:2"):
         "2d9689a56e85ae0ac9db1037e4eb59ff3b133473d8e4370bd75f521c4d98bd38",
-    # the headline run, as the equiv-ternary benchmark workload runs it
     ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary"):
         "039388f5004c1df7fe84a4ba939369981e7e0f46a7d62d3fadbf37e697e971c4",
-    # alphabets above 10 list their word points out of id order ("0.10"
-    # before "0.2"), so these pin relations whose index order is not id order
     ("equiv", "--from", "regular:3", "--to", "regular:11"):
         "bd0a66742ae4f3550cf2921aab5474b41d26766b3279e194d62893f5494519fb",
     ("equiv", "--from", "regular:2", "--to", "regular:12"):
         "c9a846251476b90750d838d4e42f1ee3254f630ec5455c53518225b2559e5786",
+    ("equiv", "--from", "escaped-tower.json"):
+        "3aaf8ed7e124f850ba1111e8cbfed30f950a065db6a5e91abf8060b3972bb678",
 }
 
 # the entropy CSVs of the product and hyperspace experiments
@@ -72,6 +93,39 @@ def _run(argv, expect: int = 0) -> str:
     return buf.getvalue()
 
 
+def format_1(text: str, source_ids, target_ids) -> str:
+    """A format-2 equiv report written as format 1: f and g as id -> id
+    objects, read through the composed source and target ids in id
+    order, the format string /1, and config.seed 0."""
+    report = json.loads(text)
+    sel = report["pipeline"]["selection"]
+    src, tgt = sorted(source_ids), sorted(target_ids)
+    sel["f"] = dict(zip(src, map(tgt.__getitem__, sel["f"])))
+    sel["g"] = dict(zip(tgt, map(src.__getitem__, sel["g"])))
+    report["format"] = "coarse-equivalence-report/1"
+    report["config"]["seed"] = 0
+    return dump_json(report)
+
+
+def _run_equiv(argv, monkeypatch) -> str:
+    """The equiv report of argv, after checking that it rebuilds to its
+    format-1 digest."""
+    composed, run_pipeline = [], cli.equivalence_pipeline
+
+    def pipeline(*args, **kwargs):
+        result = run_pipeline(*args, **kwargs)
+        composed.append(result.composed)
+        return result
+
+    monkeypatch.setattr(cli, "equivalence_pipeline", pipeline)
+    text = _run(argv)
+    (phi,) = composed
+    assert len(json.loads(text)["pipeline"]["selection"]["f"]) == len(phi.source)
+    old = format_1(text, phi.source.points, phi.target.points)
+    assert _sha(old) == FORMAT_1_DIGESTS[argv]
+    return text
+
+
 def ultrametrized_csv(seed: int = 2024, n: int = 80) -> tuple[str, Space]:
     """L1 distances of n distinct points clustered at scales 8, 64 and
     512, ultrametrized over the ladder diameter / 2^k, k = 7 .. 0."""
@@ -89,8 +143,8 @@ def ultrametrized_csv(seed: int = 2024, n: int = 80) -> tuple[str, Space]:
 
 
 @pytest.mark.parametrize("argv", sorted(EQUIV_DIGESTS))
-def test_equiv_report_bytes_are_pinned(argv):
-    assert _sha(_run(argv)) == EQUIV_DIGESTS[argv]
+def test_equiv_report_bytes_are_pinned(argv, monkeypatch):
+    assert _sha(_run_equiv(argv, monkeypatch)) == EQUIV_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("argv", sorted(EXPERIMENT_DIGESTS))
@@ -156,7 +210,7 @@ ESCAPED = ['"', "\\", "\x07", "\t", "\u00e9", "\u2028", "\U0001F600"]
 
 ESCAPED_DIGESTS = {
     ("equiv", "--from", "escaped-tower.json"):
-        "3aaf8ed7e124f850ba1111e8cbfed30f950a065db6a5e91abf8060b3972bb678",
+        "c8266731f734056cc55869760481e936e49db17a7fef760f1b25bf63e30e8abe",
     ("subtower", "escaped-tower.json", "--levels", "1,3,4,7"):
         "70bc9b888a4c838da6169177c421488a80433ac08bc798192d60e6ab865e9377",
     ("towerize", "escaped-space.json", "--radii", "0,1,2,4"):
@@ -192,4 +246,5 @@ def test_bytes_on_escaped_ids_are_pinned(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the equiv report names its source file
     (tmp_path / "escaped-tower.json").write_text(escaped_tower_text(), encoding="utf-8")
     (tmp_path / "escaped-space.json").write_text(escaped_space_text(), encoding="utf-8")
-    assert _sha(_run(argv)) == ESCAPED_DIGESTS[argv]
+    text = _run_equiv(argv, monkeypatch) if argv in FORMAT_1_DIGESTS else _run(argv)
+    assert _sha(text) == ESCAPED_DIGESTS[argv]

@@ -7,10 +7,13 @@ compose, the selection pair and the round-trip fiber bounds must equal
 what the id-pair implementations in oracles.py compute from the pairs
 alone.  The spaces include ones listed out of id order (word spaces over
 alphabets above 10, a plain-listed copy in reverse) and the relations
-are multi-valued, partial, not onto, or carry repeats.
+are multi-valued, partial, not onto, or carry repeats.  The id ranking
+the graph is sorted by must equal a keyed sort of the point indices.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from coarsetowers import (
     verify_asymorphism,
     word_space,
 )
+from coarsetowers import spaces
 from coarsetowers.homogenize import _word_stage
+from coarsetowers.serialization import space_from_csv, space_to_csv
 from coarsetowers.spaces import word_id
 
 from conftest import random_tower, random_ultrametric, shuffled_tower
@@ -39,6 +44,7 @@ from oracles import (
     covering_radius,
     fibers,
     inverse_pairs,
+    keyed_id_ranks,
     roundtrip_fiber_diameter,
     selection,
 )
@@ -71,6 +77,44 @@ def _space(rng: random.Random, kind: str) -> Space:
                   space.codes[np.ix_(back, back)], space.values)
     assert dense.is_ultrametric
     return dense
+
+
+def _check_id_ranks(space: Space) -> None:
+    """space._id_ranks() equals the keyed sort, is computed once, and
+    hands out read-only int64 arrays; points in id order take no sort."""
+    no_sort = mock.patch.object(spaces, "sorted", create=True,
+                                side_effect=AssertionError("ids in order were sorted"))
+    in_order = list(space.points) == sorted(space.points)
+    with no_sort if in_order else contextlib.nullcontext():
+        order, rank = space._id_ranks()
+    want_order, want_rank = keyed_id_ranks(space)
+    assert np.array_equal(order, want_order) and np.array_equal(rank, want_rank)
+    assert order.dtype == rank.dtype == np.int64
+    assert not order.flags.writeable and not rank.flags.writeable
+    assert space._id_ranks()[0] is order
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(["id order", "reversed", "shuffled"]))
+@settings(max_examples=60, deadline=None)
+def test_id_ranks_match_the_keyed_sort(seed, arrangement):
+    rng = random.Random(seed)
+    base = random_ultrametric(rng, 1, 14)
+    # distinct ids whose id order is not their numeric order
+    ids = sorted(map(str, rng.sample(range(10 ** 4), len(base))))
+    if arrangement == "reversed":
+        ids.reverse()
+    elif arrangement == "shuffled":
+        rng.shuffle(ids)
+    space = Space(ids, base.codes, base.values)
+    _check_id_ranks(space)
+    # a CSV whose header lists the ids so arranged
+    _check_id_ranks(space_from_csv(space_to_csv(space)))
+
+
+@pytest.mark.parametrize("alphabet, length", [(2, 6), (10, 2), (11, 2), (12, 2)])
+def test_word_space_id_ranks_match_the_keyed_sort(alphabet, length):
+    # alphabets above 10 list "0.10" before "0.2", out of id order
+    _check_id_ranks(word_space(alphabet, length))
 
 
 def _pairs(rng: random.Random, src: Space, tgt: Space, shape: str) -> list:
