@@ -48,7 +48,6 @@ from .morphisms import (
     SelectionPair,
     balanced_partition,
     build_admissible_morphism,
-    check_admissible,
     check_base_distortion,
     check_entropy_transport,
     check_l2_preconditions,
@@ -92,8 +91,8 @@ __all__ = [
     "level_subtower", "regular_tower", "validate_tower",
     "AdmissibleSequences", "DistortionModulus", "MorphismCertificate",
     "MultiMap", "NormalForm", "SelectionPair", "balanced_partition",
-    "build_admissible_morphism", "check_admissible",
-    "check_base_distortion", "check_entropy_transport",
+    "build_admissible_morphism", "check_base_distortion",
+    "check_entropy_transport",
     "check_l2_preconditions", "check_modulus_composition",
     "coarse_normal_form", "compose", "distortion_modulus", "is_large",
     "selection_pair", "tower_embedding", "verify_asymorphism",

@@ -54,6 +54,7 @@ from .homogenize import (
     synthesize_sequences,
 )
 from .serialization import (
+    _check_height,
     dump_csv,
     _json_pieces,
     pipeline_report,
@@ -201,7 +202,10 @@ def _target_base(spec: str) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     kind, payload = _load_document(args.input)
     if kind == "tower":
-        report = validate_tower(*_tower_fields(payload))
+        ids, level, parent = _tower_fields(payload)
+        report = validate_tower(ids, level, parent)
+        if report.ok:
+            _check_height(payload, max(level.values()))
     else:
         space = (space_from_csv(payload, args.caps) if kind == "space-csv"
                  else space_from_json(payload, args.caps))
@@ -409,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     # values parsed before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
-                        help="max points of every space, relation graph "
-                             "and tower node set (default 20000)")
+                        help="max points of every space, relation graph and "
+                             "tower base, and half a tower's nodes (default 20000)")
     common.add_argument("--net", choices=[STRICT, CLOSED],
                         default=argparse.SUPPRESS,
                         help="net convention for entropy computations "

@@ -4,10 +4,12 @@ A multi-map is a relation: each source point may carry several targets and
 the inverse is again a multi-map.  Everything a certificate claims about one
 (moduli, surjectivity, closeness of a selection) is checked by exhaustive
 scans over the realized distances, never assumed.  The second half of the
-module works on towers: the admissibility checker, and level-preserving
-embeddings and the germ builder, which descend one index array per level
-and whose node maps hold the tower conditions by construction, so only
-their base restrictions are certified by such scans.
+module works on towers: level-preserving embeddings and the admissible
+germ builder, which descend one index array per level.  Their node maps
+hold the tower conditions by construction: both keep levels and send each
+child to a child of its parent's image, and the germ map also has a lower
+domain and image, fibers inside one sibling set and one top image.  So
+only their base restrictions are certified by such scans.
 """
 
 from __future__ import annotations
@@ -771,75 +773,6 @@ _ADMISSIBLE_CHECKS = (
     "fibers-in-one-sibling-set", "image-lower-set", "single-top-image")
 
 
-def check_admissible(
-    phi: Mapping[NodeId, NodeId], t1: Tower, t2: Tower
-) -> ValidationReport:
-    """Five structural conditions on a node map between towers.
-
-    The domain must be a lower subset; the map preserves levels, commutes
-    with taking parents inside the domain, keeps each fiber inside one
-    sibling set, has a lower-set image, and sends the maximal domain nodes
-    to at most one node.
-    """
-    checked = _ADMISSIBLE_CHECKS
-    violations: list[Violation] = []
-    dom = set(phi)
-    for x in phi:
-        if x not in t1.level:
-            return ValidationReport(
-                "admissible morphism", checked,
-                (Violation("domain-lower-set", (x,),
-                           f"domain node {x!r} not in the source tower"),))
-        if phi[x] not in t2.level:
-            return ValidationReport(
-                "admissible morphism", checked,
-                (Violation("image-lower-set", (x, phi[x]),
-                           f"image node {phi[x]!r} not in the target tower"),))
-    for x in sorted(dom):
-        for c in t1.children[x]:
-            if c not in dom:
-                violations.append(Violation(
-                    "domain-lower-set", (x, c),
-                    f"{x!r} is in the domain but its child {c!r} is not"))
-        if t1.level[x] != t2.level[phi[x]]:
-            violations.append(Violation(
-                "level-preserving", (x, phi[x]),
-                f"lev({x!r}) = {t1.level[x]} but lev({phi[x]!r}) = "
-                f"{t2.level[phi[x]]}"))
-    for x in sorted(dom):
-        p = t1.parent[x]
-        if p is not None and p in dom:
-            if t2.parent[phi[x]] != phi[p]:
-                violations.append(Violation(
-                    "monotone", (x, p),
-                    f"parent of image of {x!r} is {t2.parent[phi[x]]!r}, "
-                    f"expected {phi[p]!r}"))
-    by_image: dict[NodeId, list[NodeId]] = {}
-    for x in sorted(dom):
-        by_image.setdefault(phi[x], []).append(x)
-    for y, fiber in sorted(by_image.items()):
-        parents = {t1.parent[x] for x in fiber}
-        if len(fiber) > 1 and (len(parents) != 1 or None in parents):
-            violations.append(Violation(
-                "fibers-in-one-sibling-set", tuple(fiber[:2]),
-                f"fiber of {y!r} spans distinct parents {sorted(map(str, parents))}"))
-    img = set(phi.values())
-    for y in sorted(img):
-        for c in t2.children[y]:
-            if c not in img:
-                violations.append(Violation(
-                    "image-lower-set", (y, c),
-                    f"{y!r} is in the image but its child {c!r} is not"))
-    max_nodes = [x for x in dom
-                 if t1.parent[x] is None or t1.parent[x] not in dom]
-    top_images = {phi[x] for x in max_nodes}
-    if len(top_images) > 1:
-        violations.append(Violation(
-            "single-top-image", tuple(sorted(top_images)[:2]),
-            f"maximal domain nodes map to {len(top_images)} distinct nodes"))
-    return ValidationReport("admissible morphism", checked, tuple(violations))
-
-
 @dataclass(frozen=True)
 class AdmissibleSequences:
     """Per-level fiber-size windows [a_i, b_i], 1-indexed by tower level."""
@@ -981,7 +914,7 @@ def build_admissible_morphism(
     image's children are shared out by largest remainder over its fiber,
     each source sibling set is cut into balanced_partition's blocks within
     the level's window, and blocks pair with image children in id order.
-    The map passes check_admissible by construction:
+    The map is admissible by construction, each condition held as follows:
     - domain lower set: a mapped node's blocks hold all its children;
     - level-preserving: level l maps into level l of t2;
     - monotone: each child goes to a child of its parent's image;

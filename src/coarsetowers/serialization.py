@@ -22,7 +22,7 @@ import numpy as np
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import rat_from_json, rat_json, rat_parse, rat_str
 from .spaces import Space, _compact, _encode_cells
-from .towers import NodeId, Tower
+from .towers import Tower
 
 __all__ = [
     "space_to_json",
@@ -264,14 +264,18 @@ def _tower_fields(data: dict) -> tuple[list, dict, dict]:
     return ids, level, parent
 
 
-def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
-    tower = Tower(*_tower_fields(data), caps=caps)
+def _check_height(data: dict, height: int) -> None:
+    """Refuse a tower document whose optional "height" is not the height
+    of its valid nodes."""
     declared = data.get("height")
     # compared by type, as validate_tower compares levels: bool is an int
-    if declared is not None and (type(declared) is not int
-                                 or declared != tower.height):
-        raise ValueError(
-            f"declared height {declared!r} != computed height {tower.height}")
+    if declared is not None and (type(declared) is not int or declared != height):
+        raise ValueError(f"declared height {declared!r} != computed height {height}")
+
+
+def tower_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> Tower:
+    tower = Tower(*_tower_fields(data), caps=caps)
+    _check_height(data, tower.height)
     return tower
 
 

@@ -14,11 +14,11 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .limits import DEFAULT_CAPS, Caps, CapExceeded
+from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
 from .spaces import CLOSED, Space
@@ -113,9 +113,9 @@ def validate_tower(
     every parent chain must reach the top).
 
     Raw data is put in a Tower's array form (_raw_arrays), and both are
-    decided on those arrays.  Only invalid data is walked node by node, a
-    Tower on its views, to list the witnesses; a Tower's parent arrays that
-    cannot be read as a parent map are one parent-structure violation.
+    decided on those arrays.  Only invalid data is walked node by node to
+    list the witnesses; a Tower's parent arrays that cannot be read as a
+    parent map are one parent-structure violation.
     """
     checked = ("unique-ids", "levels-total", "single-top", "parent-structure",
                "level-condition", "chains-reach-top")
@@ -130,7 +130,14 @@ def validate_tower(
         if fault is not None:
             return ValidationReport("tower axioms", checked, (
                 Violation("parent-structure", (), fault),))
-        node_ids, level, parent = node_ids.nodes, node_ids.level, node_ids.parent
+        # an id on several levels takes the highest, and the parent it has
+        # on the highest of them below the top
+        rows, pars = arrays
+        node_ids = list(itertools.chain.from_iterable(rows))
+        level = {i: lv for lv, row in enumerate(rows, start=1) for i in row}
+        parent = dict.fromkeys(rows[-1])
+        for row, up, p in zip(rows, rows[1:], pars):
+            parent.update(zip(row, map(up.__getitem__, p.tolist())))
     # the per-node walk below only lists the witnesses of invalid data
     violations: list[Violation] = []
     ids = list(node_ids)
@@ -210,23 +217,17 @@ def _require_tower(report: ValidationReport) -> None:
 class Tower:
     """Validated tower; construction rejects structurally invalid data.
 
-    The tower is held in one array form that the kernels count over: for
-    each level l = 1..height, _ids[l - 1] lists the level's node ids in id
-    order and, below the top, _par[l - 1][k] is the index in _ids[l] of
-    the parent of _ids[l - 1][k].  _profile keeps the degree profile once
-    counted.
-
-    The views nodes, level, parent and children are built from the arrays
-    on first read and kept (in _nodes, _level, _parent, _children); the
-    kernels, the equiv pipeline and validate_tower(tower) read only the
-    arrays, so most towers never build a dict.  The constructor validates
-    its raw input, regular_tower and ball_tower validate the arrays they
-    build, and a level subtower is not re-validated, since restricting a
-    valid tower to some levels that include its top keeps every axiom.
+    A tower is its parent arrays: for each level l = 1..height, _ids[l - 1]
+    lists the level's node ids in id order and, below the top,
+    _par[l - 1][k] is the index in _ids[l] of the parent of
+    _ids[l - 1][k].  _profile keeps the degree profile once counted.  The
+    constructor validates its raw input, regular_tower and ball_tower
+    validate the arrays they build, and a level subtower is not
+    re-validated, since restricting a valid tower to some levels that
+    include its top keeps every axiom.
     """
 
-    __slots__ = ("height", "base", "_nodes", "_level", "_parent",
-                 "_children", "_ids", "_par", "_profile")
+    __slots__ = ("height", "base", "_ids", "_par", "_profile")
 
     def __init__(
         self,
@@ -235,8 +236,8 @@ class Tower:
         parent: Mapping[NodeId, Optional[NodeId]],
         caps: Caps = DEFAULT_CAPS,
     ):
-        caps.check_points(len(node_ids), "tower node set")
         arrays = _raw_arrays(node_ids, level, parent)
+        caps.check_tower(len(arrays[0][0]) if arrays else 0, len(node_ids))
         if arrays is None or not _valid_arrays(*arrays):
             _require_tower(validate_tower(node_ids, level, parent))
             # valid data has an array form unless its ids do not sort
@@ -249,75 +250,19 @@ class Tower:
         self._ids = tuple(tuple(row) for row in ids)
         self._par = tuple(par)
         self._profile: Optional[DegreeProfile] = None
-        self._nodes: Optional[tuple[NodeId, ...]] = None
-        self._level: Optional[dict[NodeId, int]] = None
-        self._parent: Optional[dict[NodeId, Optional[NodeId]]] = None
-        self._children: Optional[dict[NodeId, tuple[NodeId, ...]]] = None
         self.height = len(ids)
         self.base = self._ids[0]
 
     @property
-    def nodes(self) -> tuple[NodeId, ...]:
-        """Every node in (level, id) order, built on first read."""
-        if self._nodes is None:
-            self._nodes = tuple(itertools.chain.from_iterable(self._ids))
-        return self._nodes
-
-    @property
-    def level(self) -> dict[NodeId, int]:
-        """Each node's level, built on first read."""
-        if self._level is None:
-            level: dict[NodeId, int] = {}
-            for lv, row in enumerate(self._ids, start=1):
-                level.update(dict.fromkeys(row, lv))
-            self._level = level
-        return self._level
-
-    @property
-    def parent(self) -> dict[NodeId, Optional[NodeId]]:
-        """Each node's parent, None at the top, built on first read."""
-        if self._parent is None:
-            parent = dict.fromkeys(self._ids[-1])
-            for row, up, p in zip(self._ids, self._ids[1:], self._par):
-                parent.update(zip(row, map(up.__getitem__, p.tolist())))
-            self._parent = parent
-        return self._parent
-
-    @property
-    def children(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        """Each node's children in id order, built on first read."""
-        if self._children is None:
-            children = dict.fromkeys(self.base, ())
-            for row, up, p in zip(self._ids, self._ids[1:], self._par):
-                order, starts = _child_runs(p, len(up))
-                kids = tuple([row[k] for k in order.tolist()])
-                bounds = starts.tolist()
-                children.update(
-                    (node, kids[lo:hi]) for node, lo, hi in zip(up, bounds, bounds[1:]))
-            self._children = children
-        return self._children
-
-    # -- navigation --------------------------------------------------------
-
-    @property
     def top(self) -> NodeId:
         return self._ids[-1][0]
-
-    def cone(self, node: NodeId) -> tuple[NodeId, ...]:
-        """Lower cone: the node and everything below it, in (level, id) order."""
-        at = _locate(self, node)
-        if at is None:
-            raise KeyError(node)
-        masks = _under(self, at[0], [at[1]])
-        rows = map(itertools.compress, self._ids, masks[::-1])
-        return tuple(itertools.chain.from_iterable(rows))
 
 
 def _of_arrays(
     ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
 ) -> Tower:
     """A tower from its array form, within the cap but not validated."""
-    caps.check_points(sum(map(len, ids)), "tower node set")
+    caps.check_tower(len(ids[0]), sum(map(len, ids)))
     tower = Tower.__new__(Tower)
     tower._fill(ids, par)
     return tower
@@ -447,13 +392,14 @@ def regular_tower(
     degrees = [int(d) for d in degrees[: height - 1]]
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be >= 1")
-    total = count = 1
-    for d in reversed(degrees):
-        count *= d
-        total += count
-        if total > caps.max_points:
-            raise CapExceeded(
-                f"regular tower would have more than {caps.max_points} nodes")
+    # level sizes top down; no level is smaller than the one above it, so
+    # counting stops at the first level past the cap
+    sizes = [1]
+    for d in degrees[::-1]:
+        if sizes[-1] > caps.max_points:
+            break
+        sizes.append(sizes[-1] * d)
+    caps.check_tower(sizes[-1], sum(sizes))
     # ids top-down, each level in id order: '.' sorts before every digit,
     # so a level lists its parents' children runs in the parents' order,
     # each run in string order of the child digit ("10" < "2")

@@ -21,6 +21,8 @@ from coarsetowers import (
     regular_tower,
 )
 
+from oracles import children_by_parent, node_maps
+
 # -- acceptance reporting ----------------------------------------------------
 
 _ACCEPTANCE_LINES: dict = {}
@@ -91,15 +93,16 @@ def triple_violations(space) -> list:
 
 def oracle_path_metric(tower, x, y) -> int:
     """2*lev(sup) - lev(x) - lev(y) via an independent ancestor walk."""
+    _, level, parent = node_maps(tower)
     seen = {}
     cur = x
     while cur is not None:
-        seen[cur] = tower.level[cur]
-        cur = tower.parent[cur]
+        seen[cur] = level[cur]
+        cur = parent[cur]
     cur = y
     while cur not in seen:
-        cur = tower.parent[cur]
-    return 2 * tower.level[cur] - tower.level[x] - tower.level[y]
+        cur = parent[cur]
+    return 2 * level[cur] - level[x] - level[y]
 
 
 def oracle_cone_profile(tower, nodes, height) -> DegreeProfile:
@@ -107,17 +110,18 @@ def oracle_cone_profile(tower, nodes, height) -> DegreeProfile:
     in (level, id) order, such as the union of the lower cones of nodes at
     level height: each node's descendant counts per level are summed from
     its children's, and each entry is the min/max over the set."""
+    level, children = node_maps(tower)[1], children_by_parent(tower)
     counts: dict = {}
     small: dict = {}
     large: dict = {}
     for node in nodes:  # children precede parents
-        lv = tower.level[node]
+        lv = level[node]
         vec = [0] * lv  # vec[i] = descendants at level i, indices 1..lv-1
-        for c in tower.children[node]:
+        for c in children[node]:
             cv = counts[c]
             for i in range(1, len(cv)):
                 vec[i] += cv[i]
-            vec[tower.level[c]] += 1
+            vec[level[c]] += 1
         counts[node] = vec
         for i in range(1, lv):
             key = (i, lv)
@@ -199,11 +203,12 @@ def random_tower(rng: random.Random, height_min=2, height_max=5, deg_max=4) -> T
 def shuffled_tower(rng: random.Random, tower: Tower) -> Tower:
     """The same tower under randomly drawn node ids, so that id order is
     not depth-first order."""
-    names = [f"n{k:04d}" for k in range(len(tower.nodes))]
+    nodes, level, parent = node_maps(tower)
+    names = [f"n{k:04d}" for k in range(len(nodes))]
     rng.shuffle(names)
-    new = dict(zip(tower.nodes, names))
-    return Tower(names, {new[x]: lv for x, lv in tower.level.items()},
-                 {new[x]: p and new[p] for x, p in tower.parent.items()})
+    new = dict(zip(nodes, names))
+    return Tower(names, {new[x]: lv for x, lv in level.items()},
+                 {new[x]: p and new[p] for x, p in parent.items()})
 
 
 def random_radii(rng: random.Random, space: Space) -> list:

@@ -21,10 +21,15 @@ arrays they check.  Beside them sits the id ranking by a keyed sort of
 every point index, the way Space._id_ranks ranked points before it
 checked for points already in id order.
 
-The navigation ones walk a tower's level and parent dicts the way
-Tower's methods did before the package stopped calling them: a node's
-ancestor on a level, the least common upper bound of two nodes, the
-path metric, and the base nodes below a node.
+The node-map ones read a tower's (nodes, level, parent) off its parent
+arrays the way Tower's views did before a Tower became its arrays alone,
+and its children and lower cones off those maps.  The navigation ones
+walk those maps the way Tower's methods did before the package stopped
+calling them: a node's ancestor on a level, the least common upper bound
+of two nodes, the path metric, and the base nodes below a node.  The
+admissibility checker check_admissible walks those maps the way the
+package did before it dropped the checker: its germ builder is
+admissible by construction, and the checker is that builder's oracle.
 
 The nested-ball encoder is kept as the package wrote it before
 _ball_table lifted least members from one partition to the next: one
@@ -37,19 +42,21 @@ to that lexsort encoder.
 The tower-map ones build node maps the way the package did before it
 descended one index array per level: the germ builder's depth-first
 recursion over children dicts, and the greedy embedding loop.  They read
-each node's children off the parent map, not Tower.children, whose child
-runs the level loops share.
+each node's children off the parent map, not the child runs the level
+loops share.
 """
 
+import functools
 import itertools
 from bisect import bisect_right
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from coarsetowers import MultiMap, Space, balanced_partition
 from coarsetowers.limits import DEFAULT_CAPS, Caps
-from coarsetowers.morphisms import DistortionModulus
+from coarsetowers.morphisms import _ADMISSIBLE_CHECKS, DistortionModulus
 from coarsetowers.rationals import rat_str
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.spaces import _pick_dtype
@@ -335,40 +342,70 @@ def chain_labels(space: Space, radius) -> np.ndarray:
     return label
 
 
-# -- navigation on node dicts --------------------------------------------------
+# -- node maps and navigation on them -------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def node_maps(tower) -> tuple:
+    """(nodes, level, parent): every node in (level, id) order, each
+    node's level, filled level by level, and each node's parent, None at
+    the top, filled top level first and then levels 1..H-1.  Kept per
+    tower (towers never change) and read-only."""
+    nodes = tuple(itertools.chain.from_iterable(tower._ids))
+    level: dict = {}
+    for lv, row in enumerate(tower._ids, start=1):
+        level.update(dict.fromkeys(row, lv))
+    parent = dict.fromkeys(tower._ids[-1])
+    for row, up, p in zip(tower._ids, tower._ids[1:], tower._par):
+        parent.update(zip(row, map(up.__getitem__, p.tolist())))
+    return nodes, MappingProxyType(level), MappingProxyType(parent)
+
+
+def cone(tower, node) -> tuple:
+    """Lower cone: the node and everything below it, in (level, id)
+    order, each node's ancestry walked up to the node's level."""
+    nodes, level, parent = node_maps(tower)
+    if node not in level:
+        raise KeyError(node)
+    return tuple(x for x in nodes
+                 if level[x] <= level[node] and ancestor(tower, x, level[node]) == node)
 
 
 def ancestor(tower, node, lvl: int):
     """The node's ancestor on level lvl, by a walk up the parent map."""
+    _, level, parent = node_maps(tower)
     cur = node
-    while tower.level[cur] < lvl:
-        cur = tower.parent[cur]
-    if tower.level[cur] != lvl:
+    while level[cur] < lvl:
+        cur = parent[cur]
+    if level[cur] != lvl:
         raise ValueError(f"{node} has no ancestor at level {lvl}")
     return cur
 
 
 def sup(tower, x, y):
     """Least common upper bound of two nodes."""
+    _, level, parent = node_maps(tower)
     a, b = x, y
-    while tower.level[a] < tower.level[b]:
-        a = tower.parent[a]
-    while tower.level[b] < tower.level[a]:
-        b = tower.parent[b]
+    while level[a] < level[b]:
+        a = parent[a]
+    while level[b] < level[a]:
+        b = parent[b]
     while a != b:
-        a, b = tower.parent[a], tower.parent[b]
+        a, b = parent[a], parent[b]
     return a
 
 
 def path_metric(tower, x, y) -> int:
     """d(x, y) = 2*lev(sup) - lev(x) - lev(y); on base pairs this is the
     even-valued ultrametric the base space carries."""
-    return 2 * tower.level[sup(tower, x, y)] - tower.level[x] - tower.level[y]
+    level = node_maps(tower)[1]
+    return 2 * level[sup(tower, x, y)] - level[x] - level[y]
 
 
 def base_below(tower, node) -> tuple:
     """The base nodes in the node's lower cone, in id order."""
-    return tuple(i for i in tower.cone(node) if tower.level[i] == 1)
+    level = node_maps(tower)[1]
+    return tuple(i for i in cone(tower, node) if level[i] == 1)
 
 
 # -- nested balls by lexsort ----------------------------------------------------
@@ -408,11 +445,13 @@ def ancestor_ball_space(tower) -> Space:
 
 
 def children_by_parent(tower) -> dict:
-    """Each node's children in id order, one pass over the parent map."""
-    out: dict = {x: [] for x in tower.nodes}
-    for x in sorted(tower.nodes):
-        if tower.parent[x] is not None:
-            out[tower.parent[x]].append(x)
+    """Each node's children in id order, keyed in (level, id) order, one
+    pass over the parent map."""
+    nodes, _, parent = node_maps(tower)
+    out: dict = {x: [] for x in nodes}
+    for x in sorted(nodes):
+        if parent[x] is not None:
+            out[parent[x]].append(x)
     return out
 
 
@@ -449,7 +488,7 @@ def germ_descent(t1, roots, t2, w, seqs) -> dict:
                 descend(block, target_kids[pos], level - 1)
                 pos += 1
 
-    descend(sorted(roots), w, t2.level[w])
+    descend(sorted(roots), w, node_maps(t2)[1][w])
     return phi
 
 
@@ -457,11 +496,85 @@ def greedy_embedding(t1, t2) -> dict:
     """The level-preserving embedding node by node, top down: the k-th
     child of a node, in id order, goes to the k-th child of its image."""
     kids1, kids2 = children_by_parent(t1), children_by_parent(t2)
+    nodes, level, _ = node_maps(t1)
     phi = {t1.top: t2.top}
-    for node in reversed(t1.nodes):  # descending (level, id)
-        if t1.level[node] == 1:
+    for node in reversed(nodes):  # descending (level, id)
+        if level[node] == 1:
             continue
         image_kids = kids2[phi[node]]
         for i, child in enumerate(kids1[node]):
             phi[child] = image_kids[i]
     return phi
+
+
+# -- admissibility ------------------------------------------------------------
+
+
+def check_admissible(phi, t1, t2) -> ValidationReport:
+    """Five structural conditions on a node map between towers.
+
+    The domain must be a lower subset; the map preserves levels, commutes
+    with taking parents inside the domain, keeps each fiber inside one
+    sibling set, has a lower-set image, and sends the maximal domain nodes
+    to at most one node.
+    """
+    checked = _ADMISSIBLE_CHECKS
+    _, level1, parent1 = node_maps(t1)
+    _, level2, parent2 = node_maps(t2)
+    kids1, kids2 = children_by_parent(t1), children_by_parent(t2)
+    violations: list = []
+    dom = set(phi)
+    for x in phi:
+        if x not in level1:
+            return ValidationReport(
+                "admissible morphism", checked,
+                (Violation("domain-lower-set", (x,),
+                           f"domain node {x!r} not in the source tower"),))
+        if phi[x] not in level2:
+            return ValidationReport(
+                "admissible morphism", checked,
+                (Violation("image-lower-set", (x, phi[x]),
+                           f"image node {phi[x]!r} not in the target tower"),))
+    for x in sorted(dom):
+        for c in kids1[x]:
+            if c not in dom:
+                violations.append(Violation(
+                    "domain-lower-set", (x, c),
+                    f"{x!r} is in the domain but its child {c!r} is not"))
+        if level1[x] != level2[phi[x]]:
+            violations.append(Violation(
+                "level-preserving", (x, phi[x]),
+                f"lev({x!r}) = {level1[x]} but lev({phi[x]!r}) = "
+                f"{level2[phi[x]]}"))
+    for x in sorted(dom):
+        p = parent1[x]
+        if p is not None and p in dom:
+            if parent2[phi[x]] != phi[p]:
+                violations.append(Violation(
+                    "monotone", (x, p),
+                    f"parent of image of {x!r} is {parent2[phi[x]]!r}, "
+                    f"expected {phi[p]!r}"))
+    by_image: dict = {}
+    for x in sorted(dom):
+        by_image.setdefault(phi[x], []).append(x)
+    for y, fiber in sorted(by_image.items()):
+        parents = {parent1[x] for x in fiber}
+        if len(fiber) > 1 and (len(parents) != 1 or None in parents):
+            violations.append(Violation(
+                "fibers-in-one-sibling-set", tuple(fiber[:2]),
+                f"fiber of {y!r} spans distinct parents {sorted(map(str, parents))}"))
+    img = set(phi.values())
+    for y in sorted(img):
+        for c in kids2[y]:
+            if c not in img:
+                violations.append(Violation(
+                    "image-lower-set", (y, c),
+                    f"{y!r} is in the image but its child {c!r} is not"))
+    max_nodes = [x for x in dom
+                 if parent1[x] is None or parent1[x] not in dom]
+    top_images = {phi[x] for x in max_nodes}
+    if len(top_images) > 1:
+        violations.append(Violation(
+            "single-top-image", tuple(sorted(top_images)[:2]),
+            f"maximal domain nodes map to {len(top_images)} distinct nodes"))
+    return ValidationReport("admissible morphism", checked, tuple(violations))

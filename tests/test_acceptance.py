@@ -48,7 +48,7 @@ from coarsetowers import (
 from coarsetowers.cli import main
 from coarsetowers.limits import Caps
 from coarsetowers.morphisms import (
-    AdmissibleSequences, build_admissible_morphism, check_admissible)
+    AdmissibleSequences, build_admissible_morphism)
 from coarsetowers.rationals import canon
 
 from conftest import (
@@ -58,7 +58,7 @@ from conftest import (
     random_ultrametric,
     record_acceptance,
 )
-from oracles import germ_descent
+from oracles import check_admissible, cone, germ_descent, node_maps
 
 
 # -- 1: validator families -------------------------------------------------------
@@ -256,16 +256,17 @@ def test_criterion_3_admissible_morphisms(pipeline_r3, pipeline_r2):
         assert lo <= d1 <= hi
         t1 = regular_tower((d1, r))
         t2 = regular_tower((D,))
-        roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
+        roots = t1._ids[1]  # the level-2 nodes
         seqs = AdmissibleSequences((1, r), (b1, b2))
         phi, _, cert = build_admissible_morphism(t1, roots, t2, t2.top, seqs)
         assert cert.kind == "admissible"
         assert all(c.passed for c in cert.checks)
         # the builder does not re-check its own map; the validator does here
         assert check_admissible(phi, t1, t2).ok
-        assert set(phi.values()) == set(t2.cone(t2.top))
+        assert set(phi.values()) == set(cone(t2, t2.top))
         assert phi == germ_descent(t1, roots, t2, t2.top, seqs)
-        pairs = tuple((x, phi[x]) for x in sorted(phi) if t1.level[x] == 1)
+        level = node_maps(t1)[1]
+        pairs = tuple((x, phi[x]) for x in sorted(phi) if level[x] == 1)
         base_map = MultiMap(base_space(t1), base_space(t2), pairs)
         bad, _ = _window_implication_failures(base_map)
         bad_pairs += bad
@@ -402,9 +403,10 @@ def test_criterion_6_embedding_dichotomy():
         small = _ranged_tower(rng, height, {k: (1, mins[k]) for k in mins}, "x")
         big = _ranged_tower(rng, height, {k: (mins[k], 4) for k in mins}, "y")
         assignment, cert = tower_embedding(small, big)
-        assert set(assignment) == set(small.nodes)
+        nodes, level, _ = node_maps(small)
+        assert set(assignment) == set(nodes)
         assert len(set(assignment.values())) == len(assignment)
-        assert all(small.level[x] == big.level[y] for x, y in assignment.items())
+        assert all(level[x] == node_maps(big)[1][y] for x, y in assignment.items())
         # same-shape pairs upgrade themselves to isometries
         assert cert.kind in ("embedding", "isometry")
         src = base_space(small)

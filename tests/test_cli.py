@@ -102,6 +102,19 @@ def test_validate_tower_negative(capsys, tmp_path):
     assert any(v["rule"] == "level-condition" for v in report["violations"])
 
 
+@pytest.mark.parametrize("height", [5, True])
+def test_validate_refuses_a_wrong_declared_height(capsys, tmp_path, height):
+    # validate agrees with the loaders: valid nodes under a wrong or
+    # non-integer "height" are an input error, with the loaders' message
+    doc = tower_to_json(regular_tower((2,)))
+    doc["height"] = height
+    path = write(tmp_path, "tower.json", json.dumps(doc))
+    for argv in (["validate", path], ["subtower", path, "--levels", "2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: declared height {height!r} != computed height 2\n"
+
+
 BOM_DOCUMENTS = {
     "w22.csv": lambda: space_to_csv(word_space(2, 2)),
     "w32.json": lambda: dump_json(space_to_json(word_space(3, 2))),
@@ -410,6 +423,17 @@ def test_equiv_exhausted_height(capsys):
     assert code == 3
     assert err.startswith("exhausted:")
     assert "height" in err
+
+
+def test_equiv_runs_at_every_height_the_base_cap_allows(capsys):
+    # at height 10 the base has 19683 points, within the default cap, and
+    # the 29524 nodes stay within twice it; height 11 has a 59049-node level
+    code, out, err = run_cli(capsys, ["equiv", "--from", "regular:3", "--height", "10"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pipeline"]["composed"]["source_points"] == 3 ** 9
+    code, out, err = run_cli(capsys, ["equiv", "--from", "regular:3", "--height", "11"])
+    assert (code, out) == (3, "")
+    assert err == "exhausted: tower has a level of 59049 nodes, cap is 20000\n"
 
 
 def test_equiv_binary_auto_height(capsys):

@@ -27,6 +27,8 @@ from coarsetowers.cli import main
 from coarsetowers.rationals import rat_str
 from coarsetowers.serialization import dump_json, space_to_csv, space_to_json
 
+from oracles import node_maps
+
 EQUIV_DIGESTS = {
     ("equiv", "--from", "regular:3"):
         "381d193c8a84af21347a3929fc261edd497747b1188f3b865377e040d9894923",
@@ -227,10 +229,10 @@ def escaped_tower_text() -> str:
     id order is not the order of the dotted ids; written by json.dumps,
     so the input does not depend on the writer under test."""
     tower = regular_tower((3,) * 6)
-    name = {x: _escaped(k, x) for k, x in enumerate(tower.nodes)}
+    ids, level, parent = node_maps(tower)
+    name = {x: _escaped(k, x) for k, x in enumerate(ids)}
     name[None] = None
-    nodes = [{"id": name[x], "level": tower.level[x], "parent": name[tower.parent[x]]}
-             for x in tower.nodes]
+    nodes = [{"id": name[x], "level": level[x], "parent": name[parent[x]]} for x in ids]
     return json.dumps({"height": tower.height, "nodes": nodes})
 
 

@@ -256,7 +256,7 @@ def test_builder_reads_each_base_modulus_once(monkeypatch):
     monkeypatch.setattr(morphisms, "_label_modulus", counted)
     t1 = regular_tower((27, 4))
     t2 = regular_tower((64,))
-    roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
+    roots = t1._ids[1]  # the level-2 nodes
     build_admissible_morphism(
         t1, roots, t2, t2.top, AdmissibleSequences((1, 4), (8, 8)))
     assert len(calls) == 2

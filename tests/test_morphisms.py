@@ -19,7 +19,6 @@ from coarsetowers import (
     balanced_partition,
     base_space,
     build_admissible_morphism,
-    check_admissible,
     check_base_distortion,
     check_entropy_transport,
     check_l2_preconditions,
@@ -41,7 +40,7 @@ from coarsetowers import (
 from coarsetowers.towers import _cone_profile
 
 from conftest import random_tower, random_ultrametric
-from oracles import path_metric
+from oracles import check_admissible, children_by_parent, cone, node_maps, path_metric
 
 
 TWO_POINTS = Space.from_matrix(["x0", "x1"], [[0, 4], [4, 0]])
@@ -333,9 +332,10 @@ def test_normal_form_moduli_are_those_of_h(mf, mg):
 
 
 def _assert_injective_level_preserving(assign, t1, t2):
-    assert set(assign) == set(t1.nodes)
+    nodes, level, _ = node_maps(t1)
+    assert set(assign) == set(nodes)
     assert len(set(assign.values())) == len(assign)
-    assert all(t1.level[x] == t2.level[y] for x, y in assign.items())
+    assert all(level[x] == node_maps(t2)[1][y] for x, y in assign.items())
 
 
 def test_tower_embedding_binary_into_ternary():
@@ -380,13 +380,13 @@ def test_tower_embedding_of_chain():
 
 def test_check_admissible_accepts_identity():
     t = regular_tower((2, 2))
-    phi = {n: n for n in t.nodes}
+    phi = {n: n for n in node_maps(t)[0]}
     assert check_admissible(phi, t, t).ok
 
 
 def test_check_admissible_rejects_cross_parent_collapse():
     t = regular_tower((2, 2))
-    phi = {n: n for n in t.nodes}
+    phi = {n: n for n in node_maps(t)[0]}
     phi["t.1.0"] = "t.0.0"  # fiber spans two sibling sets
     rep = check_admissible(phi, t, t)
     assert not rep.ok
@@ -455,18 +455,19 @@ def _germ_merged_profile(tower, roots):
     """Reference: each root's lower cone built as a validated tower of its
     own, degree-profiled, and the profiles merged entrywise (min of smalls,
     max of larges)."""
+    _, level, parent = node_maps(tower)
     small: dict = {}
     large: dict = {}
     for r in roots:
-        ids = tower.cone(r)
-        germ = Tower(ids, {i: tower.level[i] for i in ids},
-                     {i: tower.parent[i] if i != r else None for i in ids})
+        ids = cone(tower, r)
+        germ = Tower(ids, {i: level[i] for i in ids},
+                     {i: parent[i] if i != r else None for i in ids})
         prof = degree_profile(germ)
         for key, v in prof.small.items():
             small[key] = min(small.get(key, v), v)
         for key, v in prof.large.items():
             large[key] = max(large.get(key, v), v)
-    return DegreeProfile(tower.level[roots[0]], small, large)
+    return DegreeProfile(level[roots[0]], small, large)
 
 
 @given(st.integers(0, 2 ** 32))
@@ -478,8 +479,7 @@ def test_cone_profile_matches_germ_towers(seed):
     if lvl == tower.height:
         roots = [tower.top]
     else:
-        parent = rng.choice([n for n in tower.nodes if tower.level[n] == lvl + 1])
-        kids = tower.children[parent]
+        kids = children_by_parent(tower)[rng.choice(tower._ids[lvl])]
         roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
     at = [tower._ids[lvl - 1].index(r) for r in roots]
     assert _cone_profile(tower, lvl, at) == _germ_merged_profile(tower, roots)
@@ -497,7 +497,7 @@ def test_build_admissible_morphism_height_one():
 def test_build_admissible_morphism_27_into_64():
     t1 = regular_tower((27, 4))
     t2 = regular_tower((64,))
-    roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
+    roots = t1._ids[1]  # the level-2 nodes
     phi, _, cert = build_admissible_morphism(
         t1, roots, t2, t2.top, AdmissibleSequences((1, 4), (8, 8)))
     assert cert.kind == "admissible"
@@ -507,10 +507,10 @@ def test_build_admissible_morphism_27_into_64():
         "fibers-in-one-sibling-set", "image-lower-set", "single-top-image",
         "base-contraction", "base-expansion-plus-2", "surjective-onto-cone"}
     assert check_admissible(phi, t1, t2).ok
-    assert set(phi.values()) == set(t2.cone(t2.top))
+    assert set(phi.values()) == set(cone(t2, t2.top))
     # 108 source leaves spread over the 64 targets in fibers of 1 and 2
     leaf_fibers = Counter()
-    per_target = Counter(t for s, t in phi.items() if t1.level[s] == 1)
+    per_target = Counter(t for s, t in phi.items() if node_maps(t1)[1][s] == 1)
     for size in per_target.values():
         leaf_fibers[size] += 1
     assert dict(leaf_fibers) == {1: 20, 2: 44}
@@ -520,7 +520,7 @@ def test_build_admissible_morphism_27_into_64():
 def test_build_admissible_morphism_checks_preconditions_first():
     t1 = regular_tower((2, 2))
     t2 = regular_tower((2,))
-    roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
+    roots = t1._ids[1]  # the level-2 nodes
     with pytest.raises(ValueError):
         build_admissible_morphism(
             t1, roots, t2, t2.top, AdmissibleSequences((1, 1), (3, 3)))
@@ -529,11 +529,11 @@ def test_build_admissible_morphism_checks_preconditions_first():
 def test_built_morphism_base_checks():
     t1 = regular_tower((27, 4))
     t2 = regular_tower((64,))
-    roots = tuple(n for n in t1.nodes if t1.level[n] == 2)
+    roots = t1._ids[1]  # the level-2 nodes
     phi, _, cert = build_admissible_morphism(
         t1, roots, t2, t2.top, AdmissibleSequences((1, 4), (8, 8)))
-    base_pairs = tuple(
-        (s, t) for s, t in phi.items() if t1.level[s] == 1)
+    level = node_maps(t1)[1]
+    base_pairs = tuple((s, t) for s, t in phi.items() if level[s] == 1)
     mm = MultiMap(base_space(t1), base_space(t2), base_pairs)
     assert check_base_distortion(mm).ok
     assert check_entropy_transport(mm, cert).ok

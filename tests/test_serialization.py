@@ -41,6 +41,7 @@ from coarsetowers.serialization import (
 from coarsetowers.spaces import _CellIds, _encode_cells, _pick_dtype
 
 from conftest import random_radii, random_tower, random_ultrametric, shuffled_tower
+from oracles import node_maps
 
 
 # -- spaces ---------------------------------------------------------------------
@@ -90,9 +91,7 @@ def test_tower_json_round_trip():
     assert sorted(data) == ["height", "nodes"]
     assert data["nodes"][0] == {"id": "t.0.0", "level": 1, "parent": "t.0"}
     back = tower_from_json(data)
-    assert back.nodes == t.nodes
-    assert back.level == t.level
-    assert back.parent == t.parent
+    assert node_maps(back) == node_maps(t)
 
 
 def test_tower_from_json_validates():
@@ -810,11 +809,11 @@ def _renamed(tower: Tower, prefix: list, suffix: list) -> Tower:
     """The tower with node k renamed prefix[k % len] + id + suffix[k % len];
     the affixes are drawn from ESCAPES, which no id holds, so names stay
     unique."""
+    nodes, level, parent = node_maps(tower)
     name = {x: prefix[k % len(prefix)] + x + suffix[k % len(suffix)]
-            for k, x in enumerate(tower.nodes)}
-    return Tower(list(name.values()),
-                 {name[x]: lv for x, lv in tower.level.items()},
-                 {name[x]: p and name[p] for x, p in tower.parent.items()})
+            for k, x in enumerate(nodes)}
+    return Tower(list(name.values()), {name[x]: lv for x, lv in level.items()},
+                 {name[x]: p and name[p] for x, p in parent.items()})
 
 
 AFFIXES = st.lists(st.text(ESCAPES, max_size=3), min_size=1, max_size=5)

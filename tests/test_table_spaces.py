@@ -61,7 +61,8 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import ancestor, argmin_base_map, chain_labels, roundtrip_fiber_diameter
+from oracles import (
+    ancestor, argmin_base_map, chain_labels, node_maps, roundtrip_fiber_diameter)
 
 
 def _block_fill(parts, values):
@@ -107,7 +108,7 @@ def _chain_parts(plain, scales):
 def _tower_parts(tower):
     """Each base point's ancestor at every level, by a walk up the parent
     dicts, named by its position in the tower's node tuple."""
-    pos = {x: k for k, x in enumerate(tower.nodes)}
+    pos = {x: k for k, x in enumerate(node_maps(tower)[0])}
     parts = [np.asarray([pos[ancestor(tower, p, lv)] for p in tower.base])
              for lv in range(1, tower.height + 1)]
     return parts, tuple(2 * lv for lv in range(tower.height))

@@ -5,7 +5,6 @@ nested-ball entropy counts, the builders and the validator."""
 import dataclasses
 import random
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,7 @@ from coarsetowers import (
     validate_tower,
     word_space,
 )
-from coarsetowers import cli, equivalence_pipeline, homogenize, serialization, spaces, towers
+from coarsetowers import cli, equivalence_pipeline, serialization, spaces, towers
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.serialization import dump_json, tower_to_json
 from coarsetowers.spaces import CLOSED, STRICT, _class_labels
@@ -42,7 +41,7 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import ancestor, ancestor_ball_space
+from oracles import ancestor, ancestor_ball_space, children_by_parent, cone, node_maps
 from test_golden_reports import EQUIV_DIGESTS, _run, _sha
 
 
@@ -65,20 +64,19 @@ def _sample_towers(rng):
 def test_degree_kernels_match_dict_walk(seed):
     rng = random.Random(seed)
     for tower in _sample_towers(rng):
+        nodes, level, _ = node_maps(tower)
         prof = degree_profile(tower)
-        ref = oracle_cone_profile(tower, tower.nodes, tower.height)
+        ref = oracle_cone_profile(tower, nodes, tower.height)
         assert prof == ref
         assert list(prof.small) == list(ref.small)  # same entry order
         lvl = rng.randint(1, tower.height)
         if lvl == tower.height:
             roots = [tower.top]
         else:
-            parent = rng.choice(
-                [x for x in tower.nodes if tower.level[x] == lvl + 1])
-            kids = tower.children[parent]
+            kids = children_by_parent(tower)[rng.choice(tower._ids[lvl])]
             roots = sorted(rng.sample(kids, rng.randint(1, len(kids))))
-        nodes = sorted({x for r in roots for x in tower.cone(r)},
-                       key=lambda i: (tower.level[i], i))
+        nodes = sorted({x for r in roots for x in cone(tower, r)},
+                       key=lambda i: (level[i], i))
         at = [tower._ids[lvl - 1].index(r) for r in roots]
         assert _cone_profile(tower, lvl, at) == \
             oracle_cone_profile(tower, nodes, lvl)
@@ -87,14 +85,15 @@ def test_degree_kernels_match_dict_walk(seed):
 def _brute_profile(tower, nodes, top):
     """The degree profile over the level-j nodes among nodes, each
     node's descendants counted per level by a walk over its children."""
+    level, children = node_maps(tower)[1], children_by_parent(tower)
     small, large = {}, {}
     for j in range(2, top + 1):
         per_node = []
-        for node in (x for x in nodes if tower.level[x] == j):
+        for node in (x for x in nodes if level[x] == j):
             counts, stack = Counter(), [node]
             while stack:
-                for child in tower.children[stack.pop()]:
-                    counts[tower.level[child]] += 1
+                for child in children[stack.pop()]:
+                    counts[level[child]] += 1
                     stack.append(child)
             per_node.append(counts)
         for i in range(1, j):
@@ -112,62 +111,38 @@ def test_degree_profiles_match_a_brute_force_count(seed):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(towers, "_under", None)
             assert degree_profile(tower) == \
-                _brute_profile(tower, tower.nodes, tower.height)
+                _brute_profile(tower, node_maps(tower)[0], tower.height)
         if tower.height < 2:
             continue
         # a sub-cone below the top: any nodes of one level, masked
         lvl = rng.randint(2 if tower.height > 2 else 1, tower.height - 1)
         row = tower._ids[lvl - 1]
         at = sorted(rng.sample(range(len(row)), rng.randint(1, len(row))))
-        nodes = {x for k in at for x in tower.cone(row[k])}
+        nodes = {x for k in at for x in cone(tower, row[k])}
         assert _cone_profile(tower, lvl, at) == _brute_profile(tower, nodes, lvl)
 
 
-class _Unreadable(Mapping):
-    """Stands in for a tower's level or parent dict; every read fails."""
-
-    def __getitem__(self, key):
-        raise AssertionError(f"node dict read at {key!r}")
-
-    def __iter__(self):
-        raise AssertionError("node dict iterated")
-
-    def __len__(self):
-        raise AssertionError("node dict sized")
-
-
-def _guarded(degrees):
-    tower = regular_tower(degrees)
-    tower._level = tower._parent = _Unreadable()
-    return tower
-
-
 def test_kernels_read_the_arrays_not_the_node_dicts():
-    # the degree kernels, the pipeline and the JSON writer work on _ids
-    # and _par; only validation and navigation read level and parent
-    degrees = (3,) * 6
-    plain = regular_tower(degrees)
-    assert tower_to_json(_guarded(degrees)) == tower_to_json(plain)
-    assert degree_profile(_guarded(degrees)) == degree_profile(plain)
-    assert dump_json(equivalence_pipeline(_guarded(degrees)).to_json()) == \
+    # a Tower holds its arrays and no node dict, so the degree kernels,
+    # the pipeline and the JSON writer work on _ids and _par alone, and
+    # agree on the tower the validated constructor rebuilds from its maps
+    assert Tower.__slots__ == ("height", "base", "_ids", "_par", "_profile")
+    plain = regular_tower((3,) * 6)
+    rebuilt = Tower(*node_maps(plain))
+    assert tower_to_json(rebuilt) == tower_to_json(plain)
+    assert degree_profile(rebuilt) == degree_profile(plain)
+    assert dump_json(equivalence_pipeline(rebuilt).to_json()) == \
         dump_json(equivalence_pipeline(plain).to_json())
 
 
 def test_equiv_builds_no_node_dicts_past_its_source(monkeypatch):
-    # the source hash streams the arrays, and the pipeline's level
-    # subtowers never build a node view: with tower_to_json failing and
-    # every view of the subtowers unreadable the report keeps its bytes
+    # the source hash streams the arrays: with tower_to_json failing the
+    # report keeps its bytes
     def no_document(tower):
         raise AssertionError("tower_to_json called")
 
-    def unviewed(tower, levels, caps):
-        sub = towers._level_subtower(tower, levels, caps)
-        sub._nodes = sub._level = sub._parent = sub._children = _Unreadable()
-        return sub
-
     monkeypatch.setattr(cli, "tower_to_json", no_document)
     monkeypatch.setattr(serialization, "tower_to_json", no_document)
-    monkeypatch.setattr(homogenize, "_level_subtower", unviewed)
     argv = ("equiv", "--from", "regular:3", "--height", "9", "--to", "binary")
     assert _sha(_run(argv)) == EQUIV_DIGESTS[argv]
 
@@ -335,8 +310,7 @@ def _regular_dicts(degrees):
 
 
 def _fields(tower):
-    return (tower.height, tower.nodes, tower.level, tower.parent,
-            tower.children, tower.base)
+    return (tower.height, *node_maps(tower), children_by_parent(tower), tower.base)
 
 
 @pytest.mark.parametrize("degrees", [
@@ -344,20 +318,22 @@ def _fields(tower):
 def test_regular_tower_matches_validated_constructor(degrees):
     built = regular_tower(degrees)
     assert _fields(built) == _fields(Tower(*_regular_dicts(degrees)))
-    # the children of a degree-12 node come in id order: "t.10" < "t.2"
-    assert all(list(c) == sorted(c) for c in built.children.values())
+    # each level lists its ids in id order, so the children of a degree-12
+    # node run "t.10" before "t.2"
+    assert all(list(row) == sorted(row) for row in built._ids)
     for levels in ([built.height], [1, built.height], range(min(2, built.height), built.height + 1)):
         sub, next_map = level_subtower(built, levels)
         chosen = sorted(set(levels))
         rank = {lv: k for k, lv in enumerate(chosen, start=1)}
-        ids = [x for x in built.nodes if built.level[x] in rank]
+        nodes, level, parent = node_maps(built)
+        ids = [x for x in nodes if level[x] in rank]
 
         def up(x):
-            x = built.parent[x]
-            while x is not None and built.level[x] not in rank:
-                x = built.parent[x]
+            x = parent[x]
+            while x is not None and level[x] not in rank:
+                x = parent[x]
             return x
-        ref = Tower(ids, {x: rank[built.level[x]] for x in ids},
+        ref = Tower(ids, {x: rank[level[x]] for x in ids},
                     {x: up(x) for x in ids})
         assert _fields(sub) == _fields(ref)
         assert next_map == {b: ancestor(built, b, chosen[0]) for b in built.base}
@@ -372,8 +348,8 @@ def test_level_subtowers_are_valid_towers(seed):
     for tower in _sample_towers(rng):
         below = rng.sample(range(1, tower.height), rng.randint(0, tower.height - 1))
         sub = towers._level_subtower(tower, sorted(below) + [tower.height])
-        assert validate_tower(sub.nodes, sub.level, sub.parent).ok
-        ref = Tower(sub.nodes, sub.level, sub.parent)
+        assert validate_tower(*node_maps(sub)).ok
+        ref = Tower(*node_maps(sub))
         assert sub._ids == ref._ids
         assert all(map(np.array_equal, sub._par, ref._par))
 
@@ -459,15 +435,15 @@ _MUTATIONS = (
 
 
 def _mutate(rng, tower, kind):
-    ids = list(tower.nodes)
+    nodes, level, parent = node_maps(tower)
+    ids, level, parent = list(nodes), dict(level), dict(parent)
     rng.shuffle(ids)
-    level, parent = dict(tower.level), dict(tower.parent)
     below = [x for x in ids if x != tower.top]
     x = rng.choice(below) if below else tower.top
     if kind == "dropped-parent" and below:
         del parent[x]
     elif kind == "two-level-hop":
-        low = [y for y in below if tower.level[y] <= tower.height - 2]
+        low = [y for y in below if level[y] <= tower.height - 2]
         if low:
             y = rng.choice(low)
             parent[y] = parent[parent[y]]
@@ -485,11 +461,11 @@ def _mutate(rng, tower, kind):
         parent[x] = "elsewhere"
     elif kind == "childless":
         # a node above level 1 whose parent is real but which has no child
-        inner = [y for y in below if tower.level[y] > 1]
+        inner = [y for y in below if level[y] > 1]
         if inner:
             y = rng.choice(inner)
             ids.append("childless")
-            level["childless"] = tower.level[y]
+            level["childless"] = level[y]
             parent["childless"] = parent[y]
     elif kind == "top-parent":
         parent[tower.top] = rng.choice(ids)
@@ -597,7 +573,7 @@ def test_array_verdict_matches_the_dict_walk(seed, kind):
     tower = rng.choice(_sample_towers(rng) + [random_tower(rng, height_min=1)])
     broken = _corrupt_arrays(rng, tower, kind)
     report = validate_tower(broken)
-    assert report == validate_tower(broken.nodes, broken.level, broken.parent)
+    assert report == validate_tower(*node_maps(broken))
     assert report.ok == (broken._ids == tower._ids)
 
 
@@ -607,7 +583,7 @@ def test_every_array_corruption_is_named_by_the_dict_walk():
         broken = _corrupt_arrays(random.Random(0), tower, kind)
         report = validate_tower(broken)
         assert not report.ok
-        assert report == validate_tower(broken.nodes, broken.level, broken.parent)
+        assert report == validate_tower(*node_maps(broken))
 
 
 @pytest.mark.parametrize("fault", ["minus-one", "past-the-end", "short", "float", "missing"])
@@ -631,47 +607,23 @@ def test_unreadable_parent_arrays_fail_the_build(fault):
 def test_validate_tower_takes_no_maps_with_a_tower():
     tower = regular_tower((2,))
     with pytest.raises(TypeError):
-        validate_tower(tower, tower.level, tower.parent)
-
-
-def test_builders_build_no_node_views():
-    space = random_ultrametric(random.Random(5))
-    built = [regular_tower((3, 1, 2)), ball_tower(space, random_radii(random.Random(5), space))]
-    for tower in built:
-        base_space(tower)
-        assert (tower._nodes, tower._level, tower._parent) == (None, None, None)
-
-
-def test_cone_builds_no_node_view():
-    tower = regular_tower((2, 3))
-    assert tower.cone("t.1") == ("t.1.0", "t.1.1", "t.1")
-    assert tower.cone("t.2.0") == ("t.2.0",)
-    assert len(tower.cone("t")) == 10
-    with pytest.raises(KeyError):
-        tower.cone("t.3")
-    assert (tower._nodes, tower._level, tower._parent) == (None, None, None)
-
-
-# -- children on demand ---------------------------------------------------------------
-
-
-def _eager_children(tower):
-    """Each node's children in id order, keyed in node order, read off
-    the parent map one node at a time."""
-    return {x: tuple(sorted(c for c in tower.nodes if tower.parent[c] == x))
-            for x in tower.nodes}
+        validate_tower(tower, *node_maps(tower)[1:])
 
 
 @pytest.mark.parametrize("degrees", [(), (3,), (2, 12, 3), (1, 2, 1)])
-def test_children_are_built_on_first_read(degrees):
+def test_degree_entropy_matches_the_base_profile(degrees):
     tower = regular_tower(degrees)
-    base = base_space(tower)
     radii = [2 * i for i in range(tower.height)]
-    profile = entropy_profile(base, radii, radii, CLOSED)
+    profile = entropy_profile(base_space(tower), radii, radii, CLOSED)
     for i in range(tower.height):
         for j in range(i, tower.height):
             assert profile.entries[(2 * i, 2 * j)] == entropy_from_degrees(tower, i, j)
-    assert tower._children is None
-    children = tower.children
-    assert list(children.items()) == list(_eager_children(tower).items())
-    assert tower.children is children  # built once
+
+
+def test_cone_oracle_lists_each_lower_cone():
+    tower = regular_tower((2, 3))
+    assert cone(tower, "t.1") == ("t.1.0", "t.1.1", "t.1")
+    assert cone(tower, "t.2.0") == ("t.2.0",)
+    assert len(cone(tower, "t")) == 10
+    with pytest.raises(KeyError):
+        cone(tower, "t.3")

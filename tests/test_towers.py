@@ -26,10 +26,11 @@ from coarsetowers import (
     verify_asymorphism,
     word_space,
 )
+from coarsetowers.limits import CapExceeded, Caps
 from coarsetowers.rationals import canon
 
 from conftest import oracle_path_metric, random_radii, random_tower, random_ultrametric
-from oracles import ancestor, base_below, path_metric, sup
+from oracles import ancestor, base_below, cone, node_maps, path_metric, sup
 
 
 MIXED_IDS = ["r", "r.0", "r.1", "r.0.0", "r.0.1", "r.1.0", "r.1.1", "r.1.2"]
@@ -75,9 +76,28 @@ def test_tower_constructor_raises_on_bad_data():
               {"top": None, "leaf": "top"})
 
 
+def test_caps_bound_a_tower_base_and_twice_it_in_nodes():
+    with pytest.raises(CapExceeded, match="tower has 80001 nodes, cap is 40000"):
+        regular_tower([1, 1, 1, 20000])
+    # the pre-check stops at the first level past the cap
+    with pytest.raises(CapExceeded, match="tower has a level of 32768 nodes, cap is 20000"):
+        regular_tower([2] * 10 ** 5)
+    caps = Caps(max_points=4)
+    built = regular_tower((2, 2), caps=caps)  # 4 base points, 7 nodes
+    assert Tower(*node_maps(built), caps=caps)._ids == built._ids
+    with pytest.raises(CapExceeded, match="tower has a level of 8 nodes, cap is 4"):
+        regular_tower((2, 2, 2), caps=caps)
+    with pytest.raises(CapExceeded, match="tower has a level of 8 nodes, cap is 4"):
+        Tower(*node_maps(regular_tower((2, 2, 2))), caps=caps)
+    with pytest.raises(CapExceeded, match="tower has 9 nodes, cap is 8"):
+        Tower(*node_maps(regular_tower((1,) * 8)), caps=caps)
+    with pytest.raises(CapExceeded, match="tower has 9 nodes, cap is 8"):
+        regular_tower((1,) * 8, caps=caps)
+
+
 def test_validate_tower_accepts_full_binary():
     t = regular_tower((2, 2))
-    rep = validate_tower(t.nodes, t.level, t.parent)
+    rep = validate_tower(*node_maps(t))
     assert rep.ok
 
 
@@ -92,7 +112,7 @@ def test_path_metric_examples():
     assert path_metric(t, "t.0.0", "t.0") == 1
     assert sup(t, "t.0.0", "t.1.1") == "t"
     assert ancestor(t, "t.0.0", 2) == "t.0"
-    assert t.cone("t.0") == ("t.0.0", "t.0.1", "t.0")
+    assert cone(t, "t.0") == ("t.0.0", "t.0.1", "t.0")
     assert base_below(t, "t.0") == ("t.0.0", "t.0.1")
 
 
@@ -100,7 +120,7 @@ def test_path_metric_matches_ancestor_walk():
     rng = random.Random(71)
     for _ in range(15):
         t = random_tower(rng)
-        nodes = list(t.nodes)
+        nodes = list(node_maps(t)[0])
         for _ in range(30):
             x, y = rng.choice(nodes), rng.choice(nodes)
             assert path_metric(t, x, y) == oracle_path_metric(t, x, y)
@@ -184,14 +204,14 @@ def test_degree_profile_chain_is_all_ones():
 def test_level_subtower_identity():
     t = regular_tower((2, 2))
     sub, nmap = level_subtower(t, (1, 2, 3))
-    assert sub.nodes == t.nodes
+    assert node_maps(sub)[0] == node_maps(t)[0]
     assert all(k == v for k, v in nmap.items())
 
 
 def test_level_subtower_drops_odd_levels():
     t = regular_tower((2,) * 3)
     sub, nmap = level_subtower(t, (2, 4))
-    assert sub.nodes == ("t.0.0", "t.0.1", "t.1.0", "t.1.1", "t")
+    assert node_maps(sub)[0] == ("t.0.0", "t.0.1", "t.1.0", "t.1.1", "t")
     assert sub.height == 2
     assert len(nmap) == 8
     fibers = {}
@@ -320,14 +340,14 @@ def test_ball_tower_one_point_space():
     from coarsetowers import Space
     single = Space.from_matrix(["p"], [[0]])
     bt = ball_tower(single, (0,))
-    assert bt.nodes == ("b1:p",)
+    assert node_maps(bt)[0] == ("b1:p",)
     assert bt.height == 1
 
 
 def test_ball_tower_binary_square():
     w = word_space(2, 2)
     bt = ball_tower(w, (0, 1, 2))
-    assert bt.nodes == ("b1:00", "b1:01", "b1:10", "b1:11",
+    assert node_maps(bt)[0] == ("b1:00", "b1:01", "b1:10", "b1:11",
                         "b2:00", "b2:01", "b3:00")
     prof = degree_profile(bt)
     assert prof.small == {(1, 2): 2, (1, 3): 4, (2, 3): 2}
@@ -338,7 +358,7 @@ def test_ball_tower_binary_square():
 
 def test_ball_tower_ternary_point():
     bt = ball_tower(word_space(3, 1), (0, 1))
-    assert bt.nodes == ("b1:0", "b1:1", "b1:2", "b2:0")
+    assert node_maps(bt)[0] == ("b1:0", "b1:1", "b1:2", "b2:0")
     assert degree_profile(bt).small == {(1, 2): 3}
 
 
@@ -355,7 +375,7 @@ def test_ball_tower_radii_preconditions():
         ball_tower(w, ())
     # a positive first radius groups points from the bottom level on
     bt = ball_tower(w, (1, 2))
-    assert bt.nodes == ("b1:00", "b1:01", "b2:00")
+    assert node_maps(bt)[0] == ("b1:00", "b1:01", "b2:00")
 
 
 @given(st.integers(0, 2 ** 32), st.booleans())
@@ -388,10 +408,11 @@ def test_ball_tower_nodes_are_closed_balls_about_their_reps(seed, zero_radius):
     members: dict = {}
     for p, b in ball_tower_base_map(sp, bt).items():
         members.setdefault(b, set()).add(p)
-    for node in bt.nodes:
+    nodes, level, _ = node_maps(bt)
+    for node in nodes:
         rep = node.split(":", 1)[1]
         below = set().union(*(members[b] for b in base_below(bt, node)))
-        expected = set(ball(sp, rep, radii[bt.level[node] - 1]))
+        expected = set(ball(sp, rep, radii[level[node] - 1]))
         assert below == expected
         assert rep == min(expected)
 
