@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -36,6 +37,7 @@ from .spaces import (
 from .towers import (
     DegreeProfile,
     Tower,
+    _degrees_within,
     ball_tower,
     degree_profile,
     level_subtower,
@@ -178,7 +180,9 @@ def _tower_from_spec(
                 raise ValueError("regular towers here need degree >= 2")
             H = height if height is not None else _auto_height(
                 d, target_base, caps)
-            return regular_tower([d] * (H - 1), H, caps=caps), f"regular:{d}:h{H}"
+            # a huge height is refused before a list of H - 1 degrees is made
+            degrees = _degrees_within(itertools.repeat(d, H - 1), caps)
+            return regular_tower(degrees, H, caps=caps), f"regular:{d}:h{H}"
         H = height if height is not None else len(degrees) + 1
         return regular_tower(degrees, H, caps=caps), f"{spec}:h{H}"
     return _load_tower(spec, caps), spec

@@ -719,23 +719,23 @@ def _pipeline_stage_specs(
     synth, full, top_size = _fit_germ(profile, witness, target_base)
 
     sub1 = _level_subtower(tower, synth.n + (H,), caps=caps)
-    roots = tower._ids[synth.n[-1] - 1][:top_size]  # each level is id-sorted
 
     binary = regular_tower([target_base] * synth.m[-1], synth.m[-1] + 1,
                            caps=caps)
     sub2 = _level_subtower(binary, tuple(mi + 1 for mi in synth.m), caps=caps)
 
-    # the builder's certified base map is the germ-map stage itself
+    # the builder's certified base map is the germ-map stage itself: the
+    # roots are the first top_size nodes (in id order) of the level below
+    # sub1's top, and they map to sub2's top, on the same level
     _, s1, germ_cert = _admissible_morphism(
-        sub1, roots, sub2, sub2.top, synth.sequences, caps=caps)
+        sub1, len(synth.n), np.arange(top_size), sub2, 0, synth.sequences, caps=caps)
 
     # n_1 = 1 and m_1 = 0, so sub1 keeps the tower's base and sub2 the
     # binary base: each regrouping is the identity on one point tuple
     dom = np.flatnonzero(_under(tower, synth.n[-1], range(top_size))[-1])
     grouped = _subspace(base_space(tower, caps=caps), dom, caps)
     binary_base = base_space(binary, caps=caps)
-    s0, s2 = (MultiMap._of_indices(a, b, np.arange(len(a)), np.arange(len(a)))
-              for a, b in ((grouped, s1.source), (s1.target, binary_base)))
+    s0, s2 = MultiMap._paired(grouped, s1.source), MultiMap._paired(s1.target, binary_base)
 
     s3 = _word_stage(binary_base, synth.m[-1], target_base, caps=caps)
 

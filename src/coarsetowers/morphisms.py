@@ -44,7 +44,8 @@ class MultiMap:
     (source id, target id), ranked by each space's _id_ranks, with no
     repeats, so each source's targets form one run.  pairs, fibers and
     cofibers are views derived on demand and cached; the object never
-    mutates.  Every constructor ends in _of_indices, the one sort."""
+    mutates.  Every constructor ends in _of_indices, the one sort, except
+    _paired, which needs none."""
 
     def __init__(self, source: Space, target: Space,
                  pairs: Iterable[tuple[PointId, PointId]]):
@@ -80,18 +81,28 @@ class MultiMap:
         return cls(source, target, zip(source.points, map(get, source.points)))
 
     @classmethod
+    def _paired(cls, source: Space, target: Space) -> "MultiMap":
+        """Point k of source related to point k of target, for two spaces
+        listing the same ids in the same order: each source point has
+        one target, so the graph in source id order is the source's
+        _id_ranks order on both sides, with no sort."""
+        mm = cls.__new__(cls)
+        order = source._id_ranks()[0]
+        mm.source, mm.target, mm.src_idx, mm.tgt_idx = source, target, order, order
+        return mm
+
+    @classmethod
     def identity(cls, space: Space) -> "MultiMap":
-        idx = np.arange(len(space.points))
-        return cls._of_indices(space, space, idx, idx)
+        return cls._paired(space, space)
 
     @cached_property
     def pairs(self) -> tuple[tuple[PointId, PointId], ...]:
-        return tuple(zip(_ids(self.source, self.src_idx), _ids(self.target, self.tgt_idx)))
+        return tuple(zip(self.source._ids_at(self.src_idx), self.target._ids_at(self.tgt_idx)))
 
     @cached_property
     def fibers(self) -> dict[PointId, tuple[PointId, ...]]:
         bounds = _run_starts(self.src_idx).tolist() + [self.src_idx.size]
-        targets = _ids(self.target, self.tgt_idx)
+        targets = self.target._ids_at(self.tgt_idx)
         return {self.source.points[self.src_idx[lo]]: tuple(targets[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:])}
 
@@ -134,10 +145,6 @@ class MultiMap:
         if not self.is_function:
             raise ValueError("relation is not single-valued")
         return dict(self.pairs)
-
-
-def _ids(space: Space, idx: np.ndarray) -> list[PointId]:
-    return list(map(space.points.__getitem__, idx.tolist()))
 
 
 def _run_starts(idx: np.ndarray) -> np.ndarray:
@@ -513,12 +520,12 @@ class SelectionPair:
     @cached_property
     def f(self) -> dict[PointId, PointId]:
         xs, ys = self.f_heads
-        return dict(zip(_ids(self.source, xs), _ids(self.target, ys)))
+        return dict(zip(self.source._ids_at(xs), self.target._ids_at(ys)))
 
     @cached_property
     def g(self) -> dict[PointId, PointId]:
         ys, xs = self.g_heads
-        return dict(zip(_ids(self.target, ys), _ids(self.source, xs)))
+        return dict(zip(self.target._ids_at(ys), self.source._ids_at(xs)))
 
     def _key(self) -> tuple:
         return (self.f, self.g, self.closeness, self.source_closeness,
@@ -679,7 +686,7 @@ def coarse_normal_form(
     at = np.argsort(source._id_ranks()[1][xs])
     sub_x, sub_y = _subspace(source, xs[at], caps), _subspace(target, ys, caps)
     x_prime, y_prime = sub_x.points, sub_y.points
-    h = dict(zip(_ids(source, xs), y_prime))
+    h = dict(zip(source._ids_at(xs), y_prime))
     h_map = MultiMap._of_indices(sub_x, sub_y, np.arange(at.size), at)
     fwd = distortion_modulus(h_map, caps)
     bwd = distortion_modulus(h_map.inverse(), caps)
@@ -933,21 +940,16 @@ def build_admissible_morphism(
     Any infeasibility aborts with the failing inequality; nothing partial
     is returned.
     """
-    phi, phi_base, cert = _admissible_morphism(t1, roots, t2, w, seqs, caps)
+    lvl, at, w_at = _root_indices(t1, roots, t2, w)
+    phi, phi_base, cert = _admissible_morphism(t1, lvl, at, t2, w_at, seqs, caps)
     return _node_dict(phi, t1, t2), phi_base, cert
 
 
-def _admissible_morphism(
-    t1: Tower,
-    roots: Sequence[NodeId],
-    t2: Tower,
-    w: NodeId,
-    seqs: AdmissibleSequences,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[list[np.ndarray], MultiMap, MorphismCertificate]:
-    """build_admissible_morphism with the node map left in _descend's
-    index arrays (phi[l - 1][i] is the level-l index of the image of
-    t1's level-l node i, or -1), for callers that need no node dict."""
+def _root_indices(
+    t1: Tower, roots: Sequence[NodeId], t2: Tower, w: NodeId
+) -> tuple[int, list[int], int]:
+    """(level, indices of the distinct roots in id order, index of w):
+    the roots in t1 and w in t2, which must sit on one level."""
     roots = sorted(set(roots))
     if not roots:
         raise ValueError("empty root set")
@@ -965,17 +967,34 @@ def _admissible_morphism(
                 f"root {r!r} sits at level {found[0]}, target {w!r} at "
                 f"level {lvl}")
         at.append(found[1])
+    return lvl, at, w_at
+
+
+def _admissible_morphism(
+    t1: Tower,
+    lvl: int,
+    at: Sequence[int],
+    t2: Tower,
+    w_at: int,
+    seqs: AdmissibleSequences,
+    caps: Caps = DEFAULT_CAPS,
+) -> tuple[list[np.ndarray], MultiMap, MorphismCertificate]:
+    """build_admissible_morphism from the roots at the ascending indices
+    at of level lvl of t1 to the node at index w_at of level lvl of t2,
+    with the node map left in _descend's index arrays (phi[l - 1][i] is
+    the level-l index of the image of t1's level-l node i, or -1), for
+    callers that hold indices and need no node dict."""
     # several roots lie below the top, which is the one node on its level
-    if len(roots) > 1 and len(set(t1._par[lvl - 1][at].tolist())) != 1:
+    if len(at) > 1 and len(set(t1._par[lvl - 1][at].tolist())) != 1:
         raise ValueError("roots must form a sibling set")
     if len(seqs) != lvl:
         raise ValueError(
             f"need one window per level 1..{lvl}, got {len(seqs)}")
     seqs.check().require()
     a_top, b_top = seqs.window(lvl)
-    if not a_top <= len(roots) <= b_top:
+    if not a_top <= len(at) <= b_top:
         raise ValueError(
-            f"root count {len(roots)} outside the level-{lvl} window "
+            f"root count {len(at)} outside the level-{lvl} window "
             f"[{rat_str(a_top)}, {rat_str(b_top)}]")
     if lvl > 1:
         p1 = _cone_profile(t1, lvl, at)

@@ -15,7 +15,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +65,9 @@ class Space:
 
     The point tuple order is part of the space's identity.  Deterministic
     tie-breaks (net representatives, selections) always compare id strings,
-    and builders emit points so that id order and tuple order agree.
+    and builders emit points so that id order and tuple order agree.  The
+    base space of a regular tower holds the tower's base row, a
+    towers.PathRow that formats each id when it is read, as its points.
     """
 
     __slots__ = ("points", "values", "_codes", "_index", "_labels", "_ranks")
@@ -102,10 +104,13 @@ class Space:
         self._index = self._ranks = None
         return self
 
-    def _id_index(self) -> dict:
-        """Each point id's index, built on first lookup."""
+    def _id_index(self) -> Mapping:
+        """Each point id's index, built on first lookup: a dict, or the
+        mapping of points that parse their ids (towers.PathRow)."""
         if self._index is None:
-            self._index = dict(zip(self.points, range(len(self.points))))
+            index = getattr(self.points, "positions", None)
+            self._index = index if index is not None else \
+                dict(zip(self.points, range(len(self.points))))
         return self._index
 
     def _unique_ids(self) -> "Space":
@@ -194,11 +199,13 @@ class Space:
         """(order, rank): the point indices sorted by id, and each point's
         place in that order; computed once.  Builders list points in id
         order, except word spaces over alphabets above 10, whose ids sort
-        "0.10" before "0.2", so points already in id order, checked in
-        one pass, are ranked by the identity without a sort."""
+        "0.10" before "0.2", so points already in id order, known from a
+        row that says so (id_sorted) or checked in one pass, are ranked by
+        the identity without a sort."""
         if self._ranks is None:
             pts, n = self.points, len(self.points)
-            if all(map(operator.lt, pts, itertools.islice(pts, 1, None))):
+            if getattr(pts, "id_sorted", False) or \
+                    all(map(operator.lt, pts, itertools.islice(pts, 1, None))):
                 order = rank = np.arange(n, dtype=np.int64)
             else:
                 order = np.fromiter(sorted(range(n), key=pts.__getitem__),
@@ -208,6 +215,14 @@ class Space:
             order.flags.writeable = rank.flags.writeable = False
             self._ranks = order, rank
         return self._ranks
+
+    def _ids_at(self, idx: np.ndarray) -> list:
+        """The ids at the point indices idx; a row that formats its ids on
+        read (towers.PathRow) takes them in one pass."""
+        take = getattr(self.points, "take", None)
+        if take is not None:
+            return take(idx)
+        return list(map(self.points.__getitem__, idx.tolist()))
 
     def dist(self, x: PointId, y: PointId) -> Rational:
         return self.values[self._code(self.index(x), self.index(y))]
@@ -644,7 +659,7 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
         idx = np.flatnonzero(row == row[x])
     else:
         idx = np.flatnonzero(space.codes[x] <= t)
-    return tuple(space.points[int(i)] for i in idx)
+    return tuple(space._ids_at(idx))
 
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
@@ -660,7 +675,7 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
     Any other space compacts the codes of sub.  The ids are distinct ones
     of the space, so they are not checked again."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
-    points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
+    points = space.points if whole else tuple(space._ids_at(sub))
     if isinstance(space._labels, list):
         # codes below the diagonal's carry no ball
         c0 = space._code(sub[0], sub[0]) if sub.size else 0

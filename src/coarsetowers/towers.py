@@ -11,10 +11,13 @@ ultrametric taking even values.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +27,142 @@ from .report import ValidationReport, Violation
 from .spaces import CLOSED, Space
 
 NodeId = str
+
+
+def _joined(head: str, steps: Sequence[Sequence[str]]) -> list[str]:
+    """head followed by one tail of each step, every choice, the last step
+    varying fastest."""
+    ids = [head]
+    for tails in steps:
+        ids = [p + tail for p in ids for tail in tails]
+    return ids
+
+
+class PathRow(Sequence):
+    """One level of a regular tower's ids, formatted on read.
+
+    Level l of a tower of height H holds the dotted descent paths of
+    H - l steps from the top 't': one tail per step, the tails of a step
+    of degree d being '.0' .. '.{d-1}' in string order ('.10' before
+    '.2').  Index k, read as a mixed-radix number whose digits are tail
+    ranks, the last step least significant, is the id 't' followed by
+    the tails of those ranks.  Only the steps' degrees are kept until the
+    first read, which writes each step's tails and the texts of the two
+    halves of the steps, about the square root of the row's length each
+    for equal degrees: id k is heads[k // len(ends)] + ends[k % len(ends)].
+    So indexing formats one id with one concatenation, iteration builds
+    the level with one list comprehension, and lookup parses an id into
+    its tails.  '.' sorts before every digit, so the row lists its ids in
+    id order (id_sorted), and two rows hold the same ids exactly when
+    they have the same degrees."""
+
+    __slots__ = ("_degrees", "_len", "_text")
+    id_sorted = True
+
+    def __init__(self, degrees: tuple[int, ...]):
+        self._degrees = degrees
+        self._len = math.prod(degrees)
+        self._text: Optional[tuple] = None
+
+    def _read(self) -> tuple[tuple[tuple[str, ...], ...], list[str], list[str]]:
+        """(each step's tails in string order, heads, ends), written once."""
+        if self._text is None:
+            steps = tuple(tuple(sorted(map(".{}".format, range(d)))) for d in self._degrees)
+            half = len(steps) // 2
+            self._text = steps, _joined("t", steps[:half]), _joined("", steps[half:])
+        return self._text
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self.take(np.arange(*key.indices(self._len))))
+        k = operator.index(key)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("path row index out of range")
+        _, heads, ends = self._read()
+        q, r = divmod(k, len(ends))
+        return heads[q] + ends[r]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        _, heads, ends = self._read()
+        return iter([head + end for head in heads for end in ends])
+
+    def take(self, indices: np.ndarray) -> list[NodeId]:
+        """The ids at an integer array of indices in 0..len - 1, in one
+        pass with no Python call per id."""
+        _, heads, ends = self._read()
+        q, r = np.divmod(indices, len(ends))
+        return list(map(operator.add, map(heads.__getitem__, q.tolist()),
+                        map(ends.__getitem__, r.tolist())))
+
+    def _position(self, node) -> Optional[int]:
+        """The index of id node, parsed tail by tail; None when the row
+        lacks it."""
+        if not isinstance(node, str):
+            return None
+        head, *steps = node.split(".")
+        if head != "t" or len(steps) != len(self._degrees):
+            return None
+        k = 0
+        for tails, step in zip(self._read()[0], steps):
+            tail = "." + step
+            r = bisect_left(tails, tail)
+            if r == len(tails) or tails[r] != tail:
+                return None
+            k = k * len(tails) + r
+        return k
+
+    def __contains__(self, node) -> bool:
+        return self._position(node) is not None
+
+    @property
+    def positions(self) -> "_Positions":
+        """Each id's index, as a read-only mapping that parses ids."""
+        return _Positions(self)
+
+    def index(self, node, start: int = 0, stop: Optional[int] = None) -> int:
+        k = self._position(node)
+        if k is None or k not in range(self._len)[start:stop]:
+            raise ValueError(f"{node!r} is not in the row")
+        return k
+
+    def __eq__(self, other):
+        if type(other) is PathRow:
+            return self._degrees == other._degrees
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(other) == self._len and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PathRow(degrees={self._degrees})"
+
+
+class _Positions(Mapping):
+    """A PathRow's ids to their indices, parsed on lookup, with no dict."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: PathRow):
+        self._row = row
+
+    def __getitem__(self, node) -> int:
+        k = self._row._position(node)
+        if k is None:
+            raise KeyError(node)
+        return k
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._row)
 
 
 def _raw_arrays(ids: Sequence[NodeId], level: Mapping[NodeId, int],
@@ -87,13 +226,21 @@ def _valid_arrays(ids: Sequence[Sequence[NodeId]], pars: Sequence[np.ndarray]) -
     levels, one top, parent arrays that can be read as a parent map (each
     node a level >= 1 and a parent one level up) with a child under every
     node above level 1, and distinct ids.  One bincount a level decides
-    the parent arrays."""
+    the parent arrays.
+
+    Rows that are all PathRows hold distinct ids when their step counts
+    are distinct, so they need no id set: an id's dots count its steps,
+    so ids of two rows differ, and two ids of one row differ in the tail
+    of some step, since each index is one mixed-radix number of tail
+    ranks.  Any other rows are checked with one set of every id."""
     if len(pars) != len(ids) - 1 or not all(ids) or len(ids[-1]) != 1:
         return False
     for row, up, par in zip(ids, ids[1:], pars):
         counts = _child_counts(row, up, par)
         if counts is None or not counts.all():
             return False
+    if all(type(row) is PathRow for row in ids):
+        return len({len(row._degrees) for row in ids}) == len(ids)
     return len(set(itertools.chain.from_iterable(ids))) == sum(map(len, ids))
 
 
@@ -218,7 +365,8 @@ class Tower:
     """Validated tower; construction rejects structurally invalid data.
 
     A tower is its parent arrays: for each level l = 1..height, _ids[l - 1]
-    lists the level's node ids in id order and, below the top,
+    lists the level's node ids in id order (a tuple, or the PathRow of a
+    regular tower's level, which formats its ids on read) and, below the top,
     _par[l - 1][k] is the index in _ids[l] of the parent of
     _ids[l - 1][k].  _profile keeps the degree profile once counted.  The
     constructor validates its raw input, regular_tower and ball_tower
@@ -247,7 +395,7 @@ class Tower:
     def _fill(self, ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray]) -> None:
         """Set every field from the array form; the one path all
         constructors take."""
-        self._ids = tuple(tuple(row) for row in ids)
+        self._ids = tuple(row if type(row) is PathRow else tuple(row) for row in ids)
         self._par = tuple(par)
         self._profile: Optional[DegreeProfile] = None
         self.height = len(ids)
@@ -325,9 +473,15 @@ def _under(tower: Tower, top: int, roots: Sequence[int]) -> list[np.ndarray]:
 
 
 def _locate(tower: Tower, node: NodeId) -> Optional[tuple[int, int]]:
-    """A node's level and its index in that level's ids, found by
-    bisecting the id-sorted levels; None when the tower lacks it."""
+    """A node's level and its index in that level's ids, parsed on a
+    PathRow and found by bisection on any other id-sorted level; None
+    when the tower lacks it."""
     for lv, row in enumerate(tower._ids, start=1):
+        if type(row) is PathRow:
+            k = row._position(node)
+            if k is not None:
+                return lv, k
+            continue
         k = bisect_left(row, node)
         if k < len(row) and row[k] == node:
             return lv, k
@@ -381,7 +535,7 @@ def regular_tower(
     """Tower whose every level-(n+1) node has exactly degrees[n-1] children.
 
     degrees[0] is the children count at level 2.  Ids are dotted descent
-    paths from the top node 't'.
+    paths from the top node 't', held as one PathRow a level.
     """
     if height is None:
         height = len(degrees) + 1
@@ -389,28 +543,32 @@ def regular_tower(
         raise ValueError("height must be >= 1")
     if len(degrees) < height - 1:
         raise ValueError("need height-1 degree entries")
-    degrees = [int(d) for d in degrees[: height - 1]]
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be >= 1")
-    # level sizes top down; no level is smaller than the one above it, so
-    # counting stops at the first level past the cap
-    sizes = [1]
-    for d in degrees[::-1]:
-        if sizes[-1] > caps.max_points:
+    top_down = tuple(_degrees_within(map(degrees.__getitem__, range(height - 2, -1, -1)),
+                                     caps))
+    # a level lists its parents' children runs in the parents' order, each
+    # run in string order of the child digit ("10" < "2")
+    ids = [PathRow(top_down[:steps]) for steps in range(height - 1, -1, -1)]
+    par = [np.repeat(np.arange(len(up)), d) for up, d in zip(ids[1:], reversed(top_down))]
+    return _built(ids, par, caps)
+
+
+def _degrees_within(top_down: Iterable, caps: Caps) -> list[int]:
+    """A regular tower's degrees read as ints from the top down, or
+    CapExceeded.  No level is smaller than the one above it, so counting
+    level sizes stops at the first level past the cap, and a tower over
+    it is refused before any list of its height is made."""
+    degrees: list[int] = []
+    size = nodes = 1
+    for d in top_down:
+        if size > caps.max_points:
             break
-        sizes.append(sizes[-1] * d)
-    caps.check_tower(sizes[-1], sum(sizes))
-    # ids top-down, each level in id order: '.' sorts before every digit,
-    # so a level lists its parents' children runs in the parents' order,
-    # each run in string order of the child digit ("10" < "2")
-    ids: list[list[NodeId]] = [["t"]]
-    par: list[np.ndarray] = []
-    for deg in reversed(degrees):
-        tails = sorted(map(".{}".format, range(deg)))
-        above = ids[-1]
-        ids.append([p + tail for p in above for tail in tails])
-        par.append(np.repeat(np.arange(len(above)), deg))
-    return _built(ids[::-1], par[::-1], caps)
+        degrees.append(int(d))
+        if degrees[-1] < 1:
+            raise ValueError("degrees must be >= 1")
+        size *= degrees[-1]
+        nodes += size
+    caps.check_tower(size, nodes)
+    return degrees
 
 
 def level_subtower(
@@ -427,7 +585,7 @@ def level_subtower(
     anc = np.arange(len(tower.base))
     for lv in range(1, levels[0]):
         anc = tower._par[lv - 1][anc]
-    low = tower._ids[levels[0] - 1]
+    low = list(tower._ids[levels[0] - 1])  # a PathRow formats each id once
     return sub, dict(zip(tower.base, map(low.__getitem__, anc.tolist())))
 
 

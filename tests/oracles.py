@@ -30,6 +30,9 @@ of two nodes, the path metric, and the base nodes below a node.  The
 admissibility checker check_admissible walks those maps the way the
 package did before it dropped the checker: its germ builder is
 admissible by construction, and the checker is that builder's oracle.
+The dotted-id builder writes a regular tower's id rows the way
+regular_tower did before its levels became PathRows that format ids on
+read: top down, one list comprehension a level.
 
 The nested-ball encoder is kept as the package wrote it before
 _ball_table lifted least members from one partition to the next: one
@@ -406,6 +409,17 @@ def base_below(tower, node) -> tuple:
     """The base nodes in the node's lower cone, in id order."""
     level = node_maps(tower)[1]
     return tuple(i for i in cone(tower, node) if level[i] == 1)
+
+
+def dotted_levels(degrees) -> list:
+    """The id rows of regular_tower(degrees), level 1 first: each level
+    holds its parents' ids, in order, each followed by the child tails
+    '.0' .. '.{d-1}' in string order ('.10' before '.2')."""
+    ids = [["t"]]
+    for deg in reversed(list(degrees)):
+        tails = sorted(map(".{}".format, range(deg)))
+        ids.append([p + tail for p in ids[-1] for tail in tails])
+    return ids[::-1]
 
 
 # -- nested balls by lexsort ----------------------------------------------------

@@ -3,6 +3,7 @@ byte determinism of emitted reports."""
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -434,6 +435,22 @@ def test_equiv_runs_at_every_height_the_base_cap_allows(capsys):
     code, out, err = run_cli(capsys, ["equiv", "--from", "regular:3", "--height", "11"])
     assert (code, out) == (3, "")
     assert err == "exhausted: tower has a level of 59049 nodes, cap is 20000\n"
+
+
+def test_huge_height_is_refused_before_its_degree_list(capsys):
+    # three million levels: a list of H - 1 degrees alone is 24 MB
+    argv = ["equiv", "--from", "regular:3", "--height", "3000000"]
+    run_cli(capsys, argv)  # the parser is built on the first call
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, err = capsys.readouterr()
+    assert code == 3
+    assert err == "exhausted: tower has a level of 59049 nodes, cap is 20000\n"
+    assert peak < 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
 
 
 def test_equiv_binary_auto_height(capsys):

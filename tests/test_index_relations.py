@@ -6,9 +6,11 @@ totality and surjectivity with their witnesses, image and preimage),
 compose, the selection pair and the round-trip fiber bounds must equal
 what the id-pair implementations in oracles.py compute from the pairs
 alone.  The spaces include ones listed out of id order (word spaces over
-alphabets above 10, a plain-listed copy in reverse) and the relations
-are multi-valued, partial, not onto, or carry repeats.  The id ranking
-the graph is sorted by must equal a keyed sort of the point indices.
+alphabets above 10, a plain-listed copy in reverse, regular-tower bases
+whose ids are formatted on read) and the relations are multi-valued,
+partial, not onto, or carry repeats.  The id ranking the graph is sorted
+by must equal a keyed sort of the point indices, and the regroupings
+that pair point k with point k must equal the sorted constructor's.
 """
 
 import contextlib
@@ -50,7 +52,7 @@ from oracles import (
 )
 
 SPACE_KINDS = ["words-11", "words-12", "words", "rational", "shuffled-base",
-               "subspace", "reversed-dense"]
+               "regular-base", "subspace", "reversed-dense"]
 SHAPES = ["function", "multi", "partial", "not-onto", "onto"]
 
 
@@ -67,6 +69,9 @@ def _space(rng: random.Random, kind: str) -> Space:
         return space
     if kind == "shuffled-base":
         return base_space(shuffled_tower(rng, random_tower(rng)))
+    if kind == "regular-base":
+        # degrees up to 12 list "t.10" before "t.2"
+        return base_space(regular_tower([rng.randint(1, 12) for _ in range(rng.randint(0, 2))]))
     if kind == "subspace":
         space = word_space(11, 2)
         return subspace(space, rng.sample(space.points, rng.randint(1, 40)))
@@ -115,6 +120,31 @@ def test_id_ranks_match_the_keyed_sort(seed, arrangement):
 def test_word_space_id_ranks_match_the_keyed_sort(alphabet, length):
     # alphabets above 10 list "0.10" before "0.2", out of id order
     _check_id_ranks(word_space(alphabet, length))
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS))
+@settings(max_examples=80, deadline=None)
+def test_paired_regroupings_match_the_sorted_constructor(seed, kind):
+    rng = random.Random(seed)
+    space = _space(rng, kind)
+    # the same ids in the same order, ranked on their own
+    twin = Space(space.points, space.codes, space.values)
+    every = np.arange(len(space.points))
+    for src, tgt in ((space, twin), (twin, space), (space, space)):
+        want = MultiMap._of_indices(src, tgt, every, every)
+        with mock.patch.object(MultiMap, "_of_indices",
+                               side_effect=AssertionError("paired points were sorted")):
+            got = MultiMap._paired(src, tgt)
+            ident = MultiMap.identity(src)
+        assert got.source is src and got.target is tgt
+        assert np.array_equal(got.src_idx, want.src_idx)
+        assert np.array_equal(got.tgt_idx, want.tgt_idx)
+        assert not got.src_idx.flags.writeable and not got.tgt_idx.flags.writeable
+        assert got.pairs == want.pairs
+        same = MultiMap._of_indices(src, src, every, every)
+        assert ident.source is ident.target is src
+        assert np.array_equal(ident.src_idx, same.src_idx)
+        assert np.array_equal(ident.tgt_idx, same.tgt_idx)
 
 
 def _pairs(rng: random.Random, src: Space, tgt: Space, shape: str) -> list:

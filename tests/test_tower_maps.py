@@ -134,8 +134,9 @@ def test_pipeline_germs_match_recursion(monkeypatch):
     for degrees in ((3,) * 6, (2,) * 11, (5,) * 5, (2, 3) * 4, (3, 2) * 4):
         equivalence_pipeline(regular_tower(degrees))
     assert len(calls) == 5
-    for (t1, roots, t2, w, seqs), (phi, _, _) in calls:
-        assert _node_dict(phi, t1, t2) == germ_descent(t1, roots, t2, w, seqs)
+    for (t1, lvl, at, t2, w_at, seqs), (phi, _, _) in calls:
+        roots = [t1._ids[lvl - 1][k] for k in at]
+        assert _node_dict(phi, t1, t2) == germ_descent(t1, roots, t2, t2._ids[lvl - 1][w_at], seqs)
 
 
 def _dominating(rng, tower):
