@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .limits import CapExceeded, Caps
 from .rationals import as_rational, canon, rat_json
@@ -37,7 +38,6 @@ from .spaces import (
 from .towers import (
     DegreeProfile,
     Tower,
-    _degrees_within,
     ball_tower,
     degree_profile,
     level_subtower,
@@ -180,8 +180,8 @@ def _tower_from_spec(
                 raise ValueError("regular towers here need degree >= 2")
             H = height if height is not None else _auto_height(
                 d, target_base, caps)
-            # a huge height is refused before a list of H - 1 degrees is made
-            degrees = _degrees_within(itertools.repeat(d, H - 1), caps)
+            # H - 1 copies of d as one strided view: no list of the height
+            degrees = np.broadcast_to(d, max(H - 1, 0))
             return regular_tower(degrees, H, caps=caps), f"regular:{d}:h{H}"
         H = height if height is not None else len(degrees) + 1
         return regular_tower(degrees, H, caps=caps), f"{spec}:h{H}"

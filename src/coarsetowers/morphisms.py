@@ -97,12 +97,12 @@ class MultiMap:
 
     @cached_property
     def pairs(self) -> tuple[tuple[PointId, PointId], ...]:
-        return tuple(zip(self.source._ids_at(self.src_idx), self.target._ids_at(self.tgt_idx)))
+        return tuple(zip(_ids(self.source, self.src_idx), _ids(self.target, self.tgt_idx)))
 
     @cached_property
     def fibers(self) -> dict[PointId, tuple[PointId, ...]]:
         bounds = _run_starts(self.src_idx).tolist() + [self.src_idx.size]
-        targets = self.target._ids_at(self.tgt_idx)
+        targets = _ids(self.target, self.tgt_idx)
         return {self.source.points[self.src_idx[lo]]: tuple(targets[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:])}
 
@@ -145,6 +145,10 @@ class MultiMap:
         if not self.is_function:
             raise ValueError("relation is not single-valued")
         return dict(self.pairs)
+
+
+def _ids(space: Space, idx: np.ndarray) -> list[PointId]:
+    return list(map(space.points.__getitem__, idx.tolist()))
 
 
 def _run_starts(idx: np.ndarray) -> np.ndarray:
@@ -520,12 +524,12 @@ class SelectionPair:
     @cached_property
     def f(self) -> dict[PointId, PointId]:
         xs, ys = self.f_heads
-        return dict(zip(self.source._ids_at(xs), self.target._ids_at(ys)))
+        return dict(zip(_ids(self.source, xs), _ids(self.target, ys)))
 
     @cached_property
     def g(self) -> dict[PointId, PointId]:
         ys, xs = self.g_heads
-        return dict(zip(self.target._ids_at(ys), self.source._ids_at(xs)))
+        return dict(zip(_ids(self.target, ys), _ids(self.source, xs)))
 
     def _key(self) -> tuple:
         return (self.f, self.g, self.closeness, self.source_closeness,
@@ -686,7 +690,7 @@ def coarse_normal_form(
     at = np.argsort(source._id_ranks()[1][xs])
     sub_x, sub_y = _subspace(source, xs[at], caps), _subspace(target, ys, caps)
     x_prime, y_prime = sub_x.points, sub_y.points
-    h = dict(zip(source._ids_at(xs), y_prime))
+    h = dict(zip(_ids(source, xs), y_prime))
     h_map = MultiMap._of_indices(sub_x, sub_y, np.arange(at.size), at)
     fwd = distortion_modulus(h_map, caps)
     bwd = distortion_modulus(h_map.inverse(), caps)

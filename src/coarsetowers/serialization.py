@@ -22,7 +22,7 @@ import numpy as np
 from .limits import Caps, DEFAULT_CAPS
 from .rationals import rat_from_json, rat_json, rat_parse, rat_str
 from .spaces import Space, _compact, _encode_cells
-from .towers import PathRow, Tower, _joined
+from .towers import Tower
 
 __all__ = [
     "space_to_json",
@@ -307,25 +307,12 @@ def tower_hash(tower: Tower) -> str:
     per parent, so no dict and no string is built per node.  Only two
     levels are held escaped at a time (a level's ids, then its parents'
     as the next level's), and a level's text is hashed in runs of
-    _HASH_CHUNK nodes.  A level whose nodes are their parents' ids
-    followed by one run of suffixes (_path_run) is written a run at a
-    time, from the parents' ids alone.  A tower whose ids are not all
-    strings is hashed from its document."""
+    _HASH_CHUNK nodes.  A tower whose ids are not all strings is hashed
+    from its document."""
     digest = hashlib.sha256(b'{"height":%d,"nodes":[{"id":' % tower.height)
     try:
-        row = None  # the current level's escaped ids, once written
-        for lv, (ids, par) in enumerate(zip(tower._ids, tower._par), start=1):
-            run = _path_run(ids, tower._ids[lv], par, lv)
-            if run is not None:
-                parents = list(tower._ids[lv])
-                step = max(1, _HASH_CHUNK * len(parents) // len(ids))  # parents a chunk
-                for lo in range(0, len(parents), step):
-                    digest.update("".join(map(str.join, parents[lo:lo + step],
-                                              itertools.repeat(run))).encode("ascii"))
-                row = None
-                continue
-            if row is None:
-                row = list(map(encode_basestring_ascii, ids))
+        row = list(map(encode_basestring_ascii, tower._ids[0]))
+        for lv, par in enumerate(tower._par, start=1):
             up = list(map(encode_basestring_ascii, tower._ids[lv]))
             # each node's text runs on to the opening of the next node's
             tails = [f',"level":{lv},"parent":{p}}},{{"id":' for p in up]
@@ -334,31 +321,11 @@ def tower_hash(tower: Tower) -> str:
                             map(tails.__getitem__, par[lo:lo + _HASH_CHUNK].tolist()))
                 digest.update("".join(itertools.chain.from_iterable(nodes)).encode("ascii"))
             row = up
-        if row is None:
-            row = list(map(encode_basestring_ascii, tower._ids[-1]))
         tail = f',"level":{tower.height},"parent":null}}'
         digest.update(((tail + ',{"id":').join(row) + tail + "]}").encode("ascii"))
     except TypeError:
         return content_hash(tower_to_json(tower))
     return digest.hexdigest()[:16]
-
-
-def _path_run(row, up, par: np.ndarray, lv: int) -> Optional[list[str]]:
-    """The text of one parent's children on level lv, cut where the
-    parent's id goes (so joining it with the id writes it), when each
-    node of the PathRow row is its parent's id followed by one of the
-    same m suffixes, in order: up is a PathRow whose degrees begin row's,
-    and par sends node k to k // m.  Such ids are 't', dots and ASCII
-    digits, which JSON writes unescaped.  None for any other pair of
-    levels."""
-    if not (type(row) is type(up) is PathRow
-            and row._degrees[:len(up._degrees)] == up._degrees):
-        return None
-    suffixes = _joined("", row._read()[0][len(up._degrees):])
-    if not np.array_equal(par, np.arange(len(row)) // len(suffixes)):
-        return None
-    return "".join('"\0%s","level":%d,"parent":"\0"},{"id":' % (s, lv)
-                   for s in suffixes).split("\0")
 
 
 _CONTAINERS = (dict, list, tuple)

@@ -15,7 +15,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -104,13 +104,10 @@ class Space:
         self._index = self._ranks = None
         return self
 
-    def _id_index(self) -> Mapping:
-        """Each point id's index, built on first lookup: a dict, or the
-        mapping of points that parse their ids (towers.PathRow)."""
+    def _id_index(self) -> dict:
+        """Each point id's index, built on first lookup."""
         if self._index is None:
-            index = getattr(self.points, "positions", None)
-            self._index = index if index is not None else \
-                dict(zip(self.points, range(len(self.points))))
+            self._index = dict(zip(self.points, range(len(self.points))))
         return self._index
 
     def _unique_ids(self) -> "Space":
@@ -215,14 +212,6 @@ class Space:
             order.flags.writeable = rank.flags.writeable = False
             self._ranks = order, rank
         return self._ranks
-
-    def _ids_at(self, idx: np.ndarray) -> list:
-        """The ids at the point indices idx; a row that formats its ids on
-        read (towers.PathRow) takes them in one pass."""
-        take = getattr(self.points, "take", None)
-        if take is not None:
-            return take(idx)
-        return list(map(self.points.__getitem__, idx.tolist()))
 
     def dist(self, x: PointId, y: PointId) -> Rational:
         return self.values[self._code(self.index(x), self.index(y))]
@@ -659,7 +648,7 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
         idx = np.flatnonzero(row == row[x])
     else:
         idx = np.flatnonzero(space.codes[x] <= t)
-    return tuple(space._ids_at(idx))
+    return tuple(space.points[int(i)] for i in idx)
 
 
 def subspace(space: Space, subset: Iterable[PointId], caps: Caps = DEFAULT_CAPS) -> Space:
@@ -675,7 +664,7 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
     Any other space compacts the codes of sub.  The ids are distinct ones
     of the space, so they are not checked again."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
-    points = space.points if whole else tuple(space._ids_at(sub))
+    points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
     if isinstance(space._labels, list):
         # codes below the diagonal's carry no ball
         c0 = space._code(sub[0], sub[0]) if sub.size else 0

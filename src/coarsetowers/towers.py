@@ -10,14 +10,15 @@ ultrametric taking even values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -29,13 +30,10 @@ from .spaces import CLOSED, Space
 NodeId = str
 
 
-def _joined(head: str, steps: Sequence[Sequence[str]]) -> list[str]:
-    """head followed by one tail of each step, every choice, the last step
-    varying fastest."""
-    ids = [head]
-    for tails in steps:
-        ids = [p + tail for p in ids for tail in tails]
-    return ids
+@functools.lru_cache(maxsize=None)
+def _tails(degree: int) -> tuple[str, ...]:
+    """The tails '.0' .. '.{degree-1}' of one step, in string order."""
+    return tuple(sorted(map(".{}".format, range(degree))))
 
 
 class PathRow(Sequence):
@@ -46,58 +44,42 @@ class PathRow(Sequence):
     of degree d being '.0' .. '.{d-1}' in string order ('.10' before
     '.2').  Index k, read as a mixed-radix number whose digits are tail
     ranks, the last step least significant, is the id 't' followed by
-    the tails of those ranks.  Only the steps' degrees are kept until the
-    first read, which writes each step's tails and the texts of the two
-    halves of the steps, about the square root of the row's length each
-    for equal degrees: id k is heads[k // len(ends)] + ends[k % len(ends)].
-    So indexing formats one id with one concatenation, iteration builds
-    the level with one list comprehension, and lookup parses an id into
-    its tails.  '.' sorts before every digit, so the row lists its ids in
-    id order (id_sorted), and two rows hold the same ids exactly when
-    they have the same degrees."""
+    the tails of those ranks.  Only the steps' degrees are kept: indexing
+    formats one id, iteration builds the level with one list
+    comprehension a step, and lookup parses an id into its tails.  '.'
+    sorts before every digit, so the row lists its ids in id order
+    (id_sorted), and two rows hold the same ids exactly when they have
+    the same degrees."""
 
-    __slots__ = ("_degrees", "_len", "_text")
+    __slots__ = ("_degrees", "_len")
     id_sorted = True
 
     def __init__(self, degrees: tuple[int, ...]):
         self._degrees = degrees
         self._len = math.prod(degrees)
-        self._text: Optional[tuple] = None
-
-    def _read(self) -> tuple[tuple[tuple[str, ...], ...], list[str], list[str]]:
-        """(each step's tails in string order, heads, ends), written once."""
-        if self._text is None:
-            steps = tuple(tuple(sorted(map(".{}".format, range(d)))) for d in self._degrees)
-            half = len(steps) // 2
-            self._text = steps, _joined("t", steps[:half]), _joined("", steps[half:])
-        return self._text
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return tuple(self.take(np.arange(*key.indices(self._len))))
+            return tuple(map(self.__getitem__, range(*key.indices(self._len))))
         k = operator.index(key)
         if k < 0:
             k += self._len
         if not 0 <= k < self._len:
             raise IndexError("path row index out of range")
-        _, heads, ends = self._read()
-        q, r = divmod(k, len(ends))
-        return heads[q] + ends[r]
+        tails = []
+        for d in reversed(self._degrees):
+            k, r = divmod(k, d)
+            tails.append(_tails(d)[r])
+        return "t" + "".join(reversed(tails))
 
     def __iter__(self) -> Iterator[NodeId]:
-        _, heads, ends = self._read()
-        return iter([head + end for head in heads for end in ends])
-
-    def take(self, indices: np.ndarray) -> list[NodeId]:
-        """The ids at an integer array of indices in 0..len - 1, in one
-        pass with no Python call per id."""
-        _, heads, ends = self._read()
-        q, r = np.divmod(indices, len(ends))
-        return list(map(operator.add, map(heads.__getitem__, q.tolist()),
-                        map(ends.__getitem__, r.tolist())))
+        ids = ["t"]
+        for d in self._degrees:
+            ids = [p + tail for p in ids for tail in _tails(d)]
+        return iter(ids)
 
     def _position(self, node) -> Optional[int]:
         """The index of id node, parsed tail by tail; None when the row
@@ -108,21 +90,16 @@ class PathRow(Sequence):
         if head != "t" or len(steps) != len(self._degrees):
             return None
         k = 0
-        for tails, step in zip(self._read()[0], steps):
-            tail = "." + step
+        for d, step in zip(self._degrees, steps):
+            tails, tail = _tails(d), "." + step
             r = bisect_left(tails, tail)
-            if r == len(tails) or tails[r] != tail:
+            if r == d or tails[r] != tail:
                 return None
-            k = k * len(tails) + r
+            k = k * d + r
         return k
 
     def __contains__(self, node) -> bool:
         return self._position(node) is not None
-
-    @property
-    def positions(self) -> "_Positions":
-        """Each id's index, as a read-only mapping that parses ids."""
-        return _Positions(self)
 
     def index(self, node, start: int = 0, stop: Optional[int] = None) -> int:
         k = self._position(node)
@@ -142,27 +119,6 @@ class PathRow(Sequence):
 
     def __repr__(self) -> str:
         return f"PathRow(degrees={self._degrees})"
-
-
-class _Positions(Mapping):
-    """A PathRow's ids to their indices, parsed on lookup, with no dict."""
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: PathRow):
-        self._row = row
-
-    def __getitem__(self, node) -> int:
-        k = self._row._position(node)
-        if k is None:
-            raise KeyError(node)
-        return k
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._row)
 
 
 def _raw_arrays(ids: Sequence[NodeId], level: Mapping[NodeId, int],
@@ -543,32 +499,25 @@ def regular_tower(
         raise ValueError("height must be >= 1")
     if len(degrees) < height - 1:
         raise ValueError("need height-1 degree entries")
-    top_down = tuple(_degrees_within(map(degrees.__getitem__, range(height - 2, -1, -1)),
-                                     caps))
-    # a level lists its parents' children runs in the parents' order, each
-    # run in string order of the child digit ("10" < "2")
-    ids = [PathRow(top_down[:steps]) for steps in range(height - 1, -1, -1)]
-    par = [np.repeat(np.arange(len(up)), d) for up, d in zip(ids[1:], reversed(top_down))]
-    return _built(ids, par, caps)
-
-
-def _degrees_within(top_down: Iterable, caps: Caps) -> list[int]:
-    """A regular tower's degrees read as ints from the top down, or
-    CapExceeded.  No level is smaller than the one above it, so counting
-    level sizes stops at the first level past the cap, and a tower over
-    it is refused before any list of its height is made."""
-    degrees: list[int] = []
+    # degrees top down; no level is smaller than the one above it, so
+    # counting level sizes stops at the first level past the cap, and a
+    # tower over it is refused before any list of its height is made
+    top_down: list[int] = []
     size = nodes = 1
-    for d in top_down:
+    for d in map(degrees.__getitem__, range(height - 2, -1, -1)):
         if size > caps.max_points:
             break
-        degrees.append(int(d))
-        if degrees[-1] < 1:
+        top_down.append(int(d))
+        if top_down[-1] < 1:
             raise ValueError("degrees must be >= 1")
-        size *= degrees[-1]
+        size *= top_down[-1]
         nodes += size
     caps.check_tower(size, nodes)
-    return degrees
+    # a level lists its parents' children runs in the parents' order, each
+    # run in string order of the child digit ("10" < "2")
+    ids = [PathRow(tuple(top_down[:steps])) for steps in range(height - 1, -1, -1)]
+    par = [np.repeat(np.arange(len(up)), d) for up, d in zip(ids[1:], reversed(top_down))]
+    return _built(ids, par, caps)
 
 
 def level_subtower(
