@@ -269,10 +269,12 @@ def distortion_modulus(phi: MultiMap, caps: Caps = DEFAULT_CAPS) -> DistortionMo
     (_label_modulus).
 
     Pairwise diameters suffice: a set has diameter <= d exactly when every
-    two of its points are within d.  In an ultrametric two points are
-    within code c exactly when they share a ball label at c, so the labels
-    decide every pair without visiting it.  ValueError on an empty
-    relation or when a space is not ultrametric.
+    two of its points are within d.  By the chain lemma (Carlsson & Memoli,
+    JMLR 2010) the diameter of a finite sequence in an ultrametric is its
+    largest distance between consecutive terms, and each ball is one run
+    of a depth-first leaf order: so neighbours in source leaf order decide
+    every pair without visiting it.  ValueError on an empty relation or
+    when a space is not ultrametric.
     """
     if not phi.src_idx.size:
         raise ValueError("modulus of an empty relation")
@@ -285,49 +287,52 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     """The modulus, rows and witnesses, of a relation between two
     ultrametric spaces, read from their ball-label tables.
 
-    In an ultrametric, points are within code c exactly when they share a
-    ball label at c.  So a source code c is realized between graph points
-    exactly when the graph's source-ball count drops at c (the diagonal
-    code always is), and the row's running max M(c) is the least target
-    code at which every graph source ball at c lies inside one target
-    ball.  M only grows with c, so one pointer walks the target codes.
+    Sorted stably by source leaf rank (one lexsort of the source's label
+    rows), the graph points of each source ball form one run.  So by the
+    chain lemma the realized source codes are the diagonal's and the
+    neighbours', and the row at c is the running max M(c) of the largest
+    target code between neighbours at each realized source code <= c.
     The witness of a row is the one a scan of every pair names: the
-    row-major first pair at the
-    least source code c* with the same M, at target code exactly M.
-    A pair within c* at target code M is at source code exactly c*, since
-    every pair within c* - 1 stays within M(c* - 1) < M.
+    row-major first pair at the least source code c* with the same M, at
+    target code exactly M.  A pair within c* at target code M is at source
+    code exactly c*, since every pair within c* - 1 stays within
+    M(c* - 1) < M.
     """
     src, tgt = phi.source, phi.target
     ia, ib = phi.src_idx, phi.tgt_idx
-    c0 = src._code(ia[0], ia[0])
-    t0 = t = tgt._code(ib[0], ib[0])
-    T = tgt.ball_labels(t)[ib]
-    rep = np.empty(len(src.points), dtype=np.int64)
-    rows: list[tuple[Rational, Rational]] = []
-    wits: list[tuple[PointId, PointId, PointId, PointId]] = []
-    balls, run = 0, -1
-    for c in range(c0, len(src.values)):
-        S = src.ball_labels(c)[ia]
-        count = int(np.count_nonzero(np.bincount(S)))
-        if count == balls:
-            continue  # source distance not realized between mapped points
-        balls = count
-        rep[S] = T  # one target label per source ball, if the ball fits
-        while not (rep[S] == T).all():
-            t += 1
-            T = tgt.ball_labels(t)[ib]
-            rep[S] = T
-        if t > run:
-            # pairs within a smaller source code stay below target code t,
-            # so the pairs at target code t found here sit at source code c
-            run = t
-            wit = _witness(phi, *_first_pair_at(
-                S, T, tgt.ball_labels(t - 1)[ib] if t > t0 else None))
-        rows.append((src.values[c], tgt.values[t]))
-        wits.append(wit)
-        if balls == 1:
-            break  # one ball holds every graph point: no larger code is realized
-    return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+    rank = np.empty(len(src.points), dtype=np.int64)
+    rank[np.lexsort(src._labels)] = np.arange(rank.size)
+    order = np.argsort(rank[ia], kind="stable")
+    c0, s = _neighbour_codes(src, ia[order])
+    t0, t = _neighbour_codes(tgt, ib[order])
+    top = np.full(len(src.values), -1, dtype=np.int64)
+    top[c0] = t0
+    np.maximum.at(top, s, t)
+    codes = np.flatnonzero(top >= 0)
+    run = np.maximum.accumulate(top[codes])
+    rises = np.concatenate(([True], run[1:] > run[:-1]))
+    # T_below: the last rise's T when M rose by one, None at the diagonal
+    wits, last, T = [], t0 - 1, None
+    for c, m in zip(codes[rises].tolist(), run[rises].tolist()):
+        T_below = T if last == m - 1 else tgt.ball_labels(m - 1)[ib]
+        last, T = m, tgt.ball_labels(m)[ib]
+        wits.append(_witness(phi, *_first_pair_at(src.ball_labels(c)[ia], T, T_below)))
+    return DistortionModulus(
+        tuple(zip(map(src.values.__getitem__, codes.tolist()),
+                  map(tgt.values.__getitem__, run.tolist()))),
+        tuple(map(wits.__getitem__, (np.cumsum(rises) - 1).tolist())))
+
+
+def _neighbour_codes(space: Space, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """The diagonal's code d and the codes between consecutive points of
+    idx: d plus the number of label rows from d up that separate them,
+    each row gathered once (rows below d name no ball)."""
+    d = space._code(idx[0], idx[0])
+    out = np.full(idx.size - 1, d, dtype=np.int64)
+    for row in space._labels[d:]:
+        lab = row[idx]
+        out += lab[1:] != lab[:-1]
+    return d, out
 
 
 def _first_pair_at(
@@ -501,9 +506,12 @@ class SelectionPair:
     """Deterministic single-valued selections out of a verified asymorphism.
 
     f picks the least target id in each fiber, g the least source id in
-    each cofiber; closeness is the worse of the two round-trip distances
-    and is bounded by the matching relation fiber diameter, which is also
-    recorded so the bound is checkable from the data alone.
+    each cofiber; closeness is the worse of the two round-trip distances.
+    Each is bounded by the largest round-trip fiber diameter, recorded so
+    the bound is checkable from the data alone.  The round-trip fiber
+    preimage(image({x})) is the union of the cofibers of x's targets, all
+    holding x, so the source bound is the backward modulus's diagonal
+    row, the largest cofiber diameter (the forward one's for the target).
 
     The selections are held as the _heads of the relation and of its
     inverse: each point index of the domain, in id order, with the index
@@ -574,21 +582,6 @@ def _closeness(space: Space, f, g) -> Rational:
     return space.values[int(space._pair_codes(xs, g_of[fx]).max())]
 
 
-def _max_roundtrip_fiber_diameter(phi: MultiMap, inv: MultiMap) -> Rational:
-    """Max diameter of preimage(image({x})) over the source points x of
-    phi (inv is its inverse), on an ultrametric source.  That set is the
-    union of the cofibers of x's targets, which all hold x, so it lies in
-    one ball at code c exactly when each of them does: the bound is the
-    least code, from the diagonal's up, at which the label minima and
-    maxima over every run of inv agree."""
-    src, runs, i0 = phi.source, _run_starts(inv.src_idx), phi.src_idx[0]
-    for code in range(src._code(i0, i0), len(src.values)):
-        lab = src.ball_labels(code)[inv.tgt_idx]
-        if (np.minimum.reduceat(lab, runs) == np.maximum.reduceat(lab, runs)).all():
-            break
-    return src.values[code]
-
-
 def selection_pair(
     phi: MultiMap,
     certificate: Optional[MorphismCertificate] = None,
@@ -603,11 +596,10 @@ def selection_pair(
         raise ValueError(
             f"selection needs a verified asymorphism, certificate says "
             f"{cert.kind!r}")
-    inv = phi.inverse()
-    f, g = _heads(phi), _heads(inv)
+    f, g = _heads(phi), _heads(phi.inverse())
     s_close, t_close = _closeness(phi.source, f, g), _closeness(phi.target, g, f)
-    s_bound = _max_roundtrip_fiber_diameter(phi, inv)
-    t_bound = _max_roundtrip_fiber_diameter(inv, phi)
+    s_bound = cert.backward_modulus.table[0][1]
+    t_bound = cert.forward_modulus.table[0][1]
     if s_close > s_bound or t_close > t_bound:
         # {x, g(f(x))} always sits inside one round-trip fiber
         raise RuntimeError("selection closeness exceeded its fiber bound")

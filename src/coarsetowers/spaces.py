@@ -223,12 +223,6 @@ class Space:
             return self.values[-1]  # a table realizes every value it lists
         return self.values[int(self._codes.max())]
 
-    def value_array(self) -> Optional[np.ndarray]:
-        """Values as an int64 array when all are integers, else None."""
-        if all(isinstance(v, int) for v in self.values):
-            return np.asarray(self.values, dtype=np.int64)
-        return None
-
     def threshold_code(self, radius: Rational, convention: str) -> int:
         """Largest code whose value satisfies (value <= radius), resp.
         (value < radius); -1 when no value qualifies."""

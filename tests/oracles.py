@@ -10,7 +10,11 @@ and hyperspace, and chain components by a breadth-first search.
 They work on any space that holds (or writes) its code matrix, so they
 share no label logic with the kernels they check.  Beside them sits the
 modulus witness pair found by sorting label keys into groups, the way
-the package found it before one scatter per call did.
+the package found it before one scatter per call did, and the modulus
+by a pointer walk over the label rows, one pass per code, the way the
+package read it before its kernel read the codes between neighbours in
+source leaf order; unlike the block scan, it reaches the graphs of
+6561 points that an equiv run certifies.
 
 The string ones work on a relation's id pairs, the way the package did
 before relations held index arrays: fibers and cofibers as dicts of id
@@ -175,6 +179,44 @@ def block_scan_modulus(phi: MultiMap) -> DistortionModulus:
         rows.append((src.values[c], tgt.values[run]))
         wits.append((phi.pairs[i][0], phi.pairs[j][0],
                      phi.pairs[i][1], phi.pairs[j][1]))
+    return DistortionModulus(tuple(rows), tuple(wits), finite=True)
+
+
+def pointer_walk_modulus(phi: MultiMap) -> DistortionModulus:
+    """The modulus by one pass per source code over the ball-label rows,
+    with no pass over pairs: a source code is realized between graph
+    points exactly when the graph's source-ball count drops there, and
+    one pointer walks the target codes up until every graph source ball
+    lies inside one target ball.  The witness is named where the pointer
+    rises, at target code exactly M (sorted_first_pair_at)."""
+    src, tgt = phi.source, phi.target
+    ia, ib = graph_indices(phi)
+    c0 = src._code(ia[0], ia[0])
+    t0 = t = tgt._code(ib[0], ib[0])
+    T = tgt.ball_labels(t)[ib]
+    rep = np.empty(len(src.points), dtype=np.int64)
+    rows, wits = [], []
+    balls, run = 0, -1
+    for c in range(c0, len(src.values)):
+        S = src.ball_labels(c)[ia]
+        count = int(np.count_nonzero(np.bincount(S)))
+        if count == balls:
+            continue  # source distance not realized between mapped points
+        balls = count
+        rep[S] = T  # one target label per source ball, if the ball fits
+        while not (rep[S] == T).all():
+            t += 1
+            T = tgt.ball_labels(t)[ib]
+            rep[S] = T
+        if t > run:
+            run = t
+            i, j = sorted_first_pair_at(
+                S, T, tgt.ball_labels(t - 1)[ib] if t > t0 else None)
+            wit = (phi.pairs[i][0], phi.pairs[j][0], phi.pairs[i][1], phi.pairs[j][1])
+        rows.append((src.values[c], tgt.values[t]))
+        wits.append(wit)
+        if balls == 1:
+            break  # one ball holds every graph point: no larger code is realized
     return DistortionModulus(tuple(rows), tuple(wits), finite=True)
 
 

@@ -210,8 +210,8 @@ def _window_implication_failures(phi):
     src, tgt = phi.source, phi.target
     ia = np.asarray([src.index(a) for a, _ in phi.pairs], dtype=np.int64)
     ib = np.asarray([tgt.index(b) for _, b in phi.pairs], dtype=np.int64)
-    ds = np.asarray(src.value_array())[src.codes[np.ix_(ia, ia)]].astype(np.int64)
-    dt = np.asarray(tgt.value_array())[tgt.codes[np.ix_(ib, ib)]].astype(np.int64)
+    ds = np.asarray(src.values, dtype=np.int64)[src.codes[np.ix_(ia, ia)]]
+    dt = np.asarray(tgt.values, dtype=np.int64)[tgt.codes[np.ix_(ib, ib)]]
     top = int(max(ds.max(), dt.max())) // 2 + 1
     bad = 0
     for n in range(top + 1):
@@ -414,8 +414,8 @@ def test_criterion_6_embedding_dichotomy():
         ia = np.asarray([src.index(p) for p in src.points], dtype=np.int64)
         ib = np.asarray([tgt.index(assignment[p]) for p in src.points],
                         dtype=np.int64)
-        d_src = np.asarray(src.value_array())[src.codes[np.ix_(ia, ia)]]
-        d_tgt = np.asarray(tgt.value_array())[tgt.codes[np.ix_(ib, ib)]]
+        d_src = np.asarray(src.values, dtype=np.int64)[src.codes[np.ix_(ia, ia)]]
+        d_tgt = np.asarray(tgt.values, dtype=np.int64)[tgt.codes[np.ix_(ib, ib)]]
         assert np.array_equal(d_src, d_tgt)
         embedded += 1
 
@@ -485,7 +485,7 @@ def _normal_form_failures(mm, cert):
     src, tgt = mm.source, mm.target
     ia = np.asarray([src.index(x) for x in nf.x_prime], dtype=np.int64)
     ib = np.asarray([tgt.index(nf.h[x]) for x in nf.x_prime], dtype=np.int64)
-    d_src = np.asarray(src.value_array())[src.codes[np.ix_(ia, ia)]].astype(np.int64)
+    d_src = np.asarray(src.values, dtype=np.int64)[src.codes[np.ix_(ia, ia)]]
     codes_tgt = tgt.codes[np.ix_(ib, ib)]
     r_bound = nf.r_bound
     assert r_bound == int(r_bound)

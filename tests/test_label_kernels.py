@@ -1,11 +1,12 @@
 """Ball-label kernels against the dense scans they replaced.
 
 A space is ultrametric exactly when it holds its ball-label table, and
-the certificate kernels read that table: distortion moduli,
-base-distortion verdicts, round-trip fiber bounds, the isometry check,
-products, hyperspaces and entropy tables.  The dense kernels they
+the certificate kernels read that table: distortion moduli (and with
+them base-distortion verdicts, round-trip fiber bounds and the isometry
+check), products, hyperspaces and entropy tables.  The dense kernels they
 replaced, which read code matrices pair by pair, are kept in oracles.py
-and serve as the reference here.
+and serve as the reference here; so is the modulus by a pointer walk
+over the label rows, which also reaches the graphs of an equiv run.
 """
 
 import random
@@ -38,6 +39,7 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import morphisms
+from coarsetowers.cli import main
 from coarsetowers.limits import CapExceeded, Caps
 from coarsetowers.spaces import _class_labels, _compact, _pick_dtype
 
@@ -49,6 +51,7 @@ from oracles import (
     dense_hyperspace,
     dense_product,
     isometric_witness,
+    pointer_walk_modulus,
     roundtrip_fiber_diameter,
     sorted_first_pair_at,
 )
@@ -126,6 +129,49 @@ def test_label_modulus_matches_dense_scan(seed, src_kind, tgt_kind, shape):
         got, want = distortion_modulus(rel), block_scan_modulus(rel)
         assert got.table == want.table
         assert got.witnesses == want.witnesses
+        walked = pointer_walk_modulus(rel)
+        assert (walked.table, walked.witnesses) == (want.table, want.witnesses)
+
+
+@pytest.mark.parametrize("argv", [["--from", "regular:3", "--height", "9"],
+                                  ["--from", "regular:3,4,2,5,3"]])
+def test_equiv_moduli_match_the_pointer_walk(monkeypatch, capsys, argv):
+    # every modulus of an equiv run, on graphs of up to 6561 points, where
+    # the dense block scan is too slow
+    calls = []
+    modulus = morphisms.distortion_modulus
+
+    def recorded(phi, *args, **kwargs):
+        calls.append((phi, modulus(phi, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(morphisms, "distortion_modulus", recorded)
+    assert main(["equiv", *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 10  # four stages and the composite, both ways
+    for phi, got in calls:
+        want = pointer_walk_modulus(phi)
+        assert got.table == want.table
+        assert got.witnesses == want.witnesses
+
+
+def test_modulus_reads_no_label_row_per_code(monkeypatch):
+    # a constant map from 13 source codes onto one point rises once: the
+    # modulus reads ball_labels for that witness only, so a walk over the
+    # source codes one row at a time would show here
+    src, one = word_space(2, 12), Space.from_matrix(["y"], [[0]])
+    phi = MultiMap.from_function(src, one, lambda p: "y")
+    assert len(src.values) == 13 and one.is_ultrametric  # validated before counting
+    reads = []
+    ball_labels = Space.ball_labels
+
+    def counted(space, tcode):
+        reads.append(tcode)
+        return ball_labels(space, tcode)
+
+    monkeypatch.setattr(Space, "ball_labels", counted)
+    assert len(distortion_modulus(phi).table) == 13
+    assert len(reads) <= 3
 
 
 def _labels(rng: random.Random, keys: np.ndarray) -> np.ndarray:
@@ -185,6 +231,8 @@ def test_fiber_bounds_match_gathered_blocks(seed, src_kind, tgt_kind):
     sel = selection_pair(phi)
     assert sel.source_fiber_bound == roundtrip_fiber_diameter(phi)
     assert sel.target_fiber_bound == roundtrip_fiber_diameter(phi.inverse())
+    # the bounds are the certificate's diagonal rows, given or computed
+    assert sel == selection_pair(phi, verify_asymorphism(phi))
 
 
 @given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS), st.booleans())

@@ -1,10 +1,15 @@
-"""Every parameter of a library function has an effect.
+"""Every parameter of a library function has an effect, and every
+private helper has a caller in the library.
 
 A parameter that its function never reads is a flag with no effect:
 callers pass it, and nothing changes.  This parses every module of the
 package with ast and lists each function parameter (other than self and
 cls) that its body, nested functions included, never loads, or loads
 only to pass on to parameters that are themselves dead.
+
+A private function, method or class that the package loads only inside
+its own definition survives because tests call it: it belongs in the
+tests' oracles, or nowhere.
 """
 
 import ast
@@ -33,9 +38,13 @@ def _slot_name(fn: ast.AST, slot, method_call: bool):
     return positional[slot] if slot < len(positional) else None
 
 
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def dead_parameters() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     functions = [(module, fn) for module, tree in trees.items()
                  for fn in ast.walk(tree)
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -83,3 +92,30 @@ def dead_parameters() -> list[str]:
 
 def test_every_parameter_has_an_effect():
     assert dead_parameters() == []
+
+
+def uncalled_private_names() -> list[str]:
+    """Private (single-underscore) functions, methods and classes of the
+    package whose name the package never loads, as a name or an
+    attribute, outside their own definition."""
+    trees = _trees()
+    loads: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    uncalled = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                inside = set(map(id, ast.walk(node)))
+                if all(id(use) in inside for use in loads.get(node.name, ())):
+                    uncalled.append(f"{module}.{node.name}")
+    return sorted(uncalled)
+
+
+def test_every_private_helper_has_a_library_caller():
+    assert uncalled_private_names() == []
