@@ -49,7 +49,7 @@ from .homogenize import (
     HomogeneityWitness,
     StageFailure,
     SynthesisExhausted,
-    _fit_germ,
+    _full_fit,
     asymptotic_homogeneity,
     classify,
     equivalence_pipeline,
@@ -142,12 +142,8 @@ def _auto_height(degree: int, target_base: int, caps: Caps) -> int:
     while degree ** (H - 1) <= caps.max_points:
         if degree ** (H - 1) >= MIN_AUTO_BASE:
             profile = DegreeProfile.regular([degree] * (H - 1), H)
-            witness = HomogeneityWitness.default_for(profile)
-            try:
-                if _fit_germ(profile, witness, target_base, advice=False)[1]:
-                    return H
-            except SynthesisExhausted:
-                pass
+            if _full_fit(profile, HomogeneityWitness.default_for(profile), target_base):
+                return H
         H += 1
     raise SynthesisExhausted(
         f"no height within the {caps.max_points}-point cap gives a regular "

@@ -272,30 +272,6 @@ def _step_gate(
     return d, denom, tail
 
 
-def _minimal_exponent(
-    base: int, cur: _Step, d: Fraction, tail: Fraction, cap: int = 64
-) -> Optional[int]:
-    """Smallest dm with base^dm (tail - 1) a/(d - b) > 2 and a' >= 1."""
-    for dm in range(1, cap + 1):
-        scale = base ** dm
-        if (scale * (tail - 1) * cur.a > 2 * (d - cur.b)
-                and scale * cur.a >= d - cur.b):
-            return dm
-    return None
-
-
-def _make_step(
-    base: int, cur: _Step, nxt: int, dm: int, d: Fraction, denom: Fraction
-) -> _Step:
-    scale = base ** dm
-    return _Step(
-        nxt,
-        cur.m + dm,
-        scale * cur.a / (d - cur.b),
-        scale * cur.b / denom,
-    )
-
-
 def verify_synthesis(
     profile: DegreeProfile,
     out: SynthesisOutput,
@@ -388,12 +364,13 @@ def _verified_output(
 
 def _height_advice(
     profile: DegreeProfile,
-    accept: Callable[[DegreeProfile, HomogeneityWitness], bool],
+    accept: Callable[..., bool],
+    *args,
     extra: int = 48,
 ) -> Optional[int]:
-    """Smallest extended height at which accept() holds, continuing the
-    profile with its last consecutive degree; None when the profile is not
-    a plain product profile (extension would be guesswork)."""
+    """Smallest extended height at which accept(ext, witness, *args) holds,
+    continuing the profile with its last consecutive degree; None when the
+    profile is not a plain product profile (extension would be guesswork)."""
     H = profile.height
     if H < 2 or not profile.is_homogeneous:
         return None
@@ -405,10 +382,74 @@ def _height_advice(
         return None
     for H2 in range(H + 1, H + extra + 1):
         ext = DegreeProfile.regular(consec + [consec[-1]] * (H2 - H), H2)
-        witness = HomogeneityWitness.default_for(ext)
-        if accept(ext, witness):
+        if accept(ext, HomogeneityWitness.default_for(ext), *args):
             return H2
     return None
+
+
+class _StepGraph:
+    """The window steps from a profile toward a regular target base, as
+    both searches walk them; each level examined is a visit, and one visit
+    past the budget raises SynthesisExhausted."""
+
+    def __init__(self, profile: DegreeProfile, witness: HomogeneityWitness,
+                 base: int, budget: float = math.inf):
+        self.profile, self.witness, self.base = profile, witness, base
+        self.budget, self.visits = budget, 0
+
+    def gates(self, cur: _Step):
+        """(nxt, gate) for each level above cur whose gate passes, ascending."""
+        for nxt in range(cur.n + 1, self.profile.height):
+            self.visits += 1
+            if self.visits > self.budget:
+                raise SynthesisExhausted(
+                    f"germ fitting exceeded the search budget of "
+                    f"{self.budget} candidate steps")
+            gate = _step_gate(self.profile, self.witness, cur, nxt)
+            if gate is not None:
+                yield nxt, gate
+
+    def minimal(self, cur: _Step, nxt: int, gate: tuple) -> Optional[_Step]:
+        """The step from cur to nxt at the smallest jump dm <= 64 with
+        base^dm (tail - 1) a/(d - b) > 2 and a' >= 1, or None."""
+        d, denom, tail = gate
+        for dm in range(1, 65):
+            scale = self.base ** dm
+            if (scale * (tail - 1) * cur.a > 2 * (d - cur.b)
+                    and scale * cur.a >= d - cur.b):
+                return _Step(nxt, cur.m + dm, scale * cur.a / (d - cur.b),
+                             scale * cur.b / denom)
+        return None
+
+    def fitted(self, cur: _Step, nxt: int, gate: tuple, count: int) -> Optional[_Step]:
+        """The minimal step from cur to nxt, its exponent raised until the
+        window holds count (a' <= count <= b'); or None."""
+        step = self.minimal(cur, nxt, gate)
+        while step is not None and step.a <= count:
+            if step.b >= count:
+                return step
+            step = _Step(nxt, step.m + 1, self.base * step.a, self.base * step.b)
+        return None
+
+    def last_steps(self, first: _Step, steps: int):
+        """(chain, nxt, gate) for each candidate last step of the chains of
+        steps steps after first, depth first over an explicit stack: levels
+        ascending, intermediate steps at their minimal exponents.  chain is
+        the walk's own list, ending at the step nxt extends."""
+        chain, stack = [first], [self.gates(first)]
+        while stack:
+            for nxt, gate in stack[-1]:
+                if len(stack) == steps:
+                    yield chain, nxt, gate
+                    continue
+                step = self.minimal(chain[-1], nxt, gate)
+                if step is not None:
+                    chain.append(step)
+                    stack.append(self.gates(step))
+                    break
+            else:
+                chain.pop()
+                stack.pop()
 
 
 def _greedy_chain(
@@ -416,26 +457,17 @@ def _greedy_chain(
     witness: HomogeneityWitness,
     target_base: int,
 ) -> list:
-    """Smallest-first greedy extension: at each step the lowest feasible
-    next level, then the lowest feasible exponent jump."""
+    """The step graph's leftmost path: at each step the lowest feasible
+    next level, at its minimal exponent."""
+    graph = _StepGraph(profile, witness, target_base)
     chain = [_initial_step(profile, witness)]
-    H = profile.height
     while True:
-        cur = chain[-1]
-        found = None
-        for nxt in range(cur.n + 1, H):
-            gate = _step_gate(profile, witness, cur, nxt)
-            if gate is None:
-                continue
-            d, denom, tail = gate
-            dm = _minimal_exponent(target_base, cur, d, tail)
-            if dm is None:
-                continue
-            found = _make_step(target_base, cur, nxt, dm, d, denom)
-            break
-        if found is None:
+        steps = (graph.minimal(chain[-1], nxt, gate)
+                 for nxt, gate in graph.gates(chain[-1]))
+        step = next((s for s in steps if s is not None), None)
+        if step is None:
             return chain
-        chain.append(found)
+        chain.append(step)
 
 
 def synthesize_sequences(
@@ -445,10 +477,11 @@ def synthesize_sequences(
 ) -> SynthesisOutput:
     """Greedy window-sequence synthesis against a regular target base.
 
-    Searches smallest-first (levels, then exponents) and keeps exact
-    rationals throughout.  Raises SynthesisExhausted when fewer than two
-    steps fit, with a height estimate when the profile's growth makes one
-    computable.  The returned output has passed verify_synthesis.
+    Follows the step graph's leftmost path: at each step the lowest
+    feasible level, at its minimal exponent, in exact rationals.  Raises
+    SynthesisExhausted when fewer than two steps fit, with a height
+    estimate when the profile's growth makes one computable.  The
+    returned output has passed verify_synthesis.
     """
     if target_base < 2:
         raise ValueError("target base must be at least 2")
@@ -457,9 +490,9 @@ def synthesize_sequences(
     witness.check_against(profile).require()
     chain = _greedy_chain(profile, witness, target_base)
     if len(chain) < 2:
-        def ok(ext: DegreeProfile, w: HomogeneityWitness) -> bool:
-            return len(_greedy_chain(ext, w, target_base)) >= 2
-        advice = _height_advice(profile, ok)
+        advice = _height_advice(
+            profile, lambda ext, w, base: len(_greedy_chain(ext, w, base)) >= 2,
+            target_base)
         hint = (
             f"; height {advice} with the same degree pattern admits one"
             if advice is not None else
@@ -473,22 +506,44 @@ def synthesize_sequences(
 # -- germ fitting for the pipeline -------------------------------------------
 
 
-def _fit_exponent_window(
-    base: int, cur: _Step, d: Fraction, denom: Fraction,
-    tail: Fraction, count: int, cap: int = 64,
-) -> Optional[int]:
-    """Smallest dm >= the minimal exponent whose window contains count:
-    a' <= count <= b', i.e. base^dm in [count*denom/b, count*(d-b)/a]."""
-    dm = _minimal_exponent(base, cur, d, tail, cap)
-    if dm is None:
-        return None
-    lo = Fraction(count) * denom / cur.b
-    hi = Fraction(count) * (d - cur.b) / cur.a
-    while base ** dm <= hi:
-        if base ** dm >= lo:
-            return dm
-        dm += 1
+def _search_germ(
+    profile: DegreeProfile,
+    witness: HomogeneityWitness,
+    target_base: int,
+    budget: int,
+) -> Optional[tuple[SynthesisOutput, bool, int]]:
+    """_fit_germ's search, with None when nothing fits; one visit counter
+    spans all its walks."""
+    H = profile.height
+    graph = _StepGraph(profile, witness, target_base, budget)
+    first = _initial_step(profile, witness)
+    for partial in (False, True):
+        for steps in range(1, H - 1):
+            for chain, nxt, gate in graph.last_steps(first, steps):
+                count = size = profile.small_between(nxt, H)
+                step = graph.fitted(chain[-1], nxt, gate, count)
+                if step is None and partial:
+                    step = graph.minimal(chain[-1], nxt, gate)
+                    size = min(count, math.floor(step.b)) if step is not None else 0
+                if step is not None and size >= step.a:
+                    out = _verified_output(profile, chain + [step], target_base, witness)
+                    return out, size == count, size
     return None
+
+
+def _full_fit(
+    profile: DegreeProfile,
+    witness: HomogeneityWitness,
+    target_base: int,
+    budget: int = 200_000,
+) -> bool:
+    """Whether the germ search finds a full fit; an exhausted budget
+    counts as no fit."""
+    try:
+        hit = _search_germ(profile, witness, target_base, budget)
+    except SynthesisExhausted:
+        return False
+    return hit is not None and hit[1]
 
 
 def _fit_germ(
@@ -496,86 +551,29 @@ def _fit_germ(
     witness: HomogeneityWitness,
     target_base: int,
     budget: int = 200_000,
-    advice: bool = True,
 ) -> tuple[SynthesisOutput, bool, int]:
     """Find sequences whose top window fits the germ's own level count.
 
     The count of level-n nodes under the single top is exactly
-    small_between(n, H).  Searches shortest chains first, levels in
-    ascending order, intermediate exponents minimal and the last exponent
-    raised just enough to put the count inside the final window.  Falls
-    back to a partial germ (largest prefix of the level set that the top
-    window can hold) only when no full fit exists.
+    small_between(n, H).  Walks the step graph shortest chains first,
+    levels in ascending order, intermediate exponents minimal and the last
+    exponent raised just enough to put the count inside the final window.
+    Falls back to a partial germ (largest prefix of the level set that the
+    top window can hold) only when no full fit exists.
 
     Returns (output, full, top_size).
     """
-    H = profile.height
-    first = _initial_step(profile, witness)
-    visits = [0]
-
-    def candidates(cur: _Step):
-        for nxt in range(cur.n + 1, H):
-            visits[0] += 1
-            if visits[0] > budget:
-                raise SynthesisExhausted(
-                    f"germ fitting exceeded the search budget of {budget} "
-                    f"candidate steps")
-            gate = _step_gate(profile, witness, cur, nxt)
-            if gate is not None:
-                yield nxt, gate
-
-    def search(cur: _Step, chain: list, steps_left: int, partial: bool):
-        for nxt, (d, denom, tail) in candidates(cur):
-            if steps_left == 1:
-                count = profile.small_between(nxt, H)
-                dm = _fit_exponent_window(
-                    target_base, cur, d, denom, tail, count)
-                if dm is not None:
-                    return chain + [_make_step(
-                        target_base, cur, nxt, dm, d, denom)], count
-                if partial:
-                    dm = _minimal_exponent(target_base, cur, d, tail)
-                    if dm is None:
-                        continue
-                    step = _make_step(target_base, cur, nxt, dm, d, denom)
-                    size = min(count, math.floor(step.b))
-                    if size >= step.a:
-                        return chain + [step], size
-            else:
-                dm = _minimal_exponent(target_base, cur, d, tail)
-                if dm is None:
-                    continue
-                step = _make_step(target_base, cur, nxt, dm, d, denom)
-                hit = search(step, chain + [step], steps_left - 1, partial)
-                if hit is not None:
-                    return hit
-        return None
-
-    for partial in (False, True):
-        for steps in range(1, H - 1):
-            hit = search(first, [first], steps, partial)
-            if hit is None:
-                continue
-            chain, size = hit
-            out = _verified_output(profile, chain, target_base, witness)
-            full = size == profile.small_between(out.n[-1], H)
-            return out, full, size
-
-    needed = None
-    if advice:
-        def ok(ext: DegreeProfile, w: HomogeneityWitness) -> bool:
-            try:
-                return _fit_germ(ext, w, target_base, budget, advice=False)[1]
-            except SynthesisExhausted:
-                return False
-        needed = _height_advice(profile, ok)
+    hit = _search_germ(profile, witness, target_base, budget)
+    if hit is not None:
+        return hit
+    needed = _height_advice(profile, _full_fit, target_base, budget)
     hint = (
         f"; height {needed} with the same degree pattern admits a full fit"
         if needed is not None else
         "; no height estimate available for this profile shape")
     raise SynthesisExhausted(
         f"no sequence pair puts the germ's top level inside its window at "
-        f"height {H}{hint}", needed)
+        f"height {profile.height}{hint}", needed)
 
 
 # -- pipeline assembly -------------------------------------------------------

@@ -51,17 +51,39 @@ descended one index array per level: the germ builder's depth-first
 recursion over children dicts, and the greedy embedding loop.  They read
 each node's children off the parent map, not the child runs the level
 loops share.
+
+The germ searches are kept as the package wrote them before both walked
+one explicit step graph: the greedy chain by a loop over levels, and the
+germ fit by the recursive closures search and candidates, which count
+their budget in a one-element list.
 """
 
 import functools
 import itertools
+import math
 from bisect import bisect_right
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from coarsetowers import MultiMap, Space, balanced_partition
+from coarsetowers import (
+    DegreeProfile,
+    HomogeneityWitness,
+    MultiMap,
+    Space,
+    SynthesisExhausted,
+    SynthesisOutput,
+    balanced_partition,
+)
+from coarsetowers.homogenize import (
+    _Step,
+    _height_advice,
+    _initial_step,
+    _step_gate,
+    _verified_output,
+)
 from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.morphisms import _ADMISSIBLE_CHECKS, DistortionModulus
 from coarsetowers.rationals import rat_str
@@ -634,3 +656,194 @@ def check_admissible(phi, t1, t2) -> ValidationReport:
             "single-top-image", tuple(sorted(top_images)[:2]),
             f"maximal domain nodes map to {len(top_images)} distinct nodes"))
     return ValidationReport("admissible morphism", checked, tuple(violations))
+
+
+# -- the germ searches by recursion ------------------------------------------
+
+
+def minimal_exponent(
+    base: int, cur: _Step, d: Fraction, tail: Fraction, cap: int = 64
+) -> Optional[int]:
+    """Smallest dm with base^dm (tail - 1) a/(d - b) > 2 and a' >= 1."""
+    for dm in range(1, cap + 1):
+        scale = base ** dm
+        if (scale * (tail - 1) * cur.a > 2 * (d - cur.b)
+                and scale * cur.a >= d - cur.b):
+            return dm
+    return None
+
+
+def make_step(
+    base: int, cur: _Step, nxt: int, dm: int, d: Fraction, denom: Fraction
+) -> _Step:
+    scale = base ** dm
+    return _Step(
+        nxt,
+        cur.m + dm,
+        scale * cur.a / (d - cur.b),
+        scale * cur.b / denom,
+    )
+
+
+def greedy_chain(
+    profile: DegreeProfile,
+    witness: HomogeneityWitness,
+    target_base: int,
+) -> list:
+    """Smallest-first greedy extension: at each step the lowest feasible
+    next level, then the lowest feasible exponent jump."""
+    chain = [_initial_step(profile, witness)]
+    H = profile.height
+    while True:
+        cur = chain[-1]
+        found = None
+        for nxt in range(cur.n + 1, H):
+            gate = _step_gate(profile, witness, cur, nxt)
+            if gate is None:
+                continue
+            d, denom, tail = gate
+            dm = minimal_exponent(target_base, cur, d, tail)
+            if dm is None:
+                continue
+            found = make_step(target_base, cur, nxt, dm, d, denom)
+            break
+        if found is None:
+            return chain
+        chain.append(found)
+
+
+def synthesize_sequences(
+    profile: DegreeProfile,
+    target_base: int = 2,
+    witness: Optional[HomogeneityWitness] = None,
+) -> SynthesisOutput:
+    """Greedy window-sequence synthesis against a regular target base.
+
+    Searches smallest-first (levels, then exponents) and keeps exact
+    rationals throughout.  Raises SynthesisExhausted when fewer than two
+    steps fit, with a height estimate when the profile's growth makes one
+    computable.  The returned output has passed verify_synthesis.
+    """
+    if target_base < 2:
+        raise ValueError("target base must be at least 2")
+    if witness is None:
+        witness = HomogeneityWitness.default_for(profile)
+    witness.check_against(profile).require()
+    chain = greedy_chain(profile, witness, target_base)
+    if len(chain) < 2:
+        def ok(ext: DegreeProfile, w: HomogeneityWitness) -> bool:
+            return len(greedy_chain(ext, w, target_base)) >= 2
+        advice = _height_advice(profile, ok)
+        hint = (
+            f"; height {advice} with the same degree pattern admits one"
+            if advice is not None else
+            "; no height estimate available for this profile shape")
+        raise SynthesisExhausted(
+            f"no admissible sequence pair fits within height "
+            f"{profile.height}{hint}", advice)
+    return _verified_output(profile, chain, target_base, witness)
+
+
+def fit_exponent_window(
+    base: int, cur: _Step, d: Fraction, denom: Fraction,
+    tail: Fraction, count: int, cap: int = 64,
+) -> Optional[int]:
+    """Smallest dm >= the minimal exponent whose window contains count:
+    a' <= count <= b', i.e. base^dm in [count*denom/b, count*(d-b)/a]."""
+    dm = minimal_exponent(base, cur, d, tail, cap)
+    if dm is None:
+        return None
+    lo = Fraction(count) * denom / cur.b
+    hi = Fraction(count) * (d - cur.b) / cur.a
+    while base ** dm <= hi:
+        if base ** dm >= lo:
+            return dm
+        dm += 1
+    return None
+
+
+def fit_germ(
+    profile: DegreeProfile,
+    witness: HomogeneityWitness,
+    target_base: int,
+    budget: int = 200_000,
+    advice: bool = True,
+) -> tuple[SynthesisOutput, bool, int]:
+    """Find sequences whose top window fits the germ's own level count.
+
+    The count of level-n nodes under the single top is exactly
+    small_between(n, H).  Searches shortest chains first, levels in
+    ascending order, intermediate exponents minimal and the last exponent
+    raised just enough to put the count inside the final window.  Falls
+    back to a partial germ (largest prefix of the level set that the top
+    window can hold) only when no full fit exists.
+
+    Returns (output, full, top_size).
+    """
+    H = profile.height
+    first = _initial_step(profile, witness)
+    visits = [0]
+
+    def candidates(cur: _Step):
+        for nxt in range(cur.n + 1, H):
+            visits[0] += 1
+            if visits[0] > budget:
+                raise SynthesisExhausted(
+                    f"germ fitting exceeded the search budget of {budget} "
+                    f"candidate steps")
+            gate = _step_gate(profile, witness, cur, nxt)
+            if gate is not None:
+                yield nxt, gate
+
+    def search(cur: _Step, chain: list, steps_left: int, partial: bool):
+        for nxt, (d, denom, tail) in candidates(cur):
+            if steps_left == 1:
+                count = profile.small_between(nxt, H)
+                dm = fit_exponent_window(
+                    target_base, cur, d, denom, tail, count)
+                if dm is not None:
+                    return chain + [make_step(
+                        target_base, cur, nxt, dm, d, denom)], count
+                if partial:
+                    dm = minimal_exponent(target_base, cur, d, tail)
+                    if dm is None:
+                        continue
+                    step = make_step(target_base, cur, nxt, dm, d, denom)
+                    size = min(count, math.floor(step.b))
+                    if size >= step.a:
+                        return chain + [step], size
+            else:
+                dm = minimal_exponent(target_base, cur, d, tail)
+                if dm is None:
+                    continue
+                step = make_step(target_base, cur, nxt, dm, d, denom)
+                hit = search(step, chain + [step], steps_left - 1, partial)
+                if hit is not None:
+                    return hit
+        return None
+
+    for partial in (False, True):
+        for steps in range(1, H - 1):
+            hit = search(first, [first], steps, partial)
+            if hit is None:
+                continue
+            chain, size = hit
+            out = _verified_output(profile, chain, target_base, witness)
+            full = size == profile.small_between(out.n[-1], H)
+            return out, full, size
+
+    needed = None
+    if advice:
+        def ok(ext: DegreeProfile, w: HomogeneityWitness) -> bool:
+            try:
+                return fit_germ(ext, w, target_base, budget, advice=False)[1]
+            except SynthesisExhausted:
+                return False
+        needed = _height_advice(profile, ok)
+    hint = (
+        f"; height {needed} with the same degree pattern admits a full fit"
+        if needed is not None else
+        "; no height estimate available for this profile shape")
+    raise SynthesisExhausted(
+        f"no sequence pair puts the germ's top level inside its window at "
+        f"height {H}{hint}", needed)

@@ -1,11 +1,15 @@
 """Homogenization layer: homogeneity measures, sequence synthesis, the
 staged equivalence pipeline, and the classification verdicts."""
 
+import gc
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from coarsetowers import (
     DegreeProfile,
@@ -27,7 +31,10 @@ from coarsetowers import (
     verify_synthesis,
     word_space,
 )
-from coarsetowers import homogenize, morphisms, towers
+from coarsetowers import cli, homogenize, morphisms, towers
+
+import oracles
+from conftest import random_tower
 
 MIXED_PROFILE = DegreeProfile(
     3, {(1, 2): 2, (1, 3): 5, (2, 3): 2}, {(1, 2): 3, (1, 3): 5, (2, 3): 2})
@@ -343,6 +350,98 @@ def test_pipeline_propagates_exhaustion():
     assert exc.value.needed_height == 7
     assert "height 2" in str(exc.value)
     assert "height 7" in str(exc.value)
+
+
+# -- the germ search --------------------------------------------------------------------
+
+
+def test_germ_search_stops_at_its_budget():
+    # at height 6 the 3-regular search visits 38 levels before it finds no fit
+    prof = DegreeProfile.regular((3,) * 5)
+    witness = HomogeneityWitness.default_for(prof)
+    with pytest.raises(SynthesisExhausted) as exc:
+        homogenize._fit_germ(prof, witness, 2, budget=37)
+    assert str(exc.value) == (
+        "germ fitting exceeded the search budget of 37 candidate steps")
+    assert exc.value.needed_height is None
+    with pytest.raises(SynthesisExhausted) as exc:
+        homogenize._fit_germ(prof, witness, 2, budget=38)
+    assert exc.value.needed_height == 7
+
+
+def test_height_advice_reads_an_exhausted_budget_as_no_fit():
+    # height 3 needs 2 visits and height 7 fits in 3, while heights 4-6
+    # run out of a budget of 3: the advice skips them and names height 7
+    prof = DegreeProfile.regular((3, 3))
+    with pytest.raises(SynthesisExhausted) as exc:
+        homogenize._fit_germ(prof, HomogeneityWitness.default_for(prof), 2, budget=3)
+    assert str(exc.value) == (
+        "no sequence pair puts the germ's top level inside its window at "
+        "height 3; height 7 with the same degree pattern admits a full fit")
+    assert exc.value.needed_height == 7
+    six = DegreeProfile.regular((3,) * 5)
+    assert not homogenize._full_fit(six, HomogeneityWitness.default_for(six), 2, 3)
+
+
+def test_equiv_leaves_no_search_cycle(tmp_path):
+    """With gc off, an equiv run leaves nothing from homogenize that only
+    a collection frees: the germ search keeps no self-referring closure."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        assert cli.main(["equiv", "--from", "regular:3", "--height", "9", "--to",
+                         "binary", "--out", str(tmp_path / "equiv.json")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [f.__qualname__ for f in gc.garbage if inspect.isfunction(f)
+                and f.__code__.co_filename == homogenize.__file__]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
+
+
+def _outcome(fn, *args):
+    """fn's result as comparable data, or the exception it raised."""
+    try:
+        res = fn(*args)
+    except Exception as err:
+        event(f"{fn.__name__} raised")
+        return type(err), str(err), getattr(err, "needed_height", None)
+    if isinstance(res, tuple):
+        return res[0].to_json(), res[1], res[2]
+    return res.to_json()
+
+
+@st.composite
+def _search_profiles(draw):
+    """Regular profiles, and the profiles of random towers of at most 10^4
+    base points, with degrees 1-6 and heights 3-14."""
+    H = draw(st.integers(3, 14))
+    if draw(st.booleans()):
+        degs = draw(st.one_of(st.integers(1, 6).map(lambda d: [d] * (H - 1)),
+                              st.lists(st.integers(1, 6), min_size=H - 1,
+                                       max_size=H - 1)))
+        return DegreeProfile.regular(degs, H)
+    deg_max = max(d for d in range(1, 7) if d ** (H - 1) <= 10 ** 4)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return degree_profile(random_tower(rng, H, H, deg_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_profiles(), st.integers(2, 3),
+       st.one_of(st.integers(1, 60), st.sampled_from([300, 3000, 200_000])))
+def test_searches_match_the_recursive_oracles(prof, base, budget):
+    witness = HomogeneityWitness.default_for(prof)
+    assert (_outcome(homogenize._fit_germ, prof, witness, base, budget)
+            == _outcome(oracles.fit_germ, prof, witness, base, budget))
+    assert (homogenize._greedy_chain(prof, witness, base)
+            == oracles.greedy_chain(prof, witness, base))
+    assert (_outcome(synthesize_sequences, prof, base)
+            == _outcome(oracles.synthesize_sequences, prof, base))
 
 
 # -- space equivalence ------------------------------------------------------------------
