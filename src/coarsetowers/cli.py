@@ -341,6 +341,8 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
     if trials < 0 or height < 1:
         raise ValueError("--trials must be >= 0" if trials < 0 else "--height must be >= 1")
     bound = Fraction(as_rational(ratio_bound))
+    if bound < 1:  # below 1 every level is clamped to ratio 1
+        raise ValueError("--ratio-bound must be >= 1")
     rng = random.Random(args.seed)
     rows = []
     for trial in range(trials):

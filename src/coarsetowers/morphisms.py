@@ -289,8 +289,8 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
 
     Sorted stably by source leaf rank (one lexsort of the source's label
     rows), the graph points of each source ball form one run.  So by the
-    chain lemma the realized source codes are the diagonal's and the
-    neighbours', and the row at c is the running max M(c) of the largest
+    chain lemma the realized source codes are the diagonal's code 0 and
+    the neighbours', and the row at c is the running max M(c) of the largest
     target code between neighbours at each realized source code <= c.
     The witness of a row is the one a scan of every pair names: the
     row-major first pair at the least source code c* with the same M, at
@@ -303,16 +303,16 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     rank = np.empty(len(src.points), dtype=np.int64)
     rank[np.lexsort(src._labels)] = np.arange(rank.size)
     order = np.argsort(rank[ia], kind="stable")
-    c0, s = _neighbour_codes(src, ia[order])
-    t0, t = _neighbour_codes(tgt, ib[order])
+    s = _neighbour_codes(src, ia[order])
+    t = _neighbour_codes(tgt, ib[order])
     top = np.full(len(src.values), -1, dtype=np.int64)
-    top[c0] = t0
+    top[0] = 0
     np.maximum.at(top, s, t)
     codes = np.flatnonzero(top >= 0)
     run = np.maximum.accumulate(top[codes])
     rises = np.concatenate(([True], run[1:] > run[:-1]))
     # T_below: the last rise's T when M rose by one, None at the diagonal
-    wits, last, T = [], t0 - 1, None
+    wits, last, T = [], -1, None
     for c, m in zip(codes[rises].tolist(), run[rises].tolist()):
         T_below = T if last == m - 1 else tgt.ball_labels(m - 1)[ib]
         last, T = m, tgt.ball_labels(m)[ib]
@@ -323,16 +323,14 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
         tuple(map(wits.__getitem__, (np.cumsum(rises) - 1).tolist())))
 
 
-def _neighbour_codes(space: Space, idx: np.ndarray) -> tuple[int, np.ndarray]:
-    """The diagonal's code d and the codes between consecutive points of
-    idx: d plus the number of label rows from d up that separate them,
-    each row gathered once (rows below d name no ball)."""
-    d = space._code(idx[0], idx[0])
-    out = np.full(idx.size - 1, d, dtype=np.int64)
-    for row in space._labels[d:]:
+def _neighbour_codes(space: Space, idx: np.ndarray) -> np.ndarray:
+    """The codes between consecutive points of idx: the number of label
+    rows that separate them, each row gathered once."""
+    out = np.zeros(idx.size - 1, dtype=np.int64)
+    for row in space._labels:
         lab = row[idx]
         out += lab[1:] != lab[:-1]
-    return d, out
+    return out
 
 
 def _first_pair_at(
@@ -628,7 +626,7 @@ def is_large(space: Space, subset: Iterable[PointId]) -> Rational:
     if not isinstance(space._labels, list):
         # a space without its table was built from its matrix
         return space.values[int(space._codes[:, sub].min(axis=1).max())]
-    for code in range(space._code(sub[0], sub[0]), len(space.values)):
+    for code in range(len(space.values)):
         labels = space.ball_labels(code)
         if np.isin(labels, labels[sub]).all():
             break

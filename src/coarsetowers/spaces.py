@@ -68,6 +68,9 @@ class Space:
     and builders emit points so that id order and tuple order agree.  The
     base space of a regular tower holds the tower's base row, a
     towers.PathRow that formats each id when it is read, as its points.
+    values lists exactly the distances its pairs realize, as every builder
+    and loader gives them and Space(...) makes them (_compact): so on an
+    ultrametric the diagonal is code 0 and label row 0 is the identity.
     """
 
     __slots__ = ("points", "values", "_codes", "_index", "_labels", "_ranks")
@@ -87,6 +90,10 @@ class Space:
             raise ValueError("values must be strictly sorted and distinct")
         if codes.shape != (len(self.points), len(self.points)):
             raise ValueError("codes shape does not match point count")
+        if not np.issubdtype(codes.dtype, np.integer) or codes.size and not (
+                codes.min() >= 0 and codes.max() < len(self.values)):
+            raise ValueError(f"codes must be integers in [0, {len(self.values)})")
+        self._codes, self.values = _compact(codes, self.values)
 
     def _fill(self, points: tuple, codes: Optional[np.ndarray], values: tuple,
               labels: Optional[list], caps: Caps) -> "Space":
@@ -185,13 +192,6 @@ class Space:
             out += row[i] != row[j]
         return out
 
-    def _code(self, i: int, j: int) -> int:
-        """Code of the pair at indices i, j, read as scalars (see
-        _pair_codes)."""
-        if self._codes is not None:
-            return int(self._codes[i, j])
-        return sum(1 for row in self._labels if row.item(i) != row.item(j))
-
     def _id_ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, rank): the point indices sorted by id, and each point's
         place in that order; computed once.  Builders list points in id
@@ -214,14 +214,10 @@ class Space:
         return self._ranks
 
     def dist(self, x: PointId, y: PointId) -> Rational:
-        return self.values[self._code(self.index(x), self.index(y))]
+        return self.values[int(self._pair_codes(self.index(x), self.index(y)))]
 
     def diameter(self) -> Rational:
-        if len(self.points) == 0:
-            return 0
-        if self._codes is None:
-            return self.values[-1]  # a table realizes every value it lists
-        return self.values[int(self._codes.max())]
+        return self.values[-1] if self.values else 0
 
     def threshold_code(self, radius: Rational, convention: str) -> int:
         """Largest code whose value satisfies (value <= radius), resp.
@@ -246,8 +242,8 @@ class Space:
     def ball_labels(self, tcode: int) -> np.ndarray:
         """Row tcode of the ball-label table: entry i is the least index of
         a point within code tcode of point i, so each closed ball at that
-        code is named by its first member.  Rows below the diagonal's code
-        name no ball.  ValueError on a space that is not ultrametric."""
+        code is named by its first member.  ValueError on a space that is
+        not ultrametric."""
         if not self.is_ultrametric:
             raise ValueError("ball labels need an ultrametric space")
         if not 0 <= tcode < len(self.values):
@@ -635,9 +631,9 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
     space without a table reads its codes."""
     x = space.index(center)
     t = space.threshold_code(radius, CLOSED)
+    if t < 0:
+        return ()
     if isinstance(space._labels, list):
-        if t < space._code(x, x):  # rows below the diagonal's code name no ball
-            return ()
         row = space._labels[t]
         idx = np.flatnonzero(row == row[x])
     else:
@@ -654,21 +650,16 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
     """Induced space on the distinct point indices sub, given and kept in
     id order, its values compacted to the realized distances.  An
     ultrametric hands its label table's columns on sub to _ball_table; its
-    whole, in id order and realizing every value, is the space itself.
+    whole, in id order, is the space itself, which realizes every value.
     Any other space compacts the codes of sub.  The ids are distinct ones
     of the space, so they are not checked again."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
     points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
     if isinstance(space._labels, list):
-        # codes below the diagonal's carry no ball
-        c0 = space._code(sub[0], sub[0]) if sub.size else 0
-        parts = [row[sub] for row in space._labels[c0:]]
-        if whole and c0 == 0:
-            own = np.arange(sub.size)  # each ball's least member labels itself
-            balls = [np.count_nonzero(row == own) for row in parts]
-            if all(a > b for a, b in zip(balls, balls[1:])):
-                return space
-        return _ball_table(points, parts, space.values[c0:], caps)
+        if whole:
+            return space
+        return _ball_table(points, [row[sub] for row in space._labels],
+                           space.values, caps)
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
     return Space.__new__(Space)._fill(points, codes, values, None, caps)
@@ -708,8 +699,7 @@ def min_net(
     if sub.size == 0:
         return ()
     t = space.threshold_code(radius, convention)
-    # on an ultrametric, label rows below the diagonal's code name no ball
-    if t < 0 or (space.is_ultrametric and t < space._code(sub[0], sub[0])):
+    if t < 0:
         raise ValueError(
             f"no admissible net: no distance satisfies the {convention} "
             f"bound at radius {rat_str(radius)}")
@@ -861,9 +851,8 @@ def entropy_profile(
     entries: dict = {}
     if space.is_ultrametric:
         tes = [space.threshold_code(eps, convention) for eps in eps_list]
-        c0 = space._code(0, 0)  # rows below the diagonal's code name no ball
         for eps, te in zip(eps_list, tes):
-            if te < c0:
+            if te < 0:
                 raise ValueError(
                     f"no net exists at eps={rat_str(eps)} under the "
                     f"{convention} convention")
@@ -904,15 +893,14 @@ def product(x: Space, y: Space, caps: Caps = DEFAULT_CAPS) -> Space:
     """Product of two ultrametric spaces under the max metric; ids are
     '(p|q)'.  Under the max metric a closed ball is a pair of factor
     balls, so the label of (p, q) at each value v is the pair of p's and
-    q's labels at v, and _ball_table encodes those nested balls from the
-    diagonal's value 0 up; the composed ids are checked for repeats.
+    q's labels at v, and _ball_table encodes those nested balls; the
+    composed ids are checked for repeats.
     ValueError when a factor is not ultrametric."""
     n, m = len(x.points), len(y.points)
     caps.check_points(n * m, "product space")
     if not (x.is_ultrametric and y.is_ultrametric):
         raise ValueError("products need ultrametric factors")
-    merged = sorted(set(x.values) | set(y.values))
-    values = merged[bisect_left(merged, 0):] if n and m else []
+    values = sorted(set(x.values) | set(y.values)) if n and m else []
     parts = []
     for v in values:
         lx = x.ball_labels(x.threshold_code(v, CLOSED))
@@ -927,8 +915,8 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
     under the Hausdorff metric, again an ultrametric; ids are '{p|q|r}'.
     Two subsets are within v exactly when they meet the same closed
     v-balls, so a subset's label at v is the set of its members' labels,
-    and _ball_table encodes those nested balls from the diagonal's code
-    up; the composed ids are checked for repeats.  ValueError when the
+    and _ball_table encodes those nested balls; the composed ids are
+    checked for repeats.  ValueError when the
     space is not ultrametric."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -946,9 +934,8 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
     mem = np.asarray(
         [s + (s[0],) * (width - len(s)) for s in subsets], dtype=np.int64
     )
-    c0 = space._code(0, 0) if n else len(space.values)  # no balls when empty
     parts = []
-    for row in space._labels[c0:]:
+    for row in space._labels:
         # a subset's member labels as a set: sorted, each repeat replaced
         # by the least label, sorted again
         lab = np.sort(row[mem], axis=1)
@@ -956,7 +943,7 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
         lab.sort(axis=1)
         parts.append(np.unique(lab, axis=0, return_inverse=True)[1].ravel())
     points = ["{" + "|".join(space.points[i] for i in s) + "}" for s in subsets]
-    return _ball_table(points, parts, space.values[c0:], caps)._unique_ids()
+    return _ball_table(points, parts, space.values, caps)._unique_ids()
 
 
 # -- chain components and ultrametrization -----------------------------------
@@ -975,8 +962,7 @@ def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarra
     n = len(space.points)
     tcodes = [space.threshold_code(r, CLOSED) for r in radii]
     if isinstance(space._labels, list):
-        return [space._labels[t] if r >= 0 and t >= 0 else np.arange(n)
-                for r, t in zip(radii, tcodes)]
+        return [space._labels[t] if t >= 0 else np.arange(n) for t in tcodes]
     C = space.codes
     edges = []  # (code, i, j)
     if n:

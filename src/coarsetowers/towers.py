@@ -770,8 +770,8 @@ def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:
     goes to the level-1 ball containing it (a bijection when radii[0] = 0).
 
     The base radius is not recorded on the tower, so membership is read
-    off the ball-label table: the coarsest row, from the diagonal's code
-    up, on which the representatives' labels are still pairwise distinct.
+    off the ball-label table: the coarsest row on which the
+    representatives' labels are still pairwise distinct.
     That row is no finer than the base radius's, so its balls are unions
     of base balls holding one representative each: each point's ball
     holds exactly its own base ball's representative.  ValueError when
@@ -779,7 +779,7 @@ def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:
     reps = sorted((b.split(":", 1)[1], b) for b in tower.base)
     cols = np.asarray([space.index(rep) for rep, _ in reps], dtype=np.int64)
     # rows coarsen with the code, so the distinct ones are a run
-    t = space._code(cols[0], cols[0])
+    t = 0
     while t + 1 < len(space.values) and np.unique(
             space.ball_labels(t + 1)[cols]).size == cols.size:
         t += 1

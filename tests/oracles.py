@@ -213,8 +213,8 @@ def pointer_walk_modulus(phi: MultiMap) -> DistortionModulus:
     rises, at target code exactly M (sorted_first_pair_at)."""
     src, tgt = phi.source, phi.target
     ia, ib = graph_indices(phi)
-    c0 = src._code(ia[0], ia[0])
-    t0 = t = tgt._code(ib[0], ib[0])
+    c0 = int(src._pair_codes(ia[0], ia[0]))
+    t0 = t = int(tgt._pair_codes(ib[0], ib[0]))
     T = tgt.ball_labels(t)[ib]
     rep = np.empty(len(src.points), dtype=np.int64)
     rows, wits = [], []

@@ -182,7 +182,7 @@ def test_subspace_drops_values_through_the_table(seed):
 @pytest.mark.parametrize("shift", [0, 1])
 def test_unrealized_values_of_a_labelled_space_are_dropped(shift):
     # odd codes sit between the distances; with shift 1 code 0 sits below
-    # every distance, and its label row names no ball
+    # every distance; Space(...) drops all of them
     space = word_space(2, 3)
     codes = 2 * space.codes.astype(np.int64) + shift
     values = [-1] * shift + [v + Fraction(h, 3) for v in space.values for h in (0, 1)]

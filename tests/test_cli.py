@@ -589,6 +589,9 @@ def test_experiment_ratio_bounded_seeded(capsys):
     ("--height", "0", "--height must be >= 1"),
     ("--height", "-3", "--height must be >= 1"),
     ("--trials", "-1", "--trials must be >= 0"),
+    ("--ratio-bound", "1/2", "--ratio-bound must be >= 1"),
+    ("--ratio-bound", "99/100", "--ratio-bound must be >= 1"),
+    ("--ratio-bound", "0", "--ratio-bound must be >= 1"),
 ])
 def test_experiment_ratio_bounded_refuses_out_of_range_flags(capsys, flag, value, message):
     # height 0 once failed inside the homogeneity witness, and a negative

@@ -89,9 +89,9 @@ def _random_space(rng: random.Random, kind: str) -> Space:
 
 
 def _spread(space: Space, below: int = 1) -> Space:
-    """The same distances on a value table that lists unrealized values
-    below, between and above the realized ones (not yet validated); the
-    label rows of the values below fall below the diagonal's code."""
+    """The same distances given to Space(...) on a value table that also
+    lists values below, between and above the realized ones, which the
+    constructor drops (not yet validated)."""
     values = list(range(-below, 0))
     for v in space.values:
         values += [v, v + Fraction(1, 7)]
@@ -238,7 +238,7 @@ def test_fiber_bounds_match_gathered_blocks(seed, src_kind, tgt_kind):
 @given(st.integers(0, 2 ** 32), st.sampled_from(SPACE_KINDS), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_ball_tower_base_map_takes_the_nearest_representative(seed, kind, zero_radius):
-    # two label rows of the deeper spread lie below the diagonal's code
+    # the deeper spread lists two unrealized values below 0
     rng = random.Random(seed)
     space = _random_space(rng, kind)
     if len(space) < 2:
@@ -430,6 +430,48 @@ def test_hyperspace_matches_the_dense_hyperspace(seed, kind, max_size):
     rng = random.Random(seed)
     space = _factor(rng, kind)
     _assert_matches_dense(hyperspace(space, max_size), dense_hyperspace(space, max_size))
+
+
+# -- realized values -----------------------------------------------------------
+
+
+def _assert_lists_realized_values(space: Space) -> None:
+    """Every listed code occurs in the matrix, the diagonal is code 0, and
+    a validated space's label row 0 names every point apart."""
+    n, codes = len(space), space.codes
+    assert np.array_equal(np.unique(codes), np.arange(len(space.values)))
+    assert (np.diagonal(codes) == 0).all()
+    assert space.is_ultrametric
+    assert np.array_equal(space.ball_labels(0), np.arange(n))
+
+
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from([(_random_space, kind) for kind in SPACE_KINDS] +
+                       [(_factor, kind) for kind in FACTOR_KINDS]))
+@settings(max_examples=100, deadline=None)
+def test_every_space_lists_only_realized_values(seed, build):
+    rng = random.Random(seed)
+    space = build[0](rng, build[1])
+    _assert_lists_realized_values(space)
+    _assert_lists_realized_values(_spread(space, below=rng.randint(0, 2)))
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 6), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_space_encodes_codes_as_from_matrix_does(seed, n, nvalues):
+    # a listed value no pair realizes is dropped and the codes renumbered
+    rng = np.random.default_rng(seed)
+    values = sorted({Fraction(int(a), int(b)) for a, b in zip(
+        rng.integers(-50, 50, nvalues), rng.integers(1, 6, nvalues))})
+    codes = rng.integers(0, len(values), size=(n, n))
+    points = [f"p{i}" for i in range(n)]
+    got = Space(points, codes, values)
+    want = Space.from_matrix(
+        points, [[values[c] for c in row] for row in codes.tolist()])
+    assert got.points == want.points
+    assert got.values == want.values
+    assert got.codes.dtype == want.codes.dtype
+    assert np.array_equal(got.codes, want.codes)
 
 
 # -- code compaction -----------------------------------------------------------

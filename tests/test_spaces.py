@@ -518,6 +518,17 @@ def test_a_repeated_id_is_refused_wherever_ids_come_from_outside():
         product(x, y)
 
 
+@pytest.mark.parametrize("codes", [
+    [[0, -1], [-1, 0]],  # a negative code would wrap to the top value
+    [[0, 2], [2, 0]],
+    [[0, 5], [5, 0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+])
+def test_codes_outside_the_value_table_are_refused(codes):
+    with pytest.raises(ValueError, match=r"codes must be integers in \[0, 2\)"):
+        Space(("a", "b"), np.array(codes), (0, 1))
+
+
 # -- chain components and ultrametrization ----------------------------------------
 
 

@@ -342,8 +342,8 @@ def test_balls_and_entropy_transport_read_the_table():
 @settings(max_examples=30, deadline=None)
 def test_ball_off_the_table_matches_the_codes(seed):
     space = random_ultrametric(random.Random(seed))
-    # a listed, unrealized value below 0 puts a label row under the
-    # diagonal's code
+    # a listed, unrealized value below 0 is dropped, and the codes shift
+    # back down
     shifted = Space(space.points, space.codes + 1, (-1,) + space.values)
     for space in (space, shifted):
         assert space.is_ultrametric  # validation installs the table
@@ -359,8 +359,8 @@ def test_ball_off_the_table_matches_the_codes(seed):
 
 
 def test_label_rows_below_the_diagonal_name_no_ball():
-    # the value -1 is listed but unrealized: its label row lies below the
-    # diagonal's code, so a negative radius holds no point and no net
+    # the value -1 is listed but unrealized, so the space drops it: a
+    # negative radius holds no point and no net
     s = Space(("a", "b"), np.array([[1, 2], [2, 1]]), (-1, 0, 1))
     assert s.is_ultrametric
     for r in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2):
