@@ -338,8 +338,6 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
                               height: int, ratio_bound: str) -> int:
     """Synthesis success frequency on random profiles whose per-level
     Deg/deg ratio stays under a bound; measurement only."""
-    if trials < 0 or height < 1:
-        raise ValueError("--trials must be >= 0" if trials < 0 else "--height must be >= 1")
     bound = Fraction(as_rational(ratio_bound))
     if bound < 1:  # below 1 every level is clamped to ratio 1
         raise ValueError("--ratio-bound must be >= 1")
@@ -386,6 +384,9 @@ EXPERIMENTS = {
 }
 _EXPERIMENT_FLAGS = {flag: default for _, flags in EXPERIMENTS.values()
                      for flag, default in flags.items()}
+# the least value of each integer flag, refused below it before anything is built
+_EXPERIMENT_LEAST = {"n": 1, "length": 1, "alphabet": 2, "terms": 1,
+                     "trials": 0, "height": 1}
 # the commands and experiments whose output is an entropy table, the only
 # output the net convention changes
 _NET_READERS = ("entropy", "hyperspace-entropy", "product-with-sparse-sequence")
@@ -399,7 +400,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"unknown experiment {args.name!r}; choices: "
             f"{', '.join(sorted(EXPERIMENTS))}")
     runner, flags = EXPERIMENTS[args.name]
-    return runner(args, **{k: getattr(args, k, d) for k, d in flags.items()})
+    values = {k: getattr(args, k, d) for k, d in flags.items()}
+    for k, least in _EXPERIMENT_LEAST.items():
+        if values.get(k, least) < least:
+            raise ValueError(f"--{k} must be >= {least}")
+    return runner(args, **values)
 
 
 # -- dispatch -----------------------------------------------------------------

@@ -214,15 +214,13 @@ class SynthesisOutput:
         }
 
 
-def _smallest_bounded_rational(x: Rational, max_den: int = 64) -> Fraction:
-    """Smallest p/q >= x with 1 <= q <= max_den."""
+_MAX_DEN = 64
+
+
+def _smallest_bounded_rational(x: Rational) -> Fraction:
+    """Smallest p/q >= x with 1 <= q <= _MAX_DEN."""
     x = Fraction(x)
-    best = None
-    for q in range(1, max_den + 1):
-        cand = Fraction(math.ceil(x * q), q)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(Fraction(math.ceil(x * q), q) for q in range(1, _MAX_DEN + 1))
 
 
 @dataclass(frozen=True)
@@ -362,15 +360,15 @@ def _verified_output(
     return out
 
 
-def _height_advice(
-    profile: DegreeProfile,
-    accept: Callable[..., bool],
-    *args,
-    extra: int = 48,
-) -> Optional[int]:
-    """Smallest extended height at which accept(ext, witness, *args) holds,
-    continuing the profile with its last consecutive degree; None when the
-    profile is not a plain product profile (extension would be guesswork)."""
+_ADVICE_LEVELS = 48
+
+
+def _height_advice(profile: DegreeProfile, accept: Callable[..., bool],
+                   *args) -> Optional[int]:
+    """Smallest extended height, at most _ADVICE_LEVELS above the profile's,
+    at which accept(ext, witness, *args) holds, continuing the profile with
+    its last consecutive degree; None when the profile is not a plain
+    product profile (extension would be guesswork)."""
     H = profile.height
     if H < 2 or not profile.is_homogeneous:
         return None
@@ -380,7 +378,7 @@ def _height_advice(
         prod *= g
     if prod != profile.small_between(1, H) or consec[-1] < 2:
         return None
-    for H2 in range(H + 1, H + extra + 1):
+    for H2 in range(H + 1, H + _ADVICE_LEVELS + 1):
         ext = DegreeProfile.regular(consec + [consec[-1]] * (H2 - H), H2)
         if accept(ext, HomogeneityWitness.default_for(ext), *args):
             return H2

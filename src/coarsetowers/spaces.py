@@ -354,81 +354,64 @@ def _ball_table(
 # -- validation ------------------------------------------------------------
 
 
-# the strong-triangle scan lists at most this many witness triples
+# the strong-triangle check lists at most this many witness triples
 _MAX_WITNESSES = 1000
 
 
-def _strong_triangle_by_threshold(space: Space) -> tuple[list[Violation], bool]:
-    """Complete strong-triangle scan, one pass per realized distance value;
-    returns the witness triples and whether the list was cut.
-
-    d satisfies d(x,y) <= max(d(x,z), d(z,y)) for all triples iff for every
-    realized value v the relation {d <= v} is transitive: one direction is
-    immediate, and a violating triple with v = max(d(x,z), d(z,y)) breaks
-    transitivity at v.  Checking each threshold is a single matrix pass, so
-    the whole scan costs O(values * n^2) instead of the all-triples O(n^3)
-    while still deciding exactly the same property.  Every failure is
-    reported as explicit triples, each checked to violate the inequality;
-    a triple met again at a later threshold is reported once.  The scan
-    stops at the first triple past _MAX_WITNESSES, so a cut list is the
-    first _MAX_WITNESSES triples of the whole one.
-    Requires the diagonal-zero, positivity and symmetry checks to have
-    passed (the reduction uses them), so a space that passes is proved
-    ultrametric: it keeps the scan's first-member label rows, the top one
-    all zero, as its ball-label table.
-    """
+def _strong_triangle(space: Space) -> tuple[list[Violation], bool]:
+    """Strong-triangle check by single linkage (Gower & Ross): the witness
+    triples and whether the list was cut.  The minimum spanning tree's
+    edges are merged in code order by a union-find whose roots are least
+    members.  Edge (c, u, v) joins components A of u and B of v, whose
+    cross pairs (x, y) all have codes >= c, and the matrix is ultrametric
+    exactly when none is above c, so each cell is read once.  A cross pair
+    above c is listed as (min(x, y), max(x, y), z): z = v if
+    d(x,y) > max(d(x,v), d(v,y)), else u if that holds for u, else it is
+    not listed.  The first merge with a pair above c joins two ultrametric
+    sides with codes <= c, so either v is within c of x, or (x, v) is above
+    c and u is within c of both: an empty list is the exact verdict.  The
+    list stops at the first triple past _MAX_WITNESSES.  Needs the
+    diagonal-zero, positivity and symmetry checks passed; a passing space
+    keeps as its ball-label table the labels after the merges of code <= t,
+    for each code t."""
     C = space.codes
-    n = int(C.shape[0])
-    vals = space.values
-    pts = space.points
+    vals, pts = space.values, space.points
+    edges = _spanning_tree(C, len(vals))
+    root = np.arange(len(pts))  # each point's least member
+    members = [np.array([i]) for i in range(len(pts))]  # each root's component
     out: list[Violation] = []
-    rows = []
-    # reported triples as sorted keys (x*n + y)*n + z behind a -1 sentinel
-    seen = np.full(1, -1, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    # one pair of row-block buffers serves every block of every threshold
-    mask_buf = np.empty((min(chunk, n), n), dtype=bool)
-    diff_buf = np.empty_like(mask_buf)
-    # violations at the top value are impossible: nothing exceeds it
-    for t in range(len(vals) - 1):
-        labels = _class_labels(C, t)
-        rows.append(labels)
-        narrow = labels.astype(_pick_dtype(n))  # point indices, compared faster
-        for lo in range(0, n, chunk):
-            mask = np.less_equal(C[lo:lo + chunk], t, out=mask_buf[:n - lo])
-            diff = np.equal(narrow[lo:lo + chunk, None], narrow[None, :],
-                            out=diff_buf[:n - lo])
-            np.not_equal(mask, diff, out=diff)
-            if not diff.any():  # far cheaper than nonzero on valid blocks
-                continue
-            bi, j = np.nonzero(diff)
-            i = bi + lo
-            li, lj = labels[i], labels[j]
-            # a related pair in distinct classes: the smaller class label is
-            # far from the other endpoint; an unrelated pair in one class:
-            # its label is near both
-            rel, low = mask[bi, j], li < lj
-            x = np.where(rel, np.where(low, li, lj), i)
-            y = np.where(rel, np.where(low, j, i), j)
-            z = np.where(rel, np.where(low, i, j), li)
-            # codes are order-isomorphic to values, so comparing codes is exact
-            bad = np.nonzero(C[x, y] > np.maximum(C[x, z], C[z, y]))[0]
-            # each unordered {x, y} with its z once, where the scan first meets it
-            key = ((np.minimum(x, y) * n + np.maximum(x, y)) * n + z)[bad]
-            key, first = np.unique(key, return_index=True)
-            pos = np.searchsorted(seen, key, side="right")
-            fresh = seen[pos - 1] != key
-            seen = np.insert(seen, pos[fresh], key[fresh])
-            for k in bad[np.sort(first[fresh])].tolist():
-                if len(out) == _MAX_WITNESSES:
-                    return out, True
-                xk, yk, zk = int(x[k]), int(y[k]), int(z[k])
-                out.append(Violation(
-                    "strong-triangle", (pts[xk], pts[yk], pts[zk]),
-                    f"d(x,y) = {rat_str(vals[C[xk, yk]])} > max("
-                    f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
+    rows, k = [], 0
+    for t in range(len(vals)):
+        while k < len(edges) and edges[k][0] <= t:
+            c, u, v = edges[k]
+            k += 1
+            side, other = members[root[u]], members[root[v]]
+            # the last block is alive while the next is read: two fit in 4M cells
+            chunk = max(1, 2_000_000 // other.size)
+            for lo in range(0, side.size, chunk):
+                x = side[lo:lo + chunk]
+                block = C[np.ix_(x, other)]
+                if block.max() <= c:  # no mask on a clean block
+                    continue
+                bi, bj = np.nonzero(block > c)
+                # codes are order-isomorphic to values, so comparing codes is exact
+                xs, ys, dxy = x[bi], other[bj], block[bi, bj]
+                zs = np.where(dxy > np.maximum(C[xs, v], C[v, ys]), v, u)
+                listed = dxy > np.maximum(C[xs, zs], C[zs, ys])
+                for i in np.flatnonzero(listed).tolist():
+                    if len(out) == _MAX_WITNESSES:
+                        return out, True
+                    xk, yk, zk = sorted((int(xs[i]), int(ys[i]))) + [int(zs[i])]
+                    out.append(Violation(
+                        "strong-triangle", (pts[xk], pts[yk], pts[zk]),
+                        f"d(x,y) = {rat_str(vals[C[xk, yk]])} > max("
+                        f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
+            a, b = sorted((root[u], root[v]))
+            root[members[b]] = a
+            members[a], members[b] = np.concatenate((side, other)), None
+        rows.append(root.copy())
     if not out and space._labels is None:
-        space._labels = rows + [np.zeros(n, dtype=np.int64)] * bool(vals)
+        space._labels = rows
     return out, False
 
 
@@ -499,29 +482,29 @@ def _check_ball_table(space: Space) -> None:
 def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationReport:
     """Exhaustive metric-axiom check.
 
-    A space that holds only its ball-label table (a builder's output whose
-    codes were never read) is decided off that table in O(rows * n), with
-    no matrix written (see _check_ball_table): it passes every rule, and a
-    broken table raises ValueError.  A space holding its code matrix
-    (files, Space(...), or a table space whose codes were read) is
-    checked on the matrix as follows.
+    A space that holds its ball-label table (a builder's output, or a
+    space that passed a validation, whether or not its codes were read) is
+    decided off that table in O(rows * n), with no matrix written (see
+    _check_ball_table): it passes every rule, and a broken table raises
+    ValueError.  Any other space (files, Space(...)) is checked on its
+    code matrix as follows.
 
     Symmetry and positivity are read over fixed-size tiles of the upper
     triangle, each compared with its mirror tile, so no n x n mask is
     built; their witnesses are the pairs i < j in row-major order.
     strong=True checks the strong triangle inequality
-    d(x,y) <= max(d(x,z), d(z,y)) over all triples with the equivalent
-    per-threshold scan, which reports at least one explicit triple per
-    failure pattern, at most _MAX_WITNESSES in all (a cut list marks the
-    report truncated); when it passes, the space keeps the scan's label
-    rows as its ball-label table.  The scan needs a zero diagonal,
+    d(x,y) <= max(d(x,z), d(z,y)) over all triples by single linkage
+    (_strong_triangle), which reports explicit triples, at least one when
+    the inequality fails, at most _MAX_WITNESSES in all (a cut list marks
+    the report truncated); when it passes, the space keeps the merges'
+    label rows as its ball-label table.  The check needs a zero diagonal,
     positivity and symmetry, so when one of those fails the strong
     triangle is not judged and is left out of the report's checked rules.
     strong=False checks the plain d(x,y) <= d(x,z) + d(z,y) (exact
     rational sums, so it runs a pure-Python triple loop and is capped).
     """
     checked = ("diagonal-zero", "positivity", "symmetry")
-    if space._codes is None and isinstance(space._labels, list):
+    if isinstance(space._labels, list):
         _check_ball_table(space)
         # values are >= 0, so max(a, b) <= a + b: the plain triangle follows
         return ValidationReport("metric axioms", checked + (
@@ -552,7 +535,7 @@ def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationRepor
     if strong:
         if not violations:
             checked += ("strong-triangle",)
-            found, truncated = _strong_triangle_by_threshold(space)
+            found, truncated = _strong_triangle(space)
             violations.extend(found)
     else:
         checked += ("triangle",)
@@ -663,20 +646,6 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
     return Space.__new__(Space)._fill(points, codes, values, None, caps)
-
-
-def _class_labels(codes: np.ndarray, tcode: int) -> np.ndarray:
-    """First-member labels of the relation {codes <= tcode}: entry i is the
-    least column j with codes[i, j] <= tcode.  On an ultrametric code matrix
-    the relation is an equivalence whose classes are the closed balls at
-    that threshold, so each ball is labelled by its first member.  Rows go
-    in blocks of about four million cells, so no n x n boolean is built."""
-    n = codes.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        labels[lo:lo + chunk] = (codes[lo:lo + chunk] <= tcode).argmax(axis=1)
-    return labels
 
 
 def min_net(
@@ -949,27 +918,16 @@ def hyperspace(space: Space, max_size: int, caps: Caps = DEFAULT_CAPS) -> Space:
 # -- chain components and ultrametrization -----------------------------------
 
 
-def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarray]:
-    """First-member labels of the chain components at each of the
-    ascending radii: entry i is the least index joined to point i by a
-    chain of steps of length <= radius.  A space holding its ball-label
-    table reads the row at the radius's code, since an ultrametric's chain
-    components are its closed balls.  Any other space is single linkage
-    over its (symmetric) codes: Prim's algorithm builds one minimum
-    spanning tree, reading one matrix row per step with O(n) state, and
-    the components at code t are those of the tree edges of code <= t,
-    merged in code order by a union-find whose roots are least members."""
-    n = len(space.points)
-    tcodes = [space.threshold_code(r, CLOSED) for r in radii]
-    if isinstance(space._labels, list):
-        return [space._labels[t] if t >= 0 else np.arange(n) for t in tcodes]
-    C = space.codes
-    edges = []  # (code, i, j)
+def _spanning_tree(C: np.ndarray, top: int) -> list[tuple[int, int, int]]:
+    """The edges (code, i, j) of a minimum spanning tree of the symmetric
+    codes C, sorted; top is above every code.  Prim's algorithm reads one
+    matrix row per step, with O(n) state."""
+    n = C.shape[0]
+    edges = []
     if n:
-        top = len(space.values)  # above every code: marks a tree point
         # each point's least code to the tree, in the codes' dtype if top fits
         best = C[0].astype(C.dtype if top <= np.iinfo(C.dtype).max else np.int64)
-        best[0] = top
+        best[0] = top  # marks a tree point
         near = np.zeros(n, dtype=np.int64)  # the tree point giving it
         todo = np.ones(n, dtype=bool)
         todo[0] = False
@@ -984,6 +942,23 @@ def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarra
             np.putmask(best, closer, row)
             np.putmask(near, closer, j)
         edges.sort()
+    return edges
+
+
+def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarray]:
+    """First-member labels of the chain components at each of the
+    ascending radii: entry i is the least index joined to point i by a
+    chain of steps of length <= radius.  A space holding its ball-label
+    table reads the row at the radius's code, since an ultrametric's chain
+    components are its closed balls.  Any other space is single linkage
+    over its (symmetric) codes: the components at code t are those of the
+    spanning tree's edges of code <= t (_spanning_tree), merged in code
+    order by a union-find whose roots are least members."""
+    n = len(space.points)
+    tcodes = [space.threshold_code(r, CLOSED) for r in radii]
+    if isinstance(space._labels, list):
+        return [space._labels[t] if t >= 0 else np.arange(n) for t in tcodes]
+    edges = _spanning_tree(space.codes, len(space.values))
     parent = list(range(n))  # parent[i] <= i
 
     def root(i: int) -> int:

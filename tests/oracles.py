@@ -16,6 +16,12 @@ package read it before its kernel read the codes between neighbours in
 source leaf order; unlike the block scan, it reaches the graphs of
 6561 points that an equiv run certifies.
 
+The strong-triangle scan is kept as the package wrote it before its
+validator merged the edges of one minimum spanning tree: one pass over
+the matrix per realized value, with first-member class labels computed
+from the codes at each threshold.  It is the validator's verdict oracle,
+and the class labels are the oracle of every installed ball-label table.
+
 The string ones work on a relation's id pairs, the way the package did
 before relations held index arrays: fibers and cofibers as dicts of id
 tuples, the inverse, composition through a set of id pairs, and the
@@ -77,6 +83,7 @@ from coarsetowers import (
     SynthesisOutput,
     balanced_partition,
 )
+from coarsetowers import spaces
 from coarsetowers.homogenize import (
     _Step,
     _height_advice,
@@ -407,6 +414,92 @@ def chain_labels(space: Space, radius) -> np.ndarray:
         label[seen] = comp
         comp += 1
     return label
+
+
+# -- the strong-triangle scan ------------------------------------------------------
+
+
+def threshold_scan(space: Space) -> tuple[list[Violation], bool]:
+    """Complete strong-triangle scan, one pass per realized distance value;
+    returns the witness triples and whether the list was cut.
+
+    d satisfies d(x,y) <= max(d(x,z), d(z,y)) for all triples iff for every
+    realized value v the relation {d <= v} is transitive: one direction is
+    immediate, and a violating triple with v = max(d(x,z), d(z,y)) breaks
+    transitivity at v.  Checking each threshold is a single matrix pass, so
+    the whole scan costs O(values * n^2) instead of the all-triples O(n^3)
+    while still deciding exactly the same property.  Every failure is
+    reported as explicit triples, each checked to violate the inequality;
+    a triple met again at a later threshold is reported once.  The scan
+    stops at the first triple past _MAX_WITNESSES, so a cut list is the
+    first _MAX_WITNESSES triples of the whole one.
+    Requires the diagonal-zero, positivity and symmetry checks to have
+    passed (the reduction uses them).  It installs no table on the
+    space: class_labels gives its rows.
+    """
+    C = space.codes
+    n = int(C.shape[0])
+    vals = space.values
+    pts = space.points
+    out: list[Violation] = []
+    # reported triples as sorted keys (x*n + y)*n + z behind a -1 sentinel
+    seen = np.full(1, -1, dtype=np.int64)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    # one pair of row-block buffers serves every block of every threshold
+    mask_buf = np.empty((min(chunk, n), n), dtype=bool)
+    diff_buf = np.empty_like(mask_buf)
+    # violations at the top value are impossible: nothing exceeds it
+    for t in range(len(vals) - 1):
+        labels = class_labels(C, t)
+        narrow = labels.astype(_pick_dtype(n))  # point indices, compared faster
+        for lo in range(0, n, chunk):
+            mask = np.less_equal(C[lo:lo + chunk], t, out=mask_buf[:n - lo])
+            diff = np.equal(narrow[lo:lo + chunk, None], narrow[None, :],
+                            out=diff_buf[:n - lo])
+            np.not_equal(mask, diff, out=diff)
+            if not diff.any():  # far cheaper than nonzero on valid blocks
+                continue
+            bi, j = np.nonzero(diff)
+            i = bi + lo
+            li, lj = labels[i], labels[j]
+            # a related pair in distinct classes: the smaller class label is
+            # far from the other endpoint; an unrelated pair in one class:
+            # its label is near both
+            rel, low = mask[bi, j], li < lj
+            x = np.where(rel, np.where(low, li, lj), i)
+            y = np.where(rel, np.where(low, j, i), j)
+            z = np.where(rel, np.where(low, i, j), li)
+            # codes are order-isomorphic to values, so comparing codes is exact
+            bad = np.nonzero(C[x, y] > np.maximum(C[x, z], C[z, y]))[0]
+            # each unordered {x, y} with its z once, where the scan first meets it
+            key = ((np.minimum(x, y) * n + np.maximum(x, y)) * n + z)[bad]
+            key, first = np.unique(key, return_index=True)
+            pos = np.searchsorted(seen, key, side="right")
+            fresh = seen[pos - 1] != key
+            seen = np.insert(seen, pos[fresh], key[fresh])
+            for k in bad[np.sort(first[fresh])].tolist():
+                if len(out) == spaces._MAX_WITNESSES:
+                    return out, True
+                xk, yk, zk = int(x[k]), int(y[k]), int(z[k])
+                out.append(Violation(
+                    "strong-triangle", (pts[xk], pts[yk], pts[zk]),
+                    f"d(x,y) = {rat_str(vals[C[xk, yk]])} > max("
+                    f"{rat_str(vals[C[xk, zk]])}, {rat_str(vals[C[zk, yk]])})"))
+    return out, False
+
+
+def class_labels(codes: np.ndarray, tcode: int) -> np.ndarray:
+    """First-member labels of the relation {codes <= tcode}: entry i is the
+    least column j with codes[i, j] <= tcode.  On an ultrametric code matrix
+    the relation is an equivalence whose classes are the closed balls at
+    that threshold, so each ball is labelled by its first member.  Rows go
+    in blocks of about four million cells, so no n x n boolean is built."""
+    n = codes.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    chunk = max(1, 4_000_000 // max(n, 1))
+    for lo in range(0, n, chunk):
+        labels[lo:lo + chunk] = (codes[lo:lo + chunk] <= tcode).argmax(axis=1)
+    return labels
 
 
 # -- node maps and navigation on them -------------------------------------------

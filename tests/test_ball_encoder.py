@@ -32,7 +32,7 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import spaces
-from coarsetowers.spaces import CLOSED, _class_labels, _compact, _pick_dtype
+from coarsetowers.spaces import CLOSED, _compact, _pick_dtype
 
 from conftest import (
     random_plain_metric,
@@ -41,7 +41,7 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import chain_labels, lexsort_ball_table
+from oracles import chain_labels, class_labels, lexsort_ball_table
 from test_tower_arrays import _assert_same_space
 
 
@@ -87,7 +87,7 @@ def _assert_encoded(space, points, codes, values):
     assert isinstance(space._labels, list)
     assert len(space._labels) == len(space.values)
     for k, row in enumerate(space._labels):
-        assert np.array_equal(row, _class_labels(space.codes, k))
+        assert np.array_equal(row, class_labels(space.codes, k))
 
 
 @given(st.integers(2, 5), st.integers(1, 4))
@@ -270,7 +270,7 @@ def no_scans(monkeypatch):
     def scan(*args):
         raise AssertionError("codes were scanned")
 
-    monkeypatch.setattr(spaces, "_class_labels", scan)
+    monkeypatch.setattr(spaces, "_strong_triangle", scan)
     monkeypatch.setattr(spaces, "_compact", scan)
 
 

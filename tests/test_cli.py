@@ -603,6 +603,27 @@ def test_experiment_ratio_bounded_refuses_out_of_range_flags(capsys, flag, value
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("name, flag, value, message", [
+    ("product-with-sparse-sequence", "--terms", "0", "--terms must be >= 1"),
+    ("product-with-sparse-sequence", "--length", "0", "--length must be >= 1"),
+    ("hyperspace-entropy", "--n", "0", "--n must be >= 1"),
+    ("hyperspace-entropy", "--n", "-2", "--n must be >= 1"),
+    ("hyperspace-entropy", "--alphabet", "1", "--alphabet must be >= 2"),
+    ("hyperspace-entropy", "--length", "0", "--length must be >= 1"),
+])
+def test_experiments_refuse_out_of_range_flags_by_name(capsys, monkeypatch, name,
+                                                       flag, value, message):
+    # the refusals once named word_space's and hyperspace's parameters
+    def no_build(*args, **kwargs):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(cli, "word_space", no_build)
+    code, out, err = run_cli(capsys, ["experiment", name, flag, value])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_experiment_ratio_bounded_accepts_the_least_values(capsys):
     code, out, _ = run_cli(capsys, ["experiment", "ratio-bounded-synthesis",
                                     "--height", "1", "--trials", "0"])

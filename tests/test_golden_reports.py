@@ -180,8 +180,10 @@ VALIDATE_DIGESTS = {
         "75a69b97641cfa15c79bbacc3ac397639e02dfe1c471acb9643d19b00671a299",
     "nonpositive":
         "06a2bd7d87df5b751884e0c197316e3ffb24ddec954211964568e740a655e4bf",
+    # every cross pair above its spanning-tree merge is listed with the
+    # merge's endpoint that witnesses it: 157 triples
     "non-ultrametric":
-        "3abd38f26cf3e60fdba759124fe961ee3437aafbfec9e2f43e91b5c70847d308",
+        "dc0ae4522786c71e058146b44c6f726192597c26c9a997c8856a4af7c8f829e6",
 }
 
 

@@ -1,6 +1,7 @@
 """Homogenization layer: homogeneity measures, sequence synthesis, the
 staged equivalence pipeline, and the classification verdicts."""
 
+import dataclasses
 import gc
 import inspect
 import math
@@ -32,6 +33,7 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import cli, homogenize, morphisms, towers
+from coarsetowers.report import Violation
 
 import oracles
 from conftest import random_tower
@@ -192,6 +194,45 @@ def test_verify_synthesis_rejects_tampered_output():
     bad = SynthesisOutput(out.a, (Fraction(2), out.b[1]), out.n, out.m)
     rep = verify_synthesis(prof, bad)
     assert not rep.ok
+
+
+# each tamper of regular:3 h=7's output (a = (1, 6784/593), b = (245/53,
+# 15680/467), n = (1, 4), m = (0, 8)) and one violation it must raise
+@pytest.mark.parametrize("tamper, rule, witness, message", [
+    ({"a": (1,), "b": (Fraction(245, 53),), "n": (1,), "m": (0,)},
+     "shape", 1, "need length >= 2, got 1"),
+    ({"n": (2, 4)}, "shape", (2, 0), "sequences must start at n=1, m=0"),
+    ({"n": (1, 7)}, "shape", (1, 7), "levels must increase strictly within 1..6"),
+    ({"m": (0, 0)}, "shape", (0, 0), "exponents must increase strictly"),
+    ({"a": (27, Fraction(6784, 593)), "b": (81, Fraction(15680, 467))},
+     "degree-room", 1, "a_1 + 1 = 28 > d = 27"),
+    ({"m": (0, 9)}, "lower-window-exact", 1,
+     "b_1 + a_1 2^dm / a_2 = 2617/53 > d = 27"),
+    ({"m": (0, 7)}, "level-map-preconditions", (1,),
+     "level 1: Deg_1(T1) = 27 > a_1 + b_1 * (deg_1(T2) / b_2 - 2) = 497/53"),
+])
+def test_verify_synthesis_names_the_rule_a_tamper_breaks(tamper, rule, witness, message):
+    prof = DegreeProfile.regular((3,) * 6)
+    out = synthesize_sequences(prof)
+    assert verify_synthesis(prof, out).ok
+    rep = verify_synthesis(prof, dataclasses.replace(out, **tamper))
+    assert Violation(rule, witness, message) in rep.violations
+
+
+@pytest.mark.parametrize("witness, profile, found", [
+    (HomogeneityWitness((1,), (2,)), DegreeProfile.regular((3, 3)),
+     [("height", (2, 3), "witness height 2 != profile height 3")]),
+    (HomogeneityWitness((Fraction(1, 2), 1), (2, 2)), DegreeProfile.regular((3, 3)),
+     [("spread-bound-at-least-one", 1, "c_1 = 1/2 < 1"),
+      ("spread-bound", 1, "Deg_1 = 3 > 1/2 * 3")]),
+    (HomogeneityWitness((1,), (2,)), DegreeProfile(2, {(1, 2): 2}, {(1, 2): 3}),
+     [("spread-bound", 1, "Deg_1 = 3 > 1 * 2")]),
+    (HomogeneityWitness((1, 1), (2, 1)), DegreeProfile.regular((3, 3)),
+     [("margin-above-one", 2, "delta_2 = 1 <= 1")]),
+])
+def test_witness_check_names_each_broken_rule(witness, profile, found):
+    rep = witness.check_against(profile)
+    assert rep.violations == tuple(Violation(*v) for v in found)
 
 
 # -- the equivalence pipeline ----------------------------------------------------------

@@ -41,13 +41,14 @@ from coarsetowers import (
 from coarsetowers import morphisms
 from coarsetowers.cli import main
 from coarsetowers.limits import CapExceeded, Caps
-from coarsetowers.spaces import _class_labels, _compact, _pick_dtype
+from coarsetowers.spaces import _compact, _pick_dtype
 
 from conftest import random_plain_metric, random_radii, random_ultrametric
 from oracles import (
     argmin_base_map,
     base_distortion_scan,
     block_scan_modulus,
+    class_labels,
     dense_hyperspace,
     dense_product,
     isometric_witness,
@@ -325,7 +326,7 @@ def test_label_table_rows_are_class_labels():
     base = base_space(regular_tower((3, 2, 2)))
     for t in range(len(base.values)):
         row = base.ball_labels(t)
-        assert np.array_equal(row, _class_labels(base.codes, t))
+        assert np.array_equal(row, class_labels(base.codes, t))
         assert base.ball_labels(t) is row  # filled once, then kept
     with pytest.raises(ValueError):
         base.ball_labels(len(base.values))
@@ -342,7 +343,7 @@ def test_a_passing_validation_installs_the_class_label_table(seed, kind):
     assert validate_ultrametric(space).ok
     assert len(space._labels) == len(space.values)
     for t in range(len(space.values)):
-        assert np.array_equal(space.ball_labels(t), _class_labels(space.codes, t))
+        assert np.array_equal(space.ball_labels(t), class_labels(space.codes, t))
 
 
 def test_plain_metrics_are_refused_by_the_label_kernels():

@@ -37,6 +37,7 @@ from coarsetowers import (
     word_space,
 )
 
+from coarsetowers.serialization import dump_json
 from coarsetowers.towers import _cone_profile
 
 from conftest import random_tower, random_ultrametric
@@ -524,6 +525,25 @@ def test_build_admissible_morphism_checks_preconditions_first():
     with pytest.raises(ValueError):
         build_admissible_morphism(
             t1, roots, t2, t2.top, AdmissibleSequences((1, 1), (3, 3)))
+
+
+@pytest.mark.parametrize("d1, d2, level, a, b", [
+    ((27, 4), (64,), 2, (1, 4), (8, 8)),
+    ((), (), 1, (1,), (3,)),
+])
+def test_build_admissible_morphism_reads_tuple_levels_like_path_rows(d1, d2, level, a, b):
+    # towers rebuilt from their node maps hold tuple levels, where nodes are
+    # found by bisection; regular towers hold PathRows, which parse ids
+    seqs = AdmissibleSequences(a, b)
+    rows = regular_tower(d1), regular_tower(d2)
+    tuples = Tower(*node_maps(rows[0])), Tower(*node_maps(rows[1]))
+    assert type(tuples[0]._ids[0]) is type(tuples[1]._ids[0]) is tuple
+
+    def built(t1, t2):
+        phi, _, cert = build_admissible_morphism(t1, t1._ids[level - 1], t2, t2.top, seqs)
+        return phi, dump_json(cert.to_json())
+
+    assert built(*rows) == built(*tuples)
 
 
 def test_built_morphism_base_checks():

@@ -10,9 +10,13 @@ only to pass on to parameters that are themselves dead.
 A private function, method or class that the package loads only inside
 its own definition survives because tests call it: it belongs in the
 tests' oracles, or nowhere.
+
+The package declares numpy as its one dependency, so it imports nothing
+else outside the standard library; scipy serves the tests alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import coarsetowers
@@ -119,3 +123,14 @@ def uncalled_private_names() -> list[str]:
 
 def test_every_private_helper_has_a_library_caller():
     assert uncalled_private_names() == []
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    imported = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}

@@ -34,11 +34,7 @@ from coarsetowers import (
 )
 from coarsetowers import spaces
 from coarsetowers.rationals import as_rational, canon, rat_parse, rat_str
-from coarsetowers.spaces import (
-    _TILE,
-    _strong_triangle_by_threshold,
-    _upper_pair_defects,
-)
+from coarsetowers.spaces import _TILE, _strong_triangle, _upper_pair_defects
 
 from conftest import (
     brute_entropy,
@@ -51,7 +47,7 @@ from conftest import (
     shuffled_tower,
     triple_violations,
 )
-from oracles import chain_labels
+from oracles import chain_labels, class_labels, threshold_scan
 
 
 # -- word spaces ---------------------------------------------------------------
@@ -161,7 +157,7 @@ def test_validator_matches_pure_python_triple_scan():
 
 
 def test_threshold_scan_agrees_with_triple_loop():
-    # the large-space fast path must judge exactly like the exhaustive loop
+    # the scan, the validator's oracle, judges exactly like the exhaustive loop
     rng = random.Random(11)
     for trial in range(30):
         base = random_ultrametric(rng)
@@ -172,13 +168,93 @@ def test_threshold_scan_agrees_with_triple_loop():
             i, j = rng.sample(range(n), 2)
             mat[i][j] = mat[j][i] = max(base.values) * 2
         sp = Space.from_matrix([f"q{i}" for i in range(n)], mat)
-        fast, truncated = _strong_triangle_by_threshold(sp)
+        fast, truncated = threshold_scan(sp)
         slow = triple_violations(sp)
         assert not truncated
         assert bool(fast) == bool(slow)
         for v in fast:
             x, y, z = v.witness
             assert sp.dist(x, y) > max(sp.dist(x, z), sp.dist(z, y))
+
+
+def _merge_tree_matrix(rng, n, tied):
+    """Distances of n points under a random merge tree: each merge joins two
+    clusters at a height above the last, or, when tied, often equal to it."""
+    d = [[0] * n for _ in range(n)]
+    clusters, height = [[i] for i in range(n)], 0
+    while len(clusters) > 1:
+        a, b = rng.sample(range(len(clusters)), 2)
+        height += rng.choice((0, 0, 1)) if tied and height else rng.randint(1, 3)
+        for x in clusters[a]:
+            for y in clusters[b]:
+                d[x][y] = d[y][x] = height
+        clusters[a].extend(clusters[b])
+        del clusters[b]
+    return d
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 12),
+       st.sampled_from(["ultra", "tied", "perturbed", "plain"]))
+@settings(max_examples=320, deadline=None)
+def test_spanning_tree_check_against_the_scan_and_triples(seed, n, kind):
+    # the verdict and checked rules are the triple oracle's and the scan's,
+    # every listed triple breaks the strong triangle, and a passing matrix
+    # installs the scan's class-label table
+    rng = random.Random(seed)
+    if kind == "plain":
+        sp = random_plain_metric(rng, n, n)
+    else:
+        d = _merge_tree_matrix(rng, n, kind == "tied")
+        if kind == "perturbed" and n >= 2:
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                d[i][j] = d[j][i] = rng.randint(1, max(map(max, d)) + 1)
+        sp = Space.from_matrix([f"q{i}" for i in range(n)], d)
+    ref = Space(sp.points, sp.codes, sp.values)  # the oracles' own copy
+    report = validate_ultrametric(sp)
+    triples = triple_violations(ref)
+    scanned, cut = threshold_scan(ref)
+    assert report.checked == ("diagonal-zero", "positivity", "symmetry", "strong-triangle")
+    assert not cut and report.ok == (not triples) == (not scanned)
+    for v in report.violations:
+        x, y, z = v.witness
+        assert ref.index(x) < ref.index(y)
+        assert ref.dist(x, y) > max(ref.dist(x, z), ref.dist(z, y))
+    if report.ok:
+        assert len(sp._labels) == len(ref.values)
+        for t, row in enumerate(sp._labels):
+            assert np.array_equal(row, class_labels(ref.codes, t))
+
+
+def _least_members(flat) -> np.ndarray:
+    """Each point's least fellow member under flat cluster numbers."""
+    first: dict = {}
+    return np.asarray([first.setdefault(c, i) for i, c in enumerate(flat.tolist())])
+
+
+@pytest.mark.parametrize("kind", ["ultra", "plain"])
+def test_single_linkage_matches_scipy(kind):
+    # chain components (by the spanning tree, before any table exists) and
+    # the table a passing validation installs are the cuts of scipy's
+    # single-linkage dendrogram of the codes at every code
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = random.Random(5)
+    for _ in range(40):
+        sp = random_ultrametric(rng, 2) if kind == "ultra" else \
+            random_plain_metric(rng, 2, 16)
+        tree = hierarchy.linkage(
+            distance.squareform(sp.codes.astype(float)), method="single")
+        cuts = [_least_members(hierarchy.fcluster(tree, t, criterion="distance"))
+                for t in range(len(sp.values))]
+        for t, labels in enumerate(cuts):
+            groups: dict = {}
+            for p, label in zip(sp.points, labels.tolist()):
+                groups.setdefault(label, []).append(p)
+            assert chain_components(sp, sp.values[t]) == tuple(map(tuple, groups.values()))
+        if validate_ultrametric(sp).ok:
+            assert all(np.array_equal(row, labels)
+                       for row, labels in zip(sp._labels, cuts, strict=True))
 
 
 @given(st.integers(0, 2 ** 32), st.sampled_from(["plain", "ultra", "perturbed"]))
@@ -275,8 +351,8 @@ def _traced_validation(space):
 
 
 def test_validating_a_word_space_builds_no_square_mask():
-    # the tiles and the threshold scan on a held matrix: an n x n boolean
-    # (43 MB on these 6561 points) would break the bound
+    # the tiles and the spanning-tree check on a held matrix: an n x n
+    # boolean (43 MB on these 6561 points) would break the bound
     words = word_space(3, 8)
     held = Space(words.points, words.codes, words.values)
     report, peak = _traced_validation(held)
@@ -301,19 +377,19 @@ def _line(n):
 
 @pytest.mark.parametrize("cap", [1, 10, 57])
 def test_witness_cap_keeps_a_prefix_of_the_whole_list(cap, monkeypatch):
-    whole, cut = _strong_triangle_by_threshold(_line(12))
+    whole, cut = _strong_triangle(_line(13))
     assert not cut and len(whole) > 57
     monkeypatch.setattr(spaces, "_MAX_WITNESSES", cap)
-    found, cut = _strong_triangle_by_threshold(_line(12))
+    found, cut = _strong_triangle(_line(13))
     assert cut and found == whole[:cap]
-    report = validate_ultrametric(_line(12))
+    report = validate_ultrametric(_line(13))
     assert report.truncated and report.violations == tuple(whole[:cap])
     assert report.to_json()["truncated"] is True
     assert not report.ok
 
 
 def test_a_list_at_the_cap_is_whole(monkeypatch):
-    whole, _ = _strong_triangle_by_threshold(_line(12))
+    whole, _ = _strong_triangle(_line(12))
     monkeypatch.setattr(spaces, "_MAX_WITNESSES", len(whole))
     report = validate_ultrametric(_line(12))
     assert report.violations == tuple(whole) and not report.truncated

@@ -49,7 +49,7 @@ from coarsetowers import (
     verify_asymorphism,
     word_space,
 )
-from coarsetowers import cli
+from coarsetowers import cli, spaces
 from coarsetowers.cli import main
 from coarsetowers.serialization import space_from_csv
 from coarsetowers.spaces import CLOSED, STRICT, _pick_dtype
@@ -451,6 +451,18 @@ def test_table_verdict_matches_the_matrix_scan(seed):
             assert np.array_equal(got, want)
         if len(space) <= 20:  # the plain triangle is a Python triple loop
             assert plain.to_json() == validate_metric_axioms(dense, strong=False).to_json()
+
+
+def test_a_table_space_whose_codes_were_read_is_judged_off_its_table(monkeypatch):
+    # a tracer reads .codes; the verdict and its cost stay the table's
+    words = word_space(3, 6)
+    assert words.codes.shape == (729, 729)
+
+    def no_matrix_check(*args):
+        raise AssertionError("the code matrix was checked")
+
+    monkeypatch.setattr(spaces, "_upper_pair_defects", no_matrix_check)
+    assert validate_ultrametric(words).ok
 
 
 def _corrupt(rows):

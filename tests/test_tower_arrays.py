@@ -30,7 +30,7 @@ from coarsetowers import (
 from coarsetowers import cli, equivalence_pipeline, serialization, spaces, towers
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.serialization import dump_json, tower_to_json
-from coarsetowers.spaces import CLOSED, STRICT, _class_labels
+from coarsetowers.spaces import CLOSED, STRICT
 from coarsetowers.towers import _cone_profile
 
 from conftest import (
@@ -41,7 +41,14 @@ from conftest import (
     random_ultrametric,
     shuffled_tower,
 )
-from oracles import ancestor, ancestor_ball_space, children_by_parent, cone, node_maps
+from oracles import (
+    ancestor,
+    ancestor_ball_space,
+    children_by_parent,
+    class_labels,
+    cone,
+    node_maps,
+)
 from test_golden_reports import EQUIV_DIGESTS, _run, _sha
 
 
@@ -152,7 +159,7 @@ def test_equiv_builds_no_node_dicts_past_its_source(monkeypatch):
 
 def _assert_label_table(base):
     for k in range(len(base.values)):
-        assert np.array_equal(base.ball_labels(k), _class_labels(base.codes, k))
+        assert np.array_equal(base.ball_labels(k), class_labels(base.codes, k))
 
 
 @given(st.integers(0, 2 ** 32))
@@ -168,7 +175,7 @@ def test_base_label_table_is_born_complete(degrees, monkeypatch):
         raise AssertionError("a tower base scanned its codes for labels")
 
     base = base_space(regular_tower(degrees))
-    monkeypatch.setattr(spaces, "_class_labels", no_scan)
+    monkeypatch.setattr(spaces, "_strong_triangle", no_scan)
     rows = [base.ball_labels(k) for k in range(len(base.values))]
     monkeypatch.undo()
     assert np.array_equal(rows[0], np.arange(len(base)))

@@ -28,6 +28,7 @@ from coarsetowers import (
 )
 from coarsetowers.limits import CapExceeded, Caps
 from coarsetowers.rationals import canon
+from coarsetowers.report import Violation
 
 from conftest import oracle_path_metric, random_radii, random_tower, random_ultrametric
 from oracles import ancestor, base_below, cone, node_maps, path_metric, sup
@@ -298,6 +299,19 @@ def test_degree_profile_multiplicativity_bounds():
                     assert prof.small_between(i, j) >= \
                         prof.small_between(i, k) * prof.small_between(k, j)
         assert prof.validate().ok
+
+
+# each profile breaks exactly one rule
+@pytest.mark.parametrize("height, small, large, found", [
+    (2, {(1, 2): 3}, {(1, 2): 2}, ("small-le-large", (1, 2), "3 > 2")),
+    (3, {(1, 2): 2, (2, 3): 2, (1, 3): 3}, {(1, 2): 2, (2, 3): 2, (1, 3): 4},
+     ("small-supermultiplicative", (1, 2, 3), "3 < 2 * 2")),
+    (3, {(1, 2): 2, (2, 3): 2, (1, 3): 4}, {(1, 2): 2, (2, 3): 2, (1, 3): 5},
+     ("large-submultiplicative", (1, 2, 3), "5 > 2 * 2")),
+])
+def test_degree_profile_validation_names_each_broken_rule(height, small, large, found):
+    assert DegreeProfile(height, small, large).validate().violations == (
+        Violation(*found),)
 
 
 # -- entropy from degrees ---------------------------------------------------------------
