@@ -277,11 +277,15 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_equiv(args: argparse.Namespace) -> int:
     base = _target_base(args.to_spec)
     tower, label = _tower_from_spec(args.from_spec, args.caps, args.height, base)
+    # the hash's text and the report's pieces are made while no pipeline
+    # space is alive
+    source_hash = tower_hash(tower)
     result = equivalence_pipeline(tower, target_base=base, caps=args.caps)
+    del tower
     report = pipeline_report(
         result,
         source_label=label,
-        source_hash=tower_hash(tower),
+        source_hash=source_hash,
         target_label=f"words:{base}:{result.synthesis.m[-1]}",
         decisions=DECISIONS,
         config={
@@ -291,8 +295,9 @@ def cmd_equiv(args: argparse.Namespace) -> int:
             "height": args.height,
         },
     )
-    _emit(args, _json_pieces(report))
     ok = result.certificate.kind == "asymorphism" and result.certificate.is_asymorphism
+    del result
+    _emit(args, _json_pieces(report))
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

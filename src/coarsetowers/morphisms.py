@@ -26,7 +26,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, as_rational, canon, rat_json, rat_str
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, PointId, Space, _subspace, ball, min_net
+from .spaces import CLOSED, PointId, Space, _Table, _subspace, ball, min_net
 from .towers import (
     DegreeProfile, NodeId, Tower, _cone_profile, _descend, _locate, _node_dict,
     _under, base_space, degree_profile)
@@ -287,8 +287,8 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     """The modulus, rows and witnesses, of a relation between two
     ultrametric spaces, read from their ball-label tables.
 
-    Sorted stably by source leaf rank (one lexsort of the source's label
-    rows), the graph points of each source ball form one run.  So by the
+    Sorted stably by source leaf rank (the source table's leaf_rank), the
+    graph points of each source ball form one run.  So by the
     chain lemma the realized source codes are the diagonal's code 0 and
     the neighbours', and the row at c is the running max M(c) of the largest
     target code between neighbours at each realized source code <= c.
@@ -300,11 +300,9 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     """
     src, tgt = phi.source, phi.target
     ia, ib = phi.src_idx, phi.tgt_idx
-    rank = np.empty(len(src.points), dtype=np.int64)
-    rank[np.lexsort(src._labels)] = np.arange(rank.size)
-    order = np.argsort(rank[ia], kind="stable")
-    s = _neighbour_codes(src, ia[order])
-    t = _neighbour_codes(tgt, ib[order])
+    order = np.argsort(src._labels.leaf_rank()[ia], kind="stable")
+    s = src._labels.neighbour_codes(ia[order])
+    t = tgt._labels.neighbour_codes(ib[order])
     top = np.full(len(src.values), -1, dtype=np.int64)
     top[0] = 0
     np.maximum.at(top, s, t)
@@ -314,23 +312,13 @@ def _label_modulus(phi: MultiMap) -> DistortionModulus:
     # T_below: the last rise's T when M rose by one, None at the diagonal
     wits, last, T = [], -1, None
     for c, m in zip(codes[rises].tolist(), run[rises].tolist()):
-        T_below = T if last == m - 1 else tgt.ball_labels(m - 1)[ib]
-        last, T = m, tgt.ball_labels(m)[ib]
-        wits.append(_witness(phi, *_first_pair_at(src.ball_labels(c)[ia], T, T_below)))
+        T_below = T if last == m - 1 else tgt.ball_labels(m - 1, ib)
+        last, T = m, tgt.ball_labels(m, ib)
+        wits.append(_witness(phi, *_first_pair_at(src.ball_labels(c, ia), T, T_below)))
     return DistortionModulus(
         tuple(zip(map(src.values.__getitem__, codes.tolist()),
                   map(tgt.values.__getitem__, run.tolist()))),
         tuple(map(wits.__getitem__, (np.cumsum(rises) - 1).tolist())))
-
-
-def _neighbour_codes(space: Space, idx: np.ndarray) -> np.ndarray:
-    """The codes between consecutive points of idx: the number of label
-    rows that separate them, each row gathered once."""
-    out = np.zeros(idx.size - 1, dtype=np.int64)
-    for row in space._labels:
-        lab = row[idx]
-        out += lab[1:] != lab[:-1]
-    return out
 
 
 def _first_pair_at(
@@ -623,7 +611,7 @@ def is_large(space: Space, subset: Iterable[PointId]) -> Rational:
     sub = space.subindices(subset)
     if sub.size == 0:
         raise ValueError("empty subset cannot be large")
-    if not isinstance(space._labels, list):
+    if not isinstance(space._labels, _Table):
         # a space without its table was built from its matrix
         return space.values[int(space._codes[:, sub].min(axis=1).max())]
     for code in range(len(space.values)):

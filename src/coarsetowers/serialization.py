@@ -307,20 +307,28 @@ def tower_hash(tower: Tower) -> str:
     per parent, so no dict and no string is built per node.  Only two
     levels are held escaped at a time (a level's ids, then its parents'
     as the next level's), and a level's text is hashed in runs of
-    _HASH_CHUNK nodes.  A tower whose ids are not all strings is hashed
-    from its document."""
+    _HASH_CHUNK nodes.  A uniform tower (Tower._blocks), whose levels are
+    PathRows and whose ids extend their parents' ids, has each level's
+    text written from its parents' ids (PathRow._node_text).  A tower
+    whose ids are not all strings is hashed from its document."""
     digest = hashlib.sha256(b'{"height":%d,"nodes":[{"id":' % tower.height)
     try:
-        row = list(map(encode_basestring_ascii, tower._ids[0]))
-        for lv, par in enumerate(tower._par, start=1):
-            up = list(map(encode_basestring_ascii, tower._ids[lv]))
-            # each node's text runs on to the opening of the next node's
-            tails = [f',"level":{lv},"parent":{p}}},{{"id":' for p in up]
-            for lo in range(0, len(row), _HASH_CHUNK):
-                nodes = zip(row[lo:lo + _HASH_CHUNK],
-                            map(tails.__getitem__, par[lo:lo + _HASH_CHUNK].tolist()))
-                digest.update("".join(itertools.chain.from_iterable(nodes)).encode("ascii"))
-            row = up
+        if tower._blocks is not None:
+            for lv, (row, up) in enumerate(zip(tower._ids, tower._ids[1:]), start=1):
+                for text in row._node_text(up, lv, _HASH_CHUNK):
+                    digest.update(text.encode("ascii"))
+            row = list(map(encode_basestring_ascii, tower._ids[-1]))
+        else:
+            row = list(map(encode_basestring_ascii, tower._ids[0]))
+            for lv, par in enumerate(tower._par, start=1):
+                up = list(map(encode_basestring_ascii, tower._ids[lv]))
+                # each node's text runs on to the opening of the next node's
+                tails = [f',"level":{lv},"parent":{p}}},{{"id":' for p in up]
+                for lo in range(0, len(row), _HASH_CHUNK):
+                    nodes = zip(row[lo:lo + _HASH_CHUNK],
+                                map(tails.__getitem__, par[lo:lo + _HASH_CHUNK].tolist()))
+                    digest.update("".join(itertools.chain.from_iterable(nodes)).encode("ascii"))
+                row = up
         tail = f',"level":{tower.height},"parent":null}}'
         digest.update(((tail + ',{"id":').join(row) + tail + "]}").encode("ascii"))
     except TypeError:

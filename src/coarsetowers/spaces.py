@@ -60,6 +60,96 @@ def _compact(
     return remap[codes], tuple(map(values.__getitem__, used.tolist()))
 
 
+class _Table:
+    """A ball-label table: for each realized code t, the row whose entry i
+    is the least index of a point within code t of point i (see
+    Space.ball_labels).  Every table answers three reads: row t
+    (table[t]), the labels of an index array at row t (at) and each
+    point's rank in a depth-first leaf order, in which every ball is one
+    run (leaf_rank).  _Rows stores its rows; _IndexRows computes them from
+    the point index."""
+
+    __slots__ = ()
+
+    def at(self, t: int, idx: np.ndarray) -> np.ndarray:
+        return self[t][idx]
+
+    def leaf_rank(self) -> np.ndarray:
+        """One lexsort of the rows, the coarsest first, inverted."""
+        order = np.lexsort(self) if len(self) else np.arange(0)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        return rank
+
+    def neighbour_codes(self, idx: np.ndarray) -> np.ndarray:
+        """The codes between consecutive points of idx: the number of rows
+        that separate them, each row read at idx once."""
+        out = np.zeros(idx.size - 1, dtype=np.int64)
+        for t in range(len(self)):
+            lab = self.at(t, idx)
+            out += lab[1:] != lab[:-1]
+        return out
+
+
+class _Rows(_Table, list):
+    """A ball-label table stored as its rows, int64 arrays of n labels."""
+
+    __slots__ = ()
+
+
+class _IndexRows(_Table):
+    """The ball-label table of a space whose balls are runs of index
+    arithmetic, held as one step per realized code: a block size b, row t
+    being i - i % b (the base of a uniform tower, whose level-l nodes each
+    hold one run of b base points), or a modulus m, row t being i % m (a
+    word space, whose words agree from some position on exactly when their
+    indices agree mod m).  Each step divides the next block size, or the
+    modulus before it.  Rows are computed when read; labels of an index
+    array are computed on that array only."""
+
+    __slots__ = ("n", "steps", "modular")
+
+    def __init__(self, n: int, steps: tuple, modular: bool):
+        self.n, self.steps, self.modular = n, steps, modular
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        return self.at(t, np.arange(self.n))
+
+    def at(self, t: int, idx: np.ndarray) -> np.ndarray:
+        step = self.steps[t]
+        return idx % step if self.modular else idx - idx % step
+
+    def leaf_rank(self) -> np.ndarray:
+        """The identity for blocks.  Moduli read the index's digits from
+        the least significant (the rows coarsest first), so the rank is
+        the index with its mixed-radix digits reversed, built from the
+        last modulus up: index q * m' + r below modulus m (q the digit
+        between m and m', m' dividing m) ranks q + (m // m') * rank(r)."""
+        if not self.modular:
+            return np.arange(self.n)
+        rank = np.zeros(1, dtype=np.int64)
+        for m, low in zip(self.steps[-2::-1], self.steps[:0:-1]):
+            rank = (np.arange(m // low)[:, None] + m // low * rank).ravel()
+        return rank
+
+    def neighbour_codes(self, idx: np.ndarray) -> np.ndarray:
+        """When idx lists every point in leaf order, where a ball of s
+        points is a run of s leaves, the codes are a ruler sequence: for
+        each ball size s, one more at every s-th neighbour.  Any other idx
+        reads the rows at idx."""
+        pos = self.leaf_rank()[idx]
+        if pos.size != self.n or not (np.diff(pos) == 1).all():
+            return super().neighbour_codes(idx)
+        out = np.zeros(self.n - 1, dtype=np.int64)
+        for step in self.steps:
+            size = self.n // step if self.modular else step
+            out[size - 1::size] += 1
+        return out
+
+
 class Space:
     """Finite metric space over opaque string point ids.
 
@@ -71,6 +161,12 @@ class Space:
     values lists exactly the distances its pairs realize, as every builder
     and loader gives them and Space(...) makes them (_compact): so on an
     ultrametric the diagonal is code 0 and label row 0 is the identity.
+
+    A space known to be ultrametric holds its ball-label table: the base
+    of a uniform tower (towers.base_space) and a word space hold it as
+    index arithmetic (_IndexRows); every other builder, and a passing
+    validation, store its rows (_Rows).  Only spaces read from matrices
+    hold their code matrix from the start.
     """
 
     __slots__ = ("points", "values", "_codes", "_index", "_labels", "_ranks")
@@ -104,10 +200,11 @@ class Space:
         _unique_ids; base_space, _subspace, word_space and ultrametrize pass
         ids known distinct, and their id index is built on first lookup.
         labels is the complete ball-label table of a space known to be
-        ultrametric, else None."""
+        ultrametric, a list of its rows or a _Table, else None."""
         caps.check_points(len(points), "space")
         self.points, self.values = points, values
-        self._codes, self._labels = codes, labels
+        self._codes = codes
+        self._labels = _Rows(labels) if type(labels) is list else labels
         self._index = self._ranks = None
         return self
 
@@ -160,17 +257,18 @@ class Space:
     @property
     def codes(self) -> np.ndarray:
         """The n x n code matrix.  A space built from its balls holds only
-        its ball-label table and writes the matrix on first read: one
-        lexsort of the table gives the depth-first order, in which every
+        its ball-label table and writes the matrix on first read: the
+        table's leaf rank gives the depth-first order, in which every
         ball is one run, and each ball's code is written over its block,
         coarser first."""
         if self._codes is None:
             n, rows = len(self.points), self._labels
             # the coarsest row is one ball: its code fills the matrix
             codes = np.full((n, n), len(rows) - 1, dtype=_pick_dtype(len(rows)))
-            order = np.lexsort(rows or [np.arange(n)])
+            order = np.empty(n, dtype=np.int64)
+            order[rows.leaf_rank()] = np.arange(n)
             for code in range(len(rows) - 2, 0, -1):
-                run = rows[code][order]
+                run = rows.at(code, order)
                 bounds = np.flatnonzero(run[1:] != run[:-1]) + 1
                 for lo, hi in zip([0] + bounds.tolist(), bounds.tolist() + [n]):
                     if hi - lo > 1:
@@ -188,8 +286,8 @@ class Space:
             return self._codes[i, j].astype(np.int64)
         out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)),
                        dtype=np.int64)
-        for row in self._labels:
-            out += row[i] != row[j]
+        for t in range(len(self._labels)):
+            out += self._labels.at(t, i) != self._labels.at(t, j)
         return out
 
     def _id_ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +337,16 @@ class Space:
             self._labels = False
         return self._labels is not False
 
-    def ball_labels(self, tcode: int) -> np.ndarray:
-        """Row tcode of the ball-label table: entry i is the least index of
-        a point within code tcode of point i, so each closed ball at that
-        code is named by its first member.  ValueError on a space that is
-        not ultrametric."""
+    def ball_labels(self, tcode: int, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Row tcode of the ball-label table, or its entries at the point
+        indices idx: entry i is the least index of a point within code
+        tcode of point i, so each closed ball at that code is named by its
+        first member.  ValueError on a space that is not ultrametric."""
         if not self.is_ultrametric:
             raise ValueError("ball labels need an ultrametric space")
         if not 0 <= tcode < len(self.values):
             raise ValueError(f"no ball-label row for code {tcode}")
-        return self._labels[tcode]
+        return self._labels[tcode] if idx is None else self._labels.at(tcode, idx)
 
     def subindices(self, subset: Optional[Iterable[PointId]]) -> np.ndarray:
         """Indices of a subset's distinct points (every point for None) in
@@ -411,7 +509,7 @@ def _strong_triangle(space: Space) -> tuple[list[Violation], bool]:
             members[a], members[b] = np.concatenate((side, other)), None
         rows.append(root.copy())
     if not out and space._labels is None:
-        space._labels = rows
+        space._labels = _Rows(rows)
     return out, False
 
 
@@ -504,7 +602,7 @@ def validate_metric_axioms(space: Space, strong: bool = True) -> ValidationRepor
     rational sums, so it runs a pure-Python triple loop and is capped).
     """
     checked = ("diagonal-zero", "positivity", "symmetry")
-    if isinstance(space._labels, list):
+    if isinstance(space._labels, _Table):
         _check_ball_table(space)
         # values are >= 0, so max(a, b) <= a + b: the plain triangle follows
         return ValidationReport("metric axioms", checked + (
@@ -579,7 +677,8 @@ def word_space(
 
     The indicator form keeps the strong triangle inequality for every
     alphabet size; position n contributes 2^n when the letters disagree.
-    Distinct distance values are exactly 0 and 2^n for n < length.
+    Distinct distance values are exactly 0 and 2^n for n < length.  The
+    space holds its ball-label table as index moduli (_IndexRows).
     """
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be >= 2")
@@ -594,14 +693,14 @@ def word_space(
                 f"cap is {caps.max_points}")
     # letters agree from position k on exactly when the index residues mod
     # alphabet_size**(length - k) agree: the first letter is the most
-    # significant index digit
-    idx = np.arange(count)
-    parts = [idx % alphabet_size ** (length - k) for k in range(length + 1)]
+    # significant index digit, and row k of the table is i % that modulus
+    moduli = tuple(alphabet_size ** (length - k) for k in range(length + 1))
     values = (0,) + tuple(2 ** p for p in range(length))
     letters = [str(d) for d in range(alphabet_size)]
     sep = "" if alphabet_size <= 10 else "."  # as word_id joins them
     points = tuple(map(sep.join, itertools.product(letters, repeat=length)))
-    return _ball_table(points, parts, values, caps)
+    return Space.__new__(Space)._fill(
+        points, None, values, _IndexRows(count, moduli, True), caps)
 
 
 # -- balls, nets, entropy ----------------------------------------------------
@@ -616,7 +715,7 @@ def ball(space: Space, center: PointId, radius: Rational) -> tuple[PointId, ...]
     t = space.threshold_code(radius, CLOSED)
     if t < 0:
         return ()
-    if isinstance(space._labels, list):
+    if isinstance(space._labels, _Table):
         row = space._labels[t]
         idx = np.flatnonzero(row == row[x])
     else:
@@ -638,10 +737,10 @@ def _subspace(space: Space, sub: np.ndarray, caps: Caps = DEFAULT_CAPS) -> Space
     of the space, so they are not checked again."""
     whole = sub.size == len(space.points) and bool((np.diff(sub) > 0).all())
     points = space.points if whole else tuple(map(space.points.__getitem__, sub.tolist()))
-    if isinstance(space._labels, list):
+    if isinstance(space._labels, _Table):
         if whole:
             return space
-        return _ball_table(points, [row[sub] for row in space._labels],
+        return _ball_table(points, [space._labels.at(t, sub) for t in range(len(space.values))],
                            space.values, caps)
     codes, values = _compact(
         space.codes if whole else space.codes[np.ix_(sub, sub)], space.values)
@@ -674,7 +773,7 @@ def min_net(
             f"bound at radius {rat_str(radius)}")
     if space.is_ultrametric:
         # each ball's first hit in id order is its least id
-        _, first = np.unique(space.ball_labels(t)[sub], return_index=True)
+        _, first = np.unique(space.ball_labels(t, sub), return_index=True)
         return tuple(space.points[int(sub[r])] for r in np.sort(first))
     if sub.size > caps.max_exact_net_points:
         raise CapExceeded(
@@ -813,7 +912,8 @@ def entropy_profile(
     eps-ball.  Any other cell counts the eps-ball representatives per
     delta-label, and its max and min run over the counts at the
     delta-balls' own representatives, each of which also represents its
-    eps-ball.  Each code's representatives are found once."""
+    eps-ball.  Each code's row is read, and its representatives found,
+    once."""
     n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
@@ -828,22 +928,21 @@ def entropy_profile(
         if any(delta < 0 for delta in delta_list):
             raise ValueError("delta must be >= 0")
         tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
-        lds = [space.ball_labels(td) for td in tds]
+        rows = {t: space.ball_labels(t) for t in set(tes) | set(tds)}
         deltas = [canon(delta) for delta in delta_list]
         points = np.arange(n)
         # each code's representatives: the points labelled by themselves
-        reps = {t: np.flatnonzero(space.ball_labels(t) == points)
-                for t in set(tes) | set(tds)}
+        reps = {t: np.flatnonzero(row == points) for t, row in rows.items()}
         for eps, te in zip(eps_list, tes):
             eps = canon(eps)
-            for delta, td, ld in zip(deltas, tds, lds):
+            for delta, td in zip(deltas, tds):
                 # closed delta-balls are the classes of {code <= td}, so the
                 # net size of a center's ball is the number of eps-balls
                 # inside its delta-ball
                 if te >= td:
                     entries[(eps, delta)] = (1, 1)
                     continue
-                counts = np.bincount(ld[reps[te]])[reps[td]].tolist()
+                counts = np.bincount(rows[td][reps[te]])[reps[td]].tolist()
                 entries[(eps, delta)] = (max(counts), min(counts))
     else:
         for eps in eps_list:
@@ -956,7 +1055,7 @@ def _chain_partitions(space: Space, radii: Sequence[Rational]) -> list[np.ndarra
     order by a union-find whose roots are least members."""
     n = len(space.points)
     tcodes = [space.threshold_code(r, CLOSED) for r in radii]
-    if isinstance(space._labels, list):
+    if isinstance(space._labels, _Table):
         return [space._labels[t] if t >= 0 else np.arange(n) for t in tcodes]
     edges = _spanning_tree(space.codes, len(space.values))
     parent = list(range(n))  # parent[i] <= i

@@ -25,7 +25,7 @@ import numpy as np
 from .limits import DEFAULT_CAPS, Caps
 from .rationals import Rational, canon
 from .report import ValidationReport, Violation
-from .spaces import CLOSED, Space
+from .spaces import CLOSED, Space, _IndexRows
 
 NodeId = str
 
@@ -34,6 +34,14 @@ NodeId = str
 def _tails(degree: int) -> tuple[str, ...]:
     """The tails '.0' .. '.{degree-1}' of one step, in string order."""
     return tuple(sorted(map(".{}".format, range(degree))))
+
+
+def _extend(ids: list[str], degrees: Sequence[int]) -> list[str]:
+    """Each id followed by each tail of the steps of the given degrees,
+    in id order when ids is."""
+    for d in degrees:
+        ids = [p + tail for p in ids for tail in _tails(d)]
+    return ids
 
 
 class PathRow(Sequence):
@@ -76,10 +84,23 @@ class PathRow(Sequence):
         return "t" + "".join(reversed(tails))
 
     def __iter__(self) -> Iterator[NodeId]:
-        ids = ["t"]
-        for d in self._degrees:
-            ids = [p + tail for p in ids for tail in _tails(d)]
-        return iter(ids)
+        return iter(_extend(["t"], self._degrees))
+
+    def _node_text(self, up: "PathRow", level: int, chunk: int) -> Iterator[str]:
+        """tower_hash's text of this row's nodes, level level of a uniform
+        tower whose level above is up, in runs of about chunk nodes.  A
+        node's text runs on to the opening of the next node's:
+        "I","level":L,"parent":"P"},{"id": .  In such a tower node k's
+        parent is node k // (len(self) // len(up)) above, so the children
+        of parent p are p followed by each tail of the steps between the
+        rows, in order, and their text is written a parent at a time."""
+        tails = _extend([""], self._degrees[len(up._degrees):])
+        mid = f'","level":{level},"parent":"'
+        parents = iter(up)
+        per = max(1, chunk // len(tails))
+        while run := list(itertools.islice(parents, per)):
+            yield "".join(['"' + p + (mid + p + '"},{"id":"' + p).join(tails)
+                           + mid + p + '"},{"id":' for p in run])
 
     def _position(self, node) -> Optional[int]:
         """The index of id node, parsed tail by tail; None when the row
@@ -324,14 +345,19 @@ class Tower:
     lists the level's node ids in id order (a tuple, or the PathRow of a
     regular tower's level, which formats its ids on read) and, below the top,
     _par[l - 1][k] is the index in _ids[l] of the parent of
-    _ids[l - 1][k].  _profile keeps the degree profile once counted.  The
+    _ids[l - 1][k].  _blocks is set on a tower its builder knows to be
+    uniform (regular_tower, and the level subtowers of such a tower): the
+    number of base points under each node of each level, the base points
+    under a node being one run of the base index, so node k's parent is
+    node k // (its level's block over the block below); any other tower
+    holds None.  _profile keeps the degree profile once counted.  The
     constructor validates its raw input, regular_tower and ball_tower
     validate the arrays they build, and a level subtower is not
     re-validated, since restricting a valid tower to some levels that
     include its top keeps every axiom.
     """
 
-    __slots__ = ("height", "base", "_ids", "_par", "_profile")
+    __slots__ = ("height", "base", "_ids", "_par", "_blocks", "_profile")
 
     def __init__(
         self,
@@ -348,11 +374,13 @@ class Tower:
             raise TypeError("tower node ids must be mutually comparable")
         self._fill(*arrays)
 
-    def _fill(self, ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray]) -> None:
+    def _fill(self, ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray],
+              blocks: Optional[tuple[int, ...]] = None) -> None:
         """Set every field from the array form; the one path all
         constructors take."""
         self._ids = tuple(row if type(row) is PathRow else tuple(row) for row in ids)
         self._par = tuple(par)
+        self._blocks = blocks
         self._profile: Optional[DegreeProfile] = None
         self.height = len(ids)
         self.base = self._ids[0]
@@ -363,20 +391,22 @@ class Tower:
 
 
 def _of_arrays(
-    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
+    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps,
+    blocks: Optional[tuple[int, ...]] = None,
 ) -> Tower:
     """A tower from its array form, within the cap but not validated."""
     caps.check_tower(len(ids[0]), sum(map(len, ids)))
     tower = Tower.__new__(Tower)
-    tower._fill(ids, par)
+    tower._fill(ids, par, blocks)
     return tower
 
 
 def _built(
-    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps
+    ids: Sequence[Sequence[NodeId]], par: Sequence[np.ndarray], caps: Caps,
+    blocks: Optional[tuple[int, ...]] = None,
 ) -> Tower:
     """A tower the library built in array form, validated on its arrays."""
-    tower = _of_arrays(ids, par, caps)
+    tower = _of_arrays(ids, par, caps, blocks)
     _require_tower(validate_tower(tower))
     return tower
 
@@ -461,15 +491,24 @@ def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
     """The base under the path metric, points in id order, holding only
     its ball-label table.  Base points are within 2*(l-1) exactly when they
     share their level-l ancestor, so row l labels each point by the least
-    base index under that ancestor.  Going up a level, each node's least
-    index is lifted to its parent by a minimum at the parent indices
-    (np.minimum.at, in int64), one rolling ancestor array is composed with
-    the parent array, and the row is the least index at each point's
-    ancestor: no sort, and one ancestor array at a time.  A level whose
-    node count does not fall merges no ball, so its value is unrealized
-    and dropped.  A tower's ids are distinct, so the base ids are not
-    checked again."""
+    base index under that ancestor.  A level whose node count does not
+    fall merges no ball, so its value is unrealized and dropped.  A
+    tower's ids are distinct, so the base ids are not checked again.
+
+    On a uniform tower (Tower._blocks) the ancestor's least index is
+    i - i % b, b the level's block size, and the table holds the block
+    sizes (_IndexRows).  On any other tower each node's least index is
+    lifted to its parent, going up a level, by a minimum at the parent
+    indices (np.minimum.at, in int64), one rolling ancestor array is
+    composed with the parent array, and the row is the least index at
+    each point's ancestor: no sort, and one ancestor array at a time."""
     n = len(tower.base)
+    if tower._blocks is not None:
+        kept = [lv for lv, b in enumerate(tower._blocks)
+                if lv == 0 or b > tower._blocks[lv - 1]]
+        return Space.__new__(Space)._fill(
+            tower.base, None, tuple(2 * lv for lv in kept),
+            _IndexRows(n, tuple(map(tower._blocks.__getitem__, kept)), False), caps)
     anc = least = np.arange(n)  # point i's ancestor, node k's least base index
     rows, values = [least], [0]
     for lv, par in enumerate(tower._par, start=1):
@@ -517,7 +556,7 @@ def regular_tower(
     # run in string order of the child digit ("10" < "2")
     ids = [PathRow(tuple(top_down[:steps])) for steps in range(height - 1, -1, -1)]
     par = [np.repeat(np.arange(len(up)), d) for up, d in zip(ids[1:], reversed(top_down))]
-    return _built(ids, par, caps)
+    return _built(ids, par, caps, tuple(size // len(row) for row in ids))
 
 
 def level_subtower(
@@ -559,7 +598,9 @@ def _level_subtower(
         for lv in range(lo + 1, hi):
             up = tower._par[lv - 1][up]
         par.append(up)
-    return _of_arrays([tower._ids[lv - 1] for lv in levels], par, caps)
+    blocks = tower._blocks and tuple(
+        tower._blocks[lv - 1] // tower._blocks[levels[0] - 1] for lv in levels)
+    return _of_arrays([tower._ids[lv - 1] for lv in levels], par, caps, blocks)
 
 
 # -- degree profiles ----------------------------------------------------------
@@ -754,7 +795,7 @@ def ball_tower(
     labels, reps = [], []
     for r in radii:
         _, first, inv = np.unique(
-            space.ball_labels(space.threshold_code(r, CLOSED))[sub],
+            space.ball_labels(space.threshold_code(r, CLOSED), sub),
             return_index=True, return_inverse=True)
         labels.append(first[inv])
         reps.append(np.sort(first))
@@ -781,7 +822,7 @@ def ball_tower_base_map(space: Space, tower: Tower) -> dict[str, NodeId]:
     # rows coarsen with the code, so the distinct ones are a run
     t = 0
     while t + 1 < len(space.values) and np.unique(
-            space.ball_labels(t + 1)[cols]).size == cols.size:
+            space.ball_labels(t + 1, cols)).size == cols.size:
         t += 1
     labels = space.ball_labels(t)
     rep_of = np.empty(len(space.points), dtype=np.int64)

@@ -32,7 +32,7 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import spaces
-from coarsetowers.spaces import CLOSED, _compact, _pick_dtype
+from coarsetowers.spaces import CLOSED, _compact, _pick_dtype, _Table
 
 from conftest import (
     random_plain_metric,
@@ -84,7 +84,7 @@ def _assert_encoded(space, points, codes, values):
     assert space.values == tuple(values)
     assert space.codes.dtype == codes.dtype
     assert np.array_equal(space.codes, codes)
-    assert isinstance(space._labels, list)
+    assert isinstance(space._labels, _Table)
     assert len(space._labels) == len(space.values)
     for k, row in enumerate(space._labels):
         assert np.array_equal(row, class_labels(space.codes, k))
@@ -240,6 +240,12 @@ def _ball_table_inputs(build):
     return calls
 
 
+def _encode_word_rows(words):
+    """word_space computes its rows, i mod a**(length - k), so the
+    encoder is handed them as partitions."""
+    return spaces._ball_table(words.points, list(words._labels), words.values)
+
+
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_ball_table_matches_the_lexsort_encoder(seed):
@@ -248,7 +254,7 @@ def test_ball_table_matches_the_lexsort_encoder(seed):
     space = random_ultrametric(rng, 2, 8)
     words = word_space(rng.randint(2, 3), rng.randint(1, 3))
     builds = [
-        lambda: word_space(rng.randint(2, 4), rng.randint(1, 4)),
+        lambda: _encode_word_rows(word_space(rng.randint(2, 4), rng.randint(1, 4))),
         lambda: product(space, words),
         lambda: hyperspace(space, rng.randint(1, 3)),
         lambda: ultrametrize(plain, _random_scales(rng, plain)),
@@ -279,7 +285,7 @@ def test_identity_subspace_of_a_tower_base_shares_its_codes(degrees, no_scans):
     base = base_space(regular_tower(degrees))
     sub = subspace(base, base.points)
     assert sub.codes is base.codes
-    assert all(a is b for a, b in zip(sub._labels, base._labels, strict=True))
+    assert sub._labels is base._labels
 
 
 @pytest.mark.parametrize("kind", ["word", "chain"])

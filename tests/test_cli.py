@@ -453,6 +453,23 @@ def test_huge_height_is_refused_before_its_degree_list(capsys):
     assert peak < 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
 
 
+def test_headline_equiv_stays_within_its_traced_peak(tmp_path):
+    # the base's and the word space's balls are index arithmetic, the
+    # source is hashed before the pipeline runs, and the report is written
+    # once the pipeline's spaces are dropped: 4.0 MB when the base and
+    # word space stored their label rows and the hash ran beside them
+    argv = ["equiv", "--from", "regular:3", "--height", "9", "--to", "binary",
+            "--out", str(tmp_path / "report.json")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.0 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
+
+
 def test_equiv_binary_auto_height(capsys):
     code, out, err = run_cli(capsys, ["equiv", "--from", "regular:2"])
     assert code == 0

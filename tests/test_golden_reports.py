@@ -149,6 +149,15 @@ def test_equiv_report_bytes_are_pinned(argv, monkeypatch):
     assert _sha(_run_equiv(argv, monkeypatch)) == EQUIV_DIGESTS[argv]
 
 
+def test_equiv_report_bytes_at_a_larger_base_are_pinned():
+    # 59049 base points and a word space of 16384: the index-arithmetic
+    # tables and the streamed source hash at a size where every kernel
+    # takes its whole-array path
+    argv = ["equiv", "--from", "regular:3", "--height", "11", "--cap", "100000"]
+    assert _sha(_run(argv)) == \
+        "4153e82bfd306819a3ca6428745150dcdd5e6dbf810a1a5d71791b98565e10bd"
+
+
 @pytest.mark.parametrize("argv", sorted(EXPERIMENT_DIGESTS))
 def test_experiment_bytes_are_pinned(argv):
     assert _sha(_run(argv)) == EXPERIMENT_DIGESTS[argv]

@@ -52,7 +52,7 @@ from coarsetowers import (
 from coarsetowers import cli, spaces
 from coarsetowers.cli import main
 from coarsetowers.serialization import space_from_csv
-from coarsetowers.spaces import CLOSED, STRICT, _pick_dtype
+from coarsetowers.spaces import CLOSED, STRICT, _pick_dtype, _Rows, _Table
 
 from conftest import (
     random_plain_metric,
@@ -164,7 +164,7 @@ def _reads(space, pairs, some):
 def test_table_spaces_match_the_block_fill_and_their_dense_copy(seed):
     rng = random.Random(seed)
     for space, parts, values in _table_spaces(rng):
-        assert space._codes is None and isinstance(space._labels, list)
+        assert space._codes is None and isinstance(space._labels, _Table)
         pairs = _relation(rng, space)
         some = rng.sample(space.points, min(len(space), 12))
         got = _reads(space, pairs, some)
@@ -439,7 +439,7 @@ def _builder_outputs(rng):
 @settings(max_examples=30, deadline=None)
 def test_table_verdict_matches_the_matrix_scan(seed):
     for space in _builder_outputs(random.Random(seed)):
-        assert space._codes is None and isinstance(space._labels, list)
+        assert space._codes is None and isinstance(space._labels, _Table)
         strong = validate_metric_axioms(space, strong=True)
         plain = validate_metric_axioms(space, strong=False)
         assert space._codes is None
@@ -468,7 +468,7 @@ def test_a_table_space_whose_codes_were_read_is_judged_off_its_table(monkeypatch
 def _corrupt(rows):
     """word_space(2, 3) with its label rows replaced."""
     words = word_space(2, 3)
-    words._labels = [np.asarray(r, dtype=np.int64) for r in rows]
+    words._labels = _Rows(np.asarray(r, dtype=np.int64) for r in rows)
     return words
 
 

@@ -133,7 +133,7 @@ def test_kernels_read_the_arrays_not_the_node_dicts():
     # a Tower holds its arrays and no node dict, so the degree kernels,
     # the pipeline and the JSON writer work on _ids and _par alone, and
     # agree on the tower the validated constructor rebuilds from its maps
-    assert Tower.__slots__ == ("height", "base", "_ids", "_par", "_profile")
+    assert Tower.__slots__ == ("height", "base", "_ids", "_par", "_blocks", "_profile")
     plain = regular_tower((3,) * 6)
     rebuilt = Tower(*node_maps(plain))
     assert tower_to_json(rebuilt) == tower_to_json(plain)
