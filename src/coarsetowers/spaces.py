@@ -63,16 +63,21 @@ def _compact(
 class _Table:
     """A ball-label table: for each realized code t, the row whose entry i
     is the least index of a point within code t of point i (see
-    Space.ball_labels).  Every table answers three reads: row t
-    (table[t]), the labels of an index array at row t (at) and each
-    point's rank in a depth-first leaf order, in which every ball is one
-    run (leaf_rank).  _Rows stores its rows; _IndexRows computes them from
-    the point index."""
+    Space.ball_labels).  Every table answers four reads: row t
+    (table[t]), the labels of an index array at row t (at), each point's
+    rank in a depth-first leaf order, in which every ball is one run
+    (leaf_rank), and the size of every ball of each code when all balls
+    of that code have one size (ball_sizes).  _Rows stores its rows;
+    _IndexRows computes them from the point index."""
 
     __slots__ = ()
 
     def at(self, t: int, idx: np.ndarray) -> np.ndarray:
         return self[t][idx]
+
+    def ball_sizes(self) -> Optional[tuple]:
+        """Stored rows do not say their ball sizes: None."""
+        return None
 
     def leaf_rank(self) -> np.ndarray:
         """One lexsort of the rows, the coarsest first, inverted."""
@@ -104,8 +109,8 @@ class _IndexRows(_Table):
     hold one run of b base points), or a modulus m, row t being i % m (a
     word space, whose words agree from some position on exactly when their
     indices agree mod m).  Each step divides the next block size, or the
-    modulus before it.  Rows are computed when read; labels of an index
-    array are computed on that array only."""
+    modulus before it.  Rows are computed when read; the labels of an
+    index array, or of one plain int, are computed on it alone."""
 
     __slots__ = ("n", "steps", "modular")
 
@@ -119,8 +124,15 @@ class _IndexRows(_Table):
         return self.at(t, np.arange(self.n))
 
     def at(self, t: int, idx: np.ndarray) -> np.ndarray:
+        """One floor division: the block's first index, or what lies above
+        it for a modulus."""
         step = self.steps[t]
-        return idx % step if self.modular else idx - idx % step
+        low = idx // step * step
+        return idx - low if self.modular else low
+
+    def ball_sizes(self) -> tuple:
+        """A block holds b points; a residue class mod m holds n // m."""
+        return tuple(self.n // step if self.modular else step for step in self.steps)
 
     def leaf_rank(self) -> np.ndarray:
         """The identity for blocks.  Moduli read the index's digits from
@@ -144,8 +156,7 @@ class _IndexRows(_Table):
         if pos.size != self.n or not (np.diff(pos) == 1).all():
             return super().neighbour_codes(idx)
         out = np.zeros(self.n - 1, dtype=np.int64)
-        for step in self.steps:
-            size = self.n // step if self.modular else step
+        for size in self.ball_sizes():
             out[size - 1::size] += 1
         return out
 
@@ -312,7 +323,14 @@ class Space:
         return self._ranks
 
     def dist(self, x: PointId, y: PointId) -> Rational:
-        return self.values[int(self._pair_codes(self.index(x), self.index(y)))]
+        """One pair's distance, read on plain ints: off the matrix when the
+        space holds one, else the number of label rows that separate the
+        pair (as _pair_codes)."""
+        i, j = self.index(x), self.index(y)
+        if self._codes is not None:
+            return self.values[self._codes[i, j]]
+        tab = self._labels
+        return self.values[sum(tab.at(t, i) != tab.at(t, j) for t in range(len(tab)))]
 
     def diameter(self) -> Rational:
         return self.values[-1] if self.values else 0
@@ -913,7 +931,10 @@ def entropy_profile(
     delta-label, and its max and min run over the counts at the
     delta-balls' own representatives, each of which also represents its
     eps-ball.  Each code's row is read, and its representatives found,
-    once."""
+    once.  A table whose balls of each code all have one size
+    (_Table.ball_sizes, so index arithmetic) reads no row: a delta-ball
+    of s_td points is the disjoint union of eps-balls of s_te points each,
+    so every center's count is s_td // s_te, and the cell is (q, q)."""
     n = len(space.points)
     if n == 0:
         raise ValueError("entropy of an empty space is undefined")
@@ -928,11 +949,13 @@ def entropy_profile(
         if any(delta < 0 for delta in delta_list):
             raise ValueError("delta must be >= 0")
         tds = [space.threshold_code(delta, CLOSED) for delta in delta_list]
-        rows = {t: space.ball_labels(t) for t in set(tes) | set(tds)}
         deltas = [canon(delta) for delta in delta_list]
-        points = np.arange(n)
-        # each code's representatives: the points labelled by themselves
-        reps = {t: np.flatnonzero(row == points) for t, row in rows.items()}
+        sizes = space._labels.ball_sizes()
+        if sizes is None:
+            rows = {t: space.ball_labels(t) for t in set(tes) | set(tds)}
+            points = np.arange(n)
+            # each code's representatives: the points labelled by themselves
+            reps = {t: np.flatnonzero(row == points) for t, row in rows.items()}
         for eps, te in zip(eps_list, tes):
             eps = canon(eps)
             for delta, td in zip(deltas, tds):
@@ -941,9 +964,12 @@ def entropy_profile(
                 # inside its delta-ball
                 if te >= td:
                     entries[(eps, delta)] = (1, 1)
-                    continue
-                counts = np.bincount(rows[td][reps[te]])[reps[td]].tolist()
-                entries[(eps, delta)] = (max(counts), min(counts))
+                elif sizes is not None:
+                    q = sizes[td] // sizes[te]
+                    entries[(eps, delta)] = (q, q)
+                else:
+                    counts = np.bincount(rows[td][reps[te]])[reps[td]].tolist()
+                    entries[(eps, delta)] = (max(counts), min(counts))
     else:
         for eps in eps_list:
             for delta in delta_list:
