@@ -349,7 +349,6 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
     rng = random.Random(args.seed)
     rows = []
     for trial in range(trials):
-        small, large = {}, {}
         degs, caps_ = [], []
         for _ in range(height - 1):
             lo = rng.randint(2, 6)
@@ -357,14 +356,8 @@ def _experiment_ratio_bounded(args: argparse.Namespace, trials: int,
             hi = rng.randint(lo, max(lo, hi_max))
             degs.append(lo)
             caps_.append(hi)
-        for i in range(1, height + 1):
-            ps, pl = 1, 1
-            for j in range(i + 1, height + 1):
-                ps *= degs[j - 2]
-                pl *= caps_[j - 2]
-                small[(i, j)] = ps
-                large[(i, j)] = pl
-        profile = DegreeProfile(height, small, large)
+        profile = DegreeProfile(height, DegreeProfile.regular(degs, height).small,
+                                DegreeProfile.regular(caps_, height).small)
         value, _ = asymptotic_homogeneity(profile)
         try:
             out = synthesize_sequences(profile)

@@ -349,8 +349,9 @@ class Tower:
     uniform (regular_tower, and the level subtowers of such a tower): the
     number of base points under each node of each level, the base points
     under a node being one run of the base index, so node k's parent is
-    node k // (its level's block over the block below); any other tower
-    holds None.  _profile keeps the degree profile once counted.  The
+    node k // (its level's block over the block below), and base_space and
+    the degree profiles are read off the blocks by arithmetic; any other
+    tower holds None.  _profile keeps the degree profile once read.  The
     constructor validates its raw input, regular_tower and ball_tower
     validate the arrays they build, and a level subtower is not
     re-validated, since restricting a valid tower to some levels that
@@ -524,6 +525,18 @@ def base_space(tower: Tower, caps: Caps = DEFAULT_CAPS) -> Space:
 # -- builders ----------------------------------------------------------------
 
 
+def _degree(d) -> int:
+    """One step's children count, an int >= 1; floats, Fractions and
+    strings are refused, not truncated or parsed."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise TypeError(f"degrees must be integers, got {d!r}") from None
+    if d < 1:
+        raise ValueError("degrees must be >= 1")
+    return d
+
+
 def regular_tower(
     degrees: Sequence[int], height: Optional[int] = None, caps: Caps = DEFAULT_CAPS
 ) -> Tower:
@@ -546,9 +559,7 @@ def regular_tower(
     for d in map(degrees.__getitem__, range(height - 2, -1, -1)):
         if size > caps.max_points:
             break
-        top_down.append(int(d))
-        if top_down[-1] < 1:
-            raise ValueError("degrees must be >= 1")
+        top_down.append(_degree(d))
         size *= top_down[-1]
         nodes += size
     caps.check_tower(size, nodes)
@@ -675,18 +686,18 @@ class DegreeProfile:
     @classmethod
     def regular(cls, degrees: Sequence[int], height: Optional[int] = None) -> "DegreeProfile":
         """Profile of the regular tower with the given consecutive degrees,
-        without materializing it; entries are products of degree runs."""
+        without materializing it.  With b_l the product of the first l - 1
+        degrees (the base points under a level-l node), entry (i, j) is
+        b_j // b_i, listed j outer, i inner, as _cone_profile counts."""
         if height is None:
             height = len(degrees) + 1
+        if height < 1:
+            raise ValueError("height must be >= 1")
         if len(degrees) < height - 1:
             raise ValueError("need height-1 degree entries")
-        degrees = [int(d) for d in degrees[: height - 1]]
-        small: dict = {}
-        for i in range(1, height + 1):
-            prod = 1
-            for j in range(i + 1, height + 1):
-                prod *= degrees[j - 2]
-                small[(i, j)] = prod
+        b = list(itertools.accumulate(map(_degree, degrees[: height - 1]), operator.mul,
+                                      initial=1))
+        small = {(i, j): b[j - 1] // b[i - 1] for j in range(2, height + 1) for i in range(1, j)}
         return cls(height, small, dict(small))
 
     def grouped(self, levels: Sequence[int]) -> "DegreeProfile":
@@ -721,13 +732,23 @@ def _cone_profile(
     roots None stands for the whole tower, the cone of its top, and no
     node is masked out.
 
-    A node's level-i descendants are those of its children summed, and a
-    node is its own one descendant on its level, so one np.add.at of the
-    children's rows at their parent indices, in int64, lifts every count
-    one level up, and a count never passes through a float.  Cones are
-    closed downward, so each count is the tower's own and only the
-    min/max runs over the cones, one reduction per level.
+    On a uniform tower (Tower._blocks) the entries are arithmetic and no
+    array is read: a level-j node's level-i descendants are the blocks of
+    b_i base points that tile its own block of b_j, so each level-j node
+    has b_j // b_i of them, and min = max over any non-empty root set
+    (DegreeProfile.regular of the step degrees b_{l+1} // b_l).
+
+    On any other tower a node's level-i descendants are those of its
+    children summed, and a node is its own one descendant on its level,
+    so one np.add.at of the children's rows at their parent indices, in
+    int64, lifts every count one level up, and a count never passes
+    through a float.  Cones are closed downward, so each count is the
+    tower's own and only the min/max runs over the cones, one reduction
+    per level.
     """
+    b = tower._blocks
+    if b is not None:
+        return DegreeProfile.regular([b[lv] // b[lv - 1] for lv in range(1, top)], top)
     # masks[k]: the nodes under the roots at level top - k
     masks = None if roots is None else _under(tower, top, roots)
     small: dict = {}

@@ -7,6 +7,7 @@ package are checked against something that cannot share their bugs.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -44,35 +45,34 @@ def pytest_terminal_summary(terminalreporter):
 # -- independent oracles -------------------------------------------------------
 
 
-def brute_min_net_size(space, subset, radius, convention) -> int:
-    """Minimum net size by exhaustive subset search; only for small instances."""
+def brute_min_net_size(space, subset, radius, convention, dist=None) -> int:
+    """Minimum net size by exhaustive subset search; only for small instances.
+    dist, when given, maps each pair (x, y) of the subset to d(x, y);
+    otherwise each pair is read off the space once."""
     pts = list(subset)
     assert len(pts) <= 12, "oracle is exponential; keep instances tiny"
-
-    def covers(net):
-        for x in pts:
-            if convention == "closed":
-                if not any(space.dist(x, y) <= radius for y in net):
-                    return False
-            else:
-                if not any(space.dist(x, y) < radius for y in net):
-                    return False
-        return True
-
+    if dist is None:
+        dist = {(x, y): space.dist(x, y) for x in pts for y in pts}
+    # the points each candidate center covers, d(x, y) <= radius when
+    # closed and < radius when strict; a net covers when its sets cover pts
+    within = operator.le if convention == "closed" else operator.lt
+    covered = {y: {x for x in pts if within(dist[x, y], radius)} for y in pts}
     for k in range(1, len(pts) + 1):
         for net in itertools.combinations(pts, k):
-            if covers(net):
+            if len(set().union(*map(covered.__getitem__, net))) == len(pts):
                 return k
     raise AssertionError("no net covers the subset")
 
 
 def brute_entropy(space, eps, delta, convention) -> tuple:
     """(large, small) from the definition: per-center closed delta-ball,
-    then minimum eps-net of that ball."""
+    then minimum eps-net of that ball.  Every pair's distance is read off
+    the space once and shared by the balls' searches."""
+    dist = {(x, y): space.dist(x, y) for x in space.points for y in space.points}
     counts = []
     for center in space.points:
         members = ball(space, center, delta)
-        counts.append(brute_min_net_size(space, members, eps, convention))
+        counts.append(brute_min_net_size(space, members, eps, convention, dist))
     return max(counts), min(counts)
 
 

@@ -45,8 +45,9 @@ from coarsetowers import (
     verify_asymorphism,
     word_space,
 )
+from coarsetowers import towers
 from coarsetowers.cli import main
-from coarsetowers.limits import Caps
+from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.morphisms import (
     AdmissibleSequences, build_admissible_morphism)
 from coarsetowers.rationals import canon
@@ -149,6 +150,10 @@ def _degree_tuples(limit):
 def _entropy_mismatches(tower, convention, min_index=0):
     # strict nets do not exist at radius 0, so strict sampling starts at 2
     base = base_space(tower)
+    # the degree side counts descendants on a twin holding the same arrays
+    # and no block sizes, so a regular tower's identity is checked between
+    # two computations, not read off its blocks twice
+    counted = towers._of_arrays(tower._ids, tower._par, DEFAULT_CAPS)
     radii = [2 * i for i in range(min_index, tower.height)]
     profile = entropy_profile(base, radii, radii, convention)
     points = bad = 0
@@ -156,7 +161,7 @@ def _entropy_mismatches(tower, convention, min_index=0):
         for j in range(i, tower.height):
             points += 1
             if profile.entries[(2 * i, 2 * j)] != \
-                    entropy_from_degrees(tower, i, j):
+                    entropy_from_degrees(counted, i, j):
                 bad += 1
     return points, bad
 

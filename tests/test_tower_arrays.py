@@ -6,6 +6,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from coarsetowers import (
     word_space,
 )
 from coarsetowers import cli, equivalence_pipeline, serialization, spaces, towers
+from coarsetowers.limits import DEFAULT_CAPS, Caps
 from coarsetowers.report import ValidationReport, Violation
 from coarsetowers.serialization import dump_json, tower_to_json
 from coarsetowers.spaces import CLOSED, STRICT
@@ -87,6 +89,63 @@ def test_degree_kernels_match_dict_walk(seed):
         at = [tower._ids[lvl - 1].index(r) for r in roots]
         assert _cone_profile(tower, lvl, at) == \
             oracle_cone_profile(tower, nodes, lvl)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_uniform_profiles_match_the_counting_path(seed):
+    # a uniform tower's profile is block arithmetic; it must agree, entry
+    # for entry and in order, with the dict walk and with the counting path
+    # run on a twin holding the same arrays and no blocks
+    rng = random.Random(seed)
+    caps = Caps(max_points=6 ** 6)
+    height = rng.randint(1, 7)
+    tower = regular_tower([rng.randint(1, 6) for _ in range(height - 1)], caps=caps)
+    levels = sorted(rng.sample(range(1, height), rng.randint(0, height - 1))) + [height]
+    for t in (tower, towers._level_subtower(tower, levels, caps)):
+        assert t._blocks is not None
+        twin = towers._of_arrays(t._ids, t._par, caps)
+        nodes, level, _ = node_maps(t)
+        lvl = rng.randint(1, t.height)
+        if lvl == t.height:
+            at = [0]
+        else:
+            p = rng.randrange(len(t._ids[lvl]))
+            kids = np.flatnonzero(t._par[lvl - 1] == p).tolist()
+            at = sorted(rng.sample(kids, rng.randint(1, len(kids))))
+        roots = {t._ids[lvl - 1][k] for k in at}
+        under = [x for x in nodes if level[x] <= lvl and ancestor(t, x, lvl) in roots]
+        for prof, ref, walk in [
+                (degree_profile(t), degree_profile(twin), oracle_cone_profile(t, nodes, t.height)),
+                (_cone_profile(t, lvl, at), _cone_profile(twin, lvl, at),
+                 oracle_cone_profile(t, under, lvl))]:
+            assert prof == ref == walk
+            for entries in ("small", "large"):
+                assert list(getattr(prof, entries).items()) == \
+                    list(getattr(ref, entries).items()) == list(getattr(walk, entries).items())
+
+
+def test_uniform_profiles_are_read_off_the_blocks(monkeypatch):
+    # no count is lifted and no node masked on a uniform tower: with
+    # np.add.at and _under refusing, its profiles still come out, and the
+    # block-less twin's counting path is refused
+    def refuse(*args):
+        raise AssertionError("a uniform tower's degree profile counted descendants")
+
+    def twin(t):
+        return towers._of_arrays(t._ids, t._par, DEFAULT_CAPS)
+
+    tower = regular_tower([3] * 8)
+    sub = towers._level_subtower(tower, [2, 5, 6, 9])
+    expected = [(degree_profile(twin(t)), _cone_profile(twin(t), 3, [0, 2])) for t in (tower, sub)]
+    monkeypatch.setattr(towers, "_under", refuse)
+    monkeypatch.setattr(towers, "np", SimpleNamespace(
+        **{**vars(np), "add": SimpleNamespace(at=refuse)}))
+    for t, (whole, cone_of_two) in zip((tower, sub), expected):
+        assert degree_profile(t) == whole
+        assert _cone_profile(t, 3, [0, 2]) == cone_of_two
+        with pytest.raises(AssertionError, match="counted descendants"):
+            degree_profile(twin(t))
 
 
 def _brute_profile(tower, nodes, top):

@@ -2,7 +2,10 @@
 level subtowers, degree profiles, and ball towers."""
 
 import random
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +194,33 @@ def test_regular_tower_explicit_height():
     assert len(t.base) == 6
     with pytest.raises(ValueError):
         regular_tower((2,), height=4)
+
+
+@pytest.mark.parametrize("build", [regular_tower, DegreeProfile.regular])
+@pytest.mark.parametrize("degree", [2.5, Fraction(5, 2), "3", np.float64(2.0)])
+def test_regular_builders_refuse_non_integer_degrees(build, degree):
+    # a truncated or parsed degree builds another tower than the one asked for
+    with pytest.raises(TypeError, match=f"^degrees must be integers, got {re.escape(repr(degree))}$"):
+        build([2, degree])
+
+
+@pytest.mark.parametrize("build", [regular_tower, DegreeProfile.regular])
+@pytest.mark.parametrize("args, message", [
+    (([0, 2],), "degrees must be >= 1"),
+    (([-1],), "degrees must be >= 1"),
+    (([2, 3], 0), "height must be >= 1"),
+])
+def test_regular_builders_refuse_degrees_and_heights_below_one(build, args, message):
+    # a profile with entries 0 or -1, or of height 0, is no tower's profile
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+
+
+def test_regular_builders_read_numpy_integer_degrees_as_ints():
+    prof = DegreeProfile.regular(np.array([2, 3]))
+    assert prof.small == {(1, 2): 2, (1, 3): 6, (2, 3): 3}
+    assert all(type(v) is int for v in prof.small.values())
+    assert degree_profile(regular_tower(np.array([2, 3]))) == prof
 
 
 def test_degree_profile_chain_is_all_ones():
